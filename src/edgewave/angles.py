@@ -23,24 +23,25 @@ class AngleError(ValueError):
 
 @dataclass(frozen=True)
 class Angle:
-    """Angle alpha in units of pi, alpha in (0, 2) and alpha != 1."""
+    """Angle alpha in units of pi, alpha in (0, 2).
+
+    The flat angle 1 is admitted because reflected configurations land on it
+    (alpha = 1/2 or 3/2); parse_angle and vanish.case_of_config reject it
+    wherever a user's angle enters.
+    """
 
     value: float
     rational: Optional[Tuple[int, int]] = None  # reduced (q, p)
 
     def __post_init__(self):
-        if not (0.0 < self.value < 2.0) or self.value == 1.0:
-            raise AngleError(f"angle {self.value} outside (0,2)\\{{1}}")
+        if not (0.0 < self.value < 2.0):
+            raise AngleError(f"angle {self.value} outside (0,2)")
         if self.rational is not None:
             q, p = self.rational
             if p < 1 or q < 1 or math.gcd(q, p) != 1:
                 raise AngleError(f"fraction {q}/{p} not reduced/positive")
             if abs(self.value - q / p) > DETECT_TOL:
                 raise AngleError("stored value disagrees with fraction")
-
-    @property
-    def is_rational(self):
-        return self.rational is not None
 
     def equals_fraction(self, q, p):
         if self.rational is None:
@@ -67,14 +68,15 @@ def parse_angle(text):
         except (ValueError, ZeroDivisionError) as exc:
             raise AngleError(f"cannot parse fraction {text!r}") from exc
         value = fr.numerator / fr.denominator
-        if not (0 < value < 2) or value == 1:
-            raise AngleError(f"angle {text} outside (0,2)\\{{1}}")
-        return Angle(value=value, rational=(fr.numerator, fr.denominator))
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise AngleError(f"cannot parse angle {text!r}") from exc
-    return Angle(value=value)
+        rational = (fr.numerator, fr.denominator)
+    else:
+        try:
+            value, rational = float(text), None
+        except ValueError as exc:
+            raise AngleError(f"cannot parse angle {text!r}") from exc
+    if not (0 < value < 2) or value == 1:
+        raise AngleError(f"angle {text} outside (0,2)\\{{1}}")
+    return Angle(value=value, rational=rational)
 
 
 def detect_rational(angle, max_den=DEFAULT_MAX_DEN):

@@ -21,14 +21,8 @@ import sys
 
 from .angles import AngleError, parse_angle
 from .corner import EdgeCornerConfig, ImpedanceSpec
-from .vanish import (INFINITE, CaseKind, RankAmbiguityError, theorem_bound,
-                     vanishing_order)
+from .vanish import INFINITE, CaseKind, RankAmbiguityError, vanishing_order
 from .verify import run_suite
-
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"\s*(?P<im>[+-]\s*(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?\s*(?P<i>i)?\s*$")
-
 
 def parse_complex(text):
     """Parse 'a+bi' / 'a-bi' with optional parts ('2', '1.5-0.5i', 'i', '-i')."""
@@ -169,7 +163,6 @@ def build_parser():
     pa.add_argument("--k", type=float, default=1.0, help="wavenumber")
     pa.add_argument("--nmax", type=int, default=6)
     pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--seed", type=int)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
@@ -182,7 +175,6 @@ def build_parser():
     pt.add_argument("--k", type=float, default=1.0)
     pt.add_argument("--nmax", type=int, default=6)
     pt.add_argument("--tol", type=float, default=1e-9)
-    pt.add_argument("--seed", type=int)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_table)
 
@@ -195,10 +187,23 @@ def build_parser():
     return ap
 
 
+def _attach_eta_values(argv):
+    """Rewrite '--eta1 VALUE' as '--eta1=VALUE', so that argparse does not
+    read a value such as '-1.2+0.3i' as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--eta1", "--eta2") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_eta_values(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -20,9 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from .angles import Angle
-from .swe import (eval_field, sph_harmonic, sph_harmonic_dtheta,
-                  sph_harmonic_over_sin, unit_frame)
-from .specfun import radial_pq
+from .swe import _spherical_components, eval_field, unit_frame
 
 
 class ImpedanceKind(IntEnum):
@@ -106,59 +104,28 @@ def e_vectors(theta, phi):
     return thetahat, -rhat
 
 
-def _face_series_components(coeffs, phi, r, theta):
-    """Per-point series pieces of the trace formulas on a face.
+def _face_trace(coeffs, config, face, r, theta):
+    """nu_j ^ F on face j for the expansion F with these coefficients.
 
-    Returns (B, T, F) with B the radial piece sum_{l,m} -(1/L) b l(l+1) p Y,
-    T the theta piece -(1/L)(a j (m/s)Y + b q Y_t) and F the phi piece
-    -(i/L)(a j Y_t + b q (m/s)Y), plus the curl-side pieces (BC, TC, FC).
+    Built in the spherical frame as sgn (-F_r e1 - F_theta e2), so a field
+    with no tangential part gives an exact zero; sgn = +1 on face 1 and -1 on
+    face 2 because nu_1 = -phihat while nu_2 = +phihat.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast(r, theta).shape
-    B = np.zeros(shape, dtype=complex)
-    T = np.zeros(shape, dtype=complex)
-    F = np.zeros(shape, dtype=complex)
-    BC = np.zeros(shape, dtype=complex)
-    TC = np.zeros(shape, dtype=complex)
-    FC = np.zeros(shape, dtype=complex)
-    k = coeffs.k
-    for l, m, av, bv in coeffs.modes():
-        L = math.sqrt(l * (l + 1))
-        rad = radial_pq(l, k * r)
-        y = sph_harmonic(l, m, theta, phi)
-        yt = sph_harmonic_dtheta(l, m, theta, phi)
-        ys = sph_harmonic_over_sin(l, m, theta, phi)
-        B += -(1.0 / L) * bv * l * (l + 1) * rad.p * y
-        T += -(1.0 / L) * (av * rad.j * ys + bv * rad.q * yt)
-        F += -(1j / L) * (av * rad.j * yt + bv * rad.q * ys)
-        # curl E = ik sum (b M - a N): same structure with (a,b) -> (b,-a)
-        BC += (1j * k / L) * av * l * (l + 1) * rad.p * y
-        TC += (1j * k / L) * (-bv * rad.j * ys + av * rad.q * yt)
-        FC += (1j * k * 1j / L) * (-bv * rad.j * yt + av * rad.q * ys)
-    return B, T, F, BC, TC, FC
+    phi = face_phi(config, face)
+    fr, ft, _ = _spherical_components(coeffs, r, theta, phi)
+    e1, e2 = e_vectors(theta, phi)
+    sgn = 1.0 if face == Face.ONE else -1.0
+    return sgn * (-(fr[..., None] * e1) - (ft[..., None] * e2))
 
 
 def trace_tangential_E(coeffs, config, face, r, theta):
-    """nu_j ^ E on face j, Cartesian, via the closed-form face series.
-
-    The series carries a face-dependent orientation sign (+1 on face 1,
-    -1 on face 2) because nu_1 = -phihat while nu_2 = +phihat.
-    """
-    phi = face_phi(config, face)
-    B, T, _, _, _, _ = _face_series_components(coeffs, phi, r, theta)
-    e1, e2 = e_vectors(theta, phi)
-    sgn = 1.0 if face == Face.ONE else -1.0
-    return sgn * (-(B[..., None] * e1) - (T[..., None] * e2))
+    """nu_j ^ E on face j, Cartesian, via the closed-form face series."""
+    return _face_trace(coeffs, config, face, r, theta)
 
 
 def trace_tangential_curl(coeffs, config, face, r, theta):
     """nu_j ^ (curl E) on face j, Cartesian, via the face series."""
-    phi = face_phi(config, face)
-    _, _, _, BC, TC, _ = _face_series_components(coeffs, phi, r, theta)
-    e1, e2 = e_vectors(theta, phi)
-    sgn = 1.0 if face == Face.ONE else -1.0
-    return sgn * (-(BC[..., None] * e1) - (TC[..., None] * e2))
+    return _face_trace(coeffs.curl(), config, face, r, theta)
 
 
 def tangential_projection(coeffs, config, face, r, theta):

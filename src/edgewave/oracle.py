@@ -23,7 +23,8 @@ from .corner import (EdgeCornerConfig, Face, ImpedanceSpec, face_normal,
                      trace_tangential_curl)
 from .swe import ModeCoefficients, eval_field, norm_constant
 from .specfun import assoc_legendre, radial_pq
-from .vanish import CaseKind, case_of_config, nullspace_dim, reflected_angle
+from .vanish import (CaseKind, case_of_config, column_labels, edge_rows,
+                     nullspace_dim, reflected_angle)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -162,14 +163,7 @@ def _unit_basis(n, k):
     return [ModeCoefficients(n, k,
                              a={(n, m): 1.0} if fam == "a" else None,
                              b={(n, m): 1.0} if fam == "b" else None)
-            for fam, m in _column_order(n)]
-
-
-def _column_order(n):
-    cols = [("b", 0), ("a", 0)]
-    for m in range(1, n + 1):
-        cols += [("a", m), ("a", -m), ("b", m), ("b", -m)]
-    return cols
+            for fam, m in column_labels(n)]
 
 
 def _radial_coefficients(values, radii, n, orders=(0,)):
@@ -253,15 +247,14 @@ def _sampled_head_row(n, config, thetas, radii):
 
 
 def _numeric_edge_rows(n, config):
-    """The six edge relations with every entry rebuilt numerically.
+    """The six edge relations with every weight rebuilt numerically.
 
     The radial weights are extracted from sampled p_n, q_n leading behavior
     and the trig factors from the face-2 normal, instead of the closed-form
-    constants used by the assembler.
+    constants used by the assembler; vanish.edge_rows places them.
     """
-    k = config.k
     rr = np.array([1e-3, 5e-4, 2.5e-4, 1.25e-4])
-    rad = radial_pq(n, k * rr)
+    rad = radial_pq(n, config.k * rr)
     plead = _radial_coefficients(rad.p.reshape(-1, 1), rr, n, (0,))[0][0]
     qlead = _radial_coefficients(rad.q.reshape(-1, 1), rr, n, (0,))[0][0]
     nu2 = face_normal(config, Face.TWO)
@@ -271,44 +264,16 @@ def _numeric_edge_rows(n, config):
     sL = math.sqrt(L)
     Kp = (L / 2.0) * c1 * qlead / sL
     Ap = L * c0 * plead / sL
-    eta1 = config.bc1.eta0
-    eta2 = config.bc2.eta0
-    ncols = 2 * (2 * n + 1)
-    ix = {c: i for i, c in enumerate(_column_order(n))}
-    rows = []
-
-    def build(ap, am, bp, bm, b0, a0):
-        row = np.zeros(ncols, dtype=complex)
-        row[ix[("a", 1)]], row[ix[("a", -1)]] = ap, am
-        row[ix[("b", 1)]], row[ix[("b", -1)]] = bp, bm
-        row[ix[("b", 0)]], row[ix[("a", 0)]] = b0, a0
-        rows.append(row)
-
-    build(1j * k * Kp * s * s - k * Kp * s * co,
-          1j * k * Kp * s * s + k * Kp * s * co, 0, 0,
-          -(eta1 + eta2 * co) * Ap, 0)
-    build(-1j * k * Kp * s * co - k * Kp * s * s,
-          -1j * k * Kp * s * co + k * Kp * s * s, 0, 0, -eta2 * s * Ap, 0)
-    build(0, 0, (eta1 - eta2 * co) * Kp + 1j * eta2 * s * Kp,
-          (eta1 - eta2 * co) * Kp - 1j * eta2 * s * Kp, 0, 0)
-    build(0, 0, -eta2 * co * co * Kp + 1j * eta2 * s * co * Kp,
-          -eta2 * co * co * Kp - 1j * eta2 * s * co * Kp, 0, 1j * k * co * Ap)
-    build(0, 0, eta2 * s * co * Kp + 1j * eta2 * s * s * Kp,
-          eta2 * s * co * Kp - 1j * eta2 * s * s * Kp, 0, 1j * k * s * Ap)
-    build(1j * k * Kp * co + k * Kp * s, 1j * k * Kp * co - k * Kp * s,
-          0, 0, eta2 * Ap, 0)
+    cols = column_labels(n)
+    rows, _ = edge_rows(s, co, Kp, Ap, config.bc1.eta0, config.bc2.eta0,
+                        config.k, {c: i for i, c in enumerate(cols)}, len(cols))
     return np.array(rows)
 
 
 def _reflected_config(config, case):
-    eff = reflected_angle(config.alpha, case)
     spec = ImpedanceSpec.series(config.bc2.eta0, config.bc2.higher)
-    new = EdgeCornerConfig.__new__(EdgeCornerConfig)
-    object.__setattr__(new, "alpha", eff)
-    object.__setattr__(new, "bc1", spec)
-    object.__setattr__(new, "bc2", spec)
-    object.__setattr__(new, "k", config.k)
-    return new
+    return EdgeCornerConfig(reflected_angle(config.alpha, case), spec, spec,
+                            config.k)
 
 
 def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9,

@@ -121,18 +121,16 @@ class ModeCoefficients:
     """Dense coefficient table a_l^m, b_l^m for 1 <= l <= L_max, m in [l]_0.
 
     Instances are immutable after construction; build from a dict mapping
-    (l, m) -> complex for each family, or mutate a zeros() table through
-    with_mode() which returns a copy.
+    (l, m) -> complex for each family.
     """
 
-    def __init__(self, lmax, k, a=None, b=None, rho0=1.0):
+    def __init__(self, lmax, k, a=None, b=None):
         if lmax < 1:
             raise ValueError("L_max must be >= 1")
         if k <= 0:
             raise ValueError("wavenumber must be positive")
         self.lmax = int(lmax)
         self.k = float(k)
-        self.rho0 = float(rho0)
         shape = (self.lmax + 1, 2 * self.lmax + 1)
         self._a = np.zeros(shape, dtype=complex)
         self._b = np.zeros(shape, dtype=complex)
@@ -145,26 +143,19 @@ class ModeCoefficients:
         self._a.flags.writeable = False
         self._b.flags.writeable = False
 
-    @classmethod
-    def zeros(cls, lmax, k, rho0=1.0):
-        return cls(lmax, k, rho0=rho0)
+    def _with_tables(self, a, b):
+        new = ModeCoefficients.__new__(ModeCoefficients)
+        new.lmax, new.k = self.lmax, self.k
+        new._a, new._b = a, b
+        new._a.flags.writeable = False
+        new._b.flags.writeable = False
+        return new
 
     def a(self, l, m):
         return self._a[l, m]
 
     def b(self, l, m):
         return self._b[l, m]
-
-    def with_mode(self, family, l, m, value):
-        """Copy with one coefficient replaced."""
-        new = ModeCoefficients.__new__(ModeCoefficients)
-        new.lmax, new.k, new.rho0 = self.lmax, self.k, self.rho0
-        new._a = self._a.copy()
-        new._b = self._b.copy()
-        {"a": new._a, "b": new._b}[family][l, m] = value
-        new._a.flags.writeable = False
-        new._b.flags.writeable = False
-        return new
 
     def modes(self):
         """Iterate (l, m, a_lm, b_lm) over nonzero entries."""
@@ -174,16 +165,15 @@ class ModeCoefficients:
                 if av != 0 or bv != 0:
                     yield l, m, av, bv
 
+    def curl(self):
+        """Coefficients of curl E = ik sum (b M - a N): (a, b) -> (ik b, -ik a)."""
+        ik = 1j * self.k
+        return self._with_tables(ik * self._b, -ik * self._a)
+
     def __add__(self, other):
         if self.lmax != other.lmax or self.k != other.k:
             raise ValueError("mismatched tables")
-        new = ModeCoefficients.__new__(ModeCoefficients)
-        new.lmax, new.k, new.rho0 = self.lmax, self.k, self.rho0
-        new._a = self._a + other._a
-        new._b = self._b + other._b
-        new._a.flags.writeable = False
-        new._b.flags.writeable = False
-        return new
+        return self._with_tables(self._a + other._a, self._b + other._b)
 
     # -- serialization: header "k <value> lmax <value>", then one line per
     #    mode "l m re(a) im(a) re(b) im(b)"; exact round-trip via repr floats.

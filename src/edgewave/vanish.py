@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .angles import Angle, grid_exclusion_order
+from .angles import Angle, AngleError, grid_exclusion_order
 from .corner import ImpedanceKind
 from .swe import norm_constant
 
@@ -68,7 +68,10 @@ class RankAmbiguityError(RuntimeError):
 
 
 def case_of_config(config):
-    """Classify a config's boundary pairing; PEC-PEC/PMC-PMC are rejected."""
+    """Classify a config's boundary pairing; PEC-PEC/PMC-PMC are rejected,
+    and so is the flat angle, which has no edge."""
+    if config.alpha.value == 1.0:
+        raise AngleError("the flat angle alpha = 1 has no edge-corner")
     k1, k2 = config.bc1.kind, config.bc2.kind
     if k1 == k2 == ImpedanceKind.SERIES:
         return CaseKind.IMP_IMP
@@ -89,33 +92,13 @@ def column_labels(n):
     return cols
 
 
-class EffectiveAngle:
-    """Angle carrier for assembled systems; tolerates the boundary value 1,
-    which reflected configurations at alpha = 1/2 land on."""
-
-    __slots__ = ("value", "rational")
-
-    def __init__(self, value, rational=None):
-        self.value = float(value)
-        self.rational = rational
-
-    @classmethod
-    def of(cls, angle):
-        return cls(angle.value, angle.rational)
-
-    def __str__(self):
-        if self.rational:
-            return f"{self.rational[0]}/{self.rational[1]}"
-        return repr(self.value)
-
-
 @dataclass
 class ConstraintSystem:
     """Labeled linear system over the order-n unknowns."""
 
     n: int
     case: CaseKind
-    alpha: EffectiveAngle             # angle the rows were assembled at
+    alpha: Angle                      # angle the rows were assembled at
     columns: List[Tuple[str, int]]
     rows: np.ndarray                  # complex, shape (nrows, ncols)
     provenance: List[str]
@@ -198,9 +181,12 @@ def _head_quantities(n, alpha_val):
     return s, co, Kp, Ap
 
 
-def edge_rows(n, alpha_val, eta1, eta2, k, ix, ncols):
-    """Matching rows plus face-2 edge rows (six rows, orders m <= 1 only)."""
-    s, co, Kp, Ap = _head_quantities(n, alpha_val)
+def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ix, ncols):
+    """Matching rows plus face-2 edge rows (six rows, orders m <= 1 only).
+
+    s, co are sin and cos of the opening angle; Kp, Ap the radial weights of
+    the m = 1 and m = 0 edge terms (see _head_quantities).
+    """
     rows, tags = [], []
 
     def build(ap, am, bp, bm, b0, a0, tag):
@@ -319,7 +305,8 @@ def _assemble_impimp(n, eff, eta1, eta2, k):
     cols = column_labels(n)
     ix = {c: i for i, c in enumerate(cols)}
     ncols = len(cols)
-    rows, tags = edge_rows(n, eff.value, eta1, eta2, k, ix, ncols)
+    rows, tags = edge_rows(*_head_quantities(n, eff.value), eta1, eta2, k,
+                           ix, ncols)
     if n == 1:
         rows.append(head_row(n, eta1, k, ix, ncols))
         tags.append("face1-chain-e2 mu=0")
@@ -389,7 +376,7 @@ def reflected_angle(alpha, case):
         nq, np_ = mapper(*alpha.rational)
         g = math.gcd(nq, np_)
         frac = (nq // g, np_ // g)
-    return EffectiveAngle(val, frac)
+    return Angle(val, frac)
 
 
 def assemble_order_system(n, config):
@@ -397,11 +384,11 @@ def assemble_order_system(n, config):
     if n < 1:
         raise ValueError("order must be >= 1")
     case = case_of_config(config)
-    eff = EffectiveAngle.of(config.alpha)
     if case == CaseKind.IMP_IMP:
-        return _assemble_impimp(n, eff, config.bc1.eta0, config.bc2.eta0, config.k)
+        return _assemble_impimp(n, config.alpha, config.bc1.eta0,
+                                config.bc2.eta0, config.k)
     if case == CaseKind.PEC_PMC:
-        return _assemble_pecpmc(n, eff)
+        return _assemble_pecpmc(n, config.alpha)
     # mixed pairing: the impedance condition transfers to the mirror plane
     # with the same series, so assemble the impedance-impedance system at the
     # doubled angle with eta on both faces

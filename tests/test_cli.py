@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from conftest import make_config
 from edgewave.cli import main, parse_complex
+from edgewave.vanish import closed_det_A
 
 
 class TestComplexGrammar:
@@ -103,6 +105,30 @@ class TestTable:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 1 and data[0]["theorem_bound"] == 2
+
+
+class TestEtaSpelling:
+    SEPARATE = ["--eta1", "-1.2+0.3i", "--eta2", "-0.4-1i"]
+    ATTACHED = ["--eta1=-1.2+0.3i", "--eta2=-0.4-1i"]
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--alpha", "1/3", "--case", "imp-imp", "--nmax", "3"],
+        ["table", "--case", "imp-imp", "--alphas", "1/3", "0.37", "--nmax", "3"],
+    ])
+    def test_negative_values_both_spellings(self, capsys, command):
+        outs = []
+        for etas in (self.SEPARATE, self.ATTACHED):
+            assert main(command + etas + ["--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0])
+        report = report[0] if isinstance(report, list) else report
+        config = make_config("1/3", eta1=-1.2 + 0.3j, eta2=-0.4 - 1j)
+        assert complex(*report["per_order"][0]["det_A"]) == closed_det_A(1, config)
+
+    def test_missing_value_is_usage_error(self):
+        assert main(["analyze", "--alpha", "1/3", "--case", "imp-imp",
+                     "--eta1", "--eta2", "1"]) == 1
 
 
 class TestExitCodes:

@@ -133,6 +133,35 @@ class TestTraces:
         assert np.dot(tr, e1) == pytest.approx(expect, rel=1e-12)
 
 
+    @pytest.mark.parametrize("trace", [corner.trace_tangential_E,
+                                       corner.trace_tangential_curl])
+    def test_normal_component_vanishes(self, rng, trace):
+        # the traces are built in the spherical frame: face 1 has no normal
+        # part at all, face 2 only the rounding of the frame's Cartesian
+        # components
+        cfg = make_config("0.37", k=1.3)
+        r = rng.uniform(0.01, 0.5, (6, 1))
+        th = rng.uniform(0.1, math.pi - 0.1, (1, 9))
+        for coeffs in (random_coeffs(rng, k=cfg.k),
+                       swe.ModeCoefficients(2, cfg.k, b={(2, 0): 1.0})):
+            tr = trace(coeffs, cfg, Face.ONE, r, th)
+            assert np.all(tr @ corner.face_normal(cfg, Face.ONE) == 0.0)
+            tr = trace(coeffs, cfg, Face.TWO, r, th)
+            normal = np.abs(tr @ corner.face_normal(cfg, Face.TWO))
+            assert np.all(normal <= 1e-15 * np.linalg.norm(tr, axis=-1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_curl_trace_of_unit_b0_is_exactly_zero(self, rng, n):
+        # curl(N_n^0) = ik M_n^0 is azimuthal, i.e. normal to both faces
+        cfg = make_config("0.37", k=1.3)
+        c = swe.ModeCoefficients(n, cfg.k, b={(n, 0): 1.0})
+        r = rng.uniform(0.0, 0.5, (6, 1))
+        th = rng.uniform(0.0, math.pi, (1, 9))
+        for face in (Face.ONE, Face.TWO):
+            tr = corner.trace_tangential_curl(c, cfg, face, r, th)
+            assert np.all(tr == 0.0)
+
+
 class TestResidual:
     def test_zero_for_every_kind(self):
         cfg = make_config("0.37")

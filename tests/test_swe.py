@@ -137,6 +137,24 @@ class TestEvalField:
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-13
 
 
+class TestCurlCoefficients:
+    def test_curl_matches_fd(self, rng):
+        coeffs = random_coeffs(rng, lmax=2, k=1.3)
+        curl = coeffs.curl()
+        for _ in range(6):
+            x = rng.uniform(-0.5, 0.5, 3)
+            C = fd_curl(coeffs, x)
+            assert (np.linalg.norm(swe.eval_field(curl, x) - C)
+                    / np.linalg.norm(C)) < 1e-5
+
+    def test_double_curl_is_k_squared(self, rng):
+        coeffs = random_coeffs(rng, lmax=2, k=1.3)
+        twice = coeffs.curl().curl()
+        for l, m, av, bv in coeffs.modes():
+            assert twice.a(l, m) == pytest.approx(1.3 ** 2 * av, rel=1e-15)
+            assert twice.b(l, m) == pytest.approx(1.3 ** 2 * bv, rel=1e-15)
+
+
 class TestSerialization:
     def test_round_trip(self, rng):
         c = random_coeffs(rng, lmax=4)

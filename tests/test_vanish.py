@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_config
 from edgewave import angles, vanish
+from edgewave.oracle import collocation_nullspace
 from edgewave.vanish import (CaseKind, INFINITE, RankAmbiguityError,
                              UnsupportedPairingError, assemble_order_system,
                              block_det, closed_det_A, closed_det_B,
@@ -256,3 +257,18 @@ class TestReflection:
         assert eff.rational == (1, 1)
         report = vanishing_order(make_config("1/2", case="imp-pec"), 3)
         assert report.order_lower_bound == 0
+
+
+class TestFlatAngle:
+    @pytest.mark.parametrize("alpha", ["1/2", "3/2"])
+    def test_reflection_lands_on_flat_angle(self, alpha):
+        eff = vanish.reflected_angle(angles.parse_angle(alpha), CaseKind.IMP_PEC)
+        assert eff == angles.Angle(1.0, (1, 1))
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_hand_built_flat_config_rejected(self, case):
+        cfg = make_config(angles.Angle(1.0), case=case)
+        with pytest.raises(angles.AngleError):
+            assemble_order_system(1, cfg)
+        with pytest.raises(angles.AngleError):
+            collocation_nullspace(1, cfg)

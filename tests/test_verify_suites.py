@@ -2,7 +2,7 @@
 
 import pytest
 
-from edgewave.verify import SUITES, run_suite
+from edgewave.verify import SUITES, check_dtheta_recursion, run_suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -15,3 +15,10 @@ def test_suite_green(suite):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("seed", [125, 274, 554, 567])
+def test_dtheta_check_resolves_rounding(seed):
+    # these seeds drew points where a two-point difference at h = 1e-6
+    # missed the 1e-8 tolerance through rounding alone
+    check_dtheta_recursion(seed=seed)
