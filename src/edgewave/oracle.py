@@ -22,7 +22,7 @@ from .corner import (EdgeCornerConfig, Face, ImpedanceSpec, face_normal,
                      impedance_residual, tangential_projection,
                      trace_tangential_curl)
 from .swe import ModeCoefficients, eval_field, norm_constant
-from .specfun import assoc_legendre, radial_pq
+from .specfun import legendre_table, radial_pq
 from .vanish import (CaseKind, case_of_config, column_labels, edge_rows,
                      nullspace_dim, reflected_angle)
 
@@ -80,12 +80,12 @@ def _ball_quadrature(field, rho, nr, nth, nphi):
     return float(np.sum(wr * r * r * inner))
 
 
-def ball_integral(field, rho, quad=None, check_convergence=True, rtol=1e-6):
+def ball_integral(field, rho, quad=None, check_convergence=True):
     """Integral of |E| over the ball of radius rho around the corner point.
 
     field is a ModeCoefficients table or a callable (r, theta, phi) -> E.
     With check_convergence the quadrature is repeated on a refined grid and a
-    relative disagreement above rtol raises QuadratureConvergenceError.
+    relative disagreement above 1e-5 raises QuadratureConvergenceError.
     """
     if rho <= 0:
         raise ValueError("radius must be positive")
@@ -96,7 +96,7 @@ def ball_integral(field, rho, quad=None, check_convergence=True, rtol=1e-6):
         ref = _ball_quadrature(field, rho, quad.radial_nodes + 8,
                                quad.angular_nodes + 8, nphi + 16)
         scale = max(abs(val), abs(ref))
-        if scale > 0 and abs(val - ref) > 10 * rtol * scale:
+        if scale > 0 and abs(val - ref) > 1e-5 * scale:
             raise QuadratureConvergenceError(
                 f"ball integral at rho={rho}: {val!r} vs refined {ref!r}")
         val = ref
@@ -159,19 +159,22 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
 # ---------------------------------------------------------------------------
 
 def _unit_basis(n, k):
-    """Unit-coefficient order-n basis fields in the assembler's column order."""
-    return [ModeCoefficients(n, k,
-                             a={(n, m): 1.0} if fam == "a" else None,
-                             b={(n, m): 1.0} if fam == "b" else None)
-            for fam, m in column_labels(n)]
+    """The unit-coefficient order-n basis fields as one table whose field
+    axis runs over the assembler's columns."""
+    unit = np.eye(2 * (2 * n + 1))
+    cols = list(enumerate(column_labels(n)))
+    return ModeCoefficients(
+        n, k, a={(n, m): unit[f] for f, (fam, m) in cols if fam == "a"},
+        b={(n, m): unit[f] for f, (fam, m) in cols if fam == "b"})
 
 
 def _radial_coefficients(values, radii, n, orders=(0,)):
     """Coefficients of r^{n-1+j}, j in orders, from sampled values.
 
-    values has shape (nr, ...); a cubic in r is fitted to values / r^{n-1}
-    over the (scaled) radius grid.  The overdetermined fit residual guards
-    against extrapolation instability.
+    values has shape (nr, ..., nfields); a cubic in r is fitted to
+    values / r^{n-1} over the (scaled) radius grid.  The overdetermined fit
+    residual of each field, against that field's scale, guards against
+    extrapolation instability.
     """
     radii = np.asarray(radii)
     h = radii[0]
@@ -179,11 +182,13 @@ def _radial_coefficients(values, radii, n, orders=(0,)):
     V = np.vander(radii / h, 4, increasing=True)
     flat = g.reshape(len(radii), -1)
     coef, res, rank, sv = np.linalg.lstsq(V, flat, rcond=None)
-    scale = np.max(np.abs(flat)) or 1.0
+    scale = np.max(np.abs(flat).reshape(-1, values.shape[-1]), axis=0)
     if len(radii) > 4 and res.size:
-        if np.max(res) ** 0.5 > 1e-5 * scale:
+        worst = np.max(res.reshape(-1, scale.size), axis=0) ** 0.5
+        f = int(np.argmax(worst - 1e-5 * scale))
+        if worst[f] > 1e-5 * scale[f]:
             raise ExtrapolationError(
-                f"radial fit residual {np.max(res)**0.5:.2e} vs scale {scale:.2e}")
+                f"radial fit residual {worst[f]:.2e} vs scale {scale[f]:.2e}")
     out = []
     for j in orders:
         out.append((coef[j] / h ** j).reshape(values.shape[1:]))
@@ -202,18 +207,13 @@ def _sample_rows_true(n, config, thetas, radii, orders):
     """
     basis = _unit_basis(n, config.k)
     rows = []
-    r_grid = np.asarray(radii)
     for face in (Face.ONE, Face.TWO):
-        spec = _face_spec(config, face)
-        per_field = []
-        for coeffs in basis:
-            res = impedance_residual(coeffs, config, face, spec,
-                                     r_grid[:, None], np.asarray(thetas)[None, :])
-            per_field.append(_radial_coefficients(res, r_grid, n, orders))
-        # per_field[f][j] has shape (ntheta, 3)
-        for j_idx in range(len(orders)):
-            block = np.stack([pf[j_idx] for pf in per_field], axis=-1)
-            rows.append(block.reshape(-1, len(basis)))
+        res = impedance_residual(basis, config, face, _face_spec(config, face),
+                                 np.asarray(radii)[:, None, None],
+                                 np.asarray(thetas)[None, :, None])
+        # (nr, ntheta, field, 3) -> fields last, so rows run over (theta, 3)
+        lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, orders)
+        rows += [c.reshape(-1, c.shape[-1]) for c in lead]
     return np.concatenate(rows, axis=0)
 
 
@@ -226,22 +226,15 @@ def _sampled_head_row(n, config, thetas, radii):
     on the P_n^0 direction.
     """
     basis = _unit_basis(n, config.k)
-    spec = _face_spec(config, Face.ONE)
     thetas = np.asarray(thetas)
-    r_grid = np.asarray(radii)
+    r, theta = np.asarray(radii)[:, None, None], thetas[None, :, None]
     e2 = _corner.e_vectors(thetas, 0.0)[1]           # (ntheta, 3)
-    cols = []
-    for coeffs in basis:
-        res = (-trace_tangential_curl(coeffs, config, Face.ONE,
-                                      r_grid[:, None], thetas[None, :])
-               + spec.eta0 * tangential_projection(coeffs, config, Face.ONE,
-                                                   r_grid[:, None], thetas[None, :]))
-        lead = _radial_coefficients(res, r_grid, n, (0,))[0]   # (ntheta, 3)
-        cols.append(np.sum(lead * e2, axis=-1))
-    sampled = np.stack(cols, axis=-1)                # (ntheta, nbasis)
+    res = (-trace_tangential_curl(basis, config, Face.ONE, r, theta)
+           + config.bc1.eta0 * tangential_projection(basis, config, Face.ONE, r, theta))
+    lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, (0,))[0]
+    sampled = np.sum(lead * e2[:, :, None], axis=1)  # (ntheta, nbasis)
     # least-squares split over the degree-n Legendre components; keep mu = 0
-    basis_mat = np.stack([assoc_legendre(n, mu, np.cos(thetas))
-                          for mu in range(0, n + 1)], axis=-1)
+    basis_mat = legendre_table(n, np.cos(thetas))[n].T
     proj, *_ = np.linalg.lstsq(basis_mat, sampled, rcond=None)
     return proj[0]
 
@@ -255,8 +248,7 @@ def _numeric_edge_rows(n, config):
     """
     rr = np.array([1e-3, 5e-4, 2.5e-4, 1.25e-4])
     rad = radial_pq(n, config.k * rr)
-    plead = _radial_coefficients(rad.p.reshape(-1, 1), rr, n, (0,))[0][0]
-    qlead = _radial_coefficients(rad.q.reshape(-1, 1), rr, n, (0,))[0][0]
+    plead, qlead = _radial_coefficients(np.stack([rad.p, rad.q], axis=-1), rr, n)[0]
     nu2 = face_normal(config, Face.TWO)
     s, co = -nu2[0], nu2[1]
     c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
@@ -276,8 +268,7 @@ def _reflected_config(config, case):
                             config.k)
 
 
-def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9,
-                          base_radius=None):
+def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
     """Nullspace dimension of the order-n boundary conditions by collocation.
 
     The residual of each unit-coefficient order-n basis field is sampled at
@@ -303,7 +294,7 @@ def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9,
         config = _reflected_config(config, case)
         case = CaseKind.IMP_IMP
     k = config.k
-    h = base_radius if base_radius is not None else min(2e-3, 0.2 / k)
+    h = min(2e-3, 0.2 / k)
     radii = h * 0.5 ** np.arange(5)
     ntheta = max(4, int(math.ceil(samples / (2 * len(radii)))))
     thetas = rng.uniform(0.15, math.pi - 0.15, ntheta)

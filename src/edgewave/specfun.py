@@ -20,14 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import warnings
-
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import spherical_jn
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an adaptive quadrature cannot reach the requested accuracy."""
+    """Raised when two quadrature rule sizes disagree beyond the accuracy asked."""
 
 
 def factorial(n):
@@ -50,54 +47,63 @@ def double_factorial(n):
     return out
 
 
-def assoc_legendre(l, m, x):
-    """Associated Legendre function P_l^m(x) without Condon-Shortley phase.
+def legendre_table(lmax, x):
+    """Every P_l^m(x) with 0 <= m <= l <= lmax, from one sweep (DLMF 14.10).
 
-    Negative orders are mapped through the (-1)^m (l-m)!/(l+m)! relation.
-    Out-of-range orders |m| > l return 0 only when raised from the recursion
-    helpers; direct calls require |m| <= l.
+    Returns shape (lmax + 1, lmax + 1) + x.shape, indexed [l, m]; entries
+    with m > l are zero.  Each order m starts on the diagonal
+    P_m^m = (2m-1)!! (1-x^2)^{m/2} and runs upward in degree.
     """
-    if abs(m) > l:
-        raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1 + 1e-14):
         raise ValueError("argument outside [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
+    out = np.zeros((lmax + 1, lmax + 1) + x.shape)
+    for m in range(lmax + 1):
+        out[m, m] = double_factorial(2 * m - 1) * (1.0 - x * x) ** (m / 2.0)
+        if m < lmax:
+            out[m + 1, m] = x * (2 * m + 1) * out[m, m]
+        for deg in range(m + 2, lmax + 1):
+            out[deg, m] = ((2 * deg - 1) * x * out[deg - 1, m]
+                           - (deg + m - 1) * out[deg - 2, m]) / (deg - m)
+    return out
+
+
+def assoc_legendre(l, m, x):
+    """Associated Legendre function P_l^m(x) without Condon-Shortley phase.
+
+    Requires |m| <= l; negative orders are mapped through the
+    (-1)^m (l-m)!/(l+m)! relation.
+    """
+    if abs(m) > l:
+        raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
+    p = legendre_table(l, x)[l, abs(m)]
     if m < 0:
-        m = -m
-        scale = (-1.0) ** m * factorial(l - m) / factorial(l + m)
-    else:
-        scale = 1.0
-    # diagonal start P_m^m = (2m-1)!! (1-x^2)^{m/2}, then upward in degree
-    pmm = double_factorial(2 * m - 1) * (1.0 - x * x) ** (m / 2.0)
-    if l == m:
-        return scale * pmm
-    pm1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return scale * pm1
-    for deg in range(m + 2, l + 1):
-        pmm, pm1 = pm1, ((2 * deg - 1) * x * pm1 - (deg + m - 1) * pmm) / (deg - m)
-    return scale * pm1
+        return (-1.0) ** -m * factorial(l + m) / factorial(l - m) * p
+    return p
 
 
-def _plm_or_zero(l, m, x):
-    if l < 0 or abs(m) > l:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return assoc_legendre(l, m, x)
+def _dtheta(P, l, m):
+    # order-shifting recursion on a legendre_table P of degree > l
+    if m == 0:
+        return -P[l, 1]
+    return 0.5 * ((l + m) * (l - m + 1) * P[l, m - 1] - P[l, m + 1])
+
+
+def _over_sin(P, l, m):
+    # degree-lowering recursion on a legendre_table P of degree > l
+    return 0.5 * (P[l - 1, m + 1] + (l + m - 1) * (l + m) * P[l - 1, m - 1])
 
 
 def legendre_dtheta(l, m, theta):
     """d P_l^m(cos theta) / d theta via the order-shifting recursion.
 
-    Valid for 0 <= m <= l; the m = 0 case routes P_l^{-1} through the
-    negative-order relation, which collapses the bracket to -P_l^1.
+    Valid for 0 <= m <= l; at m = 0 the negative-order relation for P_l^{-1}
+    collapses the bracket to -P_l^1.
     """
     if not 0 <= m <= l:
         raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
-    x = np.cos(np.asarray(theta, dtype=float))
-    lo = _plm_or_zero(l, m - 1, x) if m >= 1 else assoc_legendre(l, -1, x)
-    hi = _plm_or_zero(l, m + 1, x)
-    return 0.5 * ((l + m) * (l - m + 1) * lo - hi)
+    return _dtheta(legendre_table(l + 1, np.cos(theta)), l, m)
 
 
 def legendre_over_sin(l, m, theta):
@@ -113,18 +119,16 @@ def legendre_over_sin(l, m, theta):
     """
     if m < 1 or m > l:
         raise ValueError(f"need 1 <= m <= l, got l={l}, m={m}")
-    x = np.cos(np.asarray(theta, dtype=float))
-    return 0.5 * (_plm_or_zero(l - 1, m + 1, x)
-                  + (l + m - 1) * (l + m) * _plm_or_zero(l - 1, m - 1, x))
+    return _over_sin(legendre_table(l + 1, np.cos(theta)), l, m)
 
 
 _SERIES_CUTOFF = 1e-3
 
 
 def _jl_series(l, t):
-    # truncated power series around 0; 4 terms reach ~1e-14 absolute below 1e-3
-    t = np.asarray(t, dtype=float)
-    lead = t ** l / double_factorial(2 * l + 1)
+    # truncated power series around 0, orders l = (0, 1, ...) on the first
+    # axis; 4 terms reach ~1e-14 absolute below 1e-3
+    lead = np.stack([t ** n / double_factorial(2 * n + 1) for n in range(len(l))])
     t2 = t * t
     c1 = t2 / (2.0 * (2 * l + 3))
     c2 = t2 * t2 / (8.0 * (2 * l + 3) * (2 * l + 5))
@@ -132,25 +136,36 @@ def _jl_series(l, t):
     return lead * (1.0 - c1 + c2 - c3)
 
 
-def sph_bessel(l, t):
-    """Spherical Bessel function j_l(t), stable near t = 0."""
-    if l < 0:
+def bessel_table(lmax, t):
+    """j_0(t) .. j_lmax(t), shape (lmax + 1,) + t.shape, stable near t = 0.
+
+    One spherical_jn call covers every order; the power series replaces it
+    where |t| < 1e-3.
+    """
+    if lmax < 0:
         raise ValueError("degree must be >= 0")
     t = np.asarray(t, dtype=float)
     small = np.abs(t) < _SERIES_CUTOFF
-    if np.all(small):
-        return _jl_series(l, t)
+    l = np.arange(lmax + 1).reshape((-1,) + (1,) * t.ndim)
     out = spherical_jn(l, np.where(small, 1.0, t))
     if np.any(small):
         out = np.where(small, _jl_series(l, t), out)
     return out
 
 
+def sph_bessel(l, t):
+    """Spherical Bessel function j_l(t), stable near t = 0."""
+    return bessel_table(l, t)[l]
+
+
 def sph_bessel_deriv(l, t):
     """j_l'(t) via (l j_{l-1} - (l+1) j_{l+1}) / (2l+1); j_0' = -j_1."""
+    if l < 0:
+        raise ValueError("degree must be >= 0")
+    j = bessel_table(l + 1, t)
     if l == 0:
-        return -sph_bessel(1, t)
-    return (l * sph_bessel(l - 1, t) - (l + 1) * sph_bessel(l + 1, t)) / (2 * l + 1)
+        return -j[1]
+    return (l * j[l - 1] - (l + 1) * j[l + 1]) / (2 * l + 1)
 
 
 @dataclass(frozen=True)
@@ -165,6 +180,12 @@ class RadialFunctions:
     q: float
 
 
+def _pq(j, l):
+    # p_l, q_l from a bessel_table j with lmax >= l + 1
+    return (j[l - 1] + j[l + 1]) / (2 * l + 1), \
+        ((l + 1) * j[l - 1] - l * j[l + 1]) / (2 * l + 1)
+
+
 def radial_pq(l, t):
     """p_l(t) = (j_{l-1}+j_{l+1})/(2l+1), q_l(t) = ((l+1) j_{l-1} - l j_{l+1})/(2l+1).
 
@@ -173,11 +194,9 @@ def radial_pq(l, t):
     """
     if l < 1:
         raise ValueError("degree must be >= 1")
-    jm = sph_bessel(l - 1, t)
-    jp = sph_bessel(l + 1, t)
-    p = (jm + jp) / (2 * l + 1)
-    q = ((l + 1) * jm - l * jp) / (2 * l + 1)
-    return RadialFunctions(l=l, t=t, j=sph_bessel(l, t), jprime=sph_bessel_deriv(l, t),
+    j = bessel_table(l + 1, t)
+    p, q = _pq(j, l)
+    return RadialFunctions(l=l, t=t, j=j[l], jprime=sph_bessel_deriv(l, t),
                            p=p, q=q)
 
 
@@ -194,26 +213,25 @@ def orthogonality_closed_form(n, m):
     return factorial(n + m) / (m * factorial(n - m))
 
 
-def orthogonality_integral(n, m, l, rtol=1e-9):
+def orthogonality_integral(n, m, l):
     """Integral of P_n^m(cos t) P_n^l(cos t) / sin t over t in (0, pi).
 
     Vanishes for l != m and equals (n+m)!/(m (n-m)!) on the diagonal.  The
     integration runs over (0, pi), the range on which that closed form is the
-    classical identity.
+    classical identity.  Two Gauss-Legendre rules in t, which must agree to
+    1e-9 relative, integrate the smooth integrand.
     """
     if not (1 <= m <= n and 1 <= l <= n):
         raise ValueError("need 1 <= m, l <= n")
-
-    def integrand(t):
-        return (assoc_legendre(n, m, math.cos(t)) * assoc_legendre(n, l, math.cos(t))
-                / math.sin(t))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(integrand, 0.0, math.pi, epsabs=1e-10, epsrel=rtol,
-                        limit=200)
-    scale = max(abs(val), orthogonality_closed_form(n, max(m, l)))
-    if err > 1e-6 * scale:
+    vals = []
+    for nodes in (2 * n + 16, 2 * n + 32):
+        u, w = np.polynomial.legendre.leggauss(nodes)
+        t = 0.5 * math.pi * (u + 1.0)
+        P = legendre_table(n, np.cos(t))
+        vals.append(0.5 * math.pi * float(np.sum(w * P[n, m] * P[n, l] / np.sin(t))))
+    scale = max(abs(vals[1]), orthogonality_closed_form(n, max(m, l)))
+    if abs(vals[1] - vals[0]) > 1e-9 * scale:
         raise QuadratureError(
-            f"orthogonality integral (n={n}, m={m}, l={l}) error estimate {err:.2e}")
-    return val
+            f"orthogonality integral (n={n}, m={m}, l={l}): rules disagree by "
+            f"{abs(vals[1] - vals[0]):.2e}")
+    return vals[1]

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (assoc_legendre, factorial, legendre_dtheta,
-                      legendre_over_sin, radial_pq, sph_bessel,
-                      sph_bessel_deriv)
+from .specfun import (_dtheta, _over_sin, _pq, bessel_table, factorial,
+                      legendre_table, sph_bessel, sph_bessel_deriv)
 
 
 @dataclass(frozen=True)
@@ -70,30 +69,29 @@ def norm_constant(l, m):
     return math.sqrt((2 * l + 1) / (4 * math.pi) * factorial(l - m) / factorial(l + m))
 
 
+def _harmonics(P, l, m, phi):
+    """(Y_l^m, dY_l^m/dtheta, (m/sin theta) Y_l^m) from a legendre_table P
+    of cos theta of degree > l."""
+    c, mu = norm_constant(l, m), abs(m)
+    e = np.exp(1j * m * np.asarray(phi, dtype=float))
+    y = c * P[l, mu] * e
+    ys = math.copysign(c, m) * _over_sin(P, l, mu) * e if m else np.zeros_like(y)
+    return y, c * _dtheta(P, l, mu) * e, ys
+
+
 def sph_harmonic(l, m, theta, phi):
     """Y_l^m = c_l^m P_l^{|m|}(cos theta) e^{i m phi}."""
-    if abs(m) > l:
-        raise ValueError("|m| > l")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return (norm_constant(l, m) * assoc_legendre(l, abs(m), np.cos(theta))
-            * np.exp(1j * m * phi))
+    return _harmonics(legendre_table(l + 1, np.cos(theta)), l, m, phi)[0]
 
 
 def sph_harmonic_dtheta(l, m, theta, phi):
     """d Y_l^m / d theta."""
-    return (norm_constant(l, m) * legendre_dtheta(l, abs(m), theta)
-            * np.exp(1j * m * np.asarray(phi, dtype=float)))
+    return _harmonics(legendre_table(l + 1, np.cos(theta)), l, m, phi)[1]
 
 
 def sph_harmonic_over_sin(l, m, theta, phi):
     """(m / sin theta) Y_l^m, finite at theta -> 0."""
-    if m == 0:
-        return np.zeros(np.broadcast(np.asarray(theta), np.asarray(phi)).shape,
-                        dtype=complex)
-    sign = 1.0 if m > 0 else -1.0
-    return (sign * norm_constant(l, m) * legendre_over_sin(l, abs(m), theta)
-            * np.exp(1j * m * np.asarray(phi, dtype=float)))
+    return _harmonics(legendre_table(l + 1, np.cos(theta)), l, m, phi)[2]
 
 
 def vector_modes(l, m, point, k):
@@ -105,9 +103,8 @@ def vector_modes(l, m, point, k):
     rhat, thetahat, phihat = unit_frame(point.theta, point.phi)
     L = math.sqrt(l * (l + 1))
     kr = k * point.r
-    y = sph_harmonic(l, m, point.theta, point.phi)
-    yt = sph_harmonic_dtheta(l, m, point.theta, point.phi)
-    ys = sph_harmonic_over_sin(l, m, point.theta, point.phi)
+    y, yt, ys = _harmonics(legendre_table(l + 1, math.cos(point.theta)), l, m,
+                           point.phi)
     x_lm = (1j / L) * (1j * ys * thetahat - yt * phihat)
     z_lm = (1j / L) * (yt * thetahat + 1j * ys * phihat)
     j = sph_bessel(l, kr)
@@ -121,7 +118,9 @@ class ModeCoefficients:
     """Dense coefficient table a_l^m, b_l^m for 1 <= l <= L_max, m in [l]_0.
 
     Instances are immutable after construction; build from a dict mapping
-    (l, m) -> complex for each family.
+    (l, m) -> complex for each family.  Array values give the table a
+    trailing axis of fields: field f has the coefficients value[f], and
+    evaluation returns that axis as one more trailing axis of the points.
     """
 
     def __init__(self, lmax, k, a=None, b=None):
@@ -131,7 +130,9 @@ class ModeCoefficients:
             raise ValueError("wavenumber must be positive")
         self.lmax = int(lmax)
         self.k = float(k)
-        shape = (self.lmax + 1, 2 * self.lmax + 1)
+        fields = next((np.shape(v) for src in (a, b) if src for v in src.values()),
+                      ())
+        shape = (self.lmax + 1, 2 * self.lmax + 1) + fields
         self._a = np.zeros(shape, dtype=complex)
         self._b = np.zeros(shape, dtype=complex)
         for table, src in ((self._a, a), (self._b, b)):
@@ -158,11 +159,11 @@ class ModeCoefficients:
         return self._b[l, m]
 
     def modes(self):
-        """Iterate (l, m, a_lm, b_lm) over nonzero entries."""
+        """Iterate (l, m, a_lm, b_lm) over entries nonzero in some field."""
         for l in range(1, self.lmax + 1):
             for m in range(-l, l + 1):
                 av, bv = self._a[l, m], self._b[l, m]
-                if av != 0 or bv != 0:
+                if np.any(av) or np.any(bv):
                     yield l, m, av, bv
 
     def curl(self):
@@ -216,24 +217,28 @@ class ModeCoefficients:
 
 
 def _spherical_components(coeffs, r, theta, phi):
-    """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays."""
+    """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays.
+
+    The Bessel and Legendre tables are built once, on the shapes of r and of
+    theta; the mode loop only multiplies.
+    """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast(r, theta, phi).shape
+    shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape,
+                                coeffs._a.shape[2:])
     er = np.zeros(shape, dtype=complex)
     et = np.zeros(shape, dtype=complex)
     ep = np.zeros(shape, dtype=complex)
-    k = coeffs.k
+    jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
+    P = legendre_table(coeffs.lmax + 1, np.cos(theta))
     for l, m, av, bv in coeffs.modes():
         L = math.sqrt(l * (l + 1))
-        rad = radial_pq(l, k * r)
-        y = sph_harmonic(l, m, theta, phi)
-        yt = sph_harmonic_dtheta(l, m, theta, phi)
-        ys = sph_harmonic_over_sin(l, m, theta, phi)
-        er += -(1.0 / L) * bv * l * (l + 1) * rad.p * y
-        et += -(1.0 / L) * (av * rad.j * ys + bv * rad.q * yt)
-        ep += -(1j / L) * (av * rad.j * yt + bv * rad.q * ys)
+        p, q = _pq(jt, l)
+        y, yt, ys = _harmonics(P, l, m, phi)
+        er += -(1.0 / L) * bv * l * (l + 1) * p * y
+        et += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
+        ep += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
     return er, et, ep
 
 
@@ -241,8 +246,9 @@ def eval_field(coeffs, point):
     """Field vector E at a point (SphericalPoint or Cartesian array-like).
 
     Works for arrays too: pass a tuple (r, theta, phi) of broadcastable
-    arrays and get an (..., 3) complex array back.  r = 0 is handled by the
-    exact series limits (only l = 1 contributes there).
+    arrays and get an (..., 3) complex array back, or (..., fields, 3) for a
+    table with a field axis.  r = 0 is handled by the exact series limits
+    (only l = 1 contributes there).
     """
     if isinstance(point, SphericalPoint):
         r, theta, phi = point.r, point.theta, point.phi

@@ -221,36 +221,15 @@ def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ix, ncols):
     return rows, tags
 
 
-def head_row(n, eta1, k, ix, ncols):
-    """The face-1 e2-chain head relation (mu = 0) closing head block A."""
-    sL = math.sqrt(n * (n + 1))
-    c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
-    row = np.zeros(ncols, dtype=complex)
-    coeff = 1j * k * (n + 1) * c1 * (n + 1) * n / (2 * (2 * n + 1) * sL)
-    row[ix[("a", 1)]] = coeff
-    row[ix[("a", -1)]] = coeff
-    row[ix[("b", 0)]] = eta1 * c0 * sL / (2 * n + 1)
-    return row
-
-
-def head_block_A(n, alpha_val, eta1, eta2, k):
-    """3x3 block on (a_n^1 + a_n^-1, a_n^1 - a_n^-1, b_n^0)."""
-    s, co, Kp, Ap = _head_quantities(n, alpha_val)
-    return np.array([
-        [1j * k * Kp * s * s, -k * Kp * s * co, -(eta1 + eta2 * co) * Ap],
-        [-1j * k * Kp * s * co, -k * Kp * s * s, -eta2 * s * Ap],
-        [1j * k * Kp, 0.0, eta1 * Ap],
-    ], dtype=complex)
-
-
-def head_block_B(n, alpha_val, eta1, eta2, k):
-    """3x3 block on (b_n^1 + b_n^-1, b_n^1 - b_n^-1, a_n^0)."""
-    s, co, Kp, Ap = _head_quantities(n, alpha_val)
-    return np.array([
-        [-eta2 * co * co * Kp, 1j * eta2 * s * co * Kp, 1j * k * co * Ap],
-        [eta2 * s * co * Kp, 1j * eta2 * s * s * Kp, 1j * k * s * Ap],
-        [(eta1 - eta2 * co) * Kp, 1j * eta2 * s * Kp, 0.0],
-    ], dtype=complex)
+def _head_block(rows, tags, ix, names, fam, third):
+    """3x3 head block cut from the rows tagged `names`, on the combinations
+    (fam^1 + fam^-1, fam^1 - fam^-1, third) of the unknowns."""
+    block = []
+    for name in names:
+        row = rows[tags.index(name)]
+        plus, minus = row[ix[(fam, 1)]], row[ix[(fam, -1)]]
+        block.append([(plus + minus) / 2, (plus - minus) / 2, row[ix[third]]])
+    return np.array(block)
 
 
 def _closed_det_prefactor(n):
@@ -308,7 +287,8 @@ def _assemble_impimp(n, eff, eta1, eta2, k):
     rows, tags = edge_rows(*_head_quantities(n, eff.value), eta1, eta2, k,
                            ix, ncols)
     if n == 1:
-        rows.append(head_row(n, eta1, k, ix, ncols))
+        ch, ct = chain_rows(n, eta1, k, 0.0, "face1", ix, ncols)
+        rows.append(ch[ct.index("face1-chain-e2 mu=0")])
         tags.append("face1-chain-e2 mu=0")
     else:
         for eta, phase, tag in ((eta1, 0.0, "face1"),
@@ -316,11 +296,14 @@ def _assemble_impimp(n, eff, eta1, eta2, k):
             ch, ct = chain_rows(n, eta, k, phase, tag, ix, ncols)
             rows.extend(ch)
             tags.extend(ct)
+    rows = np.array(rows)
     return ConstraintSystem(
         n=n, case=CaseKind.IMP_IMP, alpha=eff, columns=cols,
-        rows=np.array(rows), provenance=tags, eta1=eta1, eta2=eta2, k=k,
-        block_A=head_block_A(n, eff.value, eta1, eta2, k),
-        block_B=head_block_B(n, eff.value, eta1, eta2, k))
+        rows=rows, provenance=tags, eta1=eta1, eta2=eta2, k=k,
+        block_A=_head_block(rows, tags, ix, ("matching-x", "matching-y",
+                                             "face1-chain-e2 mu=0"), "a", ("b", 0)),
+        block_B=_head_block(rows, tags, ix, ("face2-edge-x", "face2-edge-y",
+                                             "matching-z"), "b", ("a", 0)))
 
 
 def _assemble_pecpmc(n, eff):

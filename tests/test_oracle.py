@@ -5,8 +5,11 @@ import pytest
 
 from conftest import make_config, random_coeffs
 from edgewave import oracle, swe, vanish
+from edgewave.corner import Face, e_vectors, impedance_residual, \
+    tangential_projection, trace_tangential_curl
 from edgewave.oracle import QuadratureSpec, ball_integral, collocation_nullspace, \
     vani_estimate
+from edgewave.specfun import assoc_legendre
 
 
 class TestBallIntegral:
@@ -114,3 +117,65 @@ class TestCollocation:
         for n in range(1, 4):
             structured = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
             assert collocation_nullspace(n, cfg) == structured
+
+
+def _unit_fields(n, k):
+    """The order-n unit fields one by one, in the assembler's column order."""
+    return [swe.ModeCoefficients(n, k, **{fam: {(n, m): 1.0}})
+            for fam, m in vanish.column_labels(n)]
+
+
+def _reference_rows(n, config, thetas, radii, orders):
+    # one impedance_residual call per unit field and face
+    r, th = radii[:, None], thetas[None, :]
+    rows = []
+    for face, spec in ((Face.ONE, config.bc1), (Face.TWO, config.bc2)):
+        per_field = [oracle._radial_coefficients(
+            impedance_residual(unit, config, face, spec, r, th)[..., None],
+            radii, n, orders) for unit in _unit_fields(n, config.k)]
+        for j in range(len(orders)):
+            rows.append(np.stack([pf[j][..., 0] for pf in per_field], axis=-1)
+                        .reshape(-1, len(per_field)))
+    return np.concatenate(rows, axis=0)
+
+
+def _reference_head_row(n, config, thetas, radii):
+    r, th = radii[:, None], thetas[None, :]
+    e2 = e_vectors(thetas, 0.0)[1]
+    cols = []
+    for unit in _unit_fields(n, config.k):
+        res = (-trace_tangential_curl(unit, config, Face.ONE, r, th)
+               + config.bc1.eta0 * tangential_projection(unit, config, Face.ONE,
+                                                         r, th))
+        lead = oracle._radial_coefficients(res[..., None], radii, n)[0][..., 0]
+        cols.append(np.sum(lead * e2, axis=-1))
+    basis = np.stack([assoc_legendre(n, mu, np.cos(thetas))
+                      for mu in range(n + 1)], axis=-1)
+    return np.linalg.lstsq(basis, np.stack(cols, axis=-1), rcond=None)[0][0]
+
+
+class TestBatchedCollocationRows:
+    """The one-table collocation rows against one unit field at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_columns_match_single_fields(self, case, n, rng):
+        cfg = make_config("0.37", case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
+                          k=1.2)
+        if case in ("imp-pec", "imp-pmc"):
+            cfg = oracle._reflected_config(cfg, vanish.case_of_config(cfg))
+        thetas = rng.uniform(0.15, math.pi - 0.15, 6)
+        radii = 2e-3 * 0.5 ** np.arange(5)
+        rows = oracle._sample_rows_true(n, cfg, thetas, radii, (0, 1))
+        ref = _reference_rows(n, cfg, thetas, radii, (0, 1))
+        assert rows.shape == ref.shape == (2 * 2 * 6 * 3, 2 * (2 * n + 1))
+        for col in range(rows.shape[1]):
+            scale = np.max(np.abs(ref[:, col]))
+            assert scale > 0
+            np.testing.assert_allclose(rows[:, col], ref[:, col], rtol=0,
+                                       atol=1e-12 * scale)
+        if case != "pec-pmc":
+            head = oracle._sampled_head_row(n, cfg, thetas, radii)
+            ref = _reference_head_row(n, cfg, thetas, radii)
+            np.testing.assert_allclose(head, ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))

@@ -113,6 +113,52 @@ class TestSphericalBessel:
                     spherical_jn(l, t), rel=1e-12, abs=1e-16)
 
 
+class TestTables:
+    @pytest.mark.parametrize("t", [0.0, 1e-4, 9.99e-4, 1e-3, 1.01e-3, 0.3, 4.0, 25.0])
+    def test_bessel_table_matches_scipy_order_by_order(self, t):
+        from scipy.special import spherical_jn
+        table = sf.bessel_table(12, t)
+        assert table.shape == (13,)
+        for l in range(13):
+            assert table[l] == pytest.approx(spherical_jn(l, t), rel=1e-12, abs=1e-300)
+
+    def test_bessel_table_on_mixed_array(self):
+        from scipy.special import spherical_jn
+        t = np.array([[0.0, 5e-4], [1e-3, 2.5]])
+        table = sf.bessel_table(6, t)
+        assert table.shape == (7, 2, 2)
+        for l in range(7):
+            np.testing.assert_allclose(table[l], spherical_jn(l, t), rtol=1e-12,
+                                       atol=1e-300)
+            assert np.array_equal(table[l], sf.sph_bessel(l, t))
+
+    def test_bessel_table_rejects_negative_degree(self):
+        with pytest.raises(ValueError):
+            sf.bessel_table(-1, 0.5)
+
+    def test_legendre_table_matches_assoc_legendre(self):
+        x = np.linspace(-1, 1, 9)
+        table = sf.legendre_table(10, x)
+        assert table.shape == (11, 11, 9)
+        for l in range(11):
+            for m in range(11):
+                if m > l:
+                    assert not table[l, m].any()
+                else:
+                    assert np.array_equal(table[l, m], sf.assoc_legendre(l, m, x))
+
+    @given(st.integers(0, 12), st.floats(-1.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_legendre_table_order_zero_is_legendre_polynomial(self, l, x):
+        ref = np.polynomial.legendre.Legendre.basis(l)(x)
+        assert sf.legendre_table(12, x)[l, 0] == pytest.approx(ref, rel=1e-10,
+                                                              abs=1e-12)
+
+    def test_legendre_table_domain_error(self):
+        with pytest.raises(ValueError):
+            sf.legendre_table(3, [0.2, 1.5])
+
+
 class TestRadialPQ:
     def test_limits_degree_one(self):
         rad = sf.radial_pq(1, 0.0)
@@ -151,3 +197,11 @@ class TestOrthogonality:
                 ref = sf.factorial(n + m) / (m * sf.factorial(n - m))
                 val = sf.orthogonality_integral(n, m, m)
                 assert val == pytest.approx(ref, rel=1e-5)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_full_table_to_n_12(self, n):
+        for m in range(1, n + 1):
+            for l in range(1, n + 1):
+                scale = sf.orthogonality_closed_form(n, max(m, l))
+                ref = sf.orthogonality_closed_form(n, m) if l == m else 0.0
+                assert abs(sf.orthogonality_integral(n, m, l) - ref) < 1e-12 * scale

@@ -136,6 +136,24 @@ class TestEvalField:
         rhs = swe.eval_field(c1, x) + swe.eval_field(c2, x)
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-13
 
+    def test_field_axis_matches_single_tables(self, rng):
+        # fields broadcast against the last point axis
+        vals = [rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                for _ in range(4)]
+        modes = [(1, 0), (2, -1), (2, 2), (3, 1)]
+        table = ModeCoefficients(3, 1.3, a=dict(zip(modes[:2], vals[:2])),
+                                 b=dict(zip(modes[2:], vals[2:])))
+        r, theta = np.array([0.0, 0.01, 0.4]), np.array([0.0, 0.7, 2.9])
+        E = swe.eval_field(table, (r[:, None, None], theta[None, :, None], 0.3))
+        assert E.shape == (3, 3, 3, 3)
+        for f in range(3):
+            single = ModeCoefficients(
+                3, 1.3, a={lm: v[f] for lm, v in zip(modes[:2], vals[:2])},
+                b={lm: v[f] for lm, v in zip(modes[2:], vals[2:])})
+            ref = swe.eval_field(single, (r[:, None], theta[None, :], 0.3))
+            np.testing.assert_allclose(E[:, :, f], ref, rtol=0,
+                                       atol=1e-15 * np.max(np.abs(ref)))
+
 
 class TestCurlCoefficients:
     def test_curl_matches_fd(self, rng):

@@ -113,6 +113,27 @@ class TestClosedDeterminants:
         assert abs(np.linalg.det(system.block_A) - ca) / abs(ca) < 1e-10
         assert abs(np.linalg.det(system.block_B) - cb) / abs(cb) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_head_blocks_are_the_assembled_rows(self, n):
+        # each head-block row, mapped back from (x^1 + x^-1, x^1 - x^-1,
+        # third), is the whole assembled row of that tag
+        cfg = make_config("0.41", eta1=1.7 - 0.3j, eta2=0.9 + 0.2j, k=1.3)
+        system = assemble_order_system(n, cfg)
+        ix = system.column_index
+        for block, tags, fam, third in (
+                (system.block_A, ("matching-x", "matching-y",
+                                  "face1-chain-e2 mu=0"), "a", ("b", 0)),
+                (system.block_B, ("face2-edge-x", "face2-edge-y", "matching-z"),
+                 "b", ("a", 0))):
+            for brow, tag in zip(block, tags):
+                full = np.zeros(system.rows.shape[1], dtype=complex)
+                full[ix[(fam, 1)]] = brow[0] + brow[1]
+                full[ix[(fam, -1)]] = brow[0] - brow[1]
+                full[ix[third]] = brow[2]
+                row = system.rows[system.provenance.index(tag)]
+                np.testing.assert_allclose(full, row, rtol=0,
+                                           atol=1e-15 * np.max(np.abs(row)))
+
     def test_explicit_configuration(self):
         cfg = make_config("1/5", eta1=2.0 + 0j, eta2=1.0, k=1.5)
         system = assemble_order_system(3, cfg)
