@@ -55,6 +55,14 @@ class Angle:
         return repr(self.value)
 
 
+def sincos_pi(value):
+    """(sin, cos) of value*pi, exactly 0 or +-1 when 2*value is an integer."""
+    if float(2 * value).is_integer():
+        quarter = int(2 * value) % 4
+        return (0.0, 1.0, 0.0, -1.0)[quarter], (1.0, 0.0, -1.0, 0.0)[quarter]
+    return math.sin(value * math.pi), math.cos(value * math.pi)
+
+
 def parse_angle(text):
     """Parse "q/p" (exact, reduced on input) or a decimal literal.
 

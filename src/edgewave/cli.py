@@ -21,7 +21,8 @@ import sys
 
 from .angles import AngleError, parse_angle
 from .corner import EdgeCornerConfig, ImpedanceSpec
-from .vanish import INFINITE, CaseKind, RankAmbiguityError, vanishing_order
+from .vanish import (INFINITE, MAX_ORDER, CaseKind, RankAmbiguityError,
+                     vanishing_order)
 from .verify import run_suite
 
 def parse_complex(text):
@@ -161,7 +162,7 @@ def build_parser():
     pa.add_argument("--eta1", help="face-1 impedance constant, 'a+bi'")
     pa.add_argument("--eta2", help="face-2 impedance constant, 'a+bi'")
     pa.add_argument("--k", type=float, default=1.0, help="wavenumber")
-    pa.add_argument("--nmax", type=int, default=6)
+    pa.add_argument("--nmax", type=int, default=6, help=f"1..{MAX_ORDER}")
     pa.add_argument("--tol", type=float, default=1e-9)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
@@ -173,7 +174,7 @@ def build_parser():
     pt.add_argument("--eta1", default="1")
     pt.add_argument("--eta2", default="1")
     pt.add_argument("--k", type=float, default=1.0)
-    pt.add_argument("--nmax", type=int, default=6)
+    pt.add_argument("--nmax", type=int, default=6, help=f"1..{MAX_ORDER}")
     pt.add_argument("--tol", type=float, default=1e-9)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_table)

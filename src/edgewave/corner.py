@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 import numpy as np
 
-from .angles import Angle
+from .angles import Angle, sincos_pi
 from .swe import _spherical_components, eval_field, unit_frame
 
 
@@ -89,8 +89,8 @@ def face_normal(config, face):
     if face == Face.ONE:
         return np.array([0.0, -1.0, 0.0])
     if face == Face.TWO:
-        phi0 = config.phi0
-        return np.array([-math.sin(phi0), math.cos(phi0), 0.0])
+        s, c = sincos_pi(config.alpha.value)
+        return np.array([-s, c, 0.0])
     raise ValueError(f"unknown face {face}")
 
 
@@ -160,7 +160,7 @@ def edge_vector_table(config):
     Returns dict with keys 'cross_r', 'cross_theta', 'cross_phi', 'dot_r',
     'dot_theta', 'dot_phi' (the evaluated table used on the edge).
     """
-    s, c = math.sin(config.phi0), math.cos(config.phi0)
+    s, c = sincos_pi(config.alpha.value)
     return {
         "cross_r": np.array([c, s, 0.0]),
         "cross_theta": np.array([0.0, 0.0, -c]),

@@ -179,6 +179,9 @@ class ModeCoefficients:
     # -- serialization: header "k <value> lmax <value>", then one line per
     #    mode "l m re(a) im(a) re(b) im(b)"; exact round-trip via repr floats.
     def to_text(self):
+        if self._a.ndim > 2:
+            raise ValueError("only a single-field table can be serialized; "
+                             f"this one has field axes {self._a.shape[2:]}")
         lines = [f"k {float(self.k)!r} lmax {self.lmax}"]
         for l in range(1, self.lmax + 1):
             for m in range(-l, l + 1):
@@ -202,8 +205,9 @@ class ModeCoefficients:
         return cls(lmax, k, a=a, b=b)
 
     def save(self, path):
+        text = self.to_text()
         with open(path, "w") as fh:
-            fh.write(self.to_text())
+            fh.write(text)
 
     @classmethod
     def load(cls, path):

@@ -33,11 +33,12 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .angles import Angle, AngleError, grid_exclusion_order
+from .angles import Angle, AngleError, grid_exclusion_order, sincos_pi
 from .corner import ImpedanceKind
 from .swe import norm_constant
 
 INFINITE = math.inf
+MAX_ORDER = 85   # c_n^n needs (2n)!, which overflows a float above n = 85
 
 
 class CaseKind(Enum):
@@ -175,7 +176,7 @@ def chain_rows(n, eta, k, phase, face_tag, ix, ncols):
 def _head_quantities(n, alpha_val):
     c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
     sL = math.sqrt(n * (n + 1))
-    s, co = math.sin(alpha_val * math.pi), math.cos(alpha_val * math.pi)
+    s, co = sincos_pi(alpha_val)
     Kp = n * (n + 1) ** 2 * c1 / (2 * (2 * n + 1) * sL)
     Ap = sL * c0 / (2 * n + 1)
     return s, co, Kp, Ap
@@ -383,36 +384,23 @@ def assemble_order_system(n, config):
     return system
 
 
-def _equilibrate(rows, guard=1e-13):
-    """Scale columns to unit max magnitude (rank preserving).
-
-    The norm constants weight high orders m by 1/sqrt((n+m)!), so raw columns
-    span many decades and a full-rank system can show spurious near-zero
-    singular values.  Columns whose maximum falls below guard * (global max)
-    are left untouched: those are zero columns up to rounding (genuinely
-    unconstrained unknowns) and must keep their zero singular values.  The
-    guard is safe for orders n <= 12, where the smallest legitimate column
-    scale c_n^n stays above 1e-12 of the largest.
-    """
-    M = rows.copy()
-    g = np.max(np.abs(M))
-    if g == 0.0:
-        return M
-    cs = np.max(np.abs(M), axis=0, keepdims=True)
-    cs = np.where(cs > guard * g, cs, 1.0)
-    return M / cs
+def _unit_rows(system):
+    """Rows of a system or matrix scaled to unit 2-norm, zero rows left at
+    zero.  Row scaling leaves the nullspace unchanged."""
+    rows = system.rows if isinstance(system, ConstraintSystem) else np.asarray(system)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
 
 
 def nullspace_dim(system, tol=1e-9):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
-    The row matrix is equilibrated first (row/column scaling, which leaves
-    the nullspace dimension unchanged).  Relative singular values inside
-    (tol/10, tol*10) are neither clearly zero nor clearly nonzero; these
-    raise RankAmbiguityError instead of guessing.
+    The singular values are those of the rows scaled to unit length.
+    Relative singular values inside (tol/10, tol*10) are neither clearly zero
+    nor clearly nonzero; these raise RankAmbiguityError instead of guessing.
     """
-    rows = system.rows if isinstance(system, ConstraintSystem) else np.asarray(system)
-    s = np.linalg.svd(_equilibrate(rows), compute_uv=False)
+    rows = _unit_rows(system)
+    s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return rows.shape[1]
     rel = s / s[0]
@@ -426,14 +414,13 @@ def nullspace_dim(system, tol=1e-9):
 
 
 def nullspace_basis(system, tol=1e-9):
-    """Orthonormal basis of the (equilibrated) nullspace, columns of shape
-    (ncols, dim).  Useful for building fields that satisfy a degenerate
-    order-n system."""
-    rows = system.rows if isinstance(system, ConstraintSystem) else np.asarray(system)
+    """Orthonormal basis of the nullspace, columns of shape (ncols, dim).
+    Useful for building fields that satisfy a degenerate order-n system."""
+    rows = _unit_rows(system)
     dim = nullspace_dim(system, tol=tol)
     if dim == 0:
         return np.zeros((rows.shape[1], 0), dtype=complex)
-    _, _, vh = np.linalg.svd(_equilibrate(rows))
+    _, _, vh = np.linalg.svd(rows)
     return vh[rows.shape[1] - dim:].conj().T
 
 
@@ -570,18 +557,15 @@ def vanishing_order(config, n_max, tol=1e-9):
     rows appear).  order_lower_bound is the largest n0 with trivial nullspace
     at every order n <= n0.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_ORDER:
+        raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
     case = case_of_config(config)
     per = []
     bound = 0
     failed = False
     for n in range(1, n_max + 1):
         system = assemble_order_system(n, config)
-        try:
-            dim = nullspace_dim(system, tol=tol)
-        except RankAmbiguityError as exc:
-            raise RankAmbiguityError(str(exc), order=n, values=exc.values) from exc
+        dim = nullspace_dim(system, tol=tol)
         diag = OrderDiagnostics(n=n, nullspace_dim=dim)
         if system.block_A is not None:
             diag.det_A_numeric = complex(np.linalg.det(system.block_A))

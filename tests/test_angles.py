@@ -104,6 +104,21 @@ class TestGrid:
                 assert angles.grid_exclusion_order(a, "q2p", 14) == expect
 
 
+class TestSinCosPi:
+    @pytest.mark.parametrize("value,expect", [
+        (0.0, (0.0, 1.0)), (0.5, (1.0, 0.0)), (1.0, (0.0, -1.0)),
+        (1.5, (-1.0, 0.0)), (2.0, (0.0, 1.0)), (-0.5, (-1.0, 0.0)),
+    ])
+    def test_exact_at_half_integers(self, value, expect):
+        assert angles.sincos_pi(value) == expect
+
+    @given(st.floats(0.01, 1.99).filter(lambda v: not (2 * v).is_integer()))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_math_elsewhere(self, value):
+        assert angles.sincos_pi(value) == (math.sin(value * math.pi),
+                                           math.cos(value * math.pi))
+
+
 class TestPolyhedron:
     def test_all_irrational(self):
         poly = PolyhedronAngles((Angle(0.618034), Angle(0.707107)))

@@ -140,6 +140,28 @@ class TestExitCodes:
         assert code == 2
         assert "rank ambiguity" in capsys.readouterr().err
 
+    def test_rank_ambiguity_names_the_order(self, capsys):
+        code = main(["analyze", "--alpha", "1/3", "--case", "imp-imp",
+                     "--eta1", "1", "--eta2", "1", "--nmax", "1",
+                     "--tol", "0.3"])
+        assert code == 2
+        assert "rank ambiguity at order 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--alpha", "0.6180339887", "--case", "imp-imp",
+         "--eta1", "1", "--eta2", "1"],
+        ["table", "--case", "imp-imp", "--alphas", "0.6180339887"],
+    ])
+    def test_nmax_range(self, capsys, command):
+        assert main(command + ["--nmax", "85", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report = report[0] if isinstance(report, list) else report
+        assert report["order_lower_bound"] == "gte_nmax"
+        assert main(command + ["--nmax", "86"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_max must be in 1..85, got 86\n"
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):

@@ -84,8 +84,11 @@ def record():
         code, stdout, stderr = run_cli(argv)
         codes[name] = code
         (GOLDEN / name).write_bytes(stdout.encode())
+        err_file = GOLDEN / f"{name}.stderr.txt"
         if stderr:
-            (GOLDEN / f"{name}.stderr.txt").write_bytes(stderr.encode())
+            err_file.write_bytes(stderr.encode())
+        else:
+            err_file.unlink(missing_ok=True)
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=1, sort_keys=True) + "\n")
 

@@ -111,10 +111,15 @@ class TestCollocation:
     @pytest.mark.parametrize("alpha,case", [
         ("1/3", "imp-imp"), ("2/5", "imp-imp"), ("1/2", "imp-imp"),
         ("1/4", "pec-pmc"), ("1/5", "imp-pec"), ("2/3", "imp-pmc"),
+        ("0.6180339887", "pec-pmc"), ("2/9", "pec-pmc"),
+        ("1/2", "imp-pec"), ("3/2", "imp-pec"), ("1/2", "imp-pmc"),
     ])
     def test_cross_oracle_by_case(self, alpha, case):
+        # pec-pmc also at n = 8..10, where rows weighted by c_n^m meet unit
+        # rows; the mixed cases at 1/2 and 3/2 reflect onto the flat angle
         cfg = make_config(alpha, case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j, k=1.2)
-        for n in range(1, 4):
+        orders = [1, 2, 3] + ([8, 9, 10] if case == "pec-pmc" else [])
+        for n in orders:
             structured = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
             assert collocation_nullspace(n, cfg) == structured
 

@@ -190,6 +190,14 @@ class TestSerialization:
         assert lines[0] == "k 2.0 lmax 1"
         assert lines[1].split()[:2] == ["1", "-1"]
 
+    def test_field_axis_refused(self, tmp_path):
+        c = ModeCoefficients(1, 1.0, a={(1, 0): np.array([1.0, 2.0])})
+        with pytest.raises(ValueError, match="single-field"):
+            c.to_text()
+        with pytest.raises(ValueError, match="single-field"):
+            c.save(tmp_path / "modes.txt")
+        assert not (tmp_path / "modes.txt").exists()
+
     def test_immutability(self):
         c = ModeCoefficients(1, 1.0, a={(1, 0): 1.0})
         with pytest.raises(ValueError):

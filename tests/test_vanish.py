@@ -88,7 +88,7 @@ class TestNullspace:
         assert nullspace_dim(assemble_order_system(1, cfg)) == 0
 
     def test_ambiguity_band_raises(self):
-        # nearly dependent rows survive equilibration and land in the band
+        # nearly dependent rows survive row normalisation and land in the band
         rows = np.array([[1.0, 1.0], [1.0, 1.0 + 3e-9]], dtype=complex)
         with pytest.raises(RankAmbiguityError):
             nullspace_dim(rows)
@@ -248,6 +248,36 @@ class TestVanishingOrder:
         assert data["alpha"]["rational"] is None
         assert set(data["per_order"][0]) == {"n", "nullspace_dim", "det_A",
                                              "det_B", "block_dets"}
+
+
+class TestHighOrders:
+    """Orders above 12, where c_n^n-weighted rows span many decades."""
+
+    ETAS = dict(eta1=1.1 - 0.3j, eta2=0.8 + 0.5j, k=1.2)
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    @pytest.mark.parametrize("alpha", ["0.6180339887", "0.37"])
+    def test_irrational_trivial_to_24(self, alpha, case):
+        report = vanishing_order(make_config(alpha, case=case, **self.ETAS), 24)
+        assert report.at_nmax and report.order_lower_bound == 24
+
+    def test_thirteenth_first_degenerates_at_13(self):
+        report = vanishing_order(make_config("1/13", **self.ETAS), 24)
+        dims = [d.nullspace_dim for d in report.per_order]
+        assert dims == [0] * 12 + [2] * 12
+        assert report.order_lower_bound == report.theorem_bound == 12
+
+    @pytest.mark.parametrize("alpha", ["0.6180339887", "1/4", "2/9", "1/13"])
+    def test_pecpmc_decided_to_24(self, alpha):
+        report = vanishing_order(make_config(alpha, case="pec-pmc"), 24)
+        assert [d.n for d in report.per_order] == list(range(1, 25))
+        assert report.order_lower_bound >= min(report.theorem_bound, 24)
+
+    def test_max_order(self):
+        cfg = make_config("0.6180339887")
+        with pytest.raises(ValueError, match="n_max"):
+            vanishing_order(cfg, vanish.MAX_ORDER + 1)
+        assert nullspace_dim(assemble_order_system(vanish.MAX_ORDER, cfg)) == 0
 
 
 class TestReflection:
