@@ -43,12 +43,6 @@ class Angle:
             if abs(self.value - q / p) > DETECT_TOL:
                 raise AngleError("stored value disagrees with fraction")
 
-    def equals_fraction(self, q, p):
-        if self.rational is None:
-            return False
-        fr = Fraction(q, p)
-        return self.rational == (fr.numerator, fr.denominator)
-
     def __str__(self):
         if self.rational:
             return f"{self.rational[0]}/{self.rational[1]}"
@@ -104,29 +98,22 @@ def detect_rational(angle, max_den=DEFAULT_MAX_DEN):
 
 
 def grid_exclusion_order(angle, grid, n_max):
-    """Brute-force scan of the exclusion grid, p = 1..n_max.
+    """Largest N <= n_max such that no p <= N puts the angle on the grid.
 
     grid = "qp":   hits are alpha = q/p with q = 1..2p-1
     grid = "q2p":  hits are alpha = q/(2p) with q = 1..4p-1
 
-    Returns the largest N such that no p <= N produces a hit; angles without
-    a rational tag never hit, so the scan returns n_max (read: ">= n_max").
+    A reduced q/den first hits the "qp" grid at p = den and the "q2p" grid at
+    p = den / gcd(den, 2).  Angles without a rational tag never hit, so the
+    result is n_max (read: ">= n_max").
     """
     if grid not in ("qp", "q2p"):
         raise ValueError("grid must be 'qp' or 'q2p'")
     if angle.rational is None:
         return n_max
-    aq, ap = angle.rational
-    for p in range(1, n_max + 1):
-        if grid == "qp":
-            qmax = 2 * p - 1
-            hits = any(angle.equals_fraction(q, p) for q in range(1, qmax + 1))
-        else:
-            qmax = 4 * p - 1
-            hits = any(angle.equals_fraction(q, 2 * p) for q in range(1, qmax + 1))
-        if hits:
-            return p - 1
-    return n_max
+    den = angle.rational[1]
+    first = den if grid == "qp" else den // math.gcd(den, 2)
+    return min(first - 1, n_max)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ import re
 import sys
 
 from .angles import AngleError, parse_angle
-from .corner import EdgeCornerConfig, ImpedanceSpec
 from .vanish import (INFINITE, MAX_ORDER, CaseKind, RankAmbiguityError,
-                     vanishing_order)
+                     config_for_case, vanishing_order)
 from .verify import run_suite
 
 def parse_complex(text):
@@ -60,33 +59,13 @@ def _seed(args):
     return 42
 
 
-def _build_config(alpha, case, eta1, eta2, k):
-    if case == CaseKind.IMP_IMP:
-        if eta1 is None or eta2 is None:
-            raise ValueError("imp-imp requires --eta1 and --eta2")
-        bc1, bc2 = ImpedanceSpec.series(eta1), ImpedanceSpec.series(eta2)
-    elif case == CaseKind.PEC_PMC:
-        bc1, bc2 = ImpedanceSpec.infinite(), ImpedanceSpec.zero()
-    elif case == CaseKind.IMP_PEC:
-        if eta2 is None:
-            raise ValueError("imp-pec requires --eta2 (the impedance face)")
-        bc1, bc2 = ImpedanceSpec.infinite(), ImpedanceSpec.series(eta2)
-    elif case == CaseKind.IMP_PMC:
-        if eta2 is None:
-            raise ValueError("imp-pmc requires --eta2 (the impedance face)")
-        bc1, bc2 = ImpedanceSpec.zero(), ImpedanceSpec.series(eta2)
-    else:
-        raise ValueError(str(case))
-    return EdgeCornerConfig(alpha, bc1, bc2, k)
+def _build_config(args, alpha):
+    eta1, eta2 = (parse_complex(e) if e else None for e in (args.eta1, args.eta2))
+    return config_for_case(CaseKind.parse(args.case), alpha, eta1, eta2, args.k)
 
 
 def cmd_analyze(args):
-    alpha = parse_angle(args.alpha)
-    case = CaseKind.parse(args.case)
-    config = _build_config(alpha, case,
-                           parse_complex(args.eta1) if args.eta1 else None,
-                           parse_complex(args.eta2) if args.eta2 else None,
-                           args.k)
+    config = _build_config(args, parse_angle(args.alpha))
     try:
         report = vanishing_order(config, args.nmax, tol=args.tol)
     except RankAmbiguityError as exc:
@@ -100,14 +79,10 @@ def cmd_analyze(args):
 
 
 def cmd_table(args):
-    case = CaseKind.parse(args.case)
     rows = []
     for text in args.alphas:
         alpha = parse_angle(text)
-        config = _build_config(alpha, case,
-                               parse_complex(args.eta1) if args.eta1 else None,
-                               parse_complex(args.eta2) if args.eta2 else None,
-                               args.k)
+        config = _build_config(args, alpha)
         try:
             report = vanishing_order(config, args.nmax, tol=args.tol)
         except RankAmbiguityError as exc:

@@ -165,7 +165,7 @@ def sph_bessel_deriv(l, t):
     j = bessel_table(l + 1, t)
     if l == 0:
         return -j[1]
-    return (l * j[l - 1] - (l + 1) * j[l + 1]) / (2 * l + 1)
+    return _jprime(j, l)
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,11 @@ def _pq(j, l):
         ((l + 1) * j[l - 1] - l * j[l + 1]) / (2 * l + 1)
 
 
+def _jprime(j, l):
+    # j_l' for l >= 1 from a bessel_table j with lmax >= l + 1
+    return (l * j[l - 1] - (l + 1) * j[l + 1]) / (2 * l + 1)
+
+
 def radial_pq(l, t):
     """p_l(t) = (j_{l-1}+j_{l+1})/(2l+1), q_l(t) = ((l+1) j_{l-1} - l j_{l+1})/(2l+1).
 
@@ -196,8 +201,7 @@ def radial_pq(l, t):
         raise ValueError("degree must be >= 1")
     j = bessel_table(l + 1, t)
     p, q = _pq(j, l)
-    return RadialFunctions(l=l, t=t, j=j[l], jprime=sph_bessel_deriv(l, t),
-                           p=p, q=q)
+    return RadialFunctions(l=l, t=t, j=j[l], jprime=_jprime(j, l), p=p, q=q)
 
 
 def pq_leading_coeff(l, k=1.0):

@@ -29,12 +29,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .angles import Angle, AngleError, grid_exclusion_order, sincos_pi
-from .corner import ImpedanceKind
+from .corner import EdgeCornerConfig, ImpedanceKind, ImpedanceSpec
 from .swe import norm_constant
 
 INFINITE = math.inf
@@ -44,8 +45,8 @@ MAX_ORDER = 85   # c_n^n needs (2n)!, which overflows a float above n = 85
 class CaseKind(Enum):
     IMP_IMP = "imp-imp"
     PEC_PMC = "pec-pmc"
-    IMP_PEC = "imp-pec"   # face 1 PEC (eta = inf), face 2 impedance series
-    IMP_PMC = "imp-pmc"   # face 1 PMC (eta = 0), face 2 impedance series
+    IMP_PEC = "imp-pec"
+    IMP_PMC = "imp-pmc"
 
     @classmethod
     def parse(cls, text):
@@ -68,22 +69,47 @@ class RankAmbiguityError(RuntimeError):
         self.values = tuple(values)
 
 
+_SERIES, _PEC, _PMC = (ImpedanceKind.SERIES, ImpedanceKind.INFINITE,
+                       ImpedanceKind.ZERO)
+
+# Per pairing: the (face 1, face 2) boundary kinds, the exclusion grid of the
+# theorem bound, and the denominator of the angles where the first-order head
+# blocks already degenerate (the B-block determinant carries sin^2 cos^2).
+# The N = 1 induction step needs those excluded even though the grids of the
+# N >= 2 steps start later.
+_PAIRINGS = {
+    CaseKind.IMP_IMP: ((_SERIES, _SERIES), "qp", 2),
+    CaseKind.PEC_PMC: ((_PEC, _PMC), "q2p", None),
+    CaseKind.IMP_PEC: ((_PEC, _SERIES), "q2p", 4),
+    CaseKind.IMP_PMC: ((_PMC, _SERIES), "q2p", 4),
+}
+
+
 def case_of_config(config):
     """Classify a config's boundary pairing; PEC-PEC/PMC-PMC are rejected,
     and so is the flat angle, which has no edge."""
     if config.alpha.value == 1.0:
         raise AngleError("the flat angle alpha = 1 has no edge-corner")
-    k1, k2 = config.bc1.kind, config.bc2.kind
-    if k1 == k2 == ImpedanceKind.SERIES:
-        return CaseKind.IMP_IMP
-    if k1 == ImpedanceKind.INFINITE and k2 == ImpedanceKind.ZERO:
-        return CaseKind.PEC_PMC
-    if k1 == ImpedanceKind.INFINITE and k2 == ImpedanceKind.SERIES:
-        return CaseKind.IMP_PEC
-    if k1 == ImpedanceKind.ZERO and k2 == ImpedanceKind.SERIES:
-        return CaseKind.IMP_PMC
+    kinds = (config.bc1.kind, config.bc2.kind)
+    for case, (faces, _, _) in _PAIRINGS.items():
+        if faces == kinds:
+            return case
     raise UnsupportedPairingError(
-        f"unsupported boundary pairing ({k1.name}, {k2.name})")
+        f"unsupported boundary pairing ({kinds[0].name}, {kinds[1].name})")
+
+
+def config_for_case(case, alpha, eta1, eta2, k):
+    """Config of the pairing `case`; eta1 and eta2 are read only on the faces
+    that carry an impedance series, and must be given there (the error names
+    them by their command-line flags)."""
+    faces = tuple(zip(_PAIRINGS[case][0], (eta1, eta2)))
+    missing = [f"--eta{i}" for i, (kind, eta) in enumerate(faces, 1)
+               if kind == _SERIES and eta is None]
+    if missing:
+        raise ValueError(f"{case.value} requires {' and '.join(missing)}")
+    bc1, bc2 = (ImpedanceSpec.series(eta) if kind == _SERIES else ImpedanceSpec(kind)
+                for kind, eta in faces)
+    return EdgeCornerConfig(alpha, bc1, bc2, k)
 
 
 def column_labels(n):
@@ -339,28 +365,27 @@ def _assemble_pecpmc(n, eff):
                             columns=cols, rows=np.array(rows), provenance=tags)
 
 
+def _require_pmc_range(alpha, case):
+    if case == CaseKind.IMP_PMC and not (0 < alpha.value < 1):
+        raise ValueError("the PMC-impedance pairing is defined for alpha in (0,1)")
+
+
 def reflected_angle(alpha, case):
     """Doubled angle of the reflected configuration, by the four-branch table:
-    2a on (0,1/2), 2(1-a) on [1/2,1), 2(a-1) on (1,3/2), 2(2-a) on [3/2,2)."""
+    2a on (0,1/2), 2(1-a) on [1/2,1), 2(a-1) on (1,3/2), 2(2-a) on [3/2,2).
+
+    The branch the float value selects is applied to the fraction as well.
+    """
+    _require_pmc_range(alpha, case)
     a = alpha.value
-    if case == CaseKind.IMP_PMC and not (0 < a < 1):
-        raise ValueError("the PMC-impedance pairing is defined for alpha in (0,1)")
-    if 0 < a < 0.5:
-        val, mapper = 2 * a, (lambda q, p: (2 * q, p))
-    elif 0.5 <= a < 1:
-        val, mapper = 2 * (1 - a), (lambda q, p: (2 * (p - q), p))
-    elif 1 < a < 1.5:
-        val, mapper = 2 * (a - 1), (lambda q, p: (2 * (q - p), p))
-    elif 1.5 <= a < 2:
-        val, mapper = 2 * (2 - a), (lambda q, p: (2 * (2 * p - q), p))
-    else:
+    if a == 1:
         raise ValueError(f"angle {a} out of range")
+    shift, sign = ((0, 1), (1, -1), (-1, 1), (2, -1))[int(2 * a)]
     frac = None
     if alpha.rational is not None:
-        nq, np_ = mapper(*alpha.rational)
-        g = math.gcd(nq, np_)
-        frac = (nq // g, np_ // g)
-    return Angle(val, frac)
+        fr = 2 * (shift + sign * Fraction(*alpha.rational))
+        frac = (fr.numerator, fr.denominator)
+    return Angle(2 * (shift + sign * a), frac)
 
 
 def assemble_order_system(n, config):
@@ -400,9 +425,13 @@ def nullspace_dim(system, tol=1e-9):
     nor clearly nonzero; these raise RankAmbiguityError instead of guessing.
     """
     rows = _unit_rows(system)
-    s = np.linalg.svd(rows, compute_uv=False)
+    return _dim_from_values(system, np.linalg.svd(rows, compute_uv=False),
+                            rows.shape[1], tol)
+
+
+def _dim_from_values(system, s, ncols, tol):
     if s.size == 0 or s[0] == 0.0:
-        return rows.shape[1]
+        return ncols
     rel = s / s[0]
     band = [float(v) for v in rel if tol / 10.0 < v < tol * 10.0]
     if band:
@@ -410,18 +439,18 @@ def nullspace_dim(system, tol=1e-9):
         raise RankAmbiguityError(
             f"singular values {band} within a factor 10 of threshold {tol}",
             order=order, values=band)
-    return int(np.sum(rel < tol))
+    # a system with fewer rows than columns has ncols - s.size more zeros
+    return int(np.sum(rel < tol)) + ncols - s.size
 
 
 def nullspace_basis(system, tol=1e-9):
     """Orthonormal basis of the nullspace, columns of shape (ncols, dim).
     Useful for building fields that satisfy a degenerate order-n system."""
     rows = _unit_rows(system)
-    dim = nullspace_dim(system, tol=tol)
-    if dim == 0:
-        return np.zeros((rows.shape[1], 0), dtype=complex)
-    _, _, vh = np.linalg.svd(rows)
-    return vh[rows.shape[1] - dim:].conj().T
+    _, s, vh = np.linalg.svd(rows)
+    ncols = rows.shape[1]
+    dim = _dim_from_values(system, s, ncols, tol)
+    return vh[ncols - dim:].conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +474,21 @@ class VanishReport:
     case: CaseKind
     per_order: List[OrderDiagnostics]
     order_lower_bound: int
-    at_nmax: bool                      # every order up to N_max was trivial
     theorem_bound: Union[int, float]   # int or INFINITE
-    n_max: int
-    strict_excess: bool = False        # assembled bound strictly exceeds theorem
+
+    @property
+    def n_max(self):
+        return self.per_order[-1].n if self.per_order else 0
+
+    @property
+    def at_nmax(self):
+        """Every order up to n_max was trivial."""
+        return self.order_lower_bound == self.n_max
+
+    @property
+    def strict_excess(self):
+        """The assembled bound strictly exceeds the theorem bound."""
+        return self.order_lower_bound > self.theorem_bound
 
     def to_json_dict(self):
         per = []
@@ -485,15 +525,12 @@ class VanishReport:
             det_B_closed=None if e["det_B"] is None else complex(*e["det_B"]),
             block_dets=[complex(re, im) for re, im in e.get("block_dets", [])])
             for e in data["per_order"]]
-        n_max = per[-1].n if per else 0
-        at_nmax = data["order_lower_bound"] == "gte_nmax"
-        bound = n_max if at_nmax else int(data["order_lower_bound"])
+        bound = data["order_lower_bound"]
+        bound = (per[-1].n if per else 0) if bound == "gte_nmax" else int(bound)
         theorem = INFINITE if data["theorem_bound"] == "infinite" \
             else int(data["theorem_bound"])
-        excess = theorem != INFINITE and bound > theorem
         return cls(alpha=alpha, case=CaseKind.parse(data["case"]), per_order=per,
-                   order_lower_bound=bound, at_nmax=at_nmax, theorem_bound=theorem,
-                   n_max=n_max, strict_excess=excess)
+                   order_lower_bound=bound, theorem_bound=theorem)
 
     def render(self):
         lines = [f"alpha = {self.alpha}   case = {self.case.value}",
@@ -517,36 +554,19 @@ class VanishReport:
         return "\n".join(lines)
 
 
-# Angles where the first-order head blocks already degenerate (the B-block
-# determinant carries sin^2 cos^2): the N = 1 induction step needs these
-# excluded even though the stated grids of the N >= 2 steps start later.
-_IMPIMP_FIRST_ORDER_EXCEPTIONS = ((1, 2), (3, 2))
-_MIXED_FIRST_ORDER_EXCEPTIONS = ((1, 4), (3, 4), (5, 4), (7, 4))
-
-
 def theorem_bound(alpha, case, n_max):
     """Largest N for which the angle avoids the case's exclusion grid.
 
-    Returns INFINITE for angles without a rational tag; n_max means the scan
-    reached its horizon without a hit (read: ">= n_max").
+    Returns INFINITE for angles without a rational tag; n_max means no grid
+    hit up to n_max (read: ">= n_max").
     """
-    if case == CaseKind.IMP_PMC and not (0 < alpha.value < 1):
-        raise ValueError("the PMC-impedance pairing is defined for alpha in (0,1)")
+    _require_pmc_range(alpha, case)
     if alpha.rational is None:
         return INFINITE
-    if case == CaseKind.IMP_IMP:
-        if any(alpha.equals_fraction(q, p)
-               for q, p in _IMPIMP_FIRST_ORDER_EXCEPTIONS):
-            return 0
-        return grid_exclusion_order(alpha, "qp", n_max)
-    if case in (CaseKind.IMP_PEC, CaseKind.IMP_PMC):
-        if any(alpha.equals_fraction(q, p)
-               for q, p in _MIXED_FIRST_ORDER_EXCEPTIONS):
-            return 0
-        return grid_exclusion_order(alpha, "q2p", n_max)
-    if case == CaseKind.PEC_PMC:
-        return grid_exclusion_order(alpha, "q2p", n_max)
-    raise UnsupportedPairingError(str(case))
+    _, grid, first_order_den = _PAIRINGS[case]
+    if alpha.rational[1] == first_order_den:
+        return 0
+    return grid_exclusion_order(alpha, grid, n_max)
 
 
 def vanishing_order(config, n_max, tol=1e-9):
@@ -582,9 +602,6 @@ def vanishing_order(config, n_max, tol=1e-9):
             bound = n
         elif dim > 0:
             failed = True
-    tb = theorem_bound(config.alpha, case, n_max)
-    at_nmax = (bound == n_max)
-    excess = tb != INFINITE and bound > tb
     return VanishReport(alpha=config.alpha, case=case, per_order=per,
-                        order_lower_bound=bound, at_nmax=at_nmax,
-                        theorem_bound=tb, n_max=n_max, strict_excess=excess)
+                        order_lower_bound=bound,
+                        theorem_bound=theorem_bound(config.alpha, case, n_max))

@@ -226,9 +226,8 @@ def check_roundtrip_serialization(seed=49):
 # ---------------------------------------------------------------------------
 
 def _config(alpha="0.37", eta1=1.0, eta2=1.0, k=1.3):
-    return corner.EdgeCornerConfig(angles.parse_angle(alpha),
-                                   corner.ImpedanceSpec.series(eta1),
-                                   corner.ImpedanceSpec.series(eta2), k)
+    return vanish.config_for_case(vanish.CaseKind.IMP_IMP, angles.parse_angle(alpha),
+                                  eta1, eta2, k)
 
 
 def check_trace_vs_cross_product(seed=50):
@@ -378,25 +377,16 @@ def _case_configs(alpha, rng):
     e = complex(*rng.standard_normal(2))
     e2 = complex(*rng.standard_normal(2))
     k = float(rng.uniform(0.5, 2.0))
-    out = [("imp-imp", corner.EdgeCornerConfig(
-        a, corner.ImpedanceSpec.series(e), corner.ImpedanceSpec.series(e2), k)),
-        ("pec-pmc", corner.EdgeCornerConfig(
-            a, corner.ImpedanceSpec.infinite(), corner.ImpedanceSpec.zero(), k)),
-        ("imp-pec", corner.EdgeCornerConfig(
-            a, corner.ImpedanceSpec.infinite(), corner.ImpedanceSpec.series(e2), k))]
-    if a.value < 1:
-        out.append(("imp-pmc", corner.EdgeCornerConfig(
-            a, corner.ImpedanceSpec.zero(), corner.ImpedanceSpec.series(e2), k)))
-    return out
+    return [(case.value, vanish.config_for_case(case, a, e, e2, k))
+            for case in vanish.CaseKind
+            if case != vanish.CaseKind.IMP_PMC or a.value < 1]
 
 
 def check_reflection_reduction():
-    cfg_mixed = corner.EdgeCornerConfig(
-        angles.parse_angle("1/5"), corner.ImpedanceSpec.infinite(),
-        corner.ImpedanceSpec.series(1.3 + 0.2j), 1.1)
-    cfg_direct = corner.EdgeCornerConfig(
-        angles.parse_angle("2/5"), corner.ImpedanceSpec.series(1.3 + 0.2j),
-        corner.ImpedanceSpec.series(1.3 + 0.2j), 1.1)
+    cfg_mixed = vanish.config_for_case(vanish.CaseKind.IMP_PEC,
+                                       angles.parse_angle("1/5"), None,
+                                       1.3 + 0.2j, 1.1)
+    cfg_direct = _config("2/5", 1.3 + 0.2j, 1.3 + 0.2j, 1.1)
     for n in range(1, 5):
         s_ref = vanish.assemble_order_system(n, cfg_mixed)
         s_dir = vanish.assemble_order_system(n, cfg_direct)

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from edgewave import EdgeCornerConfig, ImpedanceSpec, ModeCoefficients, parse_angle
+from edgewave import CaseKind, ModeCoefficients, config_for_case, parse_angle
 
 
 def make_config(alpha, case="imp-imp", eta1=1.0, eta2=1.0, k=1.0):
     a = parse_angle(alpha) if isinstance(alpha, str) else alpha
-    specs = {
-        "imp-imp": (ImpedanceSpec.series(eta1), ImpedanceSpec.series(eta2)),
-        "pec-pmc": (ImpedanceSpec.infinite(), ImpedanceSpec.zero()),
-        "imp-pec": (ImpedanceSpec.infinite(), ImpedanceSpec.series(eta2)),
-        "imp-pmc": (ImpedanceSpec.zero(), ImpedanceSpec.series(eta2)),
-    }
-    bc1, bc2 = specs[case]
-    return EdgeCornerConfig(a, bc1, bc2, k)
+    return config_for_case(CaseKind.parse(case), a, eta1, eta2, k)
 
 
 def random_coeffs(rng, lmax=3, k=1.3):

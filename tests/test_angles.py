@@ -103,6 +103,24 @@ class TestGrid:
                 expect = p // 2 - 1 if p % 2 == 0 else p - 1
                 assert angles.grid_exclusion_order(a, "q2p", 14) == expect
 
+    def test_matches_brute_force_scan(self):
+        # reference: list the grid points of every p and walk them in order
+        points = {grid: [set(Fraction(q, den) for q in range(1, 2 * den))
+                         for den in (p if grid == "qp" else 2 * p
+                                     for p in range(1, 46))]
+                  for grid in ("qp", "q2p")}
+        for p in range(1, 41):
+            for q in range(1, 2 * p):
+                if math.gcd(q, p) != 1 or q == p:
+                    continue
+                a = angles.parse_angle(f"{q}/{p}")
+                for grid, per_p in points.items():
+                    hits = [Fraction(q, p) in pts for pts in per_p]
+                    for n_max in range(0, 46):
+                        scan = next((i for i in range(n_max) if hits[i]), n_max)
+                        assert angles.grid_exclusion_order(a, grid, n_max) == scan, \
+                            (q, p, grid, n_max)
+
 
 class TestSinCosPi:
     @pytest.mark.parametrize("value,expect", [

@@ -56,6 +56,18 @@ class TestAnalyze:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,given,missing", [
+        ("imp-imp", [], "--eta1 and --eta2"),
+        ("imp-imp", ["--eta2", "1"], "--eta1"),
+        ("imp-imp", ["--eta1", "1"], "--eta2"),
+        ("imp-pec", ["--eta1", "1"], "--eta2"),
+        ("imp-pmc", [], "--eta2"),
+    ])
+    def test_missing_eta_names_the_flag(self, capsys, case, given, missing):
+        code = main(["analyze", "--alpha", "1/3", "--case", case] + given)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {case} requires {missing}\n"
+
     def test_bad_angle_is_usage_error(self, capsys):
         code = main(["analyze", "--alpha", "1/1", "--case", "pec-pmc"])
         assert code == 1

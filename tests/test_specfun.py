@@ -182,6 +182,12 @@ class TestRadialPQ:
         assert rad.p == pytest.approx((jm + jp) / 7, abs=1e-13)
         assert rad.q == pytest.approx((4 * jm - 3 * jp) / 7, abs=1e-13)
 
+    def test_jprime_matches_sph_bessel_deriv_bitwise(self):
+        t = np.array([0.0, 2e-4, 9e-4, 1e-3, 0.3, 1.0, 4.7, 10.0])
+        for l in range(1, 13):
+            assert np.array_equal(sf.radial_pq(l, t).jprime,
+                                  sf.sph_bessel_deriv(l, t))
+
 
 class TestOrthogonality:
     def test_off_diagonal_zero(self):

@@ -2,25 +2,29 @@
 
 import importlib
 import importlib.util
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _bench_tracing():
+def _bench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracing", ROOT / "bench" / "tracing.py")
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-_TRACING = _bench_tracing()
+_TRACING = _bench_module("tracing")
+_WORKLOADS = _bench_module("workloads")
 
 
 @pytest.mark.parametrize("module,attr", _TRACING.SPANNED
@@ -41,3 +45,20 @@ def test_import_does_not_load_scipy_integrate():
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+def test_theorem_bound_matches_benchmark_grid_rule(case):
+    # the sweep workload checks reports against its own copy of the grid rule
+    from edgewave.angles import parse_angle
+    from edgewave.vanish import CaseKind, theorem_bound
+    upper = 1 if case == "imp-pmc" else 2
+    for p in range(2, 41):
+        for q in range(1, upper * p):
+            if math.gcd(q, p) != 1:
+                continue
+            alpha = parse_angle(f"{q}/{p}")
+            for n_max in (1, 6, 12, 24, 85):
+                assert (min(_WORKLOADS.grid_bound(Fraction(q, p), case), n_max)
+                        == theorem_bound(alpha, CaseKind.parse(case), n_max)), \
+                    (q, p, n_max)

@@ -74,10 +74,41 @@ class TestAssembly:
             assemble_order_system(1, make_config("3/2", case="imp-pmc"))
 
 
+class TestPairingTable:
+    @pytest.mark.parametrize("case", list(CaseKind))
+    def test_config_round_trips_to_its_case(self, case):
+        cfg = vanish.config_for_case(case, angles.parse_angle("1/3"),
+                                     1.1 - 0.3j, 0.8 + 0.5j, 1.2)
+        assert vanish.case_of_config(cfg) == case
+
+    @pytest.mark.parametrize("case,eta1,eta2,missing", [
+        (CaseKind.IMP_IMP, None, 1.0, "--eta1"),
+        (CaseKind.IMP_IMP, 1.0, None, "--eta2"),
+        (CaseKind.IMP_PEC, 1.0, None, "--eta2"),
+        (CaseKind.IMP_PMC, 1.0, None, "--eta2"),
+    ])
+    def test_missing_eta_on_an_impedance_face(self, case, eta1, eta2, missing):
+        with pytest.raises(ValueError, match=f"requires {missing}$"):
+            vanish.config_for_case(case, angles.parse_angle("1/3"), eta1, eta2,
+                                   1.0)
+
+    def test_eta_ignored_on_pec_and_pmc_faces(self):
+        cfg = vanish.config_for_case(CaseKind.PEC_PMC, angles.parse_angle("1/3"),
+                                     None, None, 1.0)
+        assert vanish.case_of_config(cfg) == CaseKind.PEC_PMC
+
+
 class TestNullspace:
     def test_identity_rows(self):
         system = np.eye(6, dtype=complex)
         assert nullspace_dim(system) == 0
+
+    def test_fewer_rows_than_columns(self):
+        rows = np.eye(3, dtype=complex)[:2]
+        assert nullspace_dim(rows) == 1
+        basis = vanish.nullspace_basis(rows)
+        assert basis.shape == (3, 1)
+        assert abs(abs(basis[2, 0]) - 1.0) < 1e-15
 
     def test_degenerate_half(self):
         # the B-block determinant carries cos^2(alpha pi)
@@ -92,6 +123,21 @@ class TestNullspace:
         rows = np.array([[1.0, 1.0], [1.0, 1.0 + 3e-9]], dtype=complex)
         with pytest.raises(RankAmbiguityError):
             nullspace_dim(rows)
+
+    def test_basis_takes_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        system = assemble_order_system(3, make_config("1/3"))
+        basis = vanish.nullspace_basis(system)
+        assert len(calls) == 1
+        assert basis.shape[1] == 2
+        assert (np.linalg.norm(system.rows @ basis)
+                <= 1e-12 * np.linalg.norm(system.rows))
 
     def test_scaling_invariance(self, rng):
         system = assemble_order_system(3, make_config("1/3"))
@@ -238,6 +284,17 @@ class TestVanishingOrder:
         back = vanish.VanishReport.from_json_dict(data)
         assert back.to_json_dict() == data
 
+    @pytest.mark.parametrize("alpha,case,n_max", [
+        ("1/3", "imp-imp", 4), ("1/3", "pec-pmc", 6), ("0.6180339887", "imp-imp", 3),
+        ("1/2", "imp-pec", 3)])
+    def test_derived_fields_survive_json(self, alpha, case, n_max):
+        report = vanishing_order(make_config(alpha, case=case), n_max)
+        back = vanish.VanishReport.from_json_dict(report.to_json_dict())
+        for name in ("n_max", "at_nmax", "strict_excess", "order_lower_bound",
+                     "theorem_bound"):
+            assert getattr(back, name) == getattr(report, name), name
+        assert back.n_max == n_max
+
     def test_json_schema_keys(self):
         report = vanishing_order(make_config("0.6180339887"), 3)
         data = report.to_json_dict()
@@ -308,6 +365,21 @@ class TestReflection:
         assert eff.rational == (1, 1)
         report = vanishing_order(make_config("1/2", case="imp-pec"), 3)
         assert report.order_lower_bound == 0
+
+    @pytest.mark.parametrize("case", [CaseKind.IMP_PEC, CaseKind.IMP_PMC])
+    def test_fraction_matches_exact_arithmetic(self, case):
+        half = Fraction(1, 2)
+        upper = 1 if case == CaseKind.IMP_PMC else 2
+        for p in range(2, 31):
+            for q in range(1, upper * p):
+                if math.gcd(q, p) != 1:
+                    continue
+                a = Fraction(q, p)
+                expect = (2 * a if a < half else 2 * (1 - a) if a < 1
+                          else 2 * (a - 1) if a < 3 * half else 2 * (2 - a))
+                eff = vanish.reflected_angle(angles.parse_angle(f"{q}/{p}"), case)
+                assert eff.rational == (expect.numerator, expect.denominator)
+                assert eff.value == pytest.approx(float(expect), abs=1e-15)
 
 
 class TestFlatAngle:
