@@ -256,10 +256,8 @@ def _numeric_edge_rows(n, config):
     sL = math.sqrt(L)
     Kp = (L / 2.0) * c1 * qlead / sL
     Ap = L * c0 * plead / sL
-    cols = column_labels(n)
-    rows, _ = edge_rows(s, co, Kp, Ap, config.bc1.eta0, config.bc2.eta0,
-                        config.k, {c: i for i, c in enumerate(cols)}, len(cols))
-    return np.array(rows)
+    return edge_rows(s, co, Kp, Ap, config.bc1.eta0, config.bc2.eta0, config.k,
+                     len(column_labels(n)))[0]
 
 
 def _reflected_config(config, case):

@@ -21,15 +21,27 @@ plus the third face-2 edge row.  The PEC/PMC pairing assembles the leading
 tangential relations plus the second-lowest-order coupling rows.  Mixed
 pairings are reduced by the reflection principle to an impedance-impedance
 system at the doubled angle given by the four-branch table.
+
+A chain entry at column (a, m) is ik c e^{i m phase}, at (b, m) eta c
+e^{i m phase}, with c a constant of (n, mu, m) and phase 0 on face 1 and
+alpha*pi on face 2: the face-2 phase multiplies whole columns, so each order
+is a cached per-n pattern (index and constant vectors) scaled column-wise.
+
+The rank is decided on two parity classes of 2n+1 columns each: class 0
+holds a_m with m even and b_m with m odd, class 1 the rest.  No row couples
+them: chain row e1 mu touches a_mu and b_{mu+-1}, e2 mu touches a_{mu+-1}
+and b_mu, the edge rows have orders <= 1 (a_{+-1} with b_0, or b_{+-1} with
+a_0), and a PEC/PMC row one family at one |m|.  So the singular values are
+the union of the two blocks'.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -143,60 +155,80 @@ class ConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# impedance-impedance rows
+# order-n rows
 # ---------------------------------------------------------------------------
 
-def chain_rows(n, eta, k, phase, face_tag, ix, ncols):
-    """The two order-n recursive chains of one face (2(n+1) rows).
+def _read_only(*arrays):
+    """The arrays, write-protected: the per-n caches hand them to every call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    phase is 0 on face 1 and alpha*pi on face 2; an order-m coefficient pair
-    enters every relation as x^m e^{i m phase} + x^{-m} e^{-i m phase}.
-    """
+
+def _entries(terms):
+    """Entry vectors (row, column, face, is_a, signed order, constant) of
+    terms (row, face, is_a, order, constant, sign): an order m >= 1 enters
+    column (fam, m) with the constant and (fam, -m) with sign times it."""
+    r, f, a, m, v, sign = (np.concatenate(x) for x in zip(
+        *(np.broadcast_arrays(*map(np.atleast_1d, t)) for t in terms)))
+    pair = m > 0
+    r, f, a = (np.concatenate([x, x[pair]]) for x in (r, f, a))
+    m, v = np.concatenate([m, -m[pair]]), np.concatenate([v, (sign * v)[pair]])
+    cols = np.where(m == 0, a, 4 * np.abs(m) - 2 + 2 * ~a + (m < 0))
+    return _read_only(r, cols, f, a, m, v)
+
+
+def _fill(pattern, shape, phase, a_factor, b_factors):
+    """Rows of an entry pattern: each entry's constant times a_factor (on an
+    a-column) or b_factors[face], times e^{i m phase} on face 2."""
+    rows, cols, faces, is_a, m, consts = pattern
+    out = np.zeros(shape, dtype=complex)
+    out[rows, cols] = (consts * np.where(is_a, a_factor, np.take(b_factors, faces))
+                       * np.exp(1j * phase * faces * m))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _chain_pattern(n):
+    """Entries and tags of both faces' order-n recursive chains, numbered
+    after the six edge rows; a-entries scale with ik, b-entries with the
+    face's eta."""
+    mu = np.arange(n + 1)
+    lo, hi = mu[:-1], mu[1:]
+    c = np.array([norm_constant(n, m) for m in mu])
     sL = math.sqrt(n * (n + 1))
-    c = [norm_constant(n, m) for m in range(0, n + 1)]
-    rows, tags = [], []
+    w = (n + 1) / (2 * (2 * n + 1) * sL)
+    up = w * c[lo + 1] * (n + lo + 1) * (n - lo)
+    down = w * c[hi - 1] * (1 + (hi == 1))
+    e2 = n + 1                                       # first e2 row of a face
+    one_face = [(mu, True, mu, sL * c / (2 * n + 1)),        # e1 mu: a_mu
+                (lo, False, lo + 1, -up),                    # e1 mu: b_{mu+1}
+                (hi, False, hi - 1, down),                   # e1 mu: b_{mu-1}
+                (e2 + lo, True, lo + 1, up),                 # e2 mu: a_{mu+1}
+                (e2 + hi, True, hi - 1, -down),              # e2 mu: a_{mu-1}
+                (e2 + mu, False, mu, sL * c / (2 * n + 1))]  # e2 mu: b_mu
+    pattern = _entries([(6 + 2 * e2 * face + row, face, a, m, v, 1)
+                        for face in (0, 1) for row, a, m, v in one_face])
+    tags = tuple(f"face{f}-chain-e{e} mu={j}" for f in (1, 2) for e in (1, 2)
+                 for j in mu)
+    return pattern, tags
 
-    def pair(row, fam, m, coeff):
-        row[ix[(fam, m)]] += coeff * cmath.exp(1j * m * phase)
-        row[ix[(fam, -m)]] += coeff * cmath.exp(-1j * m * phase)
 
-    for mu in range(0, n + 1):
-        row = np.zeros(ncols, dtype=complex)
-        if mu == 0:
-            row[ix[("a", 0)]] += 1j * k * sL * c[0] / (2 * n + 1)
-        else:
-            pair(row, "a", mu, 1j * k * sL * c[mu] / (2 * n + 1))
-        if mu + 1 <= n:
-            pair(row, "b", mu + 1,
-                 -eta * (n + 1) * c[mu + 1] * (n + mu + 1) * (n - mu)
-                 / (2 * (2 * n + 1) * sL))
-        if mu - 1 >= 1:
-            pair(row, "b", mu - 1,
-                 eta * (n + 1) * c[mu - 1] / (2 * (2 * n + 1) * sL))
-        elif mu == 1:
-            row[ix[("b", 0)]] += eta * (n + 1) * c[0] / ((2 * n + 1) * sL)
-        rows.append(row)
-        tags.append(f"{face_tag}-chain-e1 mu={mu}")
-
-    for mu in range(0, n + 1):
-        row = np.zeros(ncols, dtype=complex)
-        m = mu + 1
-        if m <= n:
-            pair(row, "a", m,
-                 1j * k * (n + 1) * c[m] * (n + m) * (n - m + 1)
-                 / (2 * (2 * n + 1) * sL))
-        if m - 2 >= 1:
-            pair(row, "a", m - 2,
-                 -1j * k * (n + 1) * c[m - 2] / (2 * (2 * n + 1) * sL))
-        elif m - 2 == 0:
-            row[ix[("a", 0)]] += -1j * k * (n + 1) * c[0] / ((2 * n + 1) * sL)
-        if m - 1 >= 1:
-            pair(row, "b", m - 1, eta * c[m - 1] * sL / (2 * n + 1))
-        else:
-            row[ix[("b", 0)]] += eta * c[0] * sL / (2 * n + 1)
-        rows.append(row)
-        tags.append(f"{face_tag}-chain-e2 mu={mu}")
-    return rows, tags
+@lru_cache(maxsize=None)
+def _pecpmc_pattern(n):
+    """Entries and tags of the PEC/PMC rows: per m, the face-1 sum of b_{+-m},
+    the face-2 phased sum of a_{+-m} and the two coupling differences."""
+    m = np.arange(1, n + 1)
+    c = np.array([norm_constant(n, j) for j in m])
+    r = 2 + 4 * (m - 1)
+    pattern = _entries([(0, 0, False, 0, 1.0, 1), (1, 1, True, 0, 1.0, 1),
+                        (r, 0, False, m, c, 1), (r + 1, 1, True, m, c, 1),
+                        (r + 2, 0, True, m, 1.0, -1), (r + 3, 1, False, m, 1.0, -1)])
+    tags = ("face1-pec b0", "face2-pmc a0") + tuple(
+        f"{tag} m={j}" for j in m for tag in ("face1-pec sum", "face2-pmc phased-sum",
+                                              "face1-pec coupling-diff",
+                                              "face2-pmc coupling-diff"))
+    return pattern, tags
 
 
 def _head_quantities(n, alpha_val):
@@ -208,44 +240,29 @@ def _head_quantities(n, alpha_val):
     return s, co, Kp, Ap
 
 
-def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ix, ncols):
+def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ncols):
     """Matching rows plus face-2 edge rows (six rows, orders m <= 1 only).
 
     s, co are sin and cos of the opening angle; Kp, Ap the radial weights of
     the m = 1 and m = 0 edge terms (see _head_quantities).
     """
-    rows, tags = [], []
-
-    def build(ap, am, bp, bm, b0, a0, tag):
-        row = np.zeros(ncols, dtype=complex)
-        row[ix[("a", 1)]], row[ix[("a", -1)]] = ap, am
-        row[ix[("b", 1)]], row[ix[("b", -1)]] = bp, bm
-        row[ix[("b", 0)]], row[ix[("a", 0)]] = b0, a0
-        rows.append(row)
-        tags.append(tag)
-
-    build(1j * k * Kp * s * s - k * Kp * s * co,
-          1j * k * Kp * s * s + k * Kp * s * co,
-          0, 0, -(eta1 + eta2 * co) * Ap, 0, "matching-x")
-    build(-1j * k * Kp * s * co - k * Kp * s * s,
-          -1j * k * Kp * s * co + k * Kp * s * s,
-          0, 0, -eta2 * s * Ap, 0, "matching-y")
-    build(0, 0,
-          (eta1 - eta2 * co) * Kp + 1j * eta2 * s * Kp,
-          (eta1 - eta2 * co) * Kp - 1j * eta2 * s * Kp,
-          0, 0, "matching-z")
-    build(0, 0,
-          -eta2 * co * co * Kp + 1j * eta2 * s * co * Kp,
-          -eta2 * co * co * Kp - 1j * eta2 * s * co * Kp,
-          0, 1j * k * co * Ap, "face2-edge-x")
-    build(0, 0,
-          eta2 * s * co * Kp + 1j * eta2 * s * s * Kp,
-          eta2 * s * co * Kp - 1j * eta2 * s * s * Kp,
-          0, 1j * k * s * Ap, "face2-edge-y")
-    build(1j * k * Kp * co + k * Kp * s,
-          1j * k * Kp * co - k * Kp * s,
-          0, 0, eta2 * Ap, 0, "face2-edge-z")
-    return rows, tags
+    rows = np.zeros((6, ncols), dtype=complex)
+    # columns a_1, a_-1, b_1, b_-1, b_0, a_0
+    rows[:, [2, 3, 4, 5, 0, 1]] = [
+        [1j * k * Kp * s * s - k * Kp * s * co, 1j * k * Kp * s * s + k * Kp * s * co,
+         0, 0, -(eta1 + eta2 * co) * Ap, 0],
+        [-1j * k * Kp * s * co - k * Kp * s * s, -1j * k * Kp * s * co + k * Kp * s * s,
+         0, 0, -eta2 * s * Ap, 0],
+        [0, 0, (eta1 - eta2 * co) * Kp + 1j * eta2 * s * Kp,
+         (eta1 - eta2 * co) * Kp - 1j * eta2 * s * Kp, 0, 0],
+        [0, 0, -eta2 * co * co * Kp + 1j * eta2 * s * co * Kp,
+         -eta2 * co * co * Kp - 1j * eta2 * s * co * Kp, 0, 1j * k * co * Ap],
+        [0, 0, eta2 * s * co * Kp + 1j * eta2 * s * s * Kp,
+         eta2 * s * co * Kp - 1j * eta2 * s * s * Kp, 0, 1j * k * s * Ap],
+        [1j * k * Kp * co + k * Kp * s, 1j * k * Kp * co - k * Kp * s,
+         0, 0, eta2 * Ap, 0]]
+    return rows, ["matching-x", "matching-y", "matching-z",
+                  "face2-edge-x", "face2-edge-y", "face2-edge-z"]
 
 
 def _head_block(rows, tags, ix, names, fam, third):
@@ -310,20 +327,15 @@ def block_det(m, alpha, kind):
 def _assemble_impimp(n, eff, eta1, eta2, k):
     cols = column_labels(n)
     ix = {c: i for i, c in enumerate(cols)}
-    ncols = len(cols)
-    rows, tags = edge_rows(*_head_quantities(n, eff.value), eta1, eta2, k,
-                           ix, ncols)
-    if n == 1:
-        ch, ct = chain_rows(n, eta1, k, 0.0, "face1", ix, ncols)
-        rows.append(ch[ct.index("face1-chain-e2 mu=0")])
-        tags.append("face1-chain-e2 mu=0")
-    else:
-        for eta, phase, tag in ((eta1, 0.0, "face1"),
-                                (eta2, eff.value * math.pi, "face2")):
-            ch, ct = chain_rows(n, eta, k, phase, tag, ix, ncols)
-            rows.extend(ch)
-            tags.extend(ct)
-    rows = np.array(rows)
+    pattern, chain_tags = _chain_pattern(n)
+    rows = _fill(pattern, (6 + len(chain_tags), len(cols)), eff.value * math.pi,
+                 1j * k, (eta1, eta2))
+    rows[:6], tags = edge_rows(*_head_quantities(n, eff.value), eta1, eta2, k,
+                               len(cols))
+    tags += chain_tags
+    if n == 1:   # of the chains only the first-order relation enters
+        keep = [0, 1, 2, 3, 4, 5, tags.index("face1-chain-e2 mu=0")]
+        rows, tags = rows[keep], [tags[i] for i in keep]
     return ConstraintSystem(
         n=n, case=CaseKind.IMP_IMP, alpha=eff, columns=cols,
         rows=rows, provenance=tags, eta1=eta1, eta2=eta2, k=k,
@@ -336,33 +348,12 @@ def _assemble_impimp(n, eff, eta1, eta2, k):
 def _assemble_pecpmc(n, eff):
     """Face 1 PEC, face 2 PMC: leading tangential relations plus the
     second-lowest-order coupling rows."""
+    pattern, tags = _pecpmc_pattern(n)
     cols = column_labels(n)
-    ix = {c: i for i, c in enumerate(cols)}
-    ncols = len(cols)
-    phase = eff.value * math.pi
-    rows, tags = [], []
-
-    def add(entries, tag):
-        row = np.zeros(ncols, dtype=complex)
-        for col, val in entries:
-            row[ix[col]] = val
-        rows.append(row)
-        tags.append(tag)
-
-    add([(("b", 0), 1.0)], "face1-pec b0")
-    add([(("a", 0), 1.0)], "face2-pmc a0")
-    for m in range(1, n + 1):
-        cm = norm_constant(n, m)
-        add([(("b", m), cm), (("b", -m), cm)], f"face1-pec sum m={m}")
-        add([(("a", m), cm * cmath.exp(1j * m * phase)),
-             (("a", -m), cm * cmath.exp(-1j * m * phase))],
-            f"face2-pmc phased-sum m={m}")
-        add([(("a", m), 1.0), (("a", -m), -1.0)], f"face1-pec coupling-diff m={m}")
-        add([(("b", m), cmath.exp(1j * m * phase)),
-             (("b", -m), -cmath.exp(-1j * m * phase))],
-            f"face2-pmc coupling-diff m={m}")
-    return ConstraintSystem(n=n, case=CaseKind.PEC_PMC, alpha=eff,
-                            columns=cols, rows=np.array(rows), provenance=tags)
+    rows = _fill(pattern, (len(tags), len(cols)), eff.value * math.pi, 1.0,
+                 (1.0, 1.0))
+    return ConstraintSystem(n=n, case=CaseKind.PEC_PMC, alpha=eff, columns=cols,
+                            rows=rows, provenance=list(tags))
 
 
 def _require_pmc_range(alpha, case):
@@ -417,40 +408,83 @@ def _unit_rows(system):
     return rows / np.where(norms > 0.0, norms, 1.0)
 
 
+@lru_cache(maxsize=None)
+def _parity_classes(n):
+    """Column masks of parity class 0 (a_m with m even, b_m with m odd) and
+    of class 1, in column_labels order."""
+    fam, m = zip(*column_labels(n))
+    parity = (np.array(m) + (np.array(fam) == "b")) % 2
+    return _read_only(np.array([parity == 0, parity == 1]))[0]
+
+
+def _parity_blocks(system):
+    """Unit rows split by parity class, stacked (classes, rows, 2n+1) with
+    zero rows padding the shorter block, and each class's column mask.  A
+    bare matrix is one class; a zero row joins class 0, and a row with
+    nonzeros in both classes raises ValueError."""
+    rows = _unit_rows(system)
+    classes = (_parity_classes(system.n) if isinstance(system, ConstraintSystem)
+               else np.ones((1, rows.shape[1]), dtype=bool))
+    touched = (rows != 0) @ classes.T
+    mixed = np.flatnonzero(touched.sum(axis=1) > 1)
+    if mixed.size:
+        raise ValueError(f"row {system.provenance[mixed[0]]!r} has nonzeros in "
+                         "both parity classes")
+    owner = touched.argmax(axis=1)
+    parts = [rows[owner == c][:, cols] for c, cols in enumerate(classes)]
+    blocks = np.zeros((len(parts), max(len(p) for p in parts), parts[0].shape[1]),
+                      dtype=complex)
+    for block, part in zip(blocks, parts):
+        block[:len(part)] = part
+    return blocks, classes
+
+
 def nullspace_dim(system, tol=1e-9):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
-    The singular values are those of the rows scaled to unit length.
-    Relative singular values inside (tol/10, tol*10) are neither clearly zero
-    nor clearly nonzero; these raise RankAmbiguityError instead of guessing.
+    The singular values are those of the rows scaled to unit length, taken
+    on the two parity blocks in one batched SVD.  Relative singular values
+    inside (tol/10, tol*10) are neither clearly zero nor clearly nonzero;
+    these raise RankAmbiguityError instead of guessing.
     """
-    rows = _unit_rows(system)
-    return _dim_from_values(system, np.linalg.svd(rows, compute_uv=False),
-                            rows.shape[1], tol)
+    blocks, _ = _parity_blocks(system)
+    return int(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
+                                blocks.shape[-1], tol).sum())
 
 
 def _dim_from_values(system, s, ncols, tol):
-    if s.size == 0 or s[0] == 0.0:
-        return ncols
-    rel = s / s[0]
-    band = [float(v) for v in rel if tol / 10.0 < v < tol * 10.0]
-    if band:
+    """Nullity of each block of ncols columns from its singular values s
+    (blocks, values).  Threshold and band are relative to the largest value of
+    all blocks: the decision is that of the unsplit matrix."""
+    top = s.max(initial=0.0)
+    if top == 0.0:
+        return np.full(len(s), ncols)
+    rel = s / top
+    inband = (tol / 10.0 < rel) & (rel < tol * 10.0)
+    if inband.any():
+        band = sorted(map(float, rel[inband]), reverse=True)
         order = system.n if isinstance(system, ConstraintSystem) else None
         raise RankAmbiguityError(
             f"singular values {band} within a factor 10 of threshold {tol}",
             order=order, values=band)
-    # a system with fewer rows than columns has ncols - s.size more zeros
-    return int(np.sum(rel < tol)) + ncols - s.size
+    # a block with fewer rows than columns has ncols - s.shape[-1] more zeros
+    return (rel < tol).sum(axis=-1) + ncols - s.shape[-1]
 
 
 def nullspace_basis(system, tol=1e-9):
     """Orthonormal basis of the nullspace, columns of shape (ncols, dim).
-    Useful for building fields that satisfy a degenerate order-n system."""
-    rows = _unit_rows(system)
-    _, s, vh = np.linalg.svd(rows)
-    ncols = rows.shape[1]
-    dim = _dim_from_values(system, s, ncols, tol)
-    return vh[ncols - dim:].conj().T
+    Useful for building fields that satisfy a degenerate order-n system.
+
+    Each null vector lives on the columns of one parity class: class 0's
+    vectors come first."""
+    blocks, classes = _parity_blocks(system)
+    _, s, vh = np.linalg.svd(blocks)
+    width = blocks.shape[-1]
+    dims = _dim_from_values(system, s, width, tol)
+    basis = np.zeros((classes.shape[1], dims.sum()), dtype=complex)
+    for cols, v, dim, end in zip(classes, vh, dims, np.cumsum(dims)):
+        basis[cols, end - dim:end] = v[width - dim:].conj().T
+    return basis
 
 
 # ---------------------------------------------------------------------------

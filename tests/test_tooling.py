@@ -62,3 +62,22 @@ def test_theorem_bound_matches_benchmark_grid_rule(case):
                 assert (min(_WORKLOADS.grid_bound(Fraction(q, p), case), n_max)
                         == theorem_bound(alpha, CaseKind.parse(case), n_max)), \
                     (q, p, n_max)
+
+
+def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
+    # `--trace 1` counts vanish.assemble_calls and vanish.rank_calls through
+    # these module globals
+    from edgewave import vanish
+    from edgewave.angles import parse_angle
+    calls = {"nullspace_dim": 0, "assemble_order_system": 0}
+    for name in calls:
+        inner = getattr(vanish, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(vanish, name, counted)
+    cfg = vanish.config_for_case(vanish.CaseKind.IMP_IMP, parse_angle("1/3"),
+                                 1.0, 1.0, 1.0)
+    vanish.vanishing_order(cfg, 7)
+    assert calls == {"nullspace_dim": 7, "assemble_order_system": 7}

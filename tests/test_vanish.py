@@ -74,6 +74,78 @@ class TestAssembly:
             assemble_order_system(1, make_config("3/2", case="imp-pmc"))
 
 
+def _loop_chain_rows(n, eta, k, phase, ix):
+    """One face's two chains built entry by entry: the reference for the
+    pattern assembly (rows 0..n are e1 mu, rows n+1..2n+1 are e2 mu)."""
+    sL = math.sqrt(n * (n + 1))
+    c = [vanish.norm_constant(n, m) for m in range(n + 1)]
+    d, w = 2 * n + 1, (n + 1) / (2 * (2 * n + 1) * sL)
+    rows = np.zeros((2 * (n + 1), len(ix)), dtype=complex)
+
+    def add(row, fam, m, coeff):
+        for sign in ((1,) if m == 0 else (1, -1)):
+            rows[row, ix[(fam, sign * m)]] += coeff * np.exp(1j * sign * m * phase)
+
+    for mu in range(n + 1):
+        add(mu, "a", mu, 1j * k * sL * c[mu] / d)
+        if mu < n:
+            up = w * c[mu + 1] * (n + mu + 1) * (n - mu)
+            add(mu, "b", mu + 1, -eta * up)
+            add(n + 1 + mu, "a", mu + 1, 1j * k * up)
+        if mu >= 1:
+            down = w * c[mu - 1] * (2 if mu == 1 else 1)
+            add(mu, "b", mu - 1, eta * down)
+            add(n + 1 + mu, "a", mu - 1, -1j * k * down)
+        add(n + 1 + mu, "b", mu, eta * sL * c[mu] / d)
+    return rows
+
+
+def _loop_pecpmc_rows(n, phase, ix):
+    rows = np.zeros((2 + 4 * n, len(ix)), dtype=complex)
+    rows[0, ix[("b", 0)]] = rows[1, ix[("a", 0)]] = 1.0
+    for m in range(1, n + 1):
+        cm, e = vanish.norm_constant(n, m), np.exp(1j * m * phase)
+        r = 2 + 4 * (m - 1)
+        rows[r, ix[("b", m)]] = rows[r, ix[("b", -m)]] = cm
+        rows[r + 1, ix[("a", m)]], rows[r + 1, ix[("a", -m)]] = cm * e, cm / e
+        rows[r + 2, ix[("a", m)]], rows[r + 2, ix[("a", -m)]] = 1.0, -1.0
+        rows[r + 3, ix[("b", m)]], rows[r + 3, ix[("b", -m)]] = e, -1 / e
+    return rows
+
+
+class TestPatternAssembly:
+    # products of a few float64 factors: a few ulps, relative to the row
+    RTOL = 1e-14
+
+    def assert_rows_close(self, rows, ref):
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all((rows != 0) == (ref != 0))
+        assert np.all(np.abs(rows - ref) <= self.RTOL * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 24, 85])
+    @pytest.mark.parametrize("alpha", ["2/7", "0.6180339887", "13/8"])
+    def test_chains_match_entry_loop(self, n, alpha):
+        eta1, eta2, k = 1.1 - 0.3j, 0.8 + 0.5j, 1.2
+        system = assemble_order_system(n, make_config(alpha, eta1=eta1, eta2=eta2, k=k))
+        ix = system.column_index
+        phase = system.alpha.value * math.pi
+        ref = np.vstack([_loop_chain_rows(n, eta1, k, 0.0, ix),
+                         _loop_chain_rows(n, eta2, k, phase, ix)])
+        self.assert_rows_close(system.rows[6:], ref)
+
+    def test_first_order_keeps_one_chain_row(self):
+        system = assemble_order_system(1, make_config("2/7", eta1=1.1 - 0.3j, k=1.2))
+        ref = _loop_chain_rows(1, 1.1 - 0.3j, 1.2, 0.0, system.column_index)
+        assert system.provenance[6:] == ["face1-chain-e2 mu=0"]
+        self.assert_rows_close(system.rows[6:], ref[2:3])
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 85])
+    def test_pecpmc_matches_entry_loop(self, n):
+        system = assemble_order_system(n, make_config("2/9", case="pec-pmc"))
+        ref = _loop_pecpmc_rows(n, 2 / 9 * math.pi, system.column_index)
+        self.assert_rows_close(system.rows, ref)
+
+
 class TestPairingTable:
     @pytest.mark.parametrize("case", list(CaseKind))
     def test_config_round_trips_to_its_case(self, case):
@@ -395,3 +467,109 @@ class TestFlatAngle:
             assemble_order_system(1, cfg)
         with pytest.raises(angles.AngleError):
             collocation_nullspace(1, cfg)
+
+
+def _unsplit_dim(system, tol=1e-9):
+    """Nullity from one SVD of all unit rows, the decision before the split."""
+    s = np.linalg.svd(vanish._unit_rows(system), compute_uv=False)
+    rel = s / s[0]
+    assert not np.any((tol / 10 < rel) & (rel < tol * 10))
+    return int(np.sum(rel < tol)) + system.rows.shape[1] - s.size
+
+
+def _cascade_count(case, alpha, n):
+    """Nullity from the cascade, for the exact angle alpha (None: untagged).
+
+    For m = 1..n the order-n system reduces to 2x2 blocks with determinant
+    -2i sin(m a' pi) on impedance faces, a' the assembled (for the mixed
+    pairings the reflected) angle, or 2 cos(m a pi) for pec-pmc; each singular
+    block frees two unknowns.  At n = 1 head block B, whose determinant
+    carries cos^2(a' pi), frees one more at a' = 1/2 and 3/2.
+    """
+    if alpha is None:
+        return 0
+    half = Fraction(1, 2)
+    if case == "pec-pmc":
+        return 2 * sum((m * alpha - half).denominator == 1 for m in range(1, n + 1))
+    if case != "imp-imp":
+        alpha = (2 * alpha if alpha < half else 2 * (1 - alpha) if alpha < 1
+                 else 2 * (alpha - 1) if alpha < 3 * half else 2 * (2 - alpha))
+    return (2 * sum((m * alpha).denominator == 1 for m in range(1, n + 1))
+            + (n == 1 and alpha in (half, 3 * half)))
+
+
+class TestParityBlocks:
+    ETAS = dict(eta1=1.1 - 0.3j, eta2=0.8 + 0.5j, k=1.2)
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_split_rank_matches_unsplit_and_cascade(self, case):
+        # every reduced q/p with p <= 16 and three untagged decimals; each
+        # angle is checked at n = 1, around its first change of nullity, and
+        # at one order that rotates through 1..24 from angle to angle
+        upper = 1 if case == "imp-pmc" else 2
+        cases = [(f"{q}/{p}", Fraction(q, p)) for p in range(2, 17)
+                 for q in range(1, upper * p) if math.gcd(q, p) == 1]
+        cases += [(text, None) for text in ("0.6180339887", "0.37", "1.41421356237")
+                  if float(text) < upper]
+        orders_seen = set()
+        for i, (text, exact) in enumerate(cases):
+            cfg = make_config(text, case=case, **self.ETAS)
+            counts = [_cascade_count(case, exact, n) for n in range(25)]
+            jump = next((n for n in range(2, 25) if counts[n] != counts[n - 1]), 1)
+            for n in {1, 1 + i % 24, jump - 1 or 1, jump}:
+                system = assemble_order_system(n, cfg)
+                assert nullspace_dim(system) == _unsplit_dim(system) == counts[n], \
+                    (text, n)
+                orders_seen.add(n)
+        assert orders_seen == set(range(1, 25))
+
+    def test_every_row_in_one_class(self):
+        for case in ("imp-imp", "pec-pmc", "imp-pec"):
+            for n in (1, 2, 5):
+                system = assemble_order_system(n, make_config("0.41", case=case,
+                                                              **self.ETAS))
+                classes = vanish._parity_blocks(system)[1]
+                assert list(classes.sum(axis=1)) == [2 * n + 1] * 2
+                assert not np.any(classes[0] & classes[1])
+                touched = [np.any(system.rows[:, c] != 0, axis=1) for c in classes]
+                assert not np.any(touched[0] & touched[1])
+
+    def test_row_coupling_both_classes_raises(self):
+        system = assemble_order_system(3, make_config("0.41", **self.ETAS))
+        row = system.provenance.index("face2-chain-e1 mu=2")
+        ix = system.column_index
+        assert system.rows[row, ix[("a", 2)]] != 0      # class 0
+        system.rows[row, ix[("a", 1)]] = 0.5            # class 1
+        with pytest.raises(ValueError, match="'face2-chain-e1 mu=2'"):
+            nullspace_dim(system)
+        with pytest.raises(ValueError, match="both parity classes"):
+            vanish.nullspace_basis(system)
+
+    @pytest.mark.parametrize("alpha", ["1/2", "3/2"])
+    def test_zero_edge_rows_at_the_flat_angle_pass(self, alpha):
+        # reflected to alpha' = 1, where sin(alpha' pi) = 0 empties two rows
+        system = assemble_order_system(2, make_config(alpha, case="imp-pec",
+                                                      **self.ETAS))
+        zero = [t for t, r in zip(system.provenance, system.rows) if not r.any()]
+        assert "face2-edge-y" in zero
+        assert nullspace_dim(system) == _unsplit_dim(system) == 4
+
+    @pytest.mark.parametrize("alpha,case,n", [("1/13", "imp-imp", 13),
+                                              ("1/4", "pec-pmc", 2),
+                                              ("1/2", "imp-pec", 2)])
+    def test_basis_per_block(self, alpha, case, n):
+        system = assemble_order_system(n, make_config(alpha, case=case, **self.ETAS))
+        basis = vanish.nullspace_basis(system)
+        dim = nullspace_dim(system)
+        assert dim > 0 and basis.shape == (system.rows.shape[1], dim)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-12)
+        assert np.max(np.abs(vanish._unit_rows(system) @ basis)) < 1e-10
+        # each vector lives on the columns of one class
+        classes = vanish._parity_blocks(system)[1]
+        for v in basis.T:
+            assert sum(np.any(v[c] != 0) for c in classes) == 1
+
+    def test_bare_matrix_is_one_block(self):
+        blocks, classes = vanish._parity_blocks(np.eye(3, dtype=complex)[:2])
+        assert blocks.shape == (1, 2, 3)
+        assert classes.tolist() == [[True, True, True]]
