@@ -14,12 +14,13 @@ Exit codes: 0 ok, 1 usage error, 2 numerical rank ambiguity,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 
-from .angles import AngleError, parse_angle
+from .angles import AngleError, detect_rational, parse_angle
 from .vanish import (INFINITE, MAX_ORDER, CaseKind, RankAmbiguityError,
                      config_for_case, vanishing_order)
 from .verify import run_suite
@@ -59,13 +60,16 @@ def _seed(args):
     return 42
 
 
-def _build_config(args, alpha):
+def _build_config(args, alpha_text):
+    """Config of the parsed arguments; a decimal angle gets the reduced
+    fraction it matches, so it is classified like the same fraction."""
+    alpha = detect_rational(parse_angle(alpha_text))
     eta1, eta2 = (parse_complex(e) if e else None for e in (args.eta1, args.eta2))
     return config_for_case(CaseKind.parse(args.case), alpha, eta1, eta2, args.k)
 
 
 def cmd_analyze(args):
-    config = _build_config(args, parse_angle(args.alpha))
+    config = _build_config(args, args.alpha)
     try:
         report = vanishing_order(config, args.nmax, tol=args.tol)
     except RankAmbiguityError as exc:
@@ -81,20 +85,20 @@ def cmd_analyze(args):
 def cmd_table(args):
     rows = []
     for text in args.alphas:
-        alpha = parse_angle(text)
-        config = _build_config(args, alpha)
+        config = _build_config(args, text)
         try:
             report = vanishing_order(config, args.nmax, tol=args.tol)
         except RankAmbiguityError as exc:
             print(f"rank ambiguity at order {exc.order} for alpha={text}: {exc}",
                   file=sys.stderr)
             return 2
-        rows.append((text, alpha, report))
+        rows.append((text, report))
     if args.json:
-        print(json.dumps([r.to_json_dict() for _, _, r in rows]))
+        print(json.dumps([r.to_json_dict() for _, r in rows]))
         return 0
     print(f"{'alpha':>12} {'rationality':>12} {'grid bound':>12} {'assembled':>12}")
-    for text, alpha, report in rows:
+    for text, report in rows:
+        alpha = report.alpha
         rat = f"{alpha.rational[0]}/{alpha.rational[1]}" if alpha.rational \
             else "irrational"
         tb = f">= {args.nmax}" if report.theorem_bound == INFINITE \
@@ -122,6 +126,7 @@ def cmd_verify(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="edgewave",

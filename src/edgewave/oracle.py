@@ -18,13 +18,12 @@ from typing import Optional
 import numpy as np
 
 from . import corner as _corner
-from .corner import (EdgeCornerConfig, Face, ImpedanceSpec, face_normal,
-                     impedance_residual, tangential_projection,
+from .corner import (Face, face_normal, impedance_residual, tangential_projection,
                      trace_tangential_curl)
 from .swe import ModeCoefficients, eval_field, norm_constant
 from .specfun import legendre_table, radial_pq
-from .vanish import (CaseKind, case_of_config, column_labels, edge_rows,
-                     nullspace_dim, reflected_angle)
+from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
+                     nullspace_dim)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -260,12 +259,6 @@ def _numeric_edge_rows(n, config):
                      len(column_labels(n)))[0]
 
 
-def _reflected_config(config, case):
-    spec = ImpedanceSpec.series(config.bc2.eta0, config.bc2.higher)
-    return EdgeCornerConfig(reflected_angle(config.alpha, case), spec, spec,
-                            config.k)
-
-
 def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
     """Nullspace dimension of the order-n boundary conditions by collocation.
 
@@ -287,10 +280,7 @@ def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
     if samples < min_samples:
         raise ValueError(f"need samples >= {min_samples}")
     rng = np.random.default_rng(seed)
-    case = case_of_config(config)
-    if case in (CaseKind.IMP_PEC, CaseKind.IMP_PMC):
-        config = _reflected_config(config, case)
-        case = CaseKind.IMP_IMP
+    case, config = effective_config(config)
     k = config.k
     h = min(2e-3, 0.2 / k)
     radii = h * 0.5 ** np.arange(5)
@@ -299,7 +289,7 @@ def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
     if case == CaseKind.PEC_PMC:
         rows = _sample_rows_true(n, config, thetas, radii, orders=(0, 1))
         return nullspace_dim(rows, tol=tol)
-    # impedance-impedance
+    # impedance on both faces of config, the reflected one for mixed pairings
     edge = _numeric_edge_rows(n, config)
     if n == 1:
         head = _sampled_head_row(n, config, thetas, radii)

@@ -160,11 +160,12 @@ class ModeCoefficients:
 
     def modes(self):
         """Iterate (l, m, a_lm, b_lm) over entries nonzero in some field."""
+        nonzero = np.any((self._a != 0) | (self._b != 0),
+                         axis=tuple(range(2, self._a.ndim)))
         for l in range(1, self.lmax + 1):
             for m in range(-l, l + 1):
-                av, bv = self._a[l, m], self._b[l, m]
-                if np.any(av) or np.any(bv):
-                    yield l, m, av, bv
+                if nonzero[l, m]:
+                    yield l, m, self._a[l, m], self._b[l, m]
 
     def curl(self):
         """Coefficients of curl E = ik sum (b M - a N): (a, b) -> (ik b, -ik a)."""

@@ -20,7 +20,9 @@ At n = 1 only the relations actually derived at first order enter: the two
 plus the third face-2 edge row.  The PEC/PMC pairing assembles the leading
 tangential relations plus the second-lowest-order coupling rows.  Mixed
 pairings are reduced by the reflection principle to an impedance-impedance
-system at the doubled angle given by the four-branch table.
+system at the doubled angle given by the four-branch table; that reduction
+lives in effective_config alone, and the assembler, the closed head-block
+determinants, the induction driver and the collocation oracle all read it.
 
 A chain entry at column (a, m) is ik c e^{i m phase}, at (b, m) eta c
 e^{i m phase}, with c a constant of (n, mu, m) and phase 0 on face 1 and
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -138,20 +140,42 @@ class ConstraintSystem:
     n: int
     case: CaseKind
     alpha: Angle                      # angle the rows were assembled at
-    columns: List[Tuple[str, int]]
     rows: np.ndarray                  # complex, shape (nrows, ncols)
     provenance: List[str]
-    eta1: Optional[complex] = None    # constants used in assembly
-    eta2: Optional[complex] = None
-    k: Optional[float] = None
-    block_A: Optional[np.ndarray] = None   # 3x3 head block, det ~ sin^2
-    block_B: Optional[np.ndarray] = None   # 3x3 head block, det ~ sin^2 cos^2
     source_case: Optional[CaseKind] = None  # original pairing before reflection
     source_alpha: Optional[Angle] = None
 
     @property
+    def columns(self):
+        return column_labels(self.n)
+
+    @property
     def column_index(self):
         return {c: i for i, c in enumerate(self.columns)}
+
+    @property
+    def block_A(self):   # det ~ sin^2
+        return self._head_block(("matching-x", "matching-y", "face1-chain-e2 mu=0"),
+                                "a", ("b", 0))
+
+    @property
+    def block_B(self):   # det ~ sin^2 cos^2
+        return self._head_block(("face2-edge-x", "face2-edge-y", "matching-z"),
+                                "b", ("a", 0))
+
+    def _head_block(self, names, fam, third):
+        """3x3 head block cut from the rows tagged `names`, on the combinations
+        (fam^1 + fam^-1, fam^1 - fam^-1, third) of the unknowns; None for
+        pec-pmc, which has no head blocks."""
+        if self.case == CaseKind.PEC_PMC:
+            return None
+        ix = self.column_index
+        block = []
+        for name in names:
+            row = self.rows[self.provenance.index(name)]
+            plus, minus = row[ix[(fam, 1)]], row[ix[(fam, -1)]]
+            block.append([(plus + minus) / 2, (plus - minus) / 2, row[ix[third]]])
+        return np.array(block)
 
 
 # ---------------------------------------------------------------------------
@@ -265,51 +289,36 @@ def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ncols):
                   "face2-edge-x", "face2-edge-y", "face2-edge-z"]
 
 
-def _head_block(rows, tags, ix, names, fam, third):
-    """3x3 head block cut from the rows tagged `names`, on the combinations
-    (fam^1 + fam^-1, fam^1 - fam^-1, third) of the unknowns."""
-    block = []
-    for name in names:
-        row = rows[tags.index(name)]
-        plus, minus = row[ix[(fam, 1)]], row[ix[(fam, -1)]]
-        block.append([(plus + minus) / 2, (plus - minus) / 2, row[ix[third]]])
-    return np.array(block)
-
-
 def _closed_det_prefactor(n):
     c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
     return ((n + 1) / (2 * n + 1)) ** 3 * n * math.sqrt(n * (n + 1)) / 2 * c1 ** 2 * c0
 
 
-def closed_det_A_values(n, alpha_val, eta1, k):
-    return (-1j * k ** 2 * eta1 * _closed_det_prefactor(n)
-            * math.sin(alpha_val * math.pi) ** 2)
-
-
-def closed_det_B_values(n, alpha_val, eta2, k):
-    ap = alpha_val * math.pi
-    return (-k * eta2 ** 2 * _closed_det_prefactor(n)
+def _closed_dets(n, eff):
+    """Closed (det A, det B) of the order-n head blocks assembled at the
+    impedance-impedance config eff."""
+    ap = eff.alpha.value * math.pi
+    prefactor = _closed_det_prefactor(n)
+    return (-1j * eff.k ** 2 * eff.bc1.eta0 * prefactor * math.sin(ap) ** 2,
+            -eff.k * eff.bc2.eta0 ** 2 * prefactor
             * math.sin(ap) ** 2 * math.cos(ap) ** 2)
 
 
-def _require_impimp(config):
-    if not (config.bc1.kind == ImpedanceKind.SERIES
-            and config.bc2.kind == ImpedanceKind.SERIES):
-        raise UnsupportedPairingError(
-            "closed determinants are defined for the impedance-impedance case")
-    return config.bc1.eta0, config.bc2.eta0
+def _head_block_config(config):
+    case, eff = effective_config(config)
+    if case == CaseKind.PEC_PMC:
+        raise UnsupportedPairingError("pec-pmc systems have no head blocks")
+    return eff
 
 
 def closed_det_A(n, config):
-    """Closed form of det(head block A), impedance-impedance case."""
-    eta1, _ = _require_impimp(config)
-    return closed_det_A_values(n, config.alpha.value, eta1, config.k)
+    """Closed form of det(block A) of assemble_order_system(n, config)."""
+    return _closed_dets(n, _head_block_config(config))[0]
 
 
 def closed_det_B(n, config):
-    """Closed form of det(head block B), impedance-impedance case."""
-    _, eta2 = _require_impimp(config)
-    return closed_det_B_values(n, config.alpha.value, eta2, config.k)
+    """Closed form of det(block B) of assemble_order_system(n, config)."""
+    return _closed_dets(n, _head_block_config(config))[1]
 
 
 def block_det(m, alpha, kind):
@@ -324,36 +333,30 @@ def block_det(m, alpha, kind):
     raise ValueError("kind must be 'sin' or 'cos'")
 
 
-def _assemble_impimp(n, eff, eta1, eta2, k):
-    cols = column_labels(n)
-    ix = {c: i for i, c in enumerate(cols)}
+def _assemble_impimp(n, eff):
+    """Impedance on both faces of eff: the edge rows and both faces' chains."""
+    eta1, eta2, k = eff.bc1.eta0, eff.bc2.eta0, eff.k
     pattern, chain_tags = _chain_pattern(n)
-    rows = _fill(pattern, (6 + len(chain_tags), len(cols)), eff.value * math.pi,
-                 1j * k, (eta1, eta2))
-    rows[:6], tags = edge_rows(*_head_quantities(n, eff.value), eta1, eta2, k,
-                               len(cols))
+    rows = _fill(pattern, (6 + len(chain_tags), 2 * (2 * n + 1)),
+                 eff.alpha.value * math.pi, 1j * k, (eta1, eta2))
+    rows[:6], tags = edge_rows(*_head_quantities(n, eff.alpha.value), eta1, eta2, k,
+                               rows.shape[1])
     tags += chain_tags
     if n == 1:   # of the chains only the first-order relation enters
         keep = [0, 1, 2, 3, 4, 5, tags.index("face1-chain-e2 mu=0")]
         rows, tags = rows[keep], [tags[i] for i in keep]
-    return ConstraintSystem(
-        n=n, case=CaseKind.IMP_IMP, alpha=eff, columns=cols,
-        rows=rows, provenance=tags, eta1=eta1, eta2=eta2, k=k,
-        block_A=_head_block(rows, tags, ix, ("matching-x", "matching-y",
-                                             "face1-chain-e2 mu=0"), "a", ("b", 0)),
-        block_B=_head_block(rows, tags, ix, ("face2-edge-x", "face2-edge-y",
-                                             "matching-z"), "b", ("a", 0)))
+    return ConstraintSystem(n=n, case=CaseKind.IMP_IMP, alpha=eff.alpha, rows=rows,
+                            provenance=tags)
 
 
 def _assemble_pecpmc(n, eff):
     """Face 1 PEC, face 2 PMC: leading tangential relations plus the
     second-lowest-order coupling rows."""
     pattern, tags = _pecpmc_pattern(n)
-    cols = column_labels(n)
-    rows = _fill(pattern, (len(tags), len(cols)), eff.value * math.pi, 1.0,
+    rows = _fill(pattern, (len(tags), 2 * (2 * n + 1)), eff.value * math.pi, 1.0,
                  (1.0, 1.0))
-    return ConstraintSystem(n=n, case=CaseKind.PEC_PMC, alpha=eff, columns=cols,
-                            rows=rows, provenance=list(tags))
+    return ConstraintSystem(n=n, case=CaseKind.PEC_PMC, alpha=eff, rows=rows,
+                            provenance=list(tags))
 
 
 def _require_pmc_range(alpha, case):
@@ -379,24 +382,28 @@ def reflected_angle(alpha, case):
     return Angle(2 * (shift + sign * a), frac)
 
 
+def effective_config(config):
+    """(case, config') with config' the config the rows are assembled at:
+    config itself for imp-imp and pec-pmc.  By the reflection principle the
+    impedance face's series transfers to the mirror image of the PEC or PMC
+    face, at the doubled angle reflected_angle(alpha, case), which may be 1."""
+    case = case_of_config(config)
+    if case in (CaseKind.IMP_IMP, CaseKind.PEC_PMC):
+        return case, config
+    return case, EdgeCornerConfig(reflected_angle(config.alpha, case), config.bc2,
+                                  config.bc2, config.k)
+
+
 def assemble_order_system(n, config):
     """Full order-n constraint system for the configured boundary pairing."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    case = case_of_config(config)
-    if case == CaseKind.IMP_IMP:
-        return _assemble_impimp(n, config.alpha, config.bc1.eta0,
-                                config.bc2.eta0, config.k)
+    case, eff = effective_config(config)
     if case == CaseKind.PEC_PMC:
-        return _assemble_pecpmc(n, config.alpha)
-    # mixed pairing: the impedance condition transfers to the mirror plane
-    # with the same series, so assemble the impedance-impedance system at the
-    # doubled angle with eta on both faces
-    eff2 = reflected_angle(config.alpha, case)
-    eta = config.bc2.eta0
-    system = _assemble_impimp(n, eff2, eta, eta, config.k)
-    system.source_case = case
-    system.source_alpha = config.alpha
+        return _assemble_pecpmc(n, eff.alpha)
+    system = _assemble_impimp(n, eff)
+    if eff is not config:
+        system.source_case, system.source_alpha = case, config.alpha
     return system
 
 
@@ -496,9 +503,7 @@ class OrderDiagnostics:
     n: int
     nullspace_dim: int
     det_A_closed: Optional[complex] = None
-    det_A_numeric: Optional[complex] = None
     det_B_closed: Optional[complex] = None
-    det_B_numeric: Optional[complex] = None
     block_dets: List[complex] = field(default_factory=list)  # m = 2..n
 
 
@@ -613,29 +618,15 @@ def vanishing_order(config, n_max, tol=1e-9):
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
-    case = case_of_config(config)
+    case, eff = effective_config(config)
+    kind = "cos" if case == CaseKind.PEC_PMC else "sin"
     per = []
-    bound = 0
-    failed = False
     for n in range(1, n_max + 1):
-        system = assemble_order_system(n, config)
-        dim = nullspace_dim(system, tol=tol)
-        diag = OrderDiagnostics(n=n, nullspace_dim=dim)
-        if system.block_A is not None:
-            diag.det_A_numeric = complex(np.linalg.det(system.block_A))
-            diag.det_B_numeric = complex(np.linalg.det(system.block_B))
-            diag.det_A_closed = closed_det_A_values(n, system.alpha.value,
-                                                    system.eta1, system.k)
-            diag.det_B_closed = closed_det_B_values(n, system.alpha.value,
-                                                    system.eta2, system.k)
-        kind = "cos" if case == CaseKind.PEC_PMC else "sin"
-        diag.block_dets = [block_det(m, system.alpha, kind)
-                           for m in range(2, n + 1)]
-        per.append(diag)
-        if dim == 0 and not failed:
-            bound = n
-        elif dim > 0:
-            failed = True
+        dim = nullspace_dim(assemble_order_system(n, config), tol=tol)
+        dets = (None, None) if case == CaseKind.PEC_PMC else _closed_dets(n, eff)
+        per.append(OrderDiagnostics(n, dim, *dets, [block_det(m, eff.alpha, kind)
+                                                    for m in range(2, n + 1)]))
+    bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
     return VanishReport(alpha=config.alpha, case=case, per_order=per,
                         order_lower_bound=bound,
                         theorem_bound=theorem_bound(config.alpha, case, n_max))

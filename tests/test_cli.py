@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +121,56 @@ class TestTable:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 1 and data[0]["theorem_bound"] == 2
+
+
+class TestDecimalAngles:
+    """A decimal --alpha is classified like the reduced fraction it spells."""
+
+    def _report(self, capsys, argv):
+        assert main(argv + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_quarter_is_one_fourth(self, capsys):
+        report = self._report(capsys, ["analyze", "--alpha", "0.25", "--case",
+                                       "imp-imp", "--eta1", "1", "--eta2", "1"])
+        assert report["alpha"]["rational"] == [1, 4]
+        assert report["theorem_bound"] == 3
+
+    def test_reflected_decimal_bounds_agree(self, capsys):
+        # 0.37 = 37/100 reflects to 37/50, which first hits the grid at n = 50
+        report = self._report(capsys, ["analyze", "--alpha", "0.37", "--case",
+                                       "imp-pec", "--eta2", "0.7+0.2i",
+                                       "--nmax", "52"])
+        assert report["order_lower_bound"] == report["theorem_bound"] == 49
+
+    def test_half_has_zero_guaranteed_bound(self, capsys):
+        code = main(["analyze", "--alpha", "0.5", "--case", "imp-imp",
+                     "--eta1", "1", "--eta2", "1", "--nmax", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "guaranteed bound (angle grid):         0\n" in out
+
+    def test_irrational_decimal_stays_irrational(self, capsys):
+        report = self._report(capsys, ["table", "--case", "imp-imp",
+                                       "--alphas", "0.6180339887"])
+        assert report[0]["alpha"]["rational"] is None
+        assert report[0]["theorem_bound"] == "infinite"
+
+
+class TestParser:
+    def test_built_once_and_not_at_import(self):
+        code = ("import edgewave.cli as cli; "
+                "print(cli.build_parser.cache_info().misses); "
+                "cli.main(['verify', '--suite', 'nonsuch']); "
+                "cli.main(['verify', '--suite', 'nonsuch']); "
+                "print(cli.build_parser.cache_info().misses)")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
 
 
 class TestEtaSpelling:

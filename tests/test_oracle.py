@@ -168,7 +168,7 @@ class TestBatchedCollocationRows:
         cfg = make_config("0.37", case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
                           k=1.2)
         if case in ("imp-pec", "imp-pmc"):
-            cfg = oracle._reflected_config(cfg, vanish.case_of_config(cfg))
+            cfg = vanish.effective_config(cfg)[1]
         thetas = rng.uniform(0.15, math.pi - 0.15, 6)
         radii = 2e-3 * 0.5 ** np.arange(5)
         rows = oracle._sample_rows_true(n, cfg, thetas, radii, (0, 1))

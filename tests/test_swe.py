@@ -173,6 +173,41 @@ class TestCurlCoefficients:
             assert twice.b(l, m) == pytest.approx(1.3 ** 2 * bv, rel=1e-15)
 
 
+def _loop_modes(coeffs):
+    """modes() one entry at a time: the reference for the masked iteration."""
+    for l in range(1, coeffs.lmax + 1):
+        for m in range(-l, l + 1):
+            av, bv = coeffs.a(l, m), coeffs.b(l, m)
+            if np.any(av) or np.any(bv):
+                yield l, m, av, bv
+
+
+class TestModes:
+    @staticmethod
+    def _assert_same(coeffs):
+        got, ref = list(coeffs.modes()), list(_loop_modes(coeffs))
+        assert [(l, m) for l, m, _, _ in got] == [(l, m) for l, m, _, _ in ref]
+        for (_, _, av, bv), (_, _, ra, rb) in zip(got, ref):
+            assert np.array_equal(av, ra) and np.array_equal(bv, rb)
+
+    def test_single_field(self, rng):
+        coeffs = ModeCoefficients(3, 1.2, a={(1, -1): 1 - 2j, (3, 2): 0.5},
+                                  b={(2, 0): 1j, (3, -3): 2.0})
+        assert [(l, m) for l, m, _, _ in coeffs.modes()] == [
+            (1, -1), (2, 0), (3, -3), (3, 2)]
+        self._assert_same(coeffs)
+        self._assert_same(random_coeffs(rng, lmax=4))
+
+    def test_fields_with_an_all_zero_field(self):
+        # field 1 is zero everywhere; (2, 1) is nonzero in field 2 only
+        coeffs = ModeCoefficients(
+            3, 1.2, a={(1, 0): np.array([1, 0, 2]), (2, 1): np.array([0, 0, 1j])},
+            b={(3, -2): np.zeros(3), (2, -2): np.array([3, 0, 0])})
+        assert [(l, m) for l, m, _, _ in coeffs.modes()] == [
+            (1, 0), (2, -2), (2, 1)]
+        self._assert_same(coeffs)
+
+
 class TestSerialization:
     def test_round_trip(self, rng):
         c = random_coeffs(rng, lmax=4)

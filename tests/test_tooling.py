@@ -81,3 +81,12 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
                                  1.0, 1.0, 1.0)
     vanish.vanishing_order(cfg, 7)
     assert calls == {"nullspace_dim": 7, "assemble_order_system": 7}
+
+
+def test_decimal_fractions_are_detected():
+    # the sweep spells each DECIMAL_FRACTIONS entry as repr(float(f)) and
+    # expects the CLI to label it f
+    from edgewave.angles import detect_rational, parse_angle
+    for f in _WORKLOADS.DECIMAL_FRACTIONS:
+        angle = detect_rational(parse_angle(repr(float(f))))
+        assert angle.rational == (f.numerator, f.denominator), f

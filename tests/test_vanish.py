@@ -231,6 +231,30 @@ class TestClosedDeterminants:
         assert abs(np.linalg.det(system.block_A) - ca) / abs(ca) < 1e-10
         assert abs(np.linalg.det(system.block_B) - cb) / abs(cb) < 1e-10
 
+    @pytest.mark.parametrize("case,alpha", [("imp-pec", "0.37"), ("imp-pec", "1.3"),
+                                            ("imp-pec", "1/5"), ("imp-pmc", "0.13"),
+                                            ("imp-pmc", "0.62")])
+    def test_mixed_pairings_match_numeric(self, case, alpha):
+        cfg = make_config(alpha, case=case, eta2=0.8 + 0.5j, k=1.2)
+        for n in range(1, 11):
+            system = assemble_order_system(n, cfg)
+            for closed, block in ((closed_det_A, system.block_A),
+                                  (closed_det_B, system.block_B)):
+                expect = closed(n, cfg)
+                assert abs(np.linalg.det(block) - expect) / abs(expect) < 1e-10
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_report_carries_the_public_closed_dets(self, case):
+        cfg = make_config("0.37", case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
+                          k=1.2)
+        for d in vanishing_order(cfg, 6).per_order:
+            if case == "pec-pmc":
+                assert d.det_A_closed is d.det_B_closed is None
+                assert assemble_order_system(d.n, cfg).block_A is None
+            else:
+                assert d.det_A_closed == closed_det_A(d.n, cfg)
+                assert d.det_B_closed == closed_det_B(d.n, cfg)
+
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_head_blocks_are_the_assembled_rows(self, n):
         # each head-block row, mapped back from (x^1 + x^-1, x^1 - x^-1,
@@ -420,6 +444,21 @@ class TestReflection:
             assert np.allclose(s_ref.rows, s_dir.rows, atol=1e-15)
             assert nullspace_dim(s_ref) == nullspace_dim(s_dir)
             assert s_ref.source_case == CaseKind.IMP_PEC
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
+    def test_effective_config_is_the_config(self, case):
+        cfg = make_config("2/7", case=case)
+        assert vanish.effective_config(cfg) == (CaseKind.parse(case), cfg)
+        assert vanish.effective_config(cfg)[1] is cfg
+
+    @pytest.mark.parametrize("case", [CaseKind.IMP_PEC, CaseKind.IMP_PMC])
+    @pytest.mark.parametrize("alpha", ["1/5", "1/2", "0.37"])
+    def test_effective_config_reflects(self, case, alpha):
+        cfg = make_config(alpha, case=case.value, eta2=1.3 + 0.2j, k=1.1)
+        got_case, eff = vanish.effective_config(cfg)
+        assert got_case == case
+        assert eff.alpha == vanish.reflected_angle(cfg.alpha, case)
+        assert eff.bc1 == eff.bc2 == cfg.bc2 and eff.k == cfg.k
 
     @pytest.mark.parametrize("alpha,expect", [
         ("1/5", (2, 5)),    # 2a
