@@ -18,8 +18,9 @@ from .specfun import RadialFunctions, assoc_legendre, legendre_dtheta, \
     sph_bessel_deriv
 from .swe import ModeCoefficients, SphericalPoint, eval_field, norm_constant, \
     sph_harmonic, unit_frame, vector_modes
-from .vanish import CaseKind, ConstraintSystem, RankAmbiguityError, VanishReport, \
-    assemble_order_system, block_det, closed_det_A, closed_det_B, config_for_case, \
-    nullspace_dim, theorem_bound, vanishing_order
+from .vanish import BoundInvariantError, CaseKind, ConstraintSystem, \
+    RankAmbiguityError, VanishReport, assemble_order_system, block_det, \
+    closed_det_A, closed_det_B, config_for_case, nullspace_dim, theorem_bound, \
+    vanishing_order
 
 __version__ = "0.1.0"

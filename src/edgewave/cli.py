@@ -8,7 +8,8 @@ Subcommands:
     table    --case C [--alphas A1 A2 ...] [--nmax N] [--json] ...
 
 Exit codes: 0 ok, 1 usage error, 2 numerical rank ambiguity,
-3 verification failure.  EDGEWAVE_SEED overrides the default seed.
+3 verification failure, 4 bound invariant violated (the assembled bound fell
+below min(grid bound, n_max)).  EDGEWAVE_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import re
 import sys
 
 from .angles import AngleError, detect_rational, parse_angle
-from .vanish import (INFINITE, MAX_ORDER, CaseKind, RankAmbiguityError,
-                     config_for_case, vanishing_order)
+from .vanish import (INFINITE, MAX_ORDER, BoundInvariantError, CaseKind,
+                     RankAmbiguityError, config_for_case, vanishing_order)
 from .verify import run_suite
 
 def parse_complex(text):
@@ -75,6 +76,9 @@ def cmd_analyze(args):
     except RankAmbiguityError as exc:
         print(f"rank ambiguity at order {exc.order}: {exc}", file=sys.stderr)
         return 2
+    except BoundInvariantError as exc:
+        print(f"bound invariant violated: {exc}", file=sys.stderr)
+        return 4
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -92,6 +96,10 @@ def cmd_table(args):
             print(f"rank ambiguity at order {exc.order} for alpha={text}: {exc}",
                   file=sys.stderr)
             return 2
+        except BoundInvariantError as exc:
+            print(f"bound invariant violated for alpha={text}: {exc}",
+                  file=sys.stderr)
+            return 4
         rows.append((text, report))
     if args.json:
         print(json.dumps([r.to_json_dict() for _, r in rows]))

@@ -20,8 +20,8 @@ import numpy as np
 from . import corner as _corner
 from .corner import (Face, face_normal, impedance_residual, tangential_projection,
                      trace_tangential_curl)
-from .swe import ModeCoefficients, eval_field, norm_constant
-from .specfun import legendre_table, radial_pq
+from .swe import ModeCoefficients, _spherical_components, norm_constant
+from .specfun import gauss_legendre, legendre_table, radial_pq
 from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
                      nullspace_dim)
 
@@ -54,22 +54,23 @@ class QuadratureSpec:
 
 def _field_magnitude(field, r, theta, phi):
     """|E| on a broadcastable grid; field is ModeCoefficients or a callable
-    mapping (r, theta, phi) arrays to an (..., 3) complex array."""
-    if isinstance(field, ModeCoefficients):
-        E = eval_field(field, (r, theta, phi))
-    else:
-        E = field(r, theta, phi)
-    return np.linalg.norm(E, axis=-1)
+    mapping (r, theta, phi) arrays to an (..., 3) complex array.  A table is
+    reduced in its own orthonormal spherical frame, without Cartesian
+    vectors."""
+    if not isinstance(field, ModeCoefficients):
+        return np.linalg.norm(field(r, theta, phi), axis=-1)
+    return np.sqrt(sum(c.real ** 2 + c.imag ** 2
+                       for c in _spherical_components(field, r, theta, phi)))
 
 
 def _ball_quadrature(field, rho, nr, nth, nphi):
     # Gauss-Legendre in r over [0, rho] and in x = cos(theta); periodic
     # trapezoid in phi.  Jacobian r^2 sin(theta) with the sin absorbed by the
     # x substitution.
-    xr, wr = np.polynomial.legendre.leggauss(nr)
+    xr, wr = gauss_legendre(nr)
     r = 0.5 * rho * (xr + 1.0)
     wr = 0.5 * rho * wr
-    xt, wt = np.polynomial.legendre.leggauss(nth)
+    xt, wt = gauss_legendre(nth)
     theta = np.arccos(np.clip(xt, -1, 1))
     phi = 2 * math.pi * np.arange(nphi) / nphi
     wphi = 2 * math.pi / nphi

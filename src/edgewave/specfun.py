@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -210,6 +211,16 @@ def pq_leading_coeff(l, k=1.0):
     return base, (l + 1) * base
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], tabulated once per size;
+    the cached arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def orthogonality_closed_form(n, m):
     """Closed form (n+m)!/(m (n-m)!) of the diagonal weighted inner product."""
     if not 1 <= m <= n:
@@ -229,7 +240,7 @@ def orthogonality_integral(n, m, l):
         raise ValueError("need 1 <= m, l <= n")
     vals = []
     for nodes in (2 * n + 16, 2 * n + 32):
-        u, w = np.polynomial.legendre.leggauss(nodes)
+        u, w = gauss_legendre(nodes)
         t = 0.5 * math.pi * (u + 1.0)
         P = legendre_table(n, np.cos(t))
         vals.append(0.5 * math.pi * float(np.sum(w * P[n, m] * P[n, l] / np.sin(t))))

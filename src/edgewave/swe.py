@@ -13,6 +13,13 @@ Evaluation goes through the equivalent componentwise expansion in the
 spherical frame with the radial factors p_l, q_l, which is finite at r = 0
 and theta = 0 (the m/sin(theta) factors are routed through the stable
 degree-lowering recursion).
+
+Every mode is a radial x polar factor times e^{i m phi}, so the expansion is
+summed per azimuthal order: for each m the modes l = |m|..L_max accumulate on
+the (r, theta, fields) shape, and e^{i m phi} multiplies that sum once per
+component.  Where phi adds no points to that shape (a scalar phi on a corner
+face, or one phi per sample) the factor is folded into each mode's polar
+factor instead, and the modes accumulate directly, in table order.
 """
 
 from __future__ import annotations
@@ -225,26 +232,38 @@ def _spherical_components(coeffs, r, theta, phi):
     """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays.
 
     The Bessel and Legendre tables are built once, on the shapes of r and of
-    theta; the mode loop only multiplies.
+    theta.  Each azimuthal order m sums its modes' radial x polar factors on
+    the shape without phi, then applies e^{i m phi} once per component; when
+    phi adds no points, e^{i m phi} is folded into each mode's polar factor
+    and the modes accumulate straight into the result.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape,
-                                coeffs._a.shape[2:])
-    er = np.zeros(shape, dtype=complex)
-    et = np.zeros(shape, dtype=complex)
-    ep = np.zeros(shape, dtype=complex)
+    base = np.broadcast_shapes(r.shape, theta.shape, coeffs._a.shape[2:])
+    shape = np.broadcast_shapes(base, phi.shape)
+    fold = shape == base
+    comps = [np.zeros(shape, dtype=complex) for _ in range(3)]
     jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
     P = legendre_table(coeffs.lmax + 1, np.cos(theta))
-    for l, m, av, bv in coeffs.modes():
-        L = math.sqrt(l * (l + 1))
-        p, q = _pq(jt, l)
-        y, yt, ys = _harmonics(P, l, m, phi)
-        er += -(1.0 / L) * bv * l * (l + 1) * p * y
-        et += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
-        ep += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
-    return er, et, ep
+    orders = {}   # m -> its modes; folding keeps one group, in table order
+    for mode in coeffs.modes():
+        orders.setdefault(None if fold else mode[1], []).append(mode)
+    for m, modes in orders.items():
+        er, et, ep = comps if fold else [np.zeros(base, dtype=complex)
+                                         for _ in range(3)]
+        for l, mode_m, av, bv in modes:
+            L = math.sqrt(l * (l + 1))
+            p, q = _pq(jt, l)
+            y, yt, ys = _harmonics(P, l, mode_m, phi if fold else 0.0)
+            er += -(1.0 / L) * bv * l * (l + 1) * p * y
+            et += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
+            ep += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
+        if not fold:
+            e = np.exp(1j * m * phi)
+            for total, part in zip(comps, (er, et, ep)):
+                total += part * e
+    return tuple(comps)
 
 
 def eval_field(coeffs, point):

@@ -83,6 +83,16 @@ class RankAmbiguityError(RuntimeError):
         self.values = tuple(values)
 
 
+class BoundInvariantError(RuntimeError):
+    """The assembled bound fell below min(grid bound, n_max): a nullspace
+    appeared at an order where the angle grid guarantees none."""
+
+    def __init__(self, message, assembled, guaranteed):
+        super().__init__(message)
+        self.assembled = assembled
+        self.guaranteed = guaranteed
+
+
 _SERIES, _PEC, _PMC = (ImpedanceKind.SERIES, ImpedanceKind.INFINITE,
                        ImpedanceKind.ZERO)
 
@@ -614,7 +624,9 @@ def vanishing_order(config, n_max, tol=1e-9):
     Each order is analyzed independently, exactly as the induction does (the
     hypothesis that all lower orders vanish is structural, so no cross-order
     rows appear).  order_lower_bound is the largest n0 with trivial nullspace
-    at every order n <= n0.
+    at every order n <= n0.  It must be at least min(grid bound, n_max);
+    a report that falls below it contradicts itself and raises
+    BoundInvariantError instead.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
@@ -627,6 +639,12 @@ def vanishing_order(config, n_max, tol=1e-9):
         per.append(OrderDiagnostics(n, dim, *dets, [block_det(m, eff.alpha, kind)
                                                     for m in range(2, n + 1)]))
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
+    grid = theorem_bound(config.alpha, case, n_max)
+    guaranteed = min(grid, n_max)
+    if bound < guaranteed:
+        raise BoundInvariantError(
+            f"assembled bound {bound} is below min(grid bound, n_max) = "
+            f"{guaranteed}: nullspace dimension {per[bound].nullspace_dim} at "
+            f"order {bound + 1}", bound, guaranteed)
     return VanishReport(alpha=config.alpha, case=case, per_order=per,
-                        order_lower_bound=bound,
-                        theorem_bound=theorem_bound(config.alpha, case, n_max))
+                        order_lower_bound=bound, theorem_bound=grid)

@@ -9,11 +9,13 @@ def make_config(alpha, case="imp-imp", eta1=1.0, eta2=1.0, k=1.0):
     return config_for_case(CaseKind.parse(case), a, eta1, eta2, k)
 
 
-def random_coeffs(rng, lmax=3, k=1.3):
-    a = {(l, m): complex(*rng.standard_normal(2))
-         for l in range(1, lmax + 1) for m in range(-l, l + 1)}
-    b = {(l, m): complex(*rng.standard_normal(2))
-         for l in range(1, lmax + 1) for m in range(-l, l + 1)}
+def random_coeffs(rng, lmax=3, k=1.3, fields=()):
+    """Every mode up to lmax drawn at random; `fields` gives the table a
+    trailing field axis of that shape."""
+    def draw():
+        return rng.standard_normal(fields) + 1j * rng.standard_normal(fields)
+    a = {(l, m): draw() for l in range(1, lmax + 1) for m in range(-l, l + 1)}
+    b = {(l, m): draw() for l in range(1, lmax + 1) for m in range(-l, l + 1)}
     return ModeCoefficients(lmax, k, a=a, b=b)
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import make_config
+from edgewave import cli
 from edgewave.cli import main, parse_complex
 from edgewave.vanish import closed_det_A
 
@@ -212,6 +213,22 @@ class TestExitCodes:
                      "--tol", "0.3"])
         assert code == 2
         assert "rank ambiguity at order 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,message", [
+        (["analyze", "--alpha", "0.37", "--case", "imp-pec"],
+         "bound invariant violated: assembled bound 49"),
+        (["table", "--case", "imp-pec", "--alphas", "1/3", "0.37"],
+         "bound invariant violated for alpha=0.37: assembled bound 49"),
+    ])
+    def test_bound_invariant_exits_four(self, capsys, monkeypatch, command,
+                                        message):
+        # without its fraction, 0.37 claims no grid hit up to n = 52
+        monkeypatch.setattr(cli, "detect_rational", lambda angle: angle)
+        code = main(command + ["--eta2", "0.7+0.2i", "--nmax", "52"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(message)
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--alpha", "0.6180339887", "--case", "imp-imp",

@@ -158,6 +158,15 @@ class TestTables:
         with pytest.raises(ValueError):
             sf.legendre_table(3, [0.2, 1.5])
 
+    def test_gauss_legendre_cached_and_read_only(self):
+        x, w = sf.gauss_legendre(24)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert sf.gauss_legendre(24)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestRadialPQ:
     def test_limits_degree_one(self):

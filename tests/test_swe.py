@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_coeffs
-from edgewave import swe
-from edgewave.specfun import radial_pq
+from edgewave import oracle, swe
+from edgewave.specfun import _pq, bessel_table, legendre_table, radial_pq
 from edgewave.swe import ModeCoefficients, SphericalPoint
 
 
@@ -153,6 +153,103 @@ class TestEvalField:
             ref = swe.eval_field(single, (r[:, None], theta[None, :], 0.3))
             np.testing.assert_allclose(E[:, :, f], ref, rtol=0,
                                        atol=1e-15 * np.max(np.abs(ref)))
+
+
+def _per_mode_components(coeffs, r, theta, phi):
+    """(E_r, E_theta, E_phi) one (l, m) at a time on the full point shape:
+    the reference for the per-azimuthal-order evaluation."""
+    r, theta, phi = (np.asarray(v, dtype=float) for v in (r, theta, phi))
+    shape = np.broadcast_shapes(r.shape, theta.shape, phi.shape,
+                                np.shape(coeffs.a(1, 0)))
+    comps = [np.zeros(shape, dtype=complex) for _ in range(3)]
+    jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
+    P = legendre_table(coeffs.lmax + 1, np.cos(theta))
+    for l, m, av, bv in coeffs.modes():
+        L = math.sqrt(l * (l + 1))
+        p, q = _pq(jt, l)
+        y, yt, ys = swe._harmonics(P, l, m, phi)
+        comps[0] += -(1.0 / L) * bv * l * (l + 1) * p * y
+        comps[1] += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
+        comps[2] += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
+    return comps
+
+
+class TestPerOrderEvaluation:
+    """The expansion summed per azimuthal order against the per-mode loop."""
+
+    R = np.array([0.0, 1e-4, 0.05, 0.4])
+    THETA = np.array([0.0, 0.3, 1.6, math.pi])
+    PHI = np.linspace(0, 2 * math.pi, 7, endpoint=False)
+
+    def _assert_matches(self, coeffs, point, folded=False):
+        got = swe._spherical_components(coeffs, *point)
+        ref = _per_mode_components(coeffs, *point)
+        if folded:
+            # phi adds no points: the per-mode loop itself, bit for bit
+            for g, c in zip(got, ref):
+                np.testing.assert_array_equal(g, c)
+        E = swe.eval_field(coeffs, point)
+        frame = swe.unit_frame(point[1], point[2])
+        E_ref = sum(c[..., None] * u for c, u in zip(ref, frame))
+        scale = max(np.max(np.abs(E_ref)), 1e-300)
+        for g, c in zip(got, ref):
+            assert g.shape == c.shape
+            assert np.max(np.abs(g - c)) <= 1e-13 * scale
+        assert E.shape == E_ref.shape
+        assert np.max(np.abs(E - E_ref)) <= 1e-13 * scale
+        mag = oracle._field_magnitude(coeffs, *point)
+        np.testing.assert_allclose(mag, np.linalg.norm(E, axis=-1), rtol=0,
+                                   atol=1e-13 * scale)
+
+    def test_tensor_grid(self, rng):
+        self._assert_matches(random_coeffs(rng, 5), (
+            self.R[:, None, None], self.THETA[None, :, None],
+            self.PHI[None, None, :]))
+
+    def test_tensor_grid_with_field_axis(self, rng):
+        self._assert_matches(random_coeffs(rng, 3, fields=(4,)), (
+            self.R[:, None, None, None], self.THETA[None, :, None, None],
+            self.PHI[None, None, :, None]))
+
+    def test_scalar_phi_with_field_axis(self, rng):
+        # the shape the collocation oracle samples: (nr,1,1) x (1,ntheta,1) x F
+        self._assert_matches(random_coeffs(rng, 4, fields=(6,)), (
+            self.R[:, None, None], self.THETA[None, :, None], 0.9), folded=True)
+
+    def test_pointwise_arrays(self, rng):
+        # one (r, theta, phi) per sample, as in ball_integral_mc
+        n = 50
+        self._assert_matches(random_coeffs(rng, 4), (
+            rng.uniform(0, 0.5, n), rng.uniform(0, math.pi, n),
+            rng.uniform(0, 2 * math.pi, n)), folded=True)
+
+    def test_single_point(self, rng):
+        coeffs, pt = random_coeffs(rng, 4), SphericalPoint(0.3, 1.1, 4.0)
+        self._assert_matches(coeffs, (pt.r, pt.theta, pt.phi), folded=True)
+        np.testing.assert_array_equal(
+            swe.eval_field(coeffs, pt),
+            swe.eval_field(coeffs, (pt.r, pt.theta, pt.phi)))
+
+    def test_origin(self, rng):
+        # only l = 1 contributes at r = 0
+        self._assert_matches(random_coeffs(rng, 3), (
+            0.0, self.THETA[:, None], self.PHI[None, :]))
+
+    def test_all_zero_table(self):
+        coeffs = ModeCoefficients(3, 1.0)
+        point = (self.R[:, None, None], self.THETA[None, :, None],
+                 self.PHI[None, None, :])
+        for comp in swe._spherical_components(coeffs, *point):
+            assert comp.shape == (4, 4, 7) and not np.any(comp)
+        self._assert_matches(coeffs, point)
+
+    def test_few_orders(self, rng):
+        # a table whose modes share one m across several l, and skip others
+        coeffs = ModeCoefficients(4, 0.8, a={(2, 1): 1 - 1j, (4, 1): 0.5},
+                                  b={(3, 1): 2j, (4, -4): 1.0})
+        self._assert_matches(coeffs, (
+            self.R[:, None, None], self.THETA[None, :, None],
+            self.PHI[None, None, :]))
 
 
 class TestCurlCoefficients:

@@ -90,3 +90,21 @@ def test_decimal_fractions_are_detected():
     for f in _WORKLOADS.DECIMAL_FRACTIONS:
         angle = detect_rational(parse_angle(repr(float(f))))
         assert angle.rational == (f.numerator, f.denominator), f
+
+
+def test_ball_integrals_build_no_cartesian_vectors(monkeypatch):
+    # |E| over the ball is reduced in the spherical frame; the Cartesian frame
+    # is not needed anywhere on that path
+    from edgewave import ModeCoefficients, oracle, swe
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unit_frame called on the ball-integral path")
+    original = swe.unit_frame
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] == "edgewave":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    coeffs = ModeCoefficients(4, 1.1, a={(3, 1): 1.0, (4, -2): 0.5j},
+                              b={(3, -3): 0.7, (4, 0): 1.0})
+    assert oracle.vani_estimate(coeffs).estimated_order == 2

@@ -366,6 +366,18 @@ class TestVanishingOrder:
                 if report.theorem_bound != INFINITE:
                     assert report.order_lower_bound >= min(report.theorem_bound, 6)
 
+    def test_bound_below_grid_bound_raises(self):
+        # an untagged 0.37 claims no grid hit, yet the reflected 37/50
+        # degenerates at n = 50: the report would contradict itself
+        cfg = vanish.config_for_case(CaseKind.IMP_PEC, angles.parse_angle("0.37"),
+                                     None, 0.7 + 0.2j, 1.0)
+        with pytest.raises(vanish.BoundInvariantError,
+                           match="assembled bound 49 is below") as info:
+            vanishing_order(cfg, 52)
+        assert (info.value.assembled, info.value.guaranteed) == (49, 52)
+        report = vanishing_order(cfg, 49)
+        assert report.at_nmax and report.theorem_bound == INFINITE
+
     def test_strict_excess_flagged(self):
         # pec-pmc at 1/3 never degenerates (cos(m pi / 3) never vanishes) but
         # the grid bound is finite: the excess must be flagged
