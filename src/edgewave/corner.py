@@ -20,7 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from .angles import Angle, sincos_pi
-from .swe import _spherical_components, eval_field, unit_frame
+from .swe import _cartesian, _spherical_components, unit_frame
 
 
 class ImpedanceKind(IntEnum):
@@ -104,37 +104,45 @@ def e_vectors(theta, phi):
     return thetahat, -rhat
 
 
-def _face_trace(coeffs, config, face, r, theta):
-    """nu_j ^ F on face j for the expansion F with these coefficients.
-
-    Built in the spherical frame as sgn (-F_r e1 - F_theta e2), so a field
-    with no tangential part gives an exact zero; sgn = +1 on face 1 and -1 on
-    face 2 because nu_1 = -phihat while nu_2 = +phihat.
-    """
+def _expansion(coeffs, config, face, r, theta):
+    """Spherical components of the expansion on face j, and the frame there."""
     phi = face_phi(config, face)
-    fr, ft, _ = _spherical_components(coeffs, r, theta, phi)
-    e1, e2 = e_vectors(theta, phi)
+    return _spherical_components(coeffs, r, theta, phi), unit_frame(theta, phi)
+
+
+def _cross(comps, frame, face):
+    """nu_j ^ F on face j from F's spherical components.
+
+    Built as sgn (-F_r e1 - F_theta e2) with e1 = thetahat, e2 = -rhat, so a
+    field with no tangential part gives an exact zero; sgn = +1 on face 1
+    and -1 on face 2 because nu_1 = -phihat while nu_2 = +phihat.
+    """
+    fr, ft, _ = comps
+    rhat, thetahat, _ = frame
     sgn = 1.0 if face == Face.ONE else -1.0
-    return sgn * (-(fr[..., None] * e1) - (ft[..., None] * e2))
+    return sgn * (-(fr[..., None] * thetahat) - (ft[..., None] * -rhat))
+
+
+def _project(comps, frame, config, face):
+    """(nu ^ F) ^ nu = F - (nu . F) nu, Cartesian, with the exact face normal."""
+    F = _cartesian(comps, frame)
+    nu = face_normal(config, face)
+    return F - np.tensordot(F, nu, axes=([-1], [0]))[..., None] * nu
 
 
 def trace_tangential_E(coeffs, config, face, r, theta):
     """nu_j ^ E on face j, Cartesian, via the closed-form face series."""
-    return _face_trace(coeffs, config, face, r, theta)
+    return _cross(*_expansion(coeffs, config, face, r, theta), face)
 
 
 def trace_tangential_curl(coeffs, config, face, r, theta):
     """nu_j ^ (curl E) on face j, Cartesian, via the face series."""
-    return _face_trace(coeffs.curl(), config, face, r, theta)
+    return _cross(*_expansion(coeffs.curl(), config, face, r, theta), face)
 
 
 def tangential_projection(coeffs, config, face, r, theta):
     """(nu ^ E) ^ nu = E - (nu . E) nu on the face, Cartesian."""
-    phi = face_phi(config, face)
-    E = eval_field(coeffs, (np.asarray(r, dtype=float),
-                            np.asarray(theta, dtype=float), phi))
-    nu = face_normal(config, face)
-    return E - np.tensordot(E, nu, axes=([-1], [0]))[..., None] * nu
+    return _project(*_expansion(coeffs, config, face, r, theta), config, face)
 
 
 def impedance_residual(coeffs, config, face, spec, r, theta):
@@ -143,14 +151,24 @@ def impedance_residual(coeffs, config, face, spec, r, theta):
     series:   nu ^ (curl E) + eta(r, theta) (nu ^ E) ^ nu
     zero:     nu ^ (curl E)
     infinite: (nu ^ E) ^ nu
+
+    On a series face E and curl E come from one evaluation of the table
+    coeffs.with_curl(), which shares the Bessel and Legendre tabulation.
     """
     if spec.kind == ImpedanceKind.INFINITE:
         return tangential_projection(coeffs, config, face, r, theta)
-    curl_trace = trace_tangential_curl(coeffs, config, face, r, theta)
     if spec.kind == ImpedanceKind.ZERO:
-        return curl_trace
-    tang = tangential_projection(coeffs, config, face, r, theta)
-    eta = spec.eta(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        return trace_tangential_curl(coeffs, config, face, r, theta)
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    phi = face_phi(config, face)
+    # the extra field axis comes last, so r and theta gain one to line up
+    comps = _spherical_components(coeffs.with_curl(), r[..., None],
+                                  theta[..., None], phi)
+    frame = unit_frame(theta, phi)
+    curl_trace = _cross([c[..., 1] for c in comps], frame, face)
+    tang = _project([c[..., 0] for c in comps], frame, config, face)
+    eta = spec.eta(r, theta)
     return curl_trace + np.asarray(eta)[..., None] * tang
 
 

@@ -179,6 +179,13 @@ class ModeCoefficients:
         ik = 1j * self.k
         return self._with_tables(ik * self._b, -ik * self._a)
 
+    def with_curl(self):
+        """This table and its curl side by side on one more trailing field
+        axis: field [..., 0] is E and [..., 1] is curl E."""
+        curl = self.curl()
+        return self._with_tables(np.stack([self._a, curl._a], axis=-1),
+                                 np.stack([self._b, curl._b], axis=-1))
+
     def __add__(self, other):
         if self.lmax != other.lmax or self.k != other.k:
             raise ValueError("mismatched tables")
@@ -281,7 +288,12 @@ def eval_field(coeffs, point):
     else:
         sp = SphericalPoint.from_cartesian(point)
         r, theta, phi = sp.r, sp.theta, sp.phi
-    er, et, ep = _spherical_components(coeffs, r, theta, phi)
-    rhat, thetahat, phihat = unit_frame(theta, phi)
-    out = (er[..., None] * rhat + et[..., None] * thetahat + ep[..., None] * phihat)
-    return out
+    return _cartesian(_spherical_components(coeffs, r, theta, phi),
+                      unit_frame(theta, phi))
+
+
+def _cartesian(comps, frame):
+    """The vector with spherical components comps in frame (rhat, thetahat,
+    phihat), as an (..., 3) array."""
+    (er, et, ep), (rhat, thetahat, phihat) = comps, frame
+    return er[..., None] * rhat + et[..., None] * thetahat + ep[..., None] * phihat

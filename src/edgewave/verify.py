@@ -85,6 +85,14 @@ def check_legendre_at_one():
 
 
 def check_bessel_recurrences():
+    """Recurrence identities, and anchors that hold independently of them.
+
+    bessel_table is built from these recurrences, so they hold almost by
+    construction.  The anchors do not: the closed forms of j_0, j_1, j_2
+    (measured against their largest term, since they cancel near t = 0) and
+    the sum rule sum_l (2l+1) j_l(t)^2 = 1 on a table reaching l = 60, far
+    above every t here.
+    """
     worst = 0.0
     for l in range(1, 13):
         for t in (0.1, 1.0, 5.0, 10.0):
@@ -95,6 +103,15 @@ def check_bessel_recurrences():
                      - (l * jm - (l + 1) * jp) / (2 * l + 1))
             scale = max(abs(j), abs(jm), 1e-30)
             worst = max(worst, r1 / scale, r2 / scale)
+    for t in (0.1, 1.0, 5.0, 10.0):
+        s, c = math.sin(t), math.cos(t)
+        closed = ((s / t,), (s / t ** 2, -c / t),
+                  (3 * s / t ** 3, -s / t, -3 * c / t ** 2))
+        j = specfun.bessel_table(60, t)
+        for l, terms in enumerate(closed):
+            worst = max(worst, abs(math.fsum(terms) - j[l])
+                        / max(abs(x) for x in terms))
+        worst = max(worst, abs(float(np.sum((2 * np.arange(61) + 1) * j * j)) - 1))
     assert worst < 1e-12, f"worst rel error {worst:.2e}"
     return f"worst rel error {worst:.2e}"
 

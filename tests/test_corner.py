@@ -181,6 +181,46 @@ class TestResidual:
                 * corner.tangential_projection(coeffs, cfg, Face.ONE, r, th))
         assert np.max(np.abs(res - comp)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", ["0.37", "1/2", "3/2"])
+    @pytest.mark.parametrize("fields", [(), (6,)])
+    def test_series_face_evaluates_once_bit_for_bit(self, rng, monkeypatch,
+                                                    alpha, fields):
+        # E and curl E share one expansion, and give exactly the separate
+        # traces on the collocation shapes, with and without a field axis
+        cfg = make_config(alpha, eta1=0.8 - 0.4j, k=1.3)
+        coeffs = random_coeffs(rng, k=cfg.k, fields=fields)
+        r = np.array([1e-3, 5e-4, 2.5e-4])[:, None, None]
+        th = np.linspace(0.1, 3.0, 7)[None, :, None]
+        if not fields:
+            r, th = r[..., 0], th[..., 0]
+        for face in (Face.ONE, Face.TWO):
+            eta = cfg.bc1.eta0 if face == Face.ONE else 1.1 + 0.2j
+            spec = ImpedanceSpec.series(eta)
+            comp = (corner.trace_tangential_curl(coeffs, cfg, face, r, th)
+                    + eta * corner.tangential_projection(coeffs, cfg, face, r, th))
+            calls = []
+            inner = corner._spherical_components
+
+            def counted(*args, **kwargs):
+                calls.append(args[0])
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(corner, "_spherical_components", counted)
+            res = corner.impedance_residual(coeffs, cfg, face, spec, r, th)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert res.shape == comp.shape
+            assert np.array_equal(res, comp)
+
+    def test_with_curl_stacks_the_curl_last(self, rng):
+        coeffs = random_coeffs(rng, fields=(2,))
+        both, curl = coeffs.with_curl(), coeffs.curl()
+        for l in range(1, coeffs.lmax + 1):
+            for m in range(-l, l + 1):
+                assert np.array_equal(both.a(l, m), np.stack([coeffs.a(l, m),
+                                                              curl.a(l, m)], -1))
+                assert np.array_equal(both.b(l, m), np.stack([coeffs.b(l, m),
+                                                              curl.b(l, m)], -1))
+
     def test_theta_dependent_eta(self, rng):
         spec = ImpedanceSpec.series(1.0, higher=(np.cos,))
         cfg = make_config("0.37")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewave import specfun as sf
+from edgewave.vanish import MAX_ORDER
 
 
 class TestAssocLegendre:
@@ -166,6 +167,77 @@ class TestTables:
         for arr in (x, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+# every order the package can ask for: l <= n + 1 with n <= MAX_ORDER
+LMAX = MAX_ORDER + 1
+_ROWS = np.arange(LMAX + 1)[:, None]
+# t, and the rows (l, t) each branch of bessel_table computes
+BRANCHES = {
+    "tiny": (np.concatenate([[0.0], np.geomspace(1e-9, 9.99e-4, 25)]),
+             lambda t: np.ones((LMAX + 1, t.size), dtype=bool)),
+    "series": (np.concatenate([np.linspace(1e-3, 0.99, 25),
+                               [np.nextafter(1.0, 0.0)]]),
+               lambda t: np.ones((LMAX + 1, t.size), dtype=bool)),
+    "miller": (np.concatenate([[1.0, 1.5, 2.0, 7.3, 15.5, 16.0, 33.2],
+                               np.linspace(40.0, 86.0, 12)]),
+               lambda t: _ROWS >= t),
+    "upward": (np.concatenate([[1.0, 2.5, 9.0, 25.0, 70.7],
+                               np.linspace(86.0, 100.0, 8)]),
+               lambda t: _ROWS < t),
+}
+
+
+def _scipy_rows(t):
+    from scipy.special import spherical_jn
+    return spherical_jn(np.arange(LMAX + 2)[:, None], t)
+
+
+class TestBesselBranches:
+    """bessel_table against scipy, order by order, on every branch."""
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_scipy(self, branch, sign):
+        t, rows = BRANCHES[branch]
+        t = sign * t
+        table = sf.bessel_table(LMAX, t)
+        ref = _scipy_rows(t)
+        # j_l and j_(l+1) share no zero, so their hypot is the row's local
+        # scale: |j_l| where it decays, its envelope where it oscillates
+        scale = np.hypot(ref[:-1], ref[1:])
+        err = np.abs(table - ref[:-1])
+        mask = rows(np.abs(t))
+        assert mask.any()
+        assert np.all(err[mask] <= 1e-12 * scale[mask] + 1e-300), \
+            np.max(err[mask] / np.maximum(scale[mask], 1e-300))
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_rows_do_not_depend_on_lmax(self, branch):
+        t = BRANCHES[branch][0]
+        full = sf.bessel_table(LMAX + 14, t)
+        for lmax in (0, 1, 2, 5, 15, 16, 17, 31, 32, 47, LMAX):
+            assert np.array_equal(sf.bessel_table(lmax, t), full[:lmax + 1])
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_parity_is_exact(self, branch):
+        t = BRANCHES[branch][0]
+        sign = (-1.0) ** np.arange(LMAX + 1)[:, None]
+        assert np.array_equal(sf.bessel_table(LMAX, -t),
+                              sign * sf.bessel_table(LMAX, t))
+
+    def test_points_do_not_depend_on_each_other(self):
+        t = np.array([[0.0, 5e-4, 0.7], [1.0, -3.2, 60.0]])
+        table = sf.bessel_table(40, t)
+        assert table.shape == (41, 2, 3)
+        for index in np.ndindex(t.shape):
+            assert np.array_equal(table[(slice(None),) + index],
+                                  sf.bessel_table(40, t[index]))
+
+    def test_rejects_non_finite_argument(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                sf.bessel_table(3, [0.5, bad])
 
 
 class TestRadialPQ:

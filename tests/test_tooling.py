@@ -34,17 +34,30 @@ def test_traced_function_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"edgewave.{module}"), attr))
 
 
-def test_import_does_not_load_scipy_integrate():
+def _loaded_after(code, prefix):
+    """Modules starting with prefix loaded once code ran in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, edgewave; print(sorted(m for m in sys.modules"
-         " if m.startswith('scipy.integrate')))"],
+         f"{code}\nimport sys; print(sorted(m for m in sys.modules"
+         f" if m.startswith({prefix!r})))"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy_integrate():
+    assert _loaded_after("import edgewave", "scipy.integrate") == "[]"
+
+
+def test_runtime_loads_no_scipy():
+    # the package runs on numpy alone; scipy is a test dependency only
+    code = ("import edgewave, edgewave.cli, edgewave.verify\n"
+            "results = edgewave.verify.run_suite('specfun')\n"
+            "assert results and all(r[2] for r in results), results")
+    assert _loaded_after(code, "scipy") == "[]"
 
 
 @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
