@@ -12,7 +12,7 @@ the oracle stays independent of the series coefficients used elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,8 @@ import numpy as np
 from . import corner as _corner
 from .corner import (Face, face_normal, impedance_residual, tangential_projection,
                      trace_tangential_curl)
-from .swe import ModeCoefficients, _spherical_components, norm_constant
+from .swe import (ModeCoefficients, _azimuthal_parts, _spherical_components,
+                  _sum_orders, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
 from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
                      nullspace_dim)
@@ -52,6 +53,17 @@ class QuadratureSpec:
             raise ValueError("mc_samples must be >= 8")
 
 
+def _magnitude(comps):
+    """sqrt(sum |c|^2) over complex components, reduced one at a time into
+    one real array."""
+    total = 0.0
+    for c in comps:
+        total += np.square(c.real)
+        total += np.square(c.imag)
+        del c   # freed before the next component is made
+    return np.sqrt(total)
+
+
 def _field_magnitude(field, r, theta, phi):
     """|E| on a broadcastable grid; field is ModeCoefficients or a callable
     mapping (r, theta, phi) arrays to an (..., 3) complex array.  A table is
@@ -59,25 +71,44 @@ def _field_magnitude(field, r, theta, phi):
     vectors."""
     if not isinstance(field, ModeCoefficients):
         return np.linalg.norm(field(r, theta, phi), axis=-1)
-    return np.sqrt(sum(c.real ** 2 + c.imag ** 2
-                       for c in _spherical_components(field, r, theta, phi)))
+    return _magnitude(_spherical_components(field, r, theta, phi))
 
 
-def _ball_quadrature(field, rho, nr, nth, nphi):
-    # Gauss-Legendre in r over [0, rho] and in x = cos(theta); periodic
-    # trapezoid in phi.  Jacobian r^2 sin(theta) with the sin absorbed by the
-    # x substitution.
-    xr, wr = gauss_legendre(nr)
-    r = 0.5 * rho * (xr + 1.0)
-    wr = 0.5 * rho * wr
+def _ball_magnitudes(field, r, theta, phi):
+    """|E| on the grid (r[b], theta, phi) of each ball b in turn, r of shape
+    (balls, radial nodes).  A table's modes are tabulated once, on the radial
+    nodes of every ball; each ball then sums the orders of its own slice."""
+    if not isinstance(field, ModeCoefficients):
+        for rb in r:
+            yield _field_magnitude(field, rb[:, None, None], theta, phi)
+        return
+    orders, parts = _azimuthal_parts(field, r[:, :, None, None], theta)
+    for b in range(len(r)):
+        yield _magnitude(_sum_orders(part[:, b], orders, phi) for part in parts)
+
+
+def _ball_quadrature(field, radii, quad):
+    """Quadrature of |E| over the ball B_rho for each rho in radii.
+
+    Gauss-Legendre in r over [0, rho] and in x = cos(theta); periodic
+    trapezoid in phi.  Jacobian r^2 sin(theta) with the sin absorbed by the
+    x substitution.
+    """
+    nth, nphi = quad.angular_nodes, 2 * quad.angular_nodes
+    xr, wr = gauss_legendre(quad.radial_nodes)
+    half = 0.5 * np.asarray(radii, dtype=float)[:, None]
+    r = half * (xr + 1.0)
+    wr = half * wr
     xt, wt = gauss_legendre(nth)
     theta = np.arccos(np.clip(xt, -1, 1))
     phi = 2 * math.pi * np.arange(nphi) / nphi
     wphi = 2 * math.pi / nphi
-    mag = _field_magnitude(field, r[:, None, None], theta[None, :, None],
-                           phi[None, None, :])
-    inner = (mag * wt[None, :, None]).sum(axis=1).sum(axis=1) * wphi
-    return float(np.sum(wr * r * r * inner))
+    vals = []
+    for rb, wb, mag in zip(r, wr, _ball_magnitudes(
+            field, r, theta[None, :, None], phi[None, None, :])):
+        inner = (mag * wt[None, :, None]).sum(axis=1).sum(axis=1) * wphi
+        vals.append(np.sum(wb * rb * rb * inner))
+    return np.array(vals)
 
 
 def ball_integral(field, rho, quad=None, check_convergence=True):
@@ -90,11 +121,11 @@ def ball_integral(field, rho, quad=None, check_convergence=True):
     if rho <= 0:
         raise ValueError("radius must be positive")
     quad = quad or QuadratureSpec()
-    nphi = 2 * quad.angular_nodes
-    val = _ball_quadrature(field, rho, quad.radial_nodes, quad.angular_nodes, nphi)
+    val = float(_ball_quadrature(field, (rho,), quad)[0])
     if check_convergence:
-        ref = _ball_quadrature(field, rho, quad.radial_nodes + 8,
-                               quad.angular_nodes + 8, nphi + 16)
+        finer = replace(quad, radial_nodes=quad.radial_nodes + 8,
+                        angular_nodes=quad.angular_nodes + 8)
+        ref = float(_ball_quadrature(field, (rho,), finer)[0])
         scale = max(abs(val), abs(ref))
         if scale > 0 and abs(val - ref) > 1e-5 * scale:
             raise QuadratureConvergenceError(
@@ -134,13 +165,19 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
     """Least-squares slope of log I(rho) vs log rho; order = slope - 3.
 
     The integral of |E| over B_rho scales like rho^(N+3) when the field
-    vanishes to order N, so the fitted slope estimates N + 3.
+    vanishes to order N, so the fitted slope estimates N + 3.  The modes are
+    tabulated once, on the quadrature nodes of all the radii together.
     """
     radii = tuple(sorted(radii, reverse=True))
     if len(radii) < 4 or radii[0] / radii[-1] < 99:
         raise ValueError("need >= 4 radii spanning at least two decades")
-    vals = [ball_integral(coeffs, rho, quad=quad, check_convergence=False)
-            for rho in radii]
+    vals = tuple(map(float, _ball_quadrature(coeffs, radii,
+                                             quad or QuadratureSpec())))
+    for rho, val in zip(radii, vals):
+        if not (math.isfinite(val) and val > 0):
+            raise FitQualityError(
+                f"ball integral at rho={rho} is {val!r}: the field is zero or "
+                "underflows there, so its decay cannot be fitted")
     x = np.log(np.asarray(radii))
     y = np.log(np.asarray(vals))
     slope, intercept = np.polyfit(x, y, 1)
@@ -148,9 +185,9 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < 0.999:
+    if not r2 >= 0.999:
         raise FitQualityError(f"log-log fit R^2 = {r2:.6f} < 0.999")
-    return VaniEstimate(radii=radii, integrals=tuple(vals), slope=float(slope),
+    return VaniEstimate(radii=radii, integrals=vals, slope=float(slope),
                         estimated_order=int(round(slope - 3.0)), r_squared=r2)
 
 

@@ -16,10 +16,11 @@ degree-lowering recursion).
 
 Every mode is a radial x polar factor times e^{i m phi}, so the expansion is
 summed per azimuthal order: for each m the modes l = |m|..L_max accumulate on
-the (r, theta, fields) shape, and e^{i m phi} multiplies that sum once per
-component.  Where phi adds no points to that shape (a scalar phi on a corner
-face, or one phi per sample) the factor is folded into each mode's polar
-factor instead, and the modes accumulate directly, in table order.
+the (r, theta, fields) shape, and one contraction of those per-m parts
+against the (m, phi) table of e^{i m phi} sums the orders of each component
+on the full grid.  Where phi adds no points to that shape (a scalar phi on a
+corner face, or one phi per sample) the factor is folded into each mode's
+polar factor instead, and the modes accumulate directly, in table order.
 """
 
 from __future__ import annotations
@@ -76,14 +77,20 @@ def norm_constant(l, m):
     return math.sqrt((2 * l + 1) / (4 * math.pi) * factorial(l - m) / factorial(l + m))
 
 
+def _polar(P, l, m):
+    """(Y_l^m, dY_l^m/dtheta, (m/sin theta) Y_l^m) without e^{i m phi}, from
+    a legendre_table P of cos theta of degree > l."""
+    c, mu = norm_constant(l, m), abs(m)
+    y = c * P[l, mu]
+    ys = math.copysign(c, m) * _over_sin(P, l, mu) if m else np.zeros_like(y)
+    return y, c * _dtheta(P, l, mu), ys
+
+
 def _harmonics(P, l, m, phi):
     """(Y_l^m, dY_l^m/dtheta, (m/sin theta) Y_l^m) from a legendre_table P
     of cos theta of degree > l."""
-    c, mu = norm_constant(l, m), abs(m)
     e = np.exp(1j * m * np.asarray(phi, dtype=float))
-    y = c * P[l, mu] * e
-    ys = math.copysign(c, m) * _over_sin(P, l, mu) * e if m else np.zeros_like(y)
-    return y, c * _dtheta(P, l, mu) * e, ys
+    return tuple(f * e for f in _polar(P, l, m))
 
 
 def sph_harmonic(l, m, theta, phi):
@@ -235,41 +242,86 @@ class ModeCoefficients:
                 and np.array_equal(self._b, other._b))
 
 
+def _azimuthal_parts(coeffs, r, theta):
+    """The expansion split by azimuthal order, before e^{i m phi}.
+
+    Returns (orders, parts): the populated orders m, ascending, and parts of
+    shape (3, len(orders)) + the broadcast shape of r, theta and the field
+    axes, where parts[c, i] is component c (E_r, E_theta, E_phi) of the
+    modes of order orders[i], summed over l.  The Bessel and Legendre tables
+    are built once, on the shapes of r and of theta.  Each component is a
+    sum over degrees of radial factors (p_l, j_l or q_l) times coefficient x
+    polar factors: one contraction per component.
+    """
+    lmax, fields = coeffs.lmax, coeffs._a.shape[2:]
+    base = np.broadcast_shapes(np.shape(r), np.shape(theta), fields)
+
+    def aligned(shape):
+        return (1,) * (len(base) - len(shape)) + shape
+
+    r = np.asarray(r, dtype=float).reshape(aligned(np.shape(r)))
+    theta = np.asarray(theta, dtype=float).reshape(aligned(np.shape(theta)))
+    jt = bessel_table(lmax + 1, coeffs.k * r)
+    P = legendre_table(lmax + 1, np.cos(theta))
+    modes = [(l, m) for l, m, _, _ in coeffs.modes()]
+    orders = np.array(sorted({m for _, m in modes}), dtype=int)
+    row = {m: i for i, m in enumerate(orders.tolist())}
+    # radial factors by degree l - 1; polar factors and coefficients by
+    # (order row, degree l - 1), zero where no mode is populated
+    p, q = (np.array(f) for f in zip(*(_pq(jt, l) for l in range(1, lmax + 1))))
+    j = jt[1:lmax + 1]
+    pol = np.zeros((3, orders.size, lmax) + theta.shape)
+    for l, m in modes:
+        pol[:, row[m], l - 1] = _polar(P, l, m)
+    y, yt, ys = pol
+    deg = np.arange(1, lmax + 1)
+    a, b = (t[deg, orders[:, None]].reshape((orders.size, lmax) + aligned(fields))
+            for t in (coeffs._a, coeffs._b))
+    L = np.sqrt(deg * (deg + 1.0)).reshape((lmax,) + (1,) * len(base))
+    terms = (((p,), (-L * b * y,)),                             # E_r
+             ((j, q), (-a / L * ys, -b / L * yt)),              # E_theta
+             ((j, q), (-1j * a / L * yt, -1j * b / L * ys)))    # E_phi
+    parts = np.empty((3, orders.size) + base, dtype=complex)
+    for part, (radial, polar) in zip(parts, terms):
+        np.einsum("tl...,tml...->m...", np.stack(radial), np.stack(polar),
+                  out=part, optimize=True)
+    return orders, parts
+
+
+def _sum_orders(part, orders, phi):
+    """sum_i part[i] e^{i orders[i] phi}: one contraction of a component's
+    per-order parts against the (order, phi) table of e^{i m phi}."""
+    phi = np.asarray(phi, dtype=float)
+    e = np.exp(1j * orders.reshape(orders.shape + (1,) * phi.ndim) * phi)
+    return np.einsum("m...,m...->...", part, e, optimize=True)
+
+
 def _spherical_components(coeffs, r, theta, phi):
     """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays.
 
-    The Bessel and Legendre tables are built once, on the shapes of r and of
-    theta.  Each azimuthal order m sums its modes' radial x polar factors on
-    the shape without phi, then applies e^{i m phi} once per component; when
-    phi adds no points, e^{i m phi} is folded into each mode's polar factor
-    and the modes accumulate straight into the result.
+    Where phi adds points to the (r, theta, fields) shape, each component is
+    one contraction of its per-order parts (_azimuthal_parts) against the
+    (m, phi) table of e^{i m phi}.  Otherwise e^{i m phi} is folded into each
+    mode's polar factor and the modes accumulate straight into the result,
+    in table order.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     base = np.broadcast_shapes(r.shape, theta.shape, coeffs._a.shape[2:])
-    shape = np.broadcast_shapes(base, phi.shape)
-    fold = shape == base
-    comps = [np.zeros(shape, dtype=complex) for _ in range(3)]
+    if np.broadcast_shapes(base, phi.shape) != base:
+        orders, parts = _azimuthal_parts(coeffs, r, theta)
+        return tuple(_sum_orders(part, orders, phi) for part in parts)
+    comps = [np.zeros(base, dtype=complex) for _ in range(3)]
     jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
     P = legendre_table(coeffs.lmax + 1, np.cos(theta))
-    orders = {}   # m -> its modes; folding keeps one group, in table order
-    for mode in coeffs.modes():
-        orders.setdefault(None if fold else mode[1], []).append(mode)
-    for m, modes in orders.items():
-        er, et, ep = comps if fold else [np.zeros(base, dtype=complex)
-                                         for _ in range(3)]
-        for l, mode_m, av, bv in modes:
-            L = math.sqrt(l * (l + 1))
-            p, q = _pq(jt, l)
-            y, yt, ys = _harmonics(P, l, mode_m, phi if fold else 0.0)
-            er += -(1.0 / L) * bv * l * (l + 1) * p * y
-            et += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
-            ep += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
-        if not fold:
-            e = np.exp(1j * m * phi)
-            for total, part in zip(comps, (er, et, ep)):
-                total += part * e
+    for l, m, av, bv in coeffs.modes():
+        L = math.sqrt(l * (l + 1))
+        p, q = _pq(jt, l)
+        y, yt, ys = _harmonics(P, l, m, phi)
+        comps[0] += -(1.0 / L) * bv * l * (l + 1) * p * y
+        comps[1] += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
+        comps[2] += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
     return tuple(comps)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from conftest import make_config, random_coeffs
 from edgewave import oracle, swe, vanish
 from edgewave.corner import Face, e_vectors, impedance_residual, \
     tangential_projection, trace_tangential_curl
-from edgewave.oracle import QuadratureSpec, ball_integral, collocation_nullspace, \
-    vani_estimate
+from edgewave.oracle import FitQualityError, QuadratureSpec, ball_integral, \
+    collocation_nullspace, vani_estimate
 from edgewave.specfun import assoc_legendre
 
 
@@ -60,6 +61,43 @@ class TestVaniEstimate:
         c = swe.ModeCoefficients(1, 1.0, b={(1, 0): 1.0})
         with pytest.raises(ValueError):
             vani_estimate(c, radii=(0.1, 0.05, 0.02))
+
+    @pytest.mark.parametrize("l0", [1, 2, 3, 4, 5])
+    def test_batched_radii_match_ball_integrals(self, rng, l0):
+        # fields like the decay benchmark's: every mode of degrees l0..l0+2
+        def draw():
+            return complex(*rng.standard_normal(2))
+        modes = [(l, m) for l in range(l0, l0 + 3) for m in range(-l, l + 1)]
+        c = swe.ModeCoefficients(l0 + 2, rng.uniform(0.5, 3.0),
+                                 a={lm: draw() for lm in modes},
+                                 b={lm: draw() for lm in modes})
+        radii = (3e-3, 1e-1, 1e-3, 3e-2, 1e-2)
+        coarse = QuadratureSpec(radial_nodes=16, angular_nodes=16)
+        results = []
+        for quad in (None, coarse):
+            est = vani_estimate(c, radii=radii, quad=quad)
+            assert est.radii == tuple(sorted(radii, reverse=True))
+            ref = [ball_integral(c, rho, quad=quad, check_convergence=False)
+                   for rho in est.radii]
+            np.testing.assert_allclose(est.integrals, ref, rtol=1e-14, atol=0)
+            results.append(est.integrals)
+        assert results[0] != results[1]   # the quadrature spec is honoured
+
+    @pytest.mark.parametrize("coeffs", [
+        swe.ModeCoefficients(2, 1.0),
+        swe.ModeCoefficients(5, 1.0, b={(5, 0): 1e-300})], ids=["zero", "underflow"])
+    def test_vanishing_integrals_are_refused(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitQualityError, match="zero or underflows"):
+                vani_estimate(coeffs)
+
+    def test_nan_fit_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(oracle.np, "polyfit",
+                            lambda x, y, deg: (math.nan, math.nan))
+        c = swe.ModeCoefficients(1, 1.0, b={(1, 0): 1.0})
+        with pytest.raises(FitQualityError, match="R\\^2 = nan"):
+            vani_estimate(c)
 
     def test_lowest_populated_degree_wins(self):
         # mixed degrees: the lowest populated degree sets the order

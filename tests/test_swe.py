@@ -251,6 +251,41 @@ class TestPerOrderEvaluation:
             self.R[:, None, None], self.THETA[None, :, None],
             self.PHI[None, None, :]))
 
+    def test_no_populated_mode_with_field_axis(self):
+        # zero coefficients on a field axis: no order to contract over
+        coeffs = ModeCoefficients(2, 1.0, a={(1, 0): np.zeros(3)})
+        point = (self.R[:, None, None, None], self.THETA[None, :, None, None],
+                 self.PHI[None, None, :, None])
+        for comp in swe._spherical_components(coeffs, *point):
+            assert comp.shape == (4, 4, 7, 3) and not np.any(comp)
+        self._assert_matches(coeffs, point)
+
+    def test_sparse_orders(self, rng):
+        # only m in {0, 1}, over several degrees
+        def draw():
+            return complex(*rng.standard_normal(2))
+        coeffs = ModeCoefficients(
+            4, 1.1, a={(l, m): draw() for l in (1, 3, 4) for m in (0, 1)},
+            b={(l, m): draw() for l in (2, 4) for m in (0, 1)})
+        self._assert_matches(coeffs, (
+            self.R[:, None, None], self.THETA[None, :, None],
+            self.PHI[None, None, :]))
+
+    def test_phi_shares_an_axis_with_theta(self, rng):
+        # phi varies along theta's axis too, so the sum over orders is not an
+        # outer product of the per-order parts and the phase table
+        theta = rng.uniform(0, math.pi, 5)[:, None]
+        phi = rng.uniform(0, 2 * math.pi, (5, 6))
+        coeffs = random_coeffs(rng, 4)
+        self._assert_matches(coeffs, (self.R[:, None, None], theta, phi))
+        self._assert_matches(coeffs, (0.3, theta, phi))
+
+    def test_phi_outside_one_period(self, rng):
+        phi = np.array([-7.0, -math.pi, -0.2, 2 * math.pi, 7.5, 13.0])
+        self._assert_matches(random_coeffs(rng, 4), (
+            self.R[:, None, None], self.THETA[None, :, None],
+            phi[None, None, :]))
+
 
 class TestCurlCoefficients:
     def test_curl_matches_fd(self, rng):

@@ -121,3 +121,20 @@ def test_ball_integrals_build_no_cartesian_vectors(monkeypatch):
     coeffs = ModeCoefficients(4, 1.1, a={(3, 1): 1.0, (4, -2): 0.5j},
                               b={(3, -3): 0.7, (4, 0): 1.0})
     assert oracle.vani_estimate(coeffs).estimated_order == 2
+
+
+def test_vani_estimate_tabulates_once(monkeypatch):
+    # the modes are tabulated once, on the radial nodes of every ball
+    from edgewave import ModeCoefficients, oracle, swe
+    calls = {"bessel_table": 0, "legendre_table": 0}
+    for name in calls:
+        inner = getattr(swe, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(swe, name, counted)
+    coeffs = ModeCoefficients(4, 1.1, a={(3, 1): 1.0, (4, -2): 0.5j},
+                              b={(3, -3): 0.7, (4, 0): 1.0})
+    assert oracle.vani_estimate(coeffs).estimated_order == 2
+    assert calls == {"bessel_table": 1, "legendre_table": 1}
