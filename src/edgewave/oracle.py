@@ -169,6 +169,8 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
     tabulated once, on the quadrature nodes of all the radii together.
     """
     radii = tuple(sorted(radii, reverse=True))
+    if not all(0 < rho < math.inf for rho in radii):   # NaN fails both
+        raise ValueError(f"radii must be finite and positive, got {radii}")
     if len(radii) < 4 or radii[0] / radii[-1] < 99:
         raise ValueError("need >= 4 radii spanning at least two decades")
     vals = tuple(map(float, _ball_quadrature(coeffs, radii,

@@ -83,16 +83,23 @@ def assoc_legendre(l, m, x):
     return p
 
 
+def _columns(P, *values):
+    # values per mode as columns against the points of a legendre_table P
+    return (np.reshape(v, np.shape(v) + (1,) * (P.ndim - 2)) for v in values)
+
+
 def _dtheta(P, l, m):
-    # order-shifting recursion on a legendre_table P of degree > l
-    if m == 0:
-        return -P[l, 1]
-    return 0.5 * ((l + m) * (l - m + 1) * P[l, m - 1] - P[l, m + 1])
+    # order-shifting recursion on a legendre_table P of degree > l, 0 <= m;
+    # at m = 0 the lower term is -P_l^1, so halving the difference is exact
+    L, M = _columns(P, l, m)
+    lower = np.where(M == 0, -P[l, 1], (L + M) * (L - M + 1) * P[l, m - 1])
+    return 0.5 * (lower - P[l, m + 1])
 
 
 def _over_sin(P, l, m):
     # degree-lowering recursion on a legendre_table P of degree > l
-    return 0.5 * (P[l - 1, m + 1] + (l + m - 1) * (l + m) * P[l - 1, m - 1])
+    L, M = _columns(P, l, m)
+    return 0.5 * (P[l - 1, m + 1] + (L + M - 1) * (L + M) * P[l - 1, m - 1])
 
 
 def legendre_dtheta(l, m, theta):
@@ -264,9 +271,10 @@ class RadialFunctions:
 
 
 def _pq(j, l):
-    # p_l, q_l from a bessel_table j with lmax >= l + 1
-    return (j[l - 1] + j[l + 1]) / (2 * l + 1), \
-        ((l + 1) * j[l - 1] - l * j[l + 1]) / (2 * l + 1)
+    # p_l, q_l from a bessel_table j with lmax >= l + 1; l may be an array
+    w = np.reshape(l, np.shape(l) + (1,) * (np.ndim(j) - 1))
+    return (j[l - 1] + j[l + 1]) / (2 * w + 1), \
+        ((w + 1) * j[l - 1] - w * j[l + 1]) / (2 * w + 1)
 
 
 def _jprime(j, l):

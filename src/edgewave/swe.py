@@ -14,24 +14,27 @@ spherical frame with the radial factors p_l, q_l, which is finite at r = 0
 and theta = 0 (the m/sin(theta) factors are routed through the stable
 degree-lowering recursion).
 
-Every mode is a radial x polar factor times e^{i m phi}, so the expansion is
-summed per azimuthal order: for each m the modes l = |m|..L_max accumulate on
-the (r, theta, fields) shape, and one contraction of those per-m parts
-against the (m, phi) table of e^{i m phi} sums the orders of each component
-on the full grid.  Where phi adds no points to that shape (a scalar phi on a
-corner face, or one phi per sample) the factor is folded into each mode's
-polar factor instead, and the modes accumulate directly, in table order.
+Every mode is a radial x polar factor times e^{i m phi}.  Where phi adds
+axes of its own to the (r, theta, fields) shape, the expansion is summed per
+azimuthal order: for each m the modes l = |m|..L_max are contracted over
+degree on that shape, and one matrix product of these per-m parts against
+the (m, phi) table of e^{i m phi} sums the orders.  Elsewhere (a scalar phi
+on a corner face, or one phi per sample) the points go in fixed-size blocks:
+the factors of the M populated modes, with e^{i m phi} folded in, form a
+(points x 2M) mode table per component, and one matrix product with the
+(2M x fields) matrix of the coefficients gives the field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (_dtheta, _over_sin, _pq, bessel_table, factorial,
-                      legendre_table, sph_bessel, sph_bessel_deriv)
+from .specfun import (_columns, _dtheta, _over_sin, _pq, bessel_table,
+                      factorial, legendre_table, sph_bessel, sph_bessel_deriv)
 
 
 @dataclass(frozen=True)
@@ -77,13 +80,26 @@ def norm_constant(l, m):
     return math.sqrt((2 * l + 1) / (4 * math.pi) * factorial(l - m) / factorial(l + m))
 
 
+@lru_cache(maxsize=None)
+def _norm_table(lmax):
+    """norm_constant(l, m) indexed [l, m], 0 <= m <= l <= lmax; read-only."""
+    c = np.array([[norm_constant(l, m) if m <= l else 0.0
+                   for m in range(lmax + 1)] for l in range(lmax + 1)])
+    c.flags.writeable = False
+    return c
+
+
 def _polar(P, l, m):
     """(Y_l^m, dY_l^m/dtheta, (m/sin theta) Y_l^m) without e^{i m phi}, from
-    a legendre_table P of cos theta of degree > l."""
-    c, mu = norm_constant(l, m), abs(m)
-    y = c * P[l, mu]
-    ys = math.copysign(c, m) * _over_sin(P, l, mu) if m else np.zeros_like(y)
-    return y, c * _dtheta(P, l, mu), ys
+    a legendre_table P of cos theta of degree > l.  l and m may be arrays of
+    modes: each factor is then indexed like them, followed by P's points."""
+    l, m = np.asarray(l), np.asarray(m)
+    mu = abs(m)
+    if np.any(mu > l):
+        raise ValueError("|m| > l")
+    c, M = _columns(P, _norm_table(P.shape[0] - 1)[l, mu], m)
+    return (c * P[l, mu], c * _dtheta(P, l, mu),
+            np.where(M == 0, 0.0, np.copysign(c, M) * _over_sin(P, l, mu)))
 
 
 def _harmonics(P, l, m, phi):
@@ -172,14 +188,17 @@ class ModeCoefficients:
     def b(self, l, m):
         return self._b[l, m]
 
+    def _populated(self):
+        """Arrays (l, m) of the entries nonzero in some field, by l, then m."""
+        fields = tuple(range(2, self._a.ndim))
+        nonzero = np.any(self._a, axis=fields) | np.any(self._b, axis=fields)
+        l, m = np.nonzero(np.roll(nonzero, self.lmax, axis=1))
+        return l, m - self.lmax
+
     def modes(self):
         """Iterate (l, m, a_lm, b_lm) over entries nonzero in some field."""
-        nonzero = np.any((self._a != 0) | (self._b != 0),
-                         axis=tuple(range(2, self._a.ndim)))
-        for l in range(1, self.lmax + 1):
-            for m in range(-l, l + 1):
-                if nonzero[l, m]:
-                    yield l, m, self._a[l, m], self._b[l, m]
+        for l, m in zip(*(v.tolist() for v in self._populated())):
+            yield l, m, self._a[l, m], self._b[l, m]
 
     def curl(self):
         """Coefficients of curl E = ik sum (b M - a N): (a, b) -> (ik b, -ik a)."""
@@ -263,18 +282,16 @@ def _azimuthal_parts(coeffs, r, theta):
     theta = np.asarray(theta, dtype=float).reshape(aligned(np.shape(theta)))
     jt = bessel_table(lmax + 1, coeffs.k * r)
     P = legendre_table(lmax + 1, np.cos(theta))
-    modes = [(l, m) for l, m, _, _ in coeffs.modes()]
-    orders = np.array(sorted({m for _, m in modes}), dtype=int)
-    row = {m: i for i, m in enumerate(orders.tolist())}
+    l, m = coeffs._populated()
+    orders = np.unique(m)
     # radial factors by degree l - 1; polar factors and coefficients by
     # (order row, degree l - 1), zero where no mode is populated
-    p, q = (np.array(f) for f in zip(*(_pq(jt, l) for l in range(1, lmax + 1))))
+    deg = np.arange(1, lmax + 1)
+    p, q = _pq(jt, deg)
     j = jt[1:lmax + 1]
     pol = np.zeros((3, orders.size, lmax) + theta.shape)
-    for l, m in modes:
-        pol[:, row[m], l - 1] = _polar(P, l, m)
+    pol[:, np.searchsorted(orders, m), l - 1] = _polar(P, l, m)
     y, yt, ys = pol
-    deg = np.arange(1, lmax + 1)
     a, b = (t[deg, orders[:, None]].reshape((orders.size, lmax) + aligned(fields))
             for t in (coeffs._a, coeffs._b))
     L = np.sqrt(deg * (deg + 1.0)).reshape((lmax,) + (1,) * len(base))
@@ -289,40 +306,72 @@ def _azimuthal_parts(coeffs, r, theta):
 
 
 def _sum_orders(part, orders, phi):
-    """sum_i part[i] e^{i orders[i] phi}: one contraction of a component's
-    per-order parts against the (order, phi) table of e^{i m phi}."""
+    """sum_i part[i] e^{i orders[i] phi}, where phi varies only along axes on
+    which part[i] is 1: one matrix product of the (orders x points) parts
+    against the (orders x phi) table of e^{i m phi}."""
     phi = np.asarray(phi, dtype=float)
-    e = np.exp(1j * orders.reshape(orders.shape + (1,) * phi.ndim) * phi)
-    return np.einsum("m...,m...->...", part, e, optimize=True)
+    nd = max(part.ndim - 1, phi.ndim)
+    shapes = [(1,) * (nd - len(s)) + s for s in (part.shape[1:], phi.shape)]
+    e = np.exp(1j * orders[:, None] * phi.ravel())
+    out = part.reshape(orders.size, math.prod(shapes[0])).T @ e
+    # the two shapes' axes interleaved: one of each pair has length 1
+    pairs = [a for i in range(nd) for a in (i, nd + i)]
+    return out.reshape(shapes[0] + shapes[1]).transpose(pairs).reshape(
+        np.broadcast_shapes(*shapes))
+
+
+_BLOCK = 2048   # points per mode table, so its size does not grow with them
+
+
+def _mode_table(coeffs, l, m, r, theta, phi):
+    """The modes (l, m) at the points (r, theta, phi), 1-d arrays, as one
+    table of shape (3, points, 2M): for each spherical component, a column
+    per a_l^m and then one per b_l^m, with e^{i m phi} folded in."""
+    jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
+    (p, q), j = _pq(jt, l), jt[l]
+    L = np.sqrt(l * (l + 1.0))[:, None]
+    e = np.exp(1j * m[:, None] * phi) / -L
+    y, yt, ys = _polar(legendre_table(coeffs.lmax + 1, np.cos(theta)), l, m)
+    table = np.zeros((3, 2) + e.shape, dtype=complex)
+    np.multiply(L * L * p * y, e, out=table[0, 1])              # E_r
+    np.multiply(j * ys, e, out=table[1, 0])                     # E_theta
+    np.multiply(q * yt, e, out=table[1, 1])
+    e *= 1j
+    np.multiply(j * yt, e, out=table[2, 0])                     # E_phi
+    np.multiply(q * ys, e, out=table[2, 1])
+    return table.reshape(3, 2 * l.size, r.size).transpose(0, 2, 1)
 
 
 def _spherical_components(coeffs, r, theta, phi):
     """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays.
 
-    Where phi adds points to the (r, theta, fields) shape, each component is
-    one contraction of its per-order parts (_azimuthal_parts) against the
-    (m, phi) table of e^{i m phi}.  Otherwise e^{i m phi} is folded into each
-    mode's polar factor and the modes accumulate straight into the result,
-    in table order.
+    Where phi adds axes of its own to the (r, theta, fields) shape, each
+    component is one matrix product of its per-order parts (_azimuthal_parts)
+    and the (m, phi) table of e^{i m phi}.  Otherwise the points are
+    flattened, and each block of _BLOCK of them is one mode table
+    (_mode_table) times the (2M x fields) matrix of the coefficients a_l^m,
+    then b_l^m, of the M populated modes.  The points may not vary along the
+    field axes.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    base = np.broadcast_shapes(r.shape, theta.shape, coeffs._a.shape[2:])
-    if np.broadcast_shapes(base, phi.shape) != base:
+    r, theta, phi = (np.asarray(v, dtype=float) for v in (r, theta, phi))
+    fields = coeffs._a.shape[2:]
+    base = np.broadcast_shapes(r.shape, theta.shape, fields)
+    shape = np.broadcast_shapes(base, phi.shape)
+    if phi.size > 1 and math.prod(shape) == math.prod(base) * phi.size:
         orders, parts = _azimuthal_parts(coeffs, r, theta)
         return tuple(_sum_orders(part, orders, phi) for part in parts)
-    comps = [np.zeros(base, dtype=complex) for _ in range(3)]
-    jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
-    P = legendre_table(coeffs.lmax + 1, np.cos(theta))
-    for l, m, av, bv in coeffs.modes():
-        L = math.sqrt(l * (l + 1))
-        p, q = _pq(jt, l)
-        y, yt, ys = _harmonics(P, l, m, phi)
-        comps[0] += -(1.0 / L) * bv * l * (l + 1) * p * y
-        comps[1] += -(1.0 / L) * (av * jt[l] * ys + bv * q * yt)
-        comps[2] += -(1j / L) * (av * jt[l] * yt + bv * q * ys)
-    return tuple(comps)
+    points = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
+    if math.prod(shape) != math.prod(points) * math.prod(fields):
+        raise ValueError("the points cannot vary along the field axes")
+    flat = [np.broadcast_to(v, points).ravel() for v in (r, theta, phi)]
+    l, m = coeffs._populated()
+    coef = np.concatenate([coeffs._a[l, m], coeffs._b[l, m]]).reshape(
+        2 * l.size, math.prod(fields))
+    out = np.empty((3, flat[0].size, coef.shape[1]), dtype=complex)
+    for s in range(0, flat[0].size, _BLOCK):
+        out[:, s:s + _BLOCK] = _mode_table(
+            coeffs, l, m, *(v[s:s + _BLOCK] for v in flat)) @ coef
+    return tuple(out.reshape((3,) + shape))
 
 
 def eval_field(coeffs, point):

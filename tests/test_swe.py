@@ -181,13 +181,9 @@ class TestPerOrderEvaluation:
     THETA = np.array([0.0, 0.3, 1.6, math.pi])
     PHI = np.linspace(0, 2 * math.pi, 7, endpoint=False)
 
-    def _assert_matches(self, coeffs, point, folded=False):
+    def _assert_matches(self, coeffs, point):
         got = swe._spherical_components(coeffs, *point)
         ref = _per_mode_components(coeffs, *point)
-        if folded:
-            # phi adds no points: the per-mode loop itself, bit for bit
-            for g, c in zip(got, ref):
-                np.testing.assert_array_equal(g, c)
         E = swe.eval_field(coeffs, point)
         frame = swe.unit_frame(point[1], point[2])
         E_ref = sum(c[..., None] * u for c, u in zip(ref, frame))
@@ -214,18 +210,32 @@ class TestPerOrderEvaluation:
     def test_scalar_phi_with_field_axis(self, rng):
         # the shape the collocation oracle samples: (nr,1,1) x (1,ntheta,1) x F
         self._assert_matches(random_coeffs(rng, 4, fields=(6,)), (
-            self.R[:, None, None], self.THETA[None, :, None], 0.9), folded=True)
+            self.R[:, None, None], self.THETA[None, :, None], 0.9))
 
-    def test_pointwise_arrays(self, rng):
-        # one (r, theta, phi) per sample, as in ball_integral_mc
+    def test_pointwise_arrays(self, rng, monkeypatch):
+        # one (r, theta, phi) per sample, as in ball_integral_mc; the mode
+        # table holds at most _BLOCK points, and the last block is short
+        sizes, table = [], swe._mode_table
+
+        def counted(coeffs, l, m, r, theta, phi):
+            sizes.append(r.size)
+            return table(coeffs, l, m, r, theta, phi)
+        monkeypatch.setattr(swe, "_mode_table", counted)
+        monkeypatch.setattr(swe, "_BLOCK", 6)
         n = 50
         self._assert_matches(random_coeffs(rng, 4), (
             rng.uniform(0, 0.5, n), rng.uniform(0, math.pi, n),
-            rng.uniform(0, 2 * math.pi, n)), folded=True)
+            rng.uniform(0, 2 * math.pi, n)))
+        assert sizes == ([6] * 8 + [2]) * 3   # components, eval_field, |E|
+
+    def test_points_may_not_vary_along_the_field_axes(self):
+        coeffs = ModeCoefficients(1, 1.0, a={(1, 0): np.ones(3)})
+        with pytest.raises(ValueError, match="field axes"):
+            swe._spherical_components(coeffs, np.array([0.1, 0.2, 0.3]), 0.5, 0.0)
 
     def test_single_point(self, rng):
         coeffs, pt = random_coeffs(rng, 4), SphericalPoint(0.3, 1.1, 4.0)
-        self._assert_matches(coeffs, (pt.r, pt.theta, pt.phi), folded=True)
+        self._assert_matches(coeffs, (pt.r, pt.theta, pt.phi))
         np.testing.assert_array_equal(
             swe.eval_field(coeffs, pt),
             swe.eval_field(coeffs, (pt.r, pt.theta, pt.phi)))
@@ -279,6 +289,24 @@ class TestPerOrderEvaluation:
         coeffs = random_coeffs(rng, 4)
         self._assert_matches(coeffs, (self.R[:, None, None], theta, phi))
         self._assert_matches(coeffs, (0.3, theta, phi))
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_collocation_shape_uses_no_per_mode_loop(self, monkeypatch, n):
+        # the order-n unit basis with its curl on the shape the collocation
+        # oracle samples, (nr,1,1,1) x (1,ntheta,1,1) x scalar phi, evaluated
+        # while the per-mode harmonics refuse to run
+        coeffs = oracle._unit_basis(n, 1.2).with_curl()
+        point = (self.R[:, None, None, None], self.THETA[None, :, None, None], 0.9)
+        ref = _per_mode_components(coeffs, *point)
+
+        def per_mode(*args):
+            raise AssertionError("a per-mode harmonic was evaluated")
+        monkeypatch.setattr(swe, "_harmonics", per_mode)
+        got = swe._spherical_components(coeffs, *point)
+        scale = np.max(np.sqrt(sum(np.abs(c) ** 2 for c in ref)))
+        for g, c in zip(got, ref):
+            assert g.shape == c.shape == (4, 4, 2 * (2 * n + 1), 2)
+            assert np.max(np.abs(g - c)) <= 1e-13 * scale
 
     def test_phi_outside_one_period(self, rng):
         phi = np.array([-7.0, -math.pi, -0.2, 2 * math.pi, 7.5, 13.0])
