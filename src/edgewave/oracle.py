@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -207,6 +208,16 @@ def _unit_basis(n, k):
         b={(n, m): unit[f] for f, (fam, m) in cols if fam == "b"})
 
 
+@lru_cache(maxsize=None)
+def _cubic_fit(scaled_radii):
+    """Vandermonde matrix of a cubic on the scaled radii and its
+    pseudo-inverse, which maps samples to the least-squares coefficients."""
+    V = np.vander(scaled_radii, 4, increasing=True)
+    pinv = np.linalg.pinv(V)
+    V.flags.writeable = pinv.flags.writeable = False
+    return V, pinv
+
+
 def _radial_coefficients(values, radii, n, orders=(0,)):
     """Coefficients of r^{n-1+j}, j in orders, from sampled values.
 
@@ -218,11 +229,12 @@ def _radial_coefficients(values, radii, n, orders=(0,)):
     radii = np.asarray(radii)
     h = radii[0]
     g = values / (radii.reshape(-1, *([1] * (values.ndim - 1))) ** (n - 1))
-    V = np.vander(radii / h, 4, increasing=True)
+    V, pinv = _cubic_fit(tuple((radii / h).tolist()))
     flat = g.reshape(len(radii), -1)
-    coef, res, rank, sv = np.linalg.lstsq(V, flat, rcond=None)
+    coef = pinv @ flat
     scale = np.max(np.abs(flat).reshape(-1, values.shape[-1]), axis=0)
-    if len(radii) > 4 and res.size:
+    if len(radii) > 4:
+        res = np.sum(np.abs(V @ coef - flat) ** 2, axis=0)
         worst = np.max(res.reshape(-1, scale.size), axis=0) ** 0.5
         f = int(np.argmax(worst - 1e-5 * scale))
         if worst[f] > 1e-5 * scale[f]:

@@ -81,10 +81,25 @@ def norm_constant(l, m):
 
 
 @lru_cache(maxsize=None)
+def _factorials():
+    """j! for j = 0..170, every factorial a float holds; read-only."""
+    f = np.array([factorial(j) for j in range(171)])
+    f.flags.writeable = False
+    return f
+
+
+def _norm_constants(l, m):
+    """norm_constant(l, m) for arrays with 0 <= m <= l and l + m <= 170, by
+    the same operations, so to the bit."""
+    f = _factorials()
+    return np.sqrt((2 * l + 1) / (4 * math.pi) * f[l - m] / f[l + m])
+
+
+@lru_cache(maxsize=None)
 def _norm_table(lmax):
     """norm_constant(l, m) indexed [l, m], 0 <= m <= l <= lmax; read-only."""
-    c = np.array([[norm_constant(l, m) if m <= l else 0.0
-                   for m in range(lmax + 1)] for l in range(lmax + 1)])
+    l, m = np.ogrid[:lmax + 1, :lmax + 1]
+    c = np.where(m <= l, _norm_constants(l, np.minimum(m, l)), 0.0)
     c.flags.writeable = False
     return c
 

@@ -26,8 +26,9 @@ determinants, the induction driver and the collocation oracle all read it.
 
 A chain entry at column (a, m) is ik c e^{i m phase}, at (b, m) eta c
 e^{i m phase}, with c a constant of (n, mu, m) and phase 0 on face 1 and
-alpha*pi on face 2: the face-2 phase multiplies whole columns, so each order
-is a cached per-n pattern (index and constant vectors) scaled column-wise.
+alpha*pi on face 2.  A PEC/PMC entry is c e^{i m phase}, and the six edge
+rows have 17 structurally nonzero entries (_edge_values).  _entry_values
+computes all of them, for one order or for many.
 
 The rank is decided on two parity classes of 2n+1 columns each: class 0
 holds a_m with m even and b_m with m odd, class 1 the rest.  No row couples
@@ -35,6 +36,18 @@ them: chain row e1 mu touches a_mu and b_{mu+-1}, e2 mu touches a_{mu+-1}
 and b_mu, the edge rows have orders <= 1 (a_{+-1} with b_0, or b_{+-1} with
 a_0), and a PEC/PMC row one family at one |m|.  So the singular values are
 the union of the two blocks'.
+
+A layout maps every entry of a run of orders to its class, row slot and
+column slot: a flat position in the orders' parity blocks.  It is built in
+one pass, vectorized over the orders, and cached per (n, pairing) and per
+(n_max, pairing).  Its builder raises ValueError naming any row with entries
+in both classes.  vanishing_order fills every order of a report in one pass
+(entry values, then row norms by one reduceat) into one buffer, or one per
+run of orders past n ~ 45, and decides each order by nullspace_dim on its
+view of the buffer.
+assemble_order_system scatters the same entry values into dense rows, and
+nullspace_dim gathers a ConstraintSystem back through its order's layout,
+raising ValueError at run time on a nonzero outside its row's class.
 """
 
 from __future__ import annotations
@@ -44,13 +57,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .angles import Angle, AngleError, grid_exclusion_order, sincos_pi
 from .corner import EdgeCornerConfig, ImpedanceKind, ImpedanceSpec
-from .swe import norm_constant
+from .swe import _norm_constants, norm_constant
 
 INFINITE = math.inf
 MAX_ORDER = 85   # c_n^n needs (2n)!, which overflows a float above n = 85
@@ -125,7 +138,13 @@ def case_of_config(config):
 def config_for_case(case, alpha, eta1, eta2, k):
     """Config of the pairing `case`; eta1 and eta2 are read only on the faces
     that carry an impedance series, and must be given there (the error names
-    them by their command-line flags)."""
+    them by their command-line flags).
+
+    alpha is used as given.  parse_angle leaves a decimal such as "0.37"
+    untagged, so its grid bound is infinite; pass it through detect_rational,
+    as the CLI does, to analyze it as the fraction it spells (see
+    vanishing_order).
+    """
     faces = tuple(zip(_PAIRINGS[case][0], (eta1, eta2)))
     missing = [f"--eta{i}" for i, (kind, eta) in enumerate(faces, 1)
                if kind == _SERIES and eta is None]
@@ -189,116 +208,160 @@ class ConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# order-n rows
+# entries of the order-n rows, for many orders at once
 # ---------------------------------------------------------------------------
 
 def _read_only(*arrays):
-    """The arrays, write-protected: the per-n caches hand them to every call."""
+    """The arrays, write-protected: the caches hand them to every call."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
+def _pairs(orders, first):
+    """(order index, n, j) for every n of orders and j = first..n."""
+    counts = orders + 1 - first
+    k = np.repeat(np.arange(orders.size), counts)
+    return k, orders[k], np.arange(k.size) - np.repeat(np.cumsum(counts) - counts,
+                                                       counts) + first
+
+
 def _entries(terms):
-    """Entry vectors (row, column, face, is_a, signed order, constant) of
-    terms (row, face, is_a, order, constant, sign): an order m >= 1 enters
-    column (fam, m) with the constant and (fam, -m) with sign times it."""
-    r, f, a, m, v, sign = (np.concatenate(x) for x in zip(
+    """Entry vectors (order index, row, column, factor, turn, constant) of
+    terms (order index, row, face, is_a, order m, constant, sign): an m >= 1
+    enters column (fam, m) with the constant and (fam, -m) with sign times
+    it.  The factor is 0 (ik) on an a-column and 1 + face (the face's eta) on
+    a b-column; turn = face * m."""
+    k, r, f, a, m, v, sign = (np.concatenate(x) for x in zip(
         *(np.broadcast_arrays(*map(np.atleast_1d, t)) for t in terms)))
     pair = m > 0
-    r, f, a = (np.concatenate([x, x[pair]]) for x in (r, f, a))
+    k, r, f, a = (np.concatenate([x, x[pair]]) for x in (k, r, f, a))
     m, v = np.concatenate([m, -m[pair]]), np.concatenate([v, (sign * v)[pair]])
     cols = np.where(m == 0, a, 4 * np.abs(m) - 2 + 2 * ~a + (m < 0))
-    return _read_only(r, cols, f, a, m, v)
+    return k, r, cols, np.where(a, 0, 1 + f), f * m, v
 
 
-def _fill(pattern, shape, phase, a_factor, b_factors):
-    """Rows of an entry pattern: each entry's constant times a_factor (on an
-    a-column) or b_factors[face], times e^{i m phase} on face 2."""
-    rows, cols, faces, is_a, m, consts = pattern
-    out = np.zeros(shape, dtype=complex)
-    out[rows, cols] = (consts * np.where(is_a, a_factor, np.take(b_factors, faces))
-                       * np.exp(1j * phase * faces * m))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _chain_pattern(n):
-    """Entries and tags of both faces' order-n recursive chains, numbered
-    after the six edge rows; a-entries scale with ik, b-entries with the
-    face's eta."""
-    mu = np.arange(n + 1)
-    lo, hi = mu[:-1], mu[1:]
-    c = np.array([norm_constant(n, m) for m in mu])
-    sL = math.sqrt(n * (n + 1))
+def _chain_entries(orders):
+    """Entries of both faces' order-n recursive chains at each n of orders,
+    numbered after the six edge rows; a-entries scale with ik, b-entries with
+    the face's eta."""
+    k, n, mu = _pairs(orders, 0)
+    c = _norm_constants(n, mu)
+    sL = np.sqrt(n * (n + 1))
     w = (n + 1) / (2 * (2 * n + 1) * sL)
-    up = w * c[lo + 1] * (n + lo + 1) * (n - lo)
-    down = w * c[hi - 1] * (1 + (hi == 1))
+    every, lo, hi = slice(None), np.flatnonzero(mu < n), np.flatnonzero(mu > 0)
+    up = w[lo] * c[lo + 1] * (n[lo] + mu[lo] + 1) * (n[lo] - mu[lo])
+    down = w[hi] * c[hi - 1] * (1 + (mu[hi] == 1))
+    diag = sL * c / (2 * n + 1)
     e2 = n + 1                                       # first e2 row of a face
-    one_face = [(mu, True, mu, sL * c / (2 * n + 1)),        # e1 mu: a_mu
-                (lo, False, lo + 1, -up),                    # e1 mu: b_{mu+1}
-                (hi, False, hi - 1, down),                   # e1 mu: b_{mu-1}
-                (e2 + lo, True, lo + 1, up),                 # e2 mu: a_{mu+1}
-                (e2 + hi, True, hi - 1, -down),              # e2 mu: a_{mu-1}
-                (e2 + mu, False, mu, sL * c / (2 * n + 1))]  # e2 mu: b_mu
-    pattern = _entries([(6 + 2 * e2 * face + row, face, a, m, v, 1)
-                        for face in (0, 1) for row, a, m, v in one_face])
-    tags = tuple(f"face{f}-chain-e{e} mu={j}" for f in (1, 2) for e in (1, 2)
-                 for j in mu)
-    return pattern, tags
+    one_face = [(every, mu, True, mu, diag),                 # e1 mu: a_mu
+                (lo, mu[lo], False, mu[lo] + 1, -up),        # e1 mu: b_{mu+1}
+                (hi, mu[hi], False, mu[hi] - 1, down),       # e1 mu: b_{mu-1}
+                (lo, e2[lo] + mu[lo], True, mu[lo] + 1, up),      # e2 mu: a_{mu+1}
+                (hi, e2[hi] + mu[hi], True, mu[hi] - 1, -down),   # e2 mu: a_{mu-1}
+                (every, e2 + mu, False, mu, diag)]           # e2 mu: b_mu
+    return _entries([(k[at], 6 + 2 * e2[at] * face + row, face, a, m, v, 1)
+                     for face in (0, 1) for at, row, a, m, v in one_face])
+
+
+def _pecpmc_entries(orders):
+    """Entries of the PEC/PMC rows at each n of orders: per m, the face-1 sum
+    of b_{+-m}, the face-2 phased sum of a_{+-m} and the two coupling
+    differences."""
+    k, n, m = _pairs(orders, 1)
+    c = _norm_constants(n, m)
+    r = 2 + 4 * (m - 1)
+    every = np.arange(orders.size)
+    return _entries([(every, 0, 0, False, 0, 1.0, 1), (every, 1, 1, True, 0, 1.0, 1),
+                     (k, r, 0, False, m, c, 1), (k, r + 1, 1, True, m, c, 1),
+                     (k, r + 2, 0, True, m, 1.0, -1), (k, r + 3, 1, False, m, 1.0, -1)])
+
+
+_EDGE_TAGS = ("matching-x", "matching-y", "matching-z",
+              "face2-edge-x", "face2-edge-y", "face2-edge-z")
+# (row, column) of each structurally nonzero edge entry, in the order of
+# _edge_values; columns 0..5 are b_0, a_0, a_1, a_-1, b_1, b_-1
+_EDGE_ENTRIES = ((0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5),
+                 (2, 3, 0, 2, 3, 0, 4, 5, 4, 5, 1, 4, 5, 1, 2, 3, 0))
+_HEAD_ROW = 8   # "face1-chain-e2 mu=0" at n = 1, the one chain row kept there
+
+
+def _edge_entries(orders):
+    """The six edge rows at each n of orders; factor 3 + j is edge value j."""
+    count = len(_EDGE_ENTRIES[0])
+    k = np.repeat(np.arange(orders.size), count)
+    r, cols, j = (np.tile(x, orders.size) for x in (*_EDGE_ENTRIES, np.arange(count)))
+    return k, r, cols, 3 + j, np.zeros_like(k), np.ones(k.size)
+
+
+def _pattern(orders, case):
+    """Entries (order index, row, column, factor, turn, constant) of the rows
+    case assembles at each n of orders: for imp-imp the six edge rows, then
+    the chains, of which only the first-order relation enters at n = 1."""
+    if case == CaseKind.PEC_PMC:
+        return _pecpmc_entries(orders)
+    chain = _chain_entries(orders)
+    keep = (orders[chain[0]] > 1) | (chain[1] == _HEAD_ROW)
+    chain = [x[keep] for x in chain]
+    chain[1] = np.where(orders[chain[0]] > 1, chain[1], 6)
+    return [np.concatenate(x) for x in zip(_edge_entries(orders), chain)]
 
 
 @lru_cache(maxsize=None)
-def _pecpmc_pattern(n):
-    """Entries and tags of the PEC/PMC rows: per m, the face-1 sum of b_{+-m},
-    the face-2 phased sum of a_{+-m} and the two coupling differences."""
-    m = np.arange(1, n + 1)
-    c = np.array([norm_constant(n, j) for j in m])
-    r = 2 + 4 * (m - 1)
-    pattern = _entries([(0, 0, False, 0, 1.0, 1), (1, 1, True, 0, 1.0, 1),
-                        (r, 0, False, m, c, 1), (r + 1, 1, True, m, c, 1),
-                        (r + 2, 0, True, m, 1.0, -1), (r + 3, 1, False, m, 1.0, -1)])
-    tags = ("face1-pec b0", "face2-pmc a0") + tuple(
-        f"{tag} m={j}" for j in m for tag in ("face1-pec sum", "face2-pmc phased-sum",
-                                              "face1-pec coupling-diff",
-                                              "face2-pmc coupling-diff"))
-    return pattern, tags
+def _tags(n, case):
+    """Row tags of the order-n rows of case, in row order."""
+    if case == CaseKind.PEC_PMC:
+        return ("face1-pec b0", "face2-pmc a0") + tuple(
+            f"{tag} m={j}" for j in range(1, n + 1)
+            for tag in ("face1-pec sum", "face2-pmc phased-sum",
+                        "face1-pec coupling-diff", "face2-pmc coupling-diff"))
+    if n == 1:
+        return _EDGE_TAGS + ("face1-chain-e2 mu=0",)
+    return _EDGE_TAGS + tuple(f"face{f}-chain-e{e} mu={j}" for f in (1, 2)
+                              for e in (1, 2) for j in range(n + 1))
 
 
-def _head_quantities(n, alpha_val):
-    c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
-    sL = math.sqrt(n * (n + 1))
-    s, co = sincos_pi(alpha_val)
-    Kp = n * (n + 1) ** 2 * c1 / (2 * (2 * n + 1) * sL)
-    Ap = sL * c0 / (2 * n + 1)
-    return s, co, Kp, Ap
+def _edge_values(s, co, Kp, Ap, eta1, eta2, k):
+    """The _EDGE_ENTRIES of the matching rows and the face-2 edge rows, which
+    reach orders m <= 1 only.
+
+    s, co are sin and cos of the opening angle; Kp, Ap the radial weights of
+    the m = 1 and m = 0 edge terms (see _radial_weights), scalars or arrays
+    over orders.
+    """
+    return (
+        # matching-x, matching-y: a_1, a_-1, b_0
+        1j * k * Kp * s * s - k * Kp * s * co, 1j * k * Kp * s * s + k * Kp * s * co,
+        -(eta1 + eta2 * co) * Ap,
+        -1j * k * Kp * s * co - k * Kp * s * s, -1j * k * Kp * s * co + k * Kp * s * s,
+        -eta2 * s * Ap,
+        # matching-z: b_1, b_-1
+        (eta1 - eta2 * co) * Kp + 1j * eta2 * s * Kp,
+        (eta1 - eta2 * co) * Kp - 1j * eta2 * s * Kp,
+        # face2-edge-x, face2-edge-y: b_1, b_-1, a_0
+        -eta2 * co * co * Kp + 1j * eta2 * s * co * Kp,
+        -eta2 * co * co * Kp - 1j * eta2 * s * co * Kp, 1j * k * co * Ap,
+        eta2 * s * co * Kp + 1j * eta2 * s * s * Kp,
+        eta2 * s * co * Kp - 1j * eta2 * s * s * Kp, 1j * k * s * Ap,
+        # face2-edge-z: a_1, a_-1, b_0
+        1j * k * Kp * co + k * Kp * s, 1j * k * Kp * co - k * Kp * s, eta2 * Ap)
+
+
+def _radial_weights(n):
+    """(Kp, Ap) at the orders n (an array)."""
+    c0, c1 = _norm_constants(n, 0), _norm_constants(n, 1)
+    sL = np.sqrt(n * (n + 1))
+    return n * (n + 1) ** 2 * c1 / (2 * (2 * n + 1) * sL), sL * c0 / (2 * n + 1)
 
 
 def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ncols):
-    """Matching rows plus face-2 edge rows (six rows, orders m <= 1 only).
-
-    s, co are sin and cos of the opening angle; Kp, Ap the radial weights of
-    the m = 1 and m = 0 edge terms (see _head_quantities).
-    """
+    """Matching rows plus face-2 edge rows (six rows, see _edge_values)."""
     rows = np.zeros((6, ncols), dtype=complex)
-    # columns a_1, a_-1, b_1, b_-1, b_0, a_0
-    rows[:, [2, 3, 4, 5, 0, 1]] = [
-        [1j * k * Kp * s * s - k * Kp * s * co, 1j * k * Kp * s * s + k * Kp * s * co,
-         0, 0, -(eta1 + eta2 * co) * Ap, 0],
-        [-1j * k * Kp * s * co - k * Kp * s * s, -1j * k * Kp * s * co + k * Kp * s * s,
-         0, 0, -eta2 * s * Ap, 0],
-        [0, 0, (eta1 - eta2 * co) * Kp + 1j * eta2 * s * Kp,
-         (eta1 - eta2 * co) * Kp - 1j * eta2 * s * Kp, 0, 0],
-        [0, 0, -eta2 * co * co * Kp + 1j * eta2 * s * co * Kp,
-         -eta2 * co * co * Kp - 1j * eta2 * s * co * Kp, 0, 1j * k * co * Ap],
-        [0, 0, eta2 * s * co * Kp + 1j * eta2 * s * s * Kp,
-         eta2 * s * co * Kp - 1j * eta2 * s * s * Kp, 0, 1j * k * s * Ap],
-        [1j * k * Kp * co + k * Kp * s, 1j * k * Kp * co - k * Kp * s,
-         0, 0, eta2 * Ap, 0]]
-    return rows, ["matching-x", "matching-y", "matching-z",
-                  "face2-edge-x", "face2-edge-y", "face2-edge-z"]
+    rows[_EDGE_ENTRIES] = _edge_values(s, co, Kp, Ap, eta1, eta2, k)
+    return rows, list(_EDGE_TAGS)
 
 
+@lru_cache(maxsize=None)
 def _closed_det_prefactor(n):
     c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
     return ((n + 1) / (2 * n + 1)) ** 3 * n * math.sqrt(n * (n + 1)) / 2 * c1 ** 2 * c0
@@ -343,32 +406,6 @@ def block_det(m, alpha, kind):
     raise ValueError("kind must be 'sin' or 'cos'")
 
 
-def _assemble_impimp(n, eff):
-    """Impedance on both faces of eff: the edge rows and both faces' chains."""
-    eta1, eta2, k = eff.bc1.eta0, eff.bc2.eta0, eff.k
-    pattern, chain_tags = _chain_pattern(n)
-    rows = _fill(pattern, (6 + len(chain_tags), 2 * (2 * n + 1)),
-                 eff.alpha.value * math.pi, 1j * k, (eta1, eta2))
-    rows[:6], tags = edge_rows(*_head_quantities(n, eff.alpha.value), eta1, eta2, k,
-                               rows.shape[1])
-    tags += chain_tags
-    if n == 1:   # of the chains only the first-order relation enters
-        keep = [0, 1, 2, 3, 4, 5, tags.index("face1-chain-e2 mu=0")]
-        rows, tags = rows[keep], [tags[i] for i in keep]
-    return ConstraintSystem(n=n, case=CaseKind.IMP_IMP, alpha=eff.alpha, rows=rows,
-                            provenance=tags)
-
-
-def _assemble_pecpmc(n, eff):
-    """Face 1 PEC, face 2 PMC: leading tangential relations plus the
-    second-lowest-order coupling rows."""
-    pattern, tags = _pecpmc_pattern(n)
-    rows = _fill(pattern, (len(tags), 2 * (2 * n + 1)), eff.value * math.pi, 1.0,
-                 (1.0, 1.0))
-    return ConstraintSystem(n=n, case=CaseKind.PEC_PMC, alpha=eff, rows=rows,
-                            provenance=list(tags))
-
-
 def _require_pmc_range(alpha, case):
     if case == CaseKind.IMP_PMC and not (0 < alpha.value < 1):
         raise ValueError("the PMC-impedance pairing is defined for alpha in (0,1)")
@@ -404,18 +441,168 @@ def effective_config(config):
                                   config.bc2, config.k)
 
 
+def _assembled_case(case):
+    """The pairing whose rows case is assembled as: pec-pmc or imp-imp."""
+    return CaseKind.PEC_PMC if case == CaseKind.PEC_PMC else CaseKind.IMP_IMP
+
+
+# ---------------------------------------------------------------------------
+# layouts: where each entry lands in its order's two parity blocks
+# ---------------------------------------------------------------------------
+
+class _Layout(NamedTuple):
+    """Where the entries of the rows of a run of orders land.
+
+    Entry i has the value const * F[at, factor] * e^{i turn alpha' pi}, F the
+    factor table of _entry_values and at the index of the entry's order.
+    Entries are grouped by row, starts holding each row's first; rows are
+    numbered across the orders.  Entry i sits at (row, col) of the rows and
+    at flat index pos of the parity blocks: order j's blocks have shape
+    shapes[j], (2, height, 2n+1), and start at offsets[j] of one buffer.
+    Row r lies in parity class row_class[r], at row_slot[r] of its block.
+    """
+    at: np.ndarray
+    const: np.ndarray
+    factor: np.ndarray
+    turn: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    pos: np.ndarray
+    starts: np.ndarray
+    row_class: np.ndarray
+    row_slot: np.ndarray
+    shapes: tuple
+    offsets: np.ndarray
+
+
+def _coupling_error(tag):
+    return ValueError(f"row {tag!r} has nonzeros in both parity classes")
+
+
+def _columns(col):
+    """(parity class, slot in the class) of column indices in column_labels
+    order: b_0, a_0, then a_m, a_-m, b_m, b_-m at 4m-2..4m+1.  Column (fam, m)
+    lies in class (m + [fam = b]) mod 2, at slot 0 for m = 0 and
+    2|m| - 1 + [m < 0] otherwise."""
+    m = np.where(col < 2, 0, (col + 2) // 4)
+    is_b = (col == 0) | (col >= 4) & (col % 4 < 2)
+    return (m + is_b) % 2, np.where(m == 0, 0, 2 * m - 1 + col % 2)
+
+
+def _build_layout(orders, case):
+    """Layout of the rows case assembles at each n of orders, in one pass
+    over all of them.  A row joins the parity class of its entries' columns,
+    after the rows before it in that class; a row with entries in both
+    classes raises ValueError naming its tag."""
+    k, row, col, factor, turn, const = _pattern(orders, case)
+    order = np.lexsort((row, k))
+    k, row, col, factor, turn, const = (x[order] for x in (k, row, col, factor,
+                                                           turn, const))
+    entry_class, col_slot = _columns(col)
+    new = (np.diff(k, prepend=-1) != 0) | (np.diff(row, prepend=-1) != 0)
+    starts = np.flatnonzero(new)
+    row_class = np.minimum.reduceat(entry_class, starts)
+    mixed = np.flatnonzero(np.maximum.reduceat(entry_class, starts) > row_class)
+    if mixed.size:
+        first = starts[mixed[0]]
+        raise _coupling_error(_tags(int(orders[k[first]]), case)[row[first]])
+    rows = np.bincount(k[starts], minlength=orders.size)
+    first_row = np.cumsum(rows) - rows
+    ones = np.add.reduceat(row_class, first_row)
+    in_order = np.arange(row_class.size) - np.repeat(first_row, rows)
+    ones_before = np.cumsum(row_class) - row_class - np.repeat(
+        np.cumsum(ones) - ones, rows)
+    row_slot = np.where(row_class == 1, ones_before, in_order - ones_before)
+    height = np.maximum(ones, rows - ones)
+    width = 2 * orders + 1
+    offsets = np.cumsum(np.concatenate([[0], 2 * height * width]))
+    grow = np.cumsum(new) - 1
+    pos = offsets[k] + (row_class[grow] * height[k] + row_slot[grow]) * width[k] \
+        + col_slot
+    return _Layout(*_read_only(k, const, factor, turn, grow, col, pos, starts,
+                               row_class, row_slot),
+                   tuple(zip([2] * orders.size, height.tolist(), width.tolist())),
+                   *_read_only(offsets))
+
+
+@lru_cache(maxsize=None)
+def _layout(n, case):
+    """Layout of the order-n rows of case, imp-imp or pec-pmc."""
+    return _build_layout(np.array([n]), case)
+
+
+@lru_cache(maxsize=None)
+def _report_layout(n_max, case):
+    """Layout of the rows of case at orders 1..n_max."""
+    return _build_layout(np.arange(1, n_max + 1), case)
+
+
+def _entry_values(layout, orders, eff, case):
+    """Value of each entry of layout at eff, the config the rows of case are
+    assembled at; orders holds the n of each layout.at.  The factor table F
+    has one row per order: ik, eta1, eta2 and then the edge values for
+    imp-imp, all ones for pec-pmc."""
+    if case == CaseKind.PEC_PMC:
+        table = np.ones((len(orders), 3))
+    else:
+        eta1, eta2, k = eff.bc1.eta0, eff.bc2.eta0, eff.k
+        table = np.empty((len(orders), 3 + len(_EDGE_ENTRIES[0])), dtype=complex)
+        table[:, :3] = 1j * k, eta1, eta2
+        table[:, 3:] = np.transpose(_edge_values(
+            *sincos_pi(eff.alpha.value), *_radial_weights(orders), eta1, eta2, k))
+    phase = eff.alpha.value * math.pi
+    return (layout.const * table[layout.at, layout.factor]
+            * np.exp(1j * phase * layout.turn))
+
+
 def assemble_order_system(n, config):
     """Full order-n constraint system for the configured boundary pairing."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    case, eff = effective_config(config)
-    if case == CaseKind.PEC_PMC:
-        return _assemble_pecpmc(n, eff.alpha)
-    system = _assemble_impimp(n, eff)
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    source_case, eff = effective_config(config)
+    case = _assembled_case(source_case)
+    layout, tags = _layout(n, case), _tags(n, case)
+    rows = np.zeros((len(tags), 2 * (2 * n + 1)), dtype=complex)
+    rows[layout.row, layout.col] = _entry_values(layout, np.array([n]), eff, case)
+    system = ConstraintSystem(n=n, case=case, alpha=eff.alpha, rows=rows,
+                              provenance=list(tags))
     if eff is not config:
-        system.source_case, system.source_alpha = case, config.alpha
+        system.source_case, system.source_alpha = source_case, config.alpha
     return system
 
+
+_BUFFER = 1 << 18   # complex entries (4 MB) of parity blocks filled at once
+
+
+def _unit_blocks(n_max, eff, case):
+    """Parity blocks of the unit rows of orders 1..n_max that case assembles
+    at eff, order by order.  The entry values and row norms of all orders
+    come from one pass.  They are scattered into one buffer per run of
+    orders whose blocks fit _BUFFER entries (orders up to about 45 fit one),
+    and each order's blocks are a view into its run's buffer."""
+    layout = _report_layout(n_max, case)
+    values = _entry_values(layout, np.arange(1, n_max + 1), eff, case)
+    norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
+                                    layout.starts))
+    values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
+    offsets = layout.offsets
+    cut = np.searchsorted(layout.at, np.arange(n_max + 1))   # first entry per order
+    first = 0
+    while first < n_max:
+        last = max(first + 1, int(np.searchsorted(
+            offsets, offsets[first] + _BUFFER, side="right")) - 1)
+        base = offsets[first]
+        buffer = np.zeros(offsets[last] - base, dtype=complex)
+        buffer[layout.pos[cut[first]:cut[last]] - base] = values[cut[first]:cut[last]]
+        for i in range(first, last):
+            yield buffer[offsets[i] - base:offsets[i + 1] - base].reshape(
+                layout.shapes[i])
+        first = last
+
+
+# ---------------------------------------------------------------------------
+# rank
+# ---------------------------------------------------------------------------
 
 def _unit_rows(system):
     """Rows of a system or matrix scaled to unit 2-norm, zero rows left at
@@ -425,44 +612,56 @@ def _unit_rows(system):
     return rows / np.where(norms > 0.0, norms, 1.0)
 
 
-@lru_cache(maxsize=None)
+_CLASS_MASKS = _read_only(np.equal.outer(
+    (0, 1), _columns(np.arange(2 * (2 * MAX_ORDER + 1)))[0]))[0]
+
+
 def _parity_classes(n):
     """Column masks of parity class 0 (a_m with m even, b_m with m odd) and
-    of class 1, in column_labels order."""
-    fam, m = zip(*column_labels(n))
-    parity = (np.array(m) + (np.array(fam) == "b")) % 2
-    return _read_only(np.array([parity == 0, parity == 1]))[0]
+    of class 1, in column_labels order: order n's columns are the first
+    2(2n+1) of any higher order's."""
+    return _CLASS_MASKS[:, :2 * (2 * n + 1)]
+
+
+class _OrderBlocks(NamedTuple):
+    """Order n of a report, split already: its unit-row parity blocks."""
+    n: int
+    blocks: np.ndarray
 
 
 def _parity_blocks(system):
     """Unit rows split by parity class, stacked (classes, rows, 2n+1) with
-    zero rows padding the shorter block, and each class's column mask.  A
-    bare matrix is one class; a zero row joins class 0, and a row with
-    nonzeros in both classes raises ValueError."""
+    zero rows padding the shorter block, and each class's column mask.
+
+    A ConstraintSystem is split by its order's layout; a nonzero off the
+    class its layout gives the row raises ValueError.  A bare matrix is one
+    class, and _OrderBlocks are split already.
+    """
+    if isinstance(system, _OrderBlocks):
+        return system.blocks, _parity_classes(system.n)
     rows = _unit_rows(system)
-    classes = (_parity_classes(system.n) if isinstance(system, ConstraintSystem)
-               else np.ones((1, rows.shape[1]), dtype=bool))
-    touched = (rows != 0) @ classes.T
-    mixed = np.flatnonzero(touched.sum(axis=1) > 1)
-    if mixed.size:
-        raise ValueError(f"row {system.provenance[mixed[0]]!r} has nonzeros in "
-                         "both parity classes")
-    owner = touched.argmax(axis=1)
-    parts = [rows[owner == c][:, cols] for c, cols in enumerate(classes)]
-    blocks = np.zeros((len(parts), max(len(p) for p in parts), parts[0].shape[1]),
-                      dtype=complex)
-    for block, part in zip(blocks, parts):
-        block[:len(part)] = part
+    if not isinstance(system, ConstraintSystem):
+        return rows[None], np.ones((1, rows.shape[1]), dtype=bool)
+    layout = _layout(system.n, system.case)
+    classes = _parity_classes(system.n)
+    off = np.flatnonzero(np.any((rows != 0) & classes[1 - layout.row_class], axis=1))
+    if off.size:
+        raise _coupling_error(system.provenance[off[0]])
+    columns = np.nonzero(classes)[1].reshape(2, -1)
+    blocks = np.zeros(layout.shapes[0], dtype=complex)
+    blocks[layout.row_class, layout.row_slot] = np.take_along_axis(
+        rows, columns[layout.row_class], axis=1)
     return blocks, classes
 
 
 def nullspace_dim(system, tol=1e-9):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
-    The singular values are those of the rows scaled to unit length, taken
-    on the two parity blocks in one batched SVD.  Relative singular values
-    inside (tol/10, tol*10) are neither clearly zero nor clearly nonzero;
-    these raise RankAmbiguityError instead of guessing.
+    system is a ConstraintSystem, a bare matrix, or one order of a report
+    (_OrderBlocks).  The singular values are those of the rows scaled to unit
+    length, taken on the two parity blocks in one batched SVD.  Relative
+    singular values inside (tol/10, tol*10) are neither clearly zero nor
+    clearly nonzero; these raise RankAmbiguityError instead of guessing.
     """
     blocks, _ = _parity_blocks(system)
     return int(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
@@ -480,10 +679,9 @@ def _dim_from_values(system, s, ncols, tol):
     inband = (tol / 10.0 < rel) & (rel < tol * 10.0)
     if inband.any():
         band = sorted(map(float, rel[inband]), reverse=True)
-        order = system.n if isinstance(system, ConstraintSystem) else None
         raise RankAmbiguityError(
             f"singular values {band} within a factor 10 of threshold {tol}",
-            order=order, values=band)
+            order=getattr(system, "n", None), values=band)
     # a block with fewer rows than columns has ncols - s.shape[-1] more zeros
     return (rel < tol).sum(axis=-1) + ncols - s.shape[-1]
 
@@ -627,17 +825,27 @@ def vanishing_order(config, n_max, tol=1e-9):
     at every order n <= n0.  It must be at least min(grid bound, n_max);
     a report that falls below it contradicts itself and raises
     BoundInvariantError instead.
+
+    An untagged decimal angle has an infinite grid bound.  So
+    config_for_case(IMP_PEC, parse_angle("0.37"), None, 1.3+0.2j, 1.1)
+    raises BoundInvariantError at n_max 85: the reflected angle 37/50 has
+    nullspace dimension 2 at order 50.  With detect_rational(parse_angle(
+    "0.37")) the same call reports the bound 49, equal to the grid bound.
+
+    The entries of all orders are filled in one pass (_unit_blocks), and
+    each order is decided by nullspace_dim on its view of the parity blocks.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
     case, eff = effective_config(config)
-    kind = "cos" if case == CaseKind.PEC_PMC else "sin"
+    pecpmc = case == CaseKind.PEC_PMC
+    dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
+            for m in range(2, n_max + 1)]
     per = []
-    for n in range(1, n_max + 1):
-        dim = nullspace_dim(assemble_order_system(n, config), tol=tol)
-        dets = (None, None) if case == CaseKind.PEC_PMC else _closed_dets(n, eff)
-        per.append(OrderDiagnostics(n, dim, *dets, [block_det(m, eff.alpha, kind)
-                                                    for m in range(2, n + 1)]))
+    for n, blocks in enumerate(_unit_blocks(n_max, eff, _assembled_case(case)), 1):
+        dim = nullspace_dim(_OrderBlocks(n, blocks), tol=tol)
+        head = (None, None) if pecpmc else _closed_dets(n, eff)
+        per.append(OrderDiagnostics(n, dim, *head, dets[:n - 1]))
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
     grid = theorem_bound(config.alpha, case, n_max)
     guaranteed = min(grid, n_max)

@@ -147,6 +147,25 @@ class TestCollocation:
         system = vanish.assemble_order_system(2, cfg)
         assert collocation_nullspace(2, cfg) == vanish.nullspace_dim(system)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_radial_fit_is_least_squares(self, rng, n):
+        # the cached pseudo-inverse gives lstsq's cubic, and a sample off the
+        # cubic trips the residual guard
+        radii = 2e-3 * 0.5 ** np.arange(5)
+        h = radii[0]
+        V = np.vander(radii / h, 4, increasing=True)
+        coef = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        noise = 1e-9 * (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)))
+        g = V @ coef + noise
+        values = g * radii[:, None] ** (n - 1)
+        lead = oracle._radial_coefficients(values, radii, n, orders=(0, 1, 3))
+        best = np.linalg.lstsq(V, g, rcond=None)[0]
+        for j, got in zip((0, 1, 3), lead):
+            np.testing.assert_allclose(got * h ** j, best[j], rtol=0, atol=1e-12)
+        values[2, 4] += 1e-3 * np.abs(values[:, 4]).max()
+        with pytest.raises(oracle.ExtrapolationError, match="radial fit residual"):
+            oracle._radial_coefficients(values, radii, n)
+
     def test_seed_reproducible(self):
         cfg = make_config("1/3")
         assert (collocation_nullspace(2, cfg, seed=7)

@@ -44,6 +44,14 @@ class TestSphHarmonic:
             for m in range(0, l + 1):
                 assert swe.norm_constant(l, m) == swe.norm_constant(l, -m) > 0
 
+    def test_norm_table_is_norm_constant_to_the_bit(self):
+        # the vectorised table the assembler and field evaluation share
+        table = swe._norm_table(85)
+        for l in range(86):
+            assert table[l].tolist() == [swe.norm_constant(l, m) if m <= l else 0.0
+                                         for m in range(86)]
+        assert not table.flags.writeable
+
     def test_pole_value(self):
         assert swe.sph_harmonic(1, 0, 0.0, 1.23) == pytest.approx(
             math.sqrt(3 / (4 * math.pi)))

@@ -443,6 +443,8 @@ class TestHighOrders:
         with pytest.raises(ValueError, match="n_max"):
             vanishing_order(cfg, vanish.MAX_ORDER + 1)
         assert nullspace_dim(assemble_order_system(vanish.MAX_ORDER, cfg)) == 0
+        with pytest.raises(ValueError, match="order must be in 1..85"):
+            assemble_order_system(vanish.MAX_ORDER + 1, cfg)
 
 
 class TestReflection:
@@ -624,3 +626,104 @@ class TestParityBlocks:
         blocks, classes = vanish._parity_blocks(np.eye(3, dtype=complex)[:2])
         assert blocks.shape == (1, 2, 3)
         assert classes.tolist() == [[True, True, True]]
+
+    def test_layout_builder_names_a_row_in_both_classes(self, monkeypatch):
+        tag = "face2-chain-e1 mu=2"
+        row = vanish._tags(3, CaseKind.IMP_IMP).index(tag)
+        chain_entries = vanish._chain_entries
+
+        def corrupted(orders):
+            k, rows, cols, *rest = (np.array(x) for x in chain_entries(orders))
+            hit = np.flatnonzero((orders[k] == 3) & (rows == row))[0]
+            assert vanish._columns(cols[hit])[0] == 0
+            cols[hit] = 2                               # a_1, class 1
+            return (k, rows, cols, *rest)
+        monkeypatch.setattr(vanish, "_chain_entries", corrupted)
+        for orders in ([3], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match=f"'{tag}' has nonzeros in both"):
+                vanish._build_layout(np.array(orders), CaseKind.IMP_IMP)
+
+
+class TestReportFill:
+    """vanishing_order fills every order in one pass; assemble_order_system
+    builds one order from the same layout and entry values."""
+
+    ETAS = dict(eta1=1.1 - 0.3j, eta2=0.8 + 0.5j, k=1.2)
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_report_ranks_equal_assembled_ranks(self, case):
+        # every reduced q/p with p <= 16, which includes the mixed pairings at
+        # 1/2 and 3/2 (reflected to alpha' = 1), and three untagged angles
+        upper = 1 if case == "imp-pmc" else 2
+        texts = [f"{q}/{p}" for p in range(2, 17) for q in range(1, upper * p)
+                 if math.gcd(q, p) == 1]
+        texts += [t for t in ("0.6180339887", "0.37", "1.41421356237")
+                  if float(t) < upper]
+        for text in texts:
+            cfg = make_config(text, case=case, **self.ETAS)
+            report = vanishing_order(cfg, 24)
+            assert [d.nullspace_dim for d in report.per_order] == [
+                nullspace_dim(assemble_order_system(n, cfg))
+                for n in range(1, 25)], text
+
+    def test_column_classes_follow_the_labels(self):
+        for n in (1, 2, 7):
+            labels = vanish.column_labels(n)
+            classes, slots = vanish._columns(np.arange(len(labels)))
+            for c in (0, 1):
+                members = [fam_m for fam_m, k in zip(labels, classes) if k == c]
+                assert all((m + (fam == "b")) % 2 == c for fam, m in members)
+                assert slots[classes == c].tolist() == list(range(2 * n + 1))
+
+    @pytest.mark.parametrize("alpha,case", [("2/7", "imp-imp"), ("0.37", "pec-pmc"),
+                                            ("1/2", "imp-pec"),
+                                            ("0.6180339887", "imp-pmc")])
+    @pytest.mark.parametrize("buffer", [vanish._BUFFER, 1500, 1])
+    def test_report_blocks_are_the_assembled_blocks(self, monkeypatch, alpha, case,
+                                                    buffer):
+        # a smaller buffer fills the orders in several runs; a buffer of one
+        # entry takes one order per run
+        monkeypatch.setattr(vanish, "_BUFFER", buffer)
+        cfg = make_config(alpha, case=case, **self.ETAS)
+        source, eff = vanish.effective_config(cfg)
+        views = list(vanish._unit_blocks(12, eff, vanish._assembled_case(source)))
+        assert len(views) == 12
+        for n, view in enumerate(views, 1):
+            blocks, _ = vanish._parity_blocks(assemble_order_system(n, cfg))
+            assert view.shape == blocks.shape
+            np.testing.assert_allclose(view, blocks, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha,j", [("0.33333", 3), ("0.4000001", 5)])
+    def test_ambiguity_names_its_order(self, capsys, alpha, j):
+        # just off q/j the order-j cascade block is nearly singular, so its
+        # smallest relative singular value lies far below the lower orders'
+        from edgewave.cli import main
+        cfg = make_config(alpha)
+
+        def relative(n):
+            blocks, _ = vanish._parity_blocks(assemble_order_system(n, cfg))
+            s = np.linalg.svd(blocks, compute_uv=False)
+            return s / s.max()
+        tol = float(relative(j).min())
+        for n in range(1, j):
+            assert relative(n).min() > 10 * tol
+        with pytest.raises(RankAmbiguityError) as info:
+            vanishing_order(cfg, j + 2, tol=tol)
+        assert info.value.order == j
+        code = main(["analyze", "--alpha", alpha, "--case", "imp-imp", "--eta1", "1",
+                     "--eta2", "1", "--nmax", str(j + 2), "--tol", repr(tol)])
+        assert code == 2
+        assert capsys.readouterr().err == f"rank ambiguity at order {j}: {info.value}\n"
+
+    def test_library_decimal_angle_needs_its_fraction(self):
+        # parse_angle leaves "0.37" untagged, so its grid bound is infinite,
+        # yet the reflected angle 37/50 degenerates at n = 50
+        alpha = angles.parse_angle("0.37")
+        cfg = vanish.config_for_case(CaseKind.IMP_PEC, alpha, None, 1.3 + 0.2j, 1.1)
+        with pytest.raises(vanish.BoundInvariantError,
+                           match="nullspace dimension 2 at order 50"):
+            vanishing_order(cfg, vanish.MAX_ORDER)
+        tagged = vanish.config_for_case(CaseKind.IMP_PEC, angles.detect_rational(alpha),
+                                        None, 1.3 + 0.2j, 1.1)
+        report = vanishing_order(tagged, vanish.MAX_ORDER)
+        assert report.order_lower_bound == report.theorem_bound == 49
