@@ -10,6 +10,11 @@ All operators in this module are geometric: trace_tangential_E returns the
 actual cross product nu ^ E of the evaluated field, impedance_residual the
 actual boundary combination nu ^ (curl E) + eta (nu ^ E) ^ nu.  Everything
 is reported in the Cartesian frame.
+
+face_residuals gives the residuals of both faces from one evaluation of E
+and curl E: the two faces share their radii and polar angles, so their
+points differ only in phi and go through one mode table.
+impedance_residual is its one-face view.
 """
 
 from __future__ import annotations
@@ -145,6 +150,55 @@ def tangential_projection(coeffs, config, face, r, theta):
     return _project(*_expansion(coeffs, config, face, r, theta), config, face)
 
 
+def _face_fields(coeffs, config, faces, r, theta):
+    """E and curl E on each of faces, from one evaluation of coeffs.with_curl().
+
+    The points are (face, r, theta), with phi = face_phi on each face.  r
+    carries the face axis, so every point is a sample of its own and all of
+    them go through one pointwise mode table.  Returns, per face, the
+    spherical components of E and of curl E, and the frame there.
+    """
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    points = (len(faces),) + np.broadcast_shapes(r.shape, theta.shape)
+    phi = np.reshape([face_phi(config, face) for face in faces],
+                     points[:1] + (1,) * len(points))
+    # the extra field axis comes last, so the points gain one to line up
+    comps = _spherical_components(coeffs.with_curl(),
+                                  np.broadcast_to(r, points)[..., None],
+                                  theta[..., None], phi)
+    return [([c[i, ..., 0] for c in comps], [c[i, ..., 1] for c in comps],
+             unit_frame(theta, face_phi(config, face)))
+            for i, face in enumerate(faces)]
+
+
+def _residual(fields, config, face, spec, r, theta):
+    """The boundary combination of spec on face from _face_fields' entry."""
+    E, curl, frame = fields
+    if spec.kind == ImpedanceKind.INFINITE:
+        return _project(E, frame, config, face)
+    curl_trace = _cross(curl, frame, face)
+    if spec.kind == ImpedanceKind.ZERO:
+        return curl_trace
+    eta = spec.eta(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+    return curl_trace + np.asarray(eta)[..., None] * _project(E, frame, config,
+                                                              face)
+
+
+def face_residuals(coeffs, config, r, theta):
+    """impedance_residual of both faces, each under its own condition
+    (config.bc1, config.bc2), stacked on a leading face axis.
+
+    Both come from one evaluation of coeffs.with_curl(), which shares the
+    Bessel and Legendre tabulation of the two faces' points.
+    """
+    faces = (Face.ONE, Face.TWO)
+    return np.stack([
+        _residual(fields, config, face, spec, r, theta)
+        for fields, face, spec in zip(_face_fields(coeffs, config, faces, r, theta),
+                                      faces, (config.bc1, config.bc2))])
+
+
 def impedance_residual(coeffs, config, face, spec, r, theta):
     """Boundary residual of the generalized impedance condition on a face.
 
@@ -152,24 +206,11 @@ def impedance_residual(coeffs, config, face, spec, r, theta):
     zero:     nu ^ (curl E)
     infinite: (nu ^ E) ^ nu
 
-    On a series face E and curl E come from one evaluation of the table
-    coeffs.with_curl(), which shares the Bessel and Legendre tabulation.
+    The one-face view of face_residuals: E and curl E come from one
+    evaluation of the table coeffs.with_curl().
     """
-    if spec.kind == ImpedanceKind.INFINITE:
-        return tangential_projection(coeffs, config, face, r, theta)
-    if spec.kind == ImpedanceKind.ZERO:
-        return trace_tangential_curl(coeffs, config, face, r, theta)
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = face_phi(config, face)
-    # the extra field axis comes last, so r and theta gain one to line up
-    comps = _spherical_components(coeffs.with_curl(), r[..., None],
-                                  theta[..., None], phi)
-    frame = unit_frame(theta, phi)
-    curl_trace = _cross([c[..., 1] for c in comps], frame, face)
-    tang = _project([c[..., 0] for c in comps], frame, config, face)
-    eta = spec.eta(r, theta)
-    return curl_trace + np.asarray(eta)[..., None] * tang
+    fields, = _face_fields(coeffs, config, (face,), r, theta)
+    return _residual(fields, config, face, spec, r, theta)
 
 
 def edge_vector_table(config):

@@ -7,6 +7,9 @@ Richardson-extrapolating the leading radial coefficients, rather than by the
 closed-form row formulas of the structured assembler.  Leading-order
 extraction uses a polynomial fit over a geometric radius grid (ratio 2), so
 the oracle stays independent of the series coefficients used elsewhere.
+A query tabulates its basis fields once: the rows of both faces, or the
+first-order head row, come from one evaluation of E and curl E
+(corner.face_residuals), and both faces share one radial fit.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import corner as _corner
-from .corner import (Face, face_normal, impedance_residual, tangential_projection,
-                     trace_tangential_curl)
+from .corner import Face, face_normal
 from .swe import (ModeCoefficients, _azimuthal_parts, _spherical_components,
                   _sum_orders, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
@@ -246,42 +248,42 @@ def _radial_coefficients(values, radii, n, orders=(0,)):
     return out
 
 
-def _face_spec(config, face):
-    return config.bc1 if face == Face.ONE else config.bc2
-
-
 def _sample_rows_true(n, config, thetas, radii, orders):
     """Rows from the geometric boundary residual of every basis field.
 
-    Returns an array (nrows, 2(2n+1)): for each face, theta sample and
-    Cartesian component, the extracted r^{n-1+j} coefficients (j in orders).
+    Returns an array (nrows, 2(2n+1)): for each face, extracted order j and
+    theta sample and Cartesian component, the r^{n-1+j} coefficient (j in
+    orders).  Both faces' residuals come from one field evaluation and one
+    radial fit, in which each face is a field block of its own, so the fit
+    guards each face's rows against that face's scale.
     """
     basis = _unit_basis(n, config.k)
-    rows = []
-    for face in (Face.ONE, Face.TWO):
-        res = impedance_residual(basis, config, face, _face_spec(config, face),
-                                 np.asarray(radii)[:, None, None],
+    res = _corner.face_residuals(basis, config, np.asarray(radii)[:, None, None],
                                  np.asarray(thetas)[None, :, None])
-        # (nr, ntheta, field, 3) -> fields last, so rows run over (theta, 3)
-        lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, orders)
-        rows += [c.reshape(-1, c.shape[-1]) for c in lead]
-    return np.concatenate(rows, axis=0)
+    # (face, nr, ntheta, field, 3) -> (nr, ntheta, 3, face x field)
+    faces, nr, ntheta, nfields, _ = res.shape
+    values = res.transpose(1, 2, 4, 0, 3).reshape(nr, ntheta, 3, -1)
+    lead = np.stack(_radial_coefficients(values, radii, n, orders))
+    # (order, ntheta, 3, face, field) -> rows by face, then order
+    return lead.reshape(len(orders), ntheta, 3, faces, nfields).transpose(
+        3, 0, 1, 2, 4).reshape(-1, nfields)
 
 
 def _sampled_head_row(n, config, thetas, radii):
     """First-order head relation sampled from the face-1 series.
 
     Samples the combination -nu1 ^ (curl E) + eta1 (nu1 ^ E) ^ nu1 (the
-    orientation under which the first-order head block closes), extracts the
-    r^{n-1} coefficient of its e2 component and projects the theta dependence
-    on the P_n^0 direction.
+    orientation under which the first-order head block closes), from one
+    evaluation of E and curl E, extracts the r^{n-1} coefficient of its e2
+    component and projects the theta dependence on the P_n^0 direction.
     """
     basis = _unit_basis(n, config.k)
     thetas = np.asarray(thetas)
     r, theta = np.asarray(radii)[:, None, None], thetas[None, :, None]
     e2 = _corner.e_vectors(thetas, 0.0)[1]           # (ntheta, 3)
-    res = (-trace_tangential_curl(basis, config, Face.ONE, r, theta)
-           + config.bc1.eta0 * tangential_projection(basis, config, Face.ONE, r, theta))
+    (E, curl, frame), = _corner._face_fields(basis, config, (Face.ONE,), r, theta)
+    res = (-_corner._cross(curl, frame, Face.ONE)
+           + config.bc1.eta0 * _corner._project(E, frame, config, Face.ONE))
     lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, (0,))[0]
     sampled = np.sum(lead * e2[:, :, None], axis=1)  # (ntheta, nbasis)
     # least-squares split over the degree-n Legendre components; keep mu = 0

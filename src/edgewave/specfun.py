@@ -52,20 +52,25 @@ def legendre_table(lmax, x):
 
     Returns shape (lmax + 1, lmax + 1) + x.shape, indexed [l, m]; entries
     with m > l are zero.  Each order m starts on the diagonal
-    P_m^m = (2m-1)!! (1-x^2)^{m/2} and runs upward in degree.
+    P_m^m = (2m-1)!! (1-x^2)^{m/2} and runs upward in degree; the sweep
+    takes one degree at a time, every order at once.
     """
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1 + 1e-14):
         raise ValueError("argument outside [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
     out = np.zeros((lmax + 1, lmax + 1) + x.shape)
+    s2 = 1.0 - x * x
     for m in range(lmax + 1):
-        out[m, m] = double_factorial(2 * m - 1) * (1.0 - x * x) ** (m / 2.0)
+        # a power per order, as numpy picks sqrt or square for some of them
+        out[m, m] = double_factorial(2 * m - 1) * s2 ** (m / 2.0)
         if m < lmax:
             out[m + 1, m] = x * (2 * m + 1) * out[m, m]
-        for deg in range(m + 2, lmax + 1):
-            out[deg, m] = ((2 * deg - 1) * x * out[deg - 1, m]
-                           - (deg + m - 1) * out[deg - 2, m]) / (deg - m)
+    mu = np.arange(lmax - 1.0).reshape((-1,) + (1,) * x.ndim)
+    for deg in range(2, lmax + 1):
+        m, low = mu[:deg - 1], slice(0, deg - 1)
+        out[deg, low] = ((2 * deg - 1) * x * out[deg - 1, low]
+                         - (deg - 1 + m) * out[deg - 2, low]) / (deg - m)
     return out
 
 

@@ -30,6 +30,12 @@ alpha*pi on face 2.  A PEC/PMC entry is c e^{i m phase}, and the six edge
 rows have 17 structurally nonzero entries (_edge_values).  _entry_values
 computes all of them, for one order or for many.
 
+Of a series impedance eta0 + sum_j eta_j(theta) r^j only eta0 enters the
+rows.  Under the induction hypothesis the coefficients of degree below n
+vanish, so E and curl E start with their degree-n part at r^{n-1}.  A term
+eta_j r^j therefore first acts at r^{n-1+j}, past the r^{n-1} coefficient
+the order-n rows compare, for every j >= 1.
+
 The rank is decided on two parity classes of 2n+1 columns each: class 0
 holds a_m with m even and b_m with m odd, class 1 the rest.  No row couples
 them: chain row e1 mu touches a_mu and b_{mu+-1}, e2 mu touches a_{mu+-1}
@@ -664,26 +670,28 @@ def nullspace_dim(system, tol=1e-9):
     clearly nonzero; these raise RankAmbiguityError instead of guessing.
     """
     blocks, _ = _parity_blocks(system)
-    return int(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
-                                blocks.shape[-1], tol).sum())
+    return sum(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
+                                blocks.shape[-1], tol))
 
 
 def _dim_from_values(system, s, ncols, tol):
     """Nullity of each block of ncols columns from its singular values s
-    (blocks, values).  Threshold and band are relative to the largest value of
-    all blocks: the decision is that of the unsplit matrix."""
+    (blocks, values), as a list.  Threshold and band are relative to the
+    largest value of all blocks: the decision is that of the unsplit matrix.
+    The few relative values are compared as Python floats."""
     top = s.max(initial=0.0)
     if top == 0.0:
-        return np.full(len(s), ncols)
-    rel = s / top
-    inband = (tol / 10.0 < rel) & (rel < tol * 10.0)
-    if inband.any():
-        band = sorted(map(float, rel[inband]), reverse=True)
+        return [ncols] * len(s)
+    rel = (s / top).tolist()
+    low, high = tol / 10.0, tol * 10.0
+    band = sorted((v for block in rel for v in block if low < v < high),
+                  reverse=True)
+    if band:
         raise RankAmbiguityError(
             f"singular values {band} within a factor 10 of threshold {tol}",
             order=getattr(system, "n", None), values=band)
-    # a block with fewer rows than columns has ncols - s.shape[-1] more zeros
-    return (rel < tol).sum(axis=-1) + ncols - s.shape[-1]
+    # a block with fewer rows than columns has ncols - len(block) more zeros
+    return [ncols - len(block) + sum(v < tol for v in block) for block in rel]
 
 
 def nullspace_basis(system, tol=1e-9):
@@ -696,7 +704,7 @@ def nullspace_basis(system, tol=1e-9):
     _, s, vh = np.linalg.svd(blocks)
     width = blocks.shape[-1]
     dims = _dim_from_values(system, s, width, tol)
-    basis = np.zeros((classes.shape[1], dims.sum()), dtype=complex)
+    basis = np.zeros((classes.shape[1], sum(dims)), dtype=complex)
     for cols, v, dim, end in zip(classes, vh, dims, np.cumsum(dims)):
         basis[cols, end - dim:end] = v[width - dim:].conj().T
     return basis

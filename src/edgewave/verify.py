@@ -455,12 +455,12 @@ def check_cross_oracle(seed=59):
     lines = []
     for alpha, case in cases:
         cfg = dict(_case_configs(alpha, rng))[case]
-        for n in range(1, 5):
+        for n in range(1, 11):
             ds = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
             dc = oracle.collocation_nullspace(n, cfg, seed=seed)
             assert ds == dc, f"{alpha} {case} n={n}: {ds} != {dc}"
         lines.append(f"{alpha}:{case}")
-    return f"exact agreement, n <= 4, configs: {', '.join(lines)}"
+    return f"exact agreement, n <= 10, configs: {', '.join(lines)}"
 
 
 def check_vani_pure_modes():

@@ -210,6 +210,20 @@ class TestResidual:
             assert res.shape == comp.shape
             assert np.max(np.abs(res - comp)) <= 1e-13 * np.max(np.abs(comp))
 
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_face_residuals_stack_both_faces(self, rng, case):
+        # one evaluation for both faces gives each face's own residual
+        cfg = make_config("0.37", case=case, eta1=0.8 - 0.4j, eta2=1.1 + 0.2j,
+                          k=1.3)
+        coeffs = random_coeffs(rng, k=cfg.k, fields=(4,))
+        r = np.array([1e-3, 5e-4, 2.5e-4])[:, None, None]
+        th = np.linspace(0.1, 3.0, 7)[None, :, None]
+        res = corner.face_residuals(coeffs, cfg, r, th)
+        assert res.shape == (2, 3, 7, 4, 3)
+        for got, face, spec in zip(res, (Face.ONE, Face.TWO), (cfg.bc1, cfg.bc2)):
+            ref = corner.impedance_residual(coeffs, cfg, face, spec, r, th)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_with_curl_stacks_the_curl_last(self, rng):
         coeffs = random_coeffs(rng, fields=(2,))
         both, curl = coeffs.with_curl(), coeffs.curl()

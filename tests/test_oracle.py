@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_config, random_coeffs
-from edgewave import oracle, swe, vanish
-from edgewave.corner import Face, e_vectors, impedance_residual, \
-    tangential_projection, trace_tangential_curl
+from edgewave import corner, oracle, swe, vanish
+from edgewave.corner import Face, ImpedanceKind, ImpedanceSpec, e_vectors, \
+    impedance_residual, tangential_projection, trace_tangential_curl
 from edgewave.oracle import FitQualityError, QuadratureSpec, ball_integral, \
     collocation_nullspace, vani_estimate
 from edgewave.specfun import assoc_legendre
@@ -183,6 +184,42 @@ class TestCollocation:
         # reflect onto the flat angle, where the face-2 rows carry sin(pi)
         cfg = make_config(alpha, case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j, k=1.2)
         for n in range(1, 11):
+            structured = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
+            assert collocation_nullspace(n, cfg) == structured
+
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_field_evaluation_per_query(self, monkeypatch, case, n):
+        # both faces' rows, or the head row at n = 1, share one tabulation
+        cfg = make_config("0.37", case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
+                          k=1.2)
+        calls = []
+        inner = corner._spherical_components
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(corner, "_spherical_components", counted)
+        collocation_nullspace(n, cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["imp-imp", "imp-pec"])
+    @pytest.mark.parametrize("alpha", ["1/13", "1/3", "2/5", "0.37", "3/7", "1/4"])
+    def test_variable_impedance_matches_structured(self, alpha, case):
+        # eta = eta0 + (0.5 cos theta + 0.2i) r + sin^2 theta r^2 on every
+        # series face: the sampled residuals see all of it, the structured
+        # rows only eta0, since eta_j r^j acts past the r^{n-1} coefficient
+        cfg = make_config(alpha, case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
+                          k=1.2)
+        higher = (lambda th: 0.5 * np.cos(th) + 0.2j, lambda th: np.sin(th) ** 2)
+
+        def variable(spec):
+            if spec.kind != ImpedanceKind.SERIES:
+                return spec
+            return ImpedanceSpec.series(spec.eta0, higher=higher)
+        cfg = dataclasses.replace(cfg, bc1=variable(cfg.bc1), bc2=variable(cfg.bc2))
+        for n in range(1, 8):
             structured = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
             assert collocation_nullspace(n, cfg) == structured
 

@@ -9,6 +9,20 @@ from edgewave import specfun as sf
 from edgewave.vanish import MAX_ORDER
 
 
+def _legendre_table_per_order(lmax, x):
+    """legendre_table as one numpy expression per (degree, order) pair."""
+    x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    out = np.zeros((lmax + 1, lmax + 1) + x.shape)
+    for m in range(lmax + 1):
+        out[m, m] = sf.double_factorial(2 * m - 1) * (1.0 - x * x) ** (m / 2.0)
+        if m < lmax:
+            out[m + 1, m] = x * (2 * m + 1) * out[m, m]
+        for deg in range(m + 2, lmax + 1):
+            out[deg, m] = ((2 * deg - 1) * x * out[deg - 1, m]
+                           - (deg + m - 1) * out[deg - 2, m]) / (deg - m)
+    return out
+
+
 class TestAssocLegendre:
     def test_values_at_one(self):
         assert sf.assoc_legendre(3, 0, 1.0) == 1.0
@@ -154,6 +168,17 @@ class TestTables:
         ref = np.polynomial.legendre.Legendre.basis(l)(x)
         assert sf.legendre_table(12, x)[l, 0] == pytest.approx(ref, rel=1e-10,
                                                               abs=1e-12)
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(5).uniform(-1, 1, 40),
+        np.cos(np.random.default_rng(6).uniform(0, math.pi, (3, 1, 4))),
+        np.array([-1.0, 1.0]), -1.0, 1.0, 0.3])
+    def test_legendre_table_matches_the_per_order_loop(self, x):
+        # one degree at a time over every order gives the bits of one
+        # (degree, order) pair at a time
+        for lmax in range(40):
+            assert np.array_equal(sf.legendre_table(lmax, x),
+                                  _legendre_table_per_order(lmax, x))
 
     def test_legendre_table_domain_error(self):
         with pytest.raises(ValueError):
