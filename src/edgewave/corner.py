@@ -14,7 +14,7 @@ is reported in the Cartesian frame.
 face_residuals gives the residuals of both faces from one evaluation of E
 and curl E: the two faces share their radii and polar angles, so their
 points differ only in phi and go through one mode table.
-impedance_residual is its one-face view.
+impedance_residual is its one-face view on a series face.
 """
 
 from __future__ import annotations
@@ -160,7 +160,11 @@ def _face_fields(coeffs, config, faces, r, theta):
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    points = (len(faces),) + np.broadcast_shapes(r.shape, theta.shape)
+    # the points line up with the field axes from the right, so they reach
+    # at least the field rank before the face axis goes in front
+    rank = max(r.ndim, theta.ndim, coeffs._a.ndim - 2)
+    points = (len(faces),) + np.broadcast_shapes(r.shape, theta.shape,
+                                                 (1,) * rank)
     phi = np.reshape([face_phi(config, face) for face in faces],
                      points[:1] + (1,) * len(points))
     # the extra field axis comes last, so the points gain one to line up
@@ -206,9 +210,14 @@ def impedance_residual(coeffs, config, face, spec, r, theta):
     zero:     nu ^ (curl E)
     infinite: (nu ^ E) ^ nu
 
-    The one-face view of face_residuals: E and curl E come from one
-    evaluation of the table coeffs.with_curl().
+    The zero and infinite kinds need only one of E and curl E and evaluate
+    just that.  A series face is the one-face view of face_residuals: E and
+    curl E come from one evaluation of the table coeffs.with_curl().
     """
+    if spec.kind == ImpedanceKind.INFINITE:
+        return tangential_projection(coeffs, config, face, r, theta)
+    if spec.kind == ImpedanceKind.ZERO:
+        return trace_tangential_curl(coeffs, config, face, r, theta)
     fields, = _face_fields(coeffs, config, (face,), r, theta)
     return _residual(fields, config, face, spec, r, theta)
 

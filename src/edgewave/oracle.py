@@ -7,9 +7,9 @@ Richardson-extrapolating the leading radial coefficients, rather than by the
 closed-form row formulas of the structured assembler.  Leading-order
 extraction uses a polynomial fit over a geometric radius grid (ratio 2), so
 the oracle stays independent of the series coefficients used elsewhere.
-A query tabulates its basis fields once: the rows of both faces, or the
-first-order head row, come from one evaluation of E and curl E
-(corner.face_residuals), and both faces share one radial fit.
+A query tabulates its basis fields once: the rows of both faces come from
+one evaluation of E and curl E (corner.face_residuals) and share one radial
+fit; the first-order head row is one face-1 impedance_residual.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import corner as _corner
-from .corner import Face, face_normal
+from .corner import Face, ImpedanceSpec, face_normal, impedance_residual
 from .swe import (ModeCoefficients, _azimuthal_parts, _spherical_components,
                   _sum_orders, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
@@ -281,9 +281,10 @@ def _sampled_head_row(n, config, thetas, radii):
     thetas = np.asarray(thetas)
     r, theta = np.asarray(radii)[:, None, None], thetas[None, :, None]
     e2 = _corner.e_vectors(thetas, 0.0)[1]           # (ntheta, 3)
-    (E, curl, frame), = _corner._face_fields(basis, config, (Face.ONE,), r, theta)
-    res = (-_corner._cross(curl, frame, Face.ONE)
-           + config.bc1.eta0 * _corner._project(E, frame, config, Face.ONE))
+    # the negated series residual with eta = -eta1; negation is exact, so
+    # this is -nu1 ^ (curl E) + eta1 (nu1 ^ E) ^ nu1 to the bit
+    res = -impedance_residual(basis, config, Face.ONE,
+                              ImpedanceSpec.series(-config.bc1.eta0), r, theta)
     lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, (0,))[0]
     sampled = np.sum(lead * e2[:, :, None], axis=1)  # (ntheta, nbasis)
     # least-squares split over the degree-n Legendre components; keep mu = 0

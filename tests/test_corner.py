@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_config, random_coeffs
 from edgewave import corner, swe
-from edgewave.corner import Face, ImpedanceSpec
+from edgewave.corner import Face, ImpedanceKind, ImpedanceSpec
 
 
 class TestGeometry:
@@ -211,18 +211,60 @@ class TestResidual:
             assert np.max(np.abs(res - comp)) <= 1e-13 * np.max(np.abs(comp))
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
-    def test_face_residuals_stack_both_faces(self, rng, case):
-        # one evaluation for both faces gives each face's own residual
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_face_residuals_stack_both_faces(self, rng, case, grid):
+        # one evaluation for both faces gives each face's own residual, on
+        # the collocation grid and at scalar points, where the face axis
+        # stays its own against the field axis
         cfg = make_config("0.37", case=case, eta1=0.8 - 0.4j, eta2=1.1 + 0.2j,
                           k=1.3)
-        coeffs = random_coeffs(rng, k=cfg.k, fields=(4,))
-        r = np.array([1e-3, 5e-4, 2.5e-4])[:, None, None]
-        th = np.linspace(0.1, 3.0, 7)[None, :, None]
+        if grid:
+            coeffs = random_coeffs(rng, k=cfg.k, fields=(4,))
+            r = np.array([1e-3, 5e-4, 2.5e-4])[:, None, None]
+            th = np.linspace(0.1, 3.0, 7)[None, :, None]
+            shape = (3, 7, 4, 3)
+        else:
+            coeffs = random_coeffs(rng, k=cfg.k, fields=(2,))
+            r, th, shape = 0.25, 0.9, (2, 3)
         res = corner.face_residuals(coeffs, cfg, r, th)
-        assert res.shape == (2, 3, 7, 4, 3)
+        assert res.shape == (2,) + shape
         for got, face, spec in zip(res, (Face.ONE, Face.TWO), (cfg.bc1, cfg.bc2)):
             ref = corner.impedance_residual(coeffs, cfg, face, spec, r, th)
+            assert ref.shape == shape
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("spec", [
+        ImpedanceSpec.series(0.8 - 0.4j), ImpedanceSpec.series(1.1, higher=(np.cos,)),
+        ImpedanceSpec.zero(), ImpedanceSpec.infinite()])
+    def test_scalar_points_against_a_field_axis(self, rng, monkeypatch, spec):
+        # scalar r and theta broadcast against every field, as a point of
+        # its own, and the zero and infinite kinds evaluate E or curl E alone
+        cfg = make_config("0.37", k=1.3)
+        coeffs = random_coeffs(rng, k=cfg.k, fields=(4,))
+        r, th = 0.25, 0.9
+        for face in (Face.ONE, Face.TWO):
+            curl = corner.trace_tangential_curl(coeffs, cfg, face, r, th)
+            tang = corner.tangential_projection(coeffs, cfg, face, r, th)
+            if spec.kind == ImpedanceKind.ZERO:
+                comp = curl
+            elif spec.kind == ImpedanceKind.INFINITE:
+                comp = tang
+            else:
+                comp = curl + spec.eta(r, th) * tang
+            tables = []
+            inner = corner._spherical_components
+
+            def counted(*args, **kwargs):
+                tables.append(args[0])
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(corner, "_spherical_components", counted)
+            res = corner.impedance_residual(coeffs, cfg, face, spec, r, th)
+            monkeypatch.undo()
+            assert res.shape == comp.shape == (4, 3)
+            assert np.max(np.abs(res - comp)) <= 1e-14 * np.max(np.abs(comp))
+            fields = [t._a.shape[2:] for t in tables]
+            assert fields == ([(4, 2)] if spec.kind == ImpedanceKind.SERIES
+                              else [(4,)])
 
     def test_with_curl_stacks_the_curl_last(self, rng):
         coeffs = random_coeffs(rng, fields=(2,))
