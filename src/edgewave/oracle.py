@@ -23,8 +23,8 @@ import numpy as np
 
 from . import corner as _corner
 from .corner import Face, ImpedanceSpec, face_normal, impedance_residual
-from .swe import (ModeCoefficients, _azimuthal_parts, _spherical_components,
-                  _sum_orders, norm_constant)
+from .swe import (ModeCoefficients, _angular_parts, _radial_factors,
+                  _spherical_components, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
 from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
                      nullspace_dim)
@@ -77,17 +77,44 @@ def _field_magnitude(field, r, theta, phi):
     return _magnitude(_spherical_components(field, r, theta, phi))
 
 
+def _real_blocks(field, r, theta, phi):
+    """E_c = sum_k R_k A_{k,c} on the grid (r, theta, phi) as real blocks:
+    the radial factors R, (balls x radial nodes, k), against the angular
+    table A as a (k, Re/Im x component x angle) matrix.  E_r takes only the
+    p rows, E_theta and E_phi only the j and q rows: two blocks.  The complex
+    A is freed on return, which keeps a query's peak memory down."""
+    R = _radial_factors(field, r)
+    A = _angular_parts(field, theta[:, None], phi[None, :])
+    blocks = []
+    for Rb, Ab in ((R[:1], A[:1, :, :1]), (R[1:], A[1:, :, 1:])):
+        k = Rb.shape[0] * Rb.shape[1]
+        blocks.append((Rb.reshape(k, r.size).T, np.concatenate(
+            [Ab.real, Ab.imag], axis=2).reshape(k, 2 * math.prod(Ab.shape[2:]))))
+    return blocks
+
+
 def _ball_magnitudes(field, r, theta, phi):
     """|E| on the grid (r[b], theta, phi) of each ball b in turn, r of shape
-    (balls, radial nodes).  A table's modes are tabulated once, on the radial
-    nodes of every ball; each ball then sums the orders of its own slice."""
+    (balls, radial nodes) and theta, phi 1-d, as (radial, angular) arrays.
+    A table is tabulated once for all balls (_real_blocks); each ball is
+    then two real matrix products into one buffer, and |E| the square root
+    of the summed squares of its six real columns."""
     if not isinstance(field, ModeCoefficients):
         for rb in r:
-            yield _field_magnitude(field, rb[:, None, None], theta, phi)
+            mag = _field_magnitude(field, rb[:, None, None], theta[:, None],
+                                   phi[None, :])
+            yield np.broadcast_to(mag, (rb.size, theta.size, phi.size)).reshape(
+                rb.size, -1)
         return
-    orders, parts = _azimuthal_parts(field, r[:, :, None, None], theta)
+    blocks = _real_blocks(field, r, theta, phi)
+    nodes = r.shape[1]
+    E = np.empty((nodes, 6 * theta.size * phi.size))    # one for all balls
+    outs = np.split(E, [blocks[0][1].shape[1]], axis=1)
     for b in range(len(r)):
-        yield _magnitude(_sum_orders(part[:, b], orders, phi) for part in parts)
+        for out, (Rb, Ab) in zip(outs, blocks):
+            np.matmul(Rb[b * nodes:(b + 1) * nodes], Ab, out=out)
+        parts = E.reshape(nodes, 6, -1)
+        yield np.sqrt(np.einsum("rcp,rcp->rp", parts, parts))
 
 
 def _ball_quadrature(field, radii, quad):
@@ -95,23 +122,29 @@ def _ball_quadrature(field, radii, quad):
 
     Gauss-Legendre in r over [0, rho] and in x = cos(theta); periodic
     trapezoid in phi.  Jacobian r^2 sin(theta) with the sin absorbed by the
-    x substitution.
+    x substitution.  Each ball's weights are two matrix-vector products.
     """
     nth, nphi = quad.angular_nodes, 2 * quad.angular_nodes
     xr, wr = gauss_legendre(quad.radial_nodes)
     half = 0.5 * np.asarray(radii, dtype=float)[:, None]
     r = half * (xr + 1.0)
-    wr = half * wr
+    wr = half * wr * r * r            # with the Jacobian's r^2
     xt, wt = gauss_legendre(nth)
     theta = np.arccos(np.clip(xt, -1, 1))
     phi = 2 * math.pi * np.arange(nphi) / nphi
-    wphi = 2 * math.pi / nphi
-    vals = []
-    for rb, wb, mag in zip(r, wr, _ball_magnitudes(
-            field, r, theta[None, :, None], phi[None, None, :])):
-        inner = (mag * wt[None, :, None]).sum(axis=1).sum(axis=1) * wphi
-        vals.append(np.sum(wb * rb * rb * inner))
-    return np.array(vals)
+    wang = np.repeat(wt * (2 * math.pi / nphi), nphi)
+    return np.array([wb @ (mag @ wang) for wb, mag in
+                     zip(wr, _ball_magnitudes(field, r, theta, phi))])
+
+
+def _check_ball(field, radii):
+    """Refuse radii that are not finite and positive, and a table with a
+    field axis, before any tabulation."""
+    if not all(0 < rho < math.inf for rho in radii):   # NaN fails both
+        raise ValueError(f"radii must be finite and positive, got {radii}")
+    if isinstance(field, ModeCoefficients) and field._a.ndim > 2:
+        raise ValueError("ball integrals take a single-field table; this one "
+                         f"has field axes {field._a.shape[2:]}")
 
 
 def ball_integral(field, rho, quad=None, check_convergence=True):
@@ -121,8 +154,7 @@ def ball_integral(field, rho, quad=None, check_convergence=True):
     With check_convergence the quadrature is repeated on a refined grid and a
     relative disagreement above 1e-5 raises QuadratureConvergenceError.
     """
-    if rho <= 0:
-        raise ValueError("radius must be positive")
+    _check_ball(field, (rho,))
     quad = quad or QuadratureSpec()
     val = float(_ball_quadrature(field, (rho,), quad)[0])
     if check_convergence:
@@ -141,6 +173,7 @@ def ball_integral_mc(field, rho, quad):
     """Monte-Carlo cross-check of the ball integral (uniform ball sampling)."""
     if quad.mc_samples is None:
         raise ValueError("QuadratureSpec.mc_samples is not set")
+    _check_ball(field, (rho,))
     rng = np.random.default_rng(quad.seed)
     n = quad.mc_samples
     u = rng.random(n)
@@ -168,12 +201,13 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
     """Least-squares slope of log I(rho) vs log rho; order = slope - 3.
 
     The integral of |E| over B_rho scales like rho^(N+3) when the field
-    vanishes to order N, so the fitted slope estimates N + 3.  The modes are
-    tabulated once, on the quadrature nodes of all the radii together.
+    vanishes to order N, so the fitted slope estimates N + 3.  The field is
+    tabulated once for all the radii (_ball_quadrature): one radial matrix
+    on the radial nodes of every ball, one angular table on the shared
+    (theta, phi) nodes.
     """
     radii = tuple(sorted(radii, reverse=True))
-    if not all(0 < rho < math.inf for rho in radii):   # NaN fails both
-        raise ValueError(f"radii must be finite and positive, got {radii}")
+    _check_ball(coeffs, radii)
     if len(radii) < 4 or radii[0] / radii[-1] < 99:
         raise ValueError("need >= 4 radii spanning at least two decades")
     vals = tuple(map(float, _ball_quadrature(coeffs, radii,
@@ -230,13 +264,17 @@ def _radial_coefficients(values, radii, n, orders=(0,)):
     """
     radii = np.asarray(radii)
     h = radii[0]
-    g = values / (radii.reshape(-1, *([1] * (values.ndim - 1))) ** (n - 1))
+    power = radii.reshape(-1, *([1] * (values.ndim - 1))) ** (n - 1)
+    # numpy divides complex by d + 0i as a product with 1/d: the same bits
+    # without the complex division; real values keep the exact quotient
+    g = values * (1 / power) if np.iscomplexobj(values) else values / power
     V, pinv = _cubic_fit(tuple((radii / h).tolist()))
     flat = g.reshape(len(radii), -1)
     coef = pinv @ flat
     scale = np.max(np.abs(flat).reshape(-1, values.shape[-1]), axis=0)
     if len(radii) > 4:
-        res = np.sum(np.abs(V @ coef - flat) ** 2, axis=0)
+        d = V @ coef - flat
+        res = np.sum(np.square(d.real) + np.square(d.imag), axis=0)
         worst = np.max(res.reshape(-1, scale.size), axis=0) ** 0.5
         f = int(np.argmax(worst - 1e-5 * scale))
         if worst[f] > 1e-5 * scale[f]:

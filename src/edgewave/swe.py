@@ -15,14 +15,16 @@ and theta = 0 (the m/sin(theta) factors are routed through the stable
 degree-lowering recursion).
 
 Every mode is a radial x polar factor times e^{i m phi}.  Where phi adds
-axes of its own to the (r, theta, fields) shape, the expansion is summed per
-azimuthal order: for each m the modes l = |m|..L_max are contracted over
-degree on that shape, and one matrix product of these per-m parts against
-the (m, phi) table of e^{i m phi} sums the orders.  Elsewhere (a scalar phi
-on a corner face, or one phi per sample) the points go in fixed-size blocks:
-the factors of the M populated modes, with e^{i m phi} folded in, form a
-(points x 2M) mode table per component, and one matrix product with the
-(2M x fields) matrix of the coefficients gives the field.
+axes of its own to the (r, theta, fields) shape, the expansion is separated
+as E_c(r, theta, phi) = sum_k R_k(r) A_{k,c}(theta, phi), k running over
+(radial kind p/j/q, populated degree l): the real radial factors R are
+tabulated on the shape of r alone, and the angular table A (coefficients x
+polar factors, summed over m by one matrix product against the (m, phi)
+table of e^{i m phi}) on theta, phi and the fields alone.  Elsewhere (a
+scalar phi on a corner face, or one phi per sample) the points go in
+fixed-size blocks: the factors of the M populated modes, with e^{i m phi}
+folded in, form a (points x 2M) mode table per component, and one matrix
+product with the (2M x fields) matrix of the coefficients gives the field.
 """
 
 from __future__ import annotations
@@ -276,48 +278,46 @@ class ModeCoefficients:
                 and np.array_equal(self._b, other._b))
 
 
-def _azimuthal_parts(coeffs, r, theta):
-    """The expansion split by azimuthal order, before e^{i m phi}.
+def _radial_factors(coeffs, r):
+    """p_l, j_l and q_l of kr at the populated degrees l, ascending, from one
+    bessel_table on the shape of r: shape (3, degrees) + r.shape."""
+    l = np.unique(coeffs._populated()[0])
+    jt = bessel_table(coeffs.lmax + 1, coeffs.k * np.asarray(r, dtype=float))
+    p, q = _pq(jt, l)
+    return np.stack([p, jt[l], q])
 
-    Returns (orders, parts): the populated orders m, ascending, and parts of
-    shape (3, len(orders)) + the broadcast shape of r, theta and the field
-    axes, where parts[c, i] is component c (E_r, E_theta, E_phi) of the
-    modes of order orders[i], summed over l.  The Bessel and Legendre tables
-    are built once, on the shapes of r and of theta.  Each component is a
-    sum over degrees of radial factors (p_l, j_l or q_l) times coefficient x
-    polar factors: one contraction per component.
+
+def _angular_parts(coeffs, theta, phi):
+    """The angular table A of the expansion E_c = sum_{s,i} R[s, i] A[s, i, c],
+    R the _radial_factors.
+
+    Shape (3, degrees, 3) + the broadcast shape of theta, phi and the field
+    axes: A[s, i, c] is the part of component c (E_r, E_theta, E_phi) that
+    multiplies radial factor s (p, j, q) of the i-th populated degree; E_r
+    takes only p, the others only j and q.  Each part is coefficient x polar
+    factors, from one legendre_table, summed over the orders m against
+    e^{i m phi} (_sum_orders); phi may vary only along axes on which theta
+    and the field axes are 1.
     """
-    lmax, fields = coeffs.lmax, coeffs._a.shape[2:]
-    base = np.broadcast_shapes(np.shape(r), np.shape(theta), fields)
-
-    def aligned(shape):
-        return (1,) * (len(base) - len(shape)) + shape
-
-    r = np.asarray(r, dtype=float).reshape(aligned(np.shape(r)))
-    theta = np.asarray(theta, dtype=float).reshape(aligned(np.shape(theta)))
-    jt = bessel_table(lmax + 1, coeffs.k * r)
-    P = legendre_table(lmax + 1, np.cos(theta))
+    fields = coeffs._a.shape[2:]
+    theta = np.asarray(theta, dtype=float)
+    nd = max(theta.ndim, np.ndim(phi), len(fields))
+    theta = theta.reshape((1,) * (nd - theta.ndim) + theta.shape)
     l, m = coeffs._populated()
-    orders = np.unique(m)
-    # radial factors by degree l - 1; polar factors and coefficients by
-    # (order row, degree l - 1), zero where no mode is populated
-    deg = np.arange(1, lmax + 1)
-    p, q = _pq(jt, deg)
-    j = jt[1:lmax + 1]
-    pol = np.zeros((3, orders.size, lmax) + theta.shape)
-    pol[:, np.searchsorted(orders, m), l - 1] = _polar(P, l, m)
-    y, yt, ys = pol
-    a, b = (t[deg, orders[:, None]].reshape((orders.size, lmax) + aligned(fields))
+    degrees, orders = np.unique(l), np.unique(m)
+    y, yt, ys = _polar(legendre_table(coeffs.lmax + 1, np.cos(theta)), l, m)
+    a, b = (t[l, m].reshape(l.shape + (1,) * (nd - len(fields)) + fields)
             for t in (coeffs._a, coeffs._b))
-    L = np.sqrt(deg * (deg + 1.0)).reshape((lmax,) + (1,) * len(base))
-    terms = (((p,), (-L * b * y,)),                             # E_r
-             ((j, q), (-a / L * ys, -b / L * yt)),              # E_theta
-             ((j, q), (-1j * a / L * yt, -1j * b / L * ys)))    # E_phi
-    parts = np.empty((3, orders.size) + base, dtype=complex)
-    for part, (radial, polar) in zip(parts, terms):
-        np.einsum("tl...,tml...->m...", np.stack(radial), np.stack(polar),
-                  out=part, optimize=True)
-    return orders, parts
+    L = np.sqrt(l * (l + 1.0)).reshape(l.shape + (1,) * nd)
+    shape = np.broadcast_shapes(theta.shape, a.shape[1:])
+    parts = np.zeros((orders.size, 3, degrees.size, 3) + shape, dtype=complex)
+    o, i = np.searchsorted(orders, m), np.searchsorted(degrees, l)
+    parts[o, 0, i, 0] = -L * b * y                          # E_r
+    parts[o, 1, i, 1] = -a / L * ys                         # E_theta
+    parts[o, 2, i, 1] = -b / L * yt
+    parts[o, 1, i, 2] = -1j * a / L * yt                    # E_phi
+    parts[o, 2, i, 2] = -1j * b / L * ys
+    return _sum_orders(parts, orders, phi)
 
 
 def _sum_orders(part, orders, phi):
@@ -360,9 +360,9 @@ def _mode_table(coeffs, l, m, r, theta, phi):
 def _spherical_components(coeffs, r, theta, phi):
     """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays.
 
-    Where phi adds axes of its own to the (r, theta, fields) shape, each
-    component is one matrix product of its per-order parts (_azimuthal_parts)
-    and the (m, phi) table of e^{i m phi}.  Otherwise the points are
+    Where phi adds axes of its own to the (r, theta, fields) shape, the
+    radial factors (_radial_factors) are contracted with the angular table
+    (_angular_parts) over (kind, degree).  Otherwise the points are
     flattened, and each block of _BLOCK of them is one mode table
     (_mode_table) times the (2M x fields) matrix of the coefficients a_l^m,
     then b_l^m, of the M populated modes.  The points may not vary along the
@@ -373,8 +373,8 @@ def _spherical_components(coeffs, r, theta, phi):
     base = np.broadcast_shapes(r.shape, theta.shape, fields)
     shape = np.broadcast_shapes(base, phi.shape)
     if phi.size > 1 and math.prod(shape) == math.prod(base) * phi.size:
-        orders, parts = _azimuthal_parts(coeffs, r, theta)
-        return tuple(_sum_orders(part, orders, phi) for part in parts)
+        return tuple(np.einsum("si...,sic...->c...", _radial_factors(coeffs, r),
+                               _angular_parts(coeffs, theta, phi)))
     points = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
     if math.prod(shape) != math.prod(points) * math.prod(fields):
         raise ValueError("the points cannot vary along the field axes")

@@ -26,6 +26,14 @@ class TestBallIntegral:
         assert ball_integral(unit, rho) == pytest.approx(
             4 / 3 * math.pi * rho ** 3, rel=1e-6)
 
+    def test_callable_constant_along_the_angles(self):
+        # |E| = r, returned without theta or phi axes: every angular node
+        # still counts, so the integral is pi rho^4
+        radial = lambda r, th, ph: np.stack([r] * 3, axis=-1) / math.sqrt(3)
+        rho = 0.5
+        assert ball_integral(radial, rho) == pytest.approx(math.pi * rho ** 4,
+                                                           rel=1e-12)
+
     def test_low_degree_scaling(self):
         c = swe.ModeCoefficients(1, 1.0, b={(1, 0): 1.0}, a={(1, 1): 0.4})
         ratio = ball_integral(c, 1e-2) / ball_integral(c, 1e-3)
@@ -47,6 +55,77 @@ class TestBallIntegral:
         g = ball_integral(c, 0.1, quad)
         mc = oracle.ball_integral_mc(c, 0.1, quad)
         assert abs(g - mc) / g < 0.02
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_radius_must_be_finite_and_positive(self, bad):
+        c = swe.ModeCoefficients(1, 1.0, b={(1, 0): 1.0})
+        with pytest.raises(ValueError, match="finite and positive"):
+            ball_integral(c, bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            oracle.ball_integral_mc(c, bad, QuadratureSpec(mc_samples=64))
+
+    def test_table_with_a_field_axis_is_refused(self):
+        c = swe.ModeCoefficients(1, 1.0, a={(1, 0): np.array([1.0, 2.0])})
+        with pytest.raises(ValueError, match=r"single-field table.*\(2,\)"):
+            ball_integral(c, 0.1)
+        with pytest.raises(ValueError, match=r"single-field table.*\(2,\)"):
+            vani_estimate(c)
+        with pytest.raises(ValueError, match=r"single-field table.*\(2,\)"):
+            oracle.ball_integral_mc(c, 0.1, QuadratureSpec(mc_samples=64))
+
+
+def _decay_like(rng, degrees, k=1.1):
+    def draw():
+        return complex(*rng.standard_normal(2))
+    modes = [(l, m) for l in degrees for m in range(-l, l + 1)]
+    return swe.ModeCoefficients(max(degrees), k, a={lm: draw() for lm in modes},
+                                b={lm: draw() for lm in modes})
+
+
+class TestBallQuadrature:
+    """The ball quadrature (radial matrix x angular table) against |E| from
+    the pointwise path on the same nodes."""
+
+    RADII = (1e-1, 1e-2, 1e-3)
+
+    @staticmethod
+    def _pointwise(field, radii, quad):
+        # |E| one point at a time through the mode table, weighted as the
+        # tensor-product rule: r^2 dr, d(cos theta), dphi
+        nth, nphi = quad.angular_nodes, 2 * quad.angular_nodes
+        xr, wr = np.polynomial.legendre.leggauss(quad.radial_nodes)
+        xt, wt = np.polynomial.legendre.leggauss(nth)
+        phi = 2 * math.pi * np.arange(nphi) / nphi
+        mags, vals = [], []
+        for rho in radii:
+            r = 0.5 * rho * (xr + 1.0)
+            grid = np.meshgrid(r, np.arccos(xt), phi, indexing="ij")
+            mag = oracle._field_magnitude(field, *(g.ravel() for g in grid))
+            mag = mag.reshape(grid[0].shape)
+            mags.append(mag.reshape(r.size, -1))
+            vals.append(np.einsum("r,rtp,t->", 0.5 * rho * wr * r * r, mag, wt)
+                        * 2 * math.pi / nphi)
+        return mags, np.array(vals)
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec(), QuadratureSpec(16, 16)],
+                             ids=["default", "16-node"])
+    @pytest.mark.parametrize("table", ["degrees-5-7", "two-modes"])
+    def test_matches_pointwise_path(self, rng, quad, table):
+        if table == "degrees-5-7":
+            c = _decay_like(rng, (5, 6, 7))
+        else:
+            c = swe.ModeCoefficients(3, 0.9, a={(2, 1): 0.4 - 1j},
+                                     b={(3, 2): 1.3 + 0.2j})
+        mags, ref = self._pointwise(c, self.RADII, quad)
+        nth, nphi = quad.angular_nodes, 2 * quad.angular_nodes
+        xr, _ = np.polynomial.legendre.leggauss(quad.radial_nodes)
+        r = 0.5 * np.asarray(self.RADII)[:, None] * (xr + 1.0)
+        theta = np.arccos(np.polynomial.legendre.leggauss(nth)[0])
+        phi = 2 * math.pi * np.arange(nphi) / nphi
+        for got, want in zip(oracle._ball_magnitudes(c, r, theta, phi), mags):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(oracle._ball_quadrature(c, self.RADII, quad),
+                                   ref, rtol=1e-13, atol=0)
 
 
 class TestVaniEstimate:
@@ -166,6 +245,22 @@ class TestCollocation:
         values[2, 4] += 1e-3 * np.abs(values[:, 4]).max()
         with pytest.raises(oracle.ExtrapolationError, match="radial fit residual"):
             oracle._radial_coefficients(values, radii, n)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_radial_fit_scales_to_the_bit(self, rng, n, dtype):
+        # the coefficients of the quotient values / r^(n-1), exactly: complex
+        # samples are scaled by the reciprocal, real ones divided
+        radii = 2e-3 * 0.5 ** np.arange(5)
+        V, pinv = oracle._cubic_fit(tuple((radii / radii[0]).tolist()))
+        coef = rng.standard_normal((4, 21)).astype(dtype)
+        if dtype is complex:
+            coef += 1j * rng.standard_normal((4, 21))
+        values = (V @ coef).reshape(5, 3, 7) * radii[:, None, None] ** (n - 1)
+        g = values / radii[:, None, None] ** (n - 1)
+        want = (pinv @ g.reshape(5, -1))[0].reshape(3, 7)
+        got = oracle._radial_coefficients(values, radii, n)[0]
+        np.testing.assert_array_equal(got, want)
 
     def test_seed_reproducible(self):
         cfg = make_config("1/3")

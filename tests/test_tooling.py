@@ -125,7 +125,9 @@ def test_ball_integrals_build_no_cartesian_vectors(monkeypatch):
 
 
 def test_vani_estimate_tabulates_once(monkeypatch):
-    # the modes are tabulated once, on the radial nodes of every ball
+    # the modes are tabulated once, on the radial nodes of every ball,
+    # whatever the number of radii
+    import numpy as np
     from edgewave import ModeCoefficients, oracle, swe
     calls = {"bessel_table": 0, "legendre_table": 0}
     for name in calls:
@@ -137,5 +139,8 @@ def test_vani_estimate_tabulates_once(monkeypatch):
         monkeypatch.setattr(swe, name, counted)
     coeffs = ModeCoefficients(4, 1.1, a={(3, 1): 1.0, (4, -2): 0.5j},
                               b={(3, -3): 0.7, (4, 0): 1.0})
-    assert oracle.vani_estimate(coeffs).estimated_order == 2
-    assert calls == {"bessel_table": 1, "legendre_table": 1}
+    for radii in (oracle.DEFAULT_RADII, np.geomspace(1e-1, 1e-3, 4),
+                  np.geomspace(1e-1, 1e-4, 9)):
+        calls.update(bessel_table=0, legendre_table=0)
+        assert oracle.vani_estimate(coeffs, radii).estimated_order == 2
+        assert calls == {"bessel_table": 1, "legendre_table": 1}
