@@ -45,9 +45,9 @@ for text in ("1/2", "1/3", "1/4", "1/5", "2/5", "3/7", "5/3"):
 print("\nMixed pairing reduces to a doubled-angle impedance problem:")
 mixed = EdgeCornerConfig(parse_angle("1/5"), ImpedanceSpec.infinite(),
                          ImpedanceSpec.series(1.3), 1.0)
-system = vanish.assemble_order_system(2, mixed)
-print(f"  source pairing {system.source_case.value} at {system.source_alpha} "
-      f"-> assembled at {system.alpha} with eta on both faces")
+case, eff = vanish.effective_config(mixed)
+print(f"  source pairing {case.value} at {mixed.alpha} "
+      f"-> assembled at {eff.alpha} with eta on both faces")
 
 print("\nReports serialize to a stable JSON shape:")
 data = vanish.vanishing_order(impimp("2/5"), 4).to_json_dict()

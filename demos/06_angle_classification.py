@@ -1,21 +1,21 @@
 """Angle arithmetic: parsing, rationality detection and exclusion grids.
 
-Rationality is representational: fractions parsed exactly stay exact, and a
-decimal only acquires a fraction through an explicit continued-fraction
-match within 1e-12.
+Rationality is representational: fractions parsed exactly stay exact, a
+parsed decimal carries the fraction a continued-fraction match finds within
+1e-12, and an angle built from a float carries none.
 """
 
 import math
 
 from edgewave import angles
-from edgewave.angles import Angle, PolyhedronAngles
+from edgewave.angles import Angle
 
 print("Parsing keeps fractions exact and reduces them:")
 a = angles.parse_angle("2/6")
 print(f"  '2/6' -> value {a.value:.6f}, fraction {a.rational}")
-a = angles.parse_angle("0.5")
-print(f"  '0.5' -> value {a.value}, fraction {a.rational}  "
-      "(decimals stay untagged)")
+for text in ("0.5", "0.6180339887"):
+    a = angles.parse_angle(text)
+    print(f"  {text!r} -> value {a.value}, fraction {a.rational}")
 
 print("\nContinued-fraction detection within 1e-12:")
 for value, max_den in ((0.333333333333, 10), (0.6180339887, 50),
@@ -33,10 +33,3 @@ golden = Angle((math.sqrt(5) - 1) / 2)
 print(f"  golden   {angles.grid_exclusion_order(golden, 'qp', 12):>9} "
       f"{angles.grid_exclusion_order(golden, 'q2p', 12):>10}   "
       "(no rational tag: never hits)")
-
-print("\nPolyhedron degree = smallest rational degree among its corners:")
-poly = PolyhedronAngles((angles.parse_angle("1/3"), angles.parse_angle("3/5"),
-                         golden))
-print(f"  corners (1/3, 3/5, golden) -> {angles.polyhedron_degree(poly)}")
-poly = PolyhedronAngles((golden, Angle(1 / math.sqrt(2))))
-print(f"  two untagged corners       -> {angles.polyhedron_degree(poly)}")

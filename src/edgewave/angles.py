@@ -1,9 +1,9 @@
 """Dihedral angle representation, rationality detection and exclusion grids.
 
 Rationality is a property of the representation, never of floating point:
-an angle carries an exact reduced fraction only when constructed from one
-("q/p" text) or when a continued-fraction match within 1e-12 is requested
-explicitly.
+an angle carries an exact reduced fraction only when parsed from text ("q/p",
+or a decimal that a fraction matches within 1e-12) or when detect_rational
+is applied.  An Angle built from a float stays untagged.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def sincos_pi(value):
 def parse_angle(text):
     """Parse "q/p" (exact, reduced on input) or a decimal literal.
 
-    Decimal inputs stay rational-free until detect_rational is applied.
+    A decimal is tagged with the fraction detect_rational finds, so "0.37"
+    is the angle 37/100; one that no fraction matches stays untagged.
     """
     text = text.strip()
     if "/" in text:
@@ -78,7 +79,7 @@ def parse_angle(text):
             raise AngleError(f"cannot parse angle {text!r}") from exc
     if not (0 < value < 2) or value == 1:
         raise AngleError(f"angle {text} outside (0,2)\\{{1}}")
-    return Angle(value=value, rational=rational)
+    return detect_rational(Angle(value=value, rational=rational))
 
 
 def detect_rational(angle, max_den=DEFAULT_MAX_DEN):
@@ -114,22 +115,3 @@ def grid_exclusion_order(angle, grid, n_max):
     den = angle.rational[1]
     first = den if grid == "qp" else den // math.gcd(den, 2)
     return min(first - 1, n_max)
-
-
-@dataclass(frozen=True)
-class PolyhedronAngles:
-    """One angle per edge-corner of a polyhedron."""
-
-    angles: tuple
-
-    def __post_init__(self):
-        if not self.angles:
-            raise AngleError("need at least one angle")
-
-
-def polyhedron_degree(poly):
-    """Classification: ("irrational", None) or ("rational", smallest degree p)."""
-    degrees = [a.rational[1] for a in poly.angles if a.rational is not None]
-    if not degrees:
-        return ("irrational", None)
-    return ("rational", min(degrees))

@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from .angles import AngleError, detect_rational, parse_angle
+from .angles import AngleError, parse_angle
 from .vanish import (INFINITE, MAX_ORDER, BoundInvariantError, CaseKind,
                      RankAmbiguityError, config_for_case, vanishing_order)
 from .verify import run_suite
@@ -29,42 +29,23 @@ from .verify import run_suite
 def parse_complex(text):
     """Parse 'a+bi' / 'a-bi' with optional parts ('2', '1.5-0.5i', 'i', '-i')."""
     text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty complex literal")
-    m = re.fullmatch(
-        r"(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-        r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i)?"
-        r"|(?P<only_im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i", text)
-    if m is None:
-        raise ValueError(f"cannot parse complex literal {text!r}")
-    if m.group("only_im") is not None:
-        part = m.group("only_im")
-        if part in ("", "+"):
-            return complex(0.0, 1.0)
-        if part == "-":
-            return complex(0.0, -1.0)
-        return complex(0.0, float(part))
-    realpart = float(m.group("re")) if m.group("re") else 0.0
-    impart = 0.0
-    if m.group("im") is not None:
-        part = m.group("im")
-        impart = 1.0 if part == "+" else -1.0 if part == "-" else float(part)
-    return complex(realpart, impart)
+    # complex() alone would also take 'j', 'nan', 'inf', '_' and parentheses
+    if re.fullmatch(r"[\d.eE+-]*i?", text):
+        try:
+            return complex(text[:-1] + "j" if text.endswith("i") else text)
+        except ValueError:
+            pass
+    raise ValueError(f"cannot parse complex literal {text!r}")
 
 
 def _seed(args):
-    env = os.environ.get("EDGEWAVE_SEED")
-    if args.seed is not None:
-        return args.seed
-    if env is not None:
-        return int(env)
-    return 42
+    return int(os.environ.get("EDGEWAVE_SEED", 42)) if args.seed is None \
+        else args.seed
 
 
 def _build_config(args, alpha_text):
-    """Config of the parsed arguments; a decimal angle gets the reduced
-    fraction it matches, so it is classified like the same fraction."""
-    alpha = detect_rational(parse_angle(alpha_text))
+    """Config of the parsed arguments."""
+    alpha = parse_angle(alpha_text)
     eta1, eta2 = (parse_complex(e) if e else None for e in (args.eta1, args.eta2))
     return config_for_case(CaseKind.parse(args.case), alpha, eta1, eta2, args.k)
 

@@ -56,25 +56,18 @@ class QuadratureSpec:
             raise ValueError("mc_samples must be >= 8")
 
 
-def _magnitude(comps):
-    """sqrt(sum |c|^2) over complex components, reduced one at a time into
-    one real array."""
-    total = 0.0
-    for c in comps:
-        total += np.square(c.real)
-        total += np.square(c.imag)
-        del c   # freed before the next component is made
-    return np.sqrt(total)
-
-
 def _field_magnitude(field, r, theta, phi):
     """|E| on a broadcastable grid; field is ModeCoefficients or a callable
     mapping (r, theta, phi) arrays to an (..., 3) complex array.  A table is
     reduced in its own orthonormal spherical frame, without Cartesian
-    vectors."""
+    vectors, as sqrt(sum |c|^2) over its complex components c."""
     if not isinstance(field, ModeCoefficients):
         return np.linalg.norm(field(r, theta, phi), axis=-1)
-    return _magnitude(_spherical_components(field, r, theta, phi))
+    total = 0.0
+    for c in _spherical_components(field, r, theta, phi):
+        total += np.square(c.real)
+        total += np.square(c.imag)
+    return np.sqrt(total)
 
 
 def _real_blocks(field, r, theta, phi):
@@ -258,20 +251,25 @@ def _radial_coefficients(values, radii, n, orders=(0,)):
     """Coefficients of r^{n-1+j}, j in orders, from sampled values.
 
     values has shape (nr, ..., nfields); a cubic in r is fitted to
-    values / r^{n-1} over the (scaled) radius grid.  The overdetermined fit
-    residual of each field, against that field's scale, guards against
-    extrapolation instability.
+    values / r^{n-1} over the (scaled) radius grid.  Scaled samples that
+    are not finite (r^{n-1} underflows at high n), and an overdetermined fit
+    residual of some field above 1e-5 of that field's scale, raise
+    ExtrapolationError.
     """
     radii = np.asarray(radii)
     h = radii[0]
-    power = radii.reshape(-1, *([1] * (values.ndim - 1))) ** (n - 1)
-    # numpy divides complex by d + 0i as a product with 1/d: the same bits
-    # without the complex division; real values keep the exact quotient
-    g = values * (1 / power) if np.iscomplexobj(values) else values / power
-    V, pinv = _cubic_fit(tuple((radii / h).tolist()))
+    with np.errstate(all="ignore"):
+        power = radii.reshape(-1, *([1] * (values.ndim - 1))) ** (n - 1)
+        # numpy divides complex by d + 0i as a product with 1/d: the same
+        # bits without the complex division; real values keep the exact quotient
+        g = values * (1 / power) if np.iscomplexobj(values) else values / power
     flat = g.reshape(len(radii), -1)
-    coef = pinv @ flat
     scale = np.max(np.abs(flat).reshape(-1, values.shape[-1]), axis=0)
+    if not np.all(np.isfinite(scale)):     # a NaN or inf sample propagates
+        raise ExtrapolationError(
+            f"samples scaled by r^-{n - 1} are not finite at order {n}")
+    V, pinv = _cubic_fit(tuple((radii / h).tolist()))
+    coef = pinv @ flat
     if len(radii) > 4:
         d = V @ coef - flat
         res = np.sum(np.square(d.real) + np.square(d.imag), axis=0)
@@ -352,11 +350,12 @@ def _numeric_edge_rows(n, config):
                      len(column_labels(n)))[0]
 
 
-def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
+def collocation_nullspace(n, config, seed=42):
     """Nullspace dimension of the order-n boundary conditions by collocation.
 
     The residual of each unit-coefficient order-n basis field is sampled at
-    random polar angles on both faces over a geometric radius grid and the
+    random polar angles on both faces over a geometric radius grid (four
+    samples per unknown, split over the radii and both faces) and the
     leading radial coefficients are Richardson-extrapolated into constraint
     rows.  For PEC/PMC faces both the r^{n-1} and the r^n coefficients are
     kept (the second-lowest order carries the coupling relations; a pure
@@ -367,21 +366,16 @@ def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    min_samples = 4 * (2 * (2 * n + 1))
-    if samples is None:
-        samples = min_samples
-    if samples < min_samples:
-        raise ValueError(f"need samples >= {min_samples}")
     rng = np.random.default_rng(seed)
     case, config = effective_config(config)
     k = config.k
     h = min(2e-3, 0.2 / k)
     radii = h * 0.5 ** np.arange(5)
-    ntheta = max(4, int(math.ceil(samples / (2 * len(radii)))))
+    ntheta = max(4, math.ceil(4 * (2 * n + 1) / len(radii)))
     thetas = rng.uniform(0.15, math.pi - 0.15, ntheta)
     if case == CaseKind.PEC_PMC:
         rows = _sample_rows_true(n, config, thetas, radii, orders=(0, 1))
-        return nullspace_dim(rows, tol=tol)
+        return nullspace_dim(rows)
     # impedance on both faces of config, the reflected one for mixed pairings
     edge = _numeric_edge_rows(n, config)
     if n == 1:
@@ -390,4 +384,4 @@ def collocation_nullspace(n, config, samples=None, seed=42, tol=1e-9):
     else:
         face_rows = _sample_rows_true(n, config, thetas, radii, orders=(0,))
         rows = np.vstack([edge, face_rows])
-    return nullspace_dim(rows, tol=tol)
+    return nullspace_dim(rows)

@@ -300,12 +300,6 @@ def radial_pq(l, t):
     return RadialFunctions(l=l, t=t, j=j[l], jprime=_jprime(j, l), p=p, q=q)
 
 
-def pq_leading_coeff(l, k=1.0):
-    """Coefficients of r^{l-1} in p_l(kr) and q_l(kr)."""
-    base = k ** (l - 1) / ((2 * l + 1) * double_factorial(2 * l - 1))
-    return base, (l + 1) * base
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(nodes):
     """Gauss-Legendre nodes and weights on [-1, 1], tabulated once per size;

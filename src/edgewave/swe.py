@@ -82,6 +82,9 @@ def norm_constant(l, m):
     return math.sqrt((2 * l + 1) / (4 * math.pi) * factorial(l - m) / factorial(l + m))
 
 
+MAX_LMAX = 85   # c_l^l needs (2l)!, which overflows a float above l = 85
+
+
 @lru_cache(maxsize=None)
 def _factorials():
     """j! for j = 0..170, every factorial a float holds; read-only."""
@@ -114,7 +117,8 @@ def _polar(P, l, m):
     mu = abs(m)
     if np.any(mu > l):
         raise ValueError("|m| > l")
-    c, M = _columns(P, _norm_table(P.shape[0] - 1)[l, mu], m)
+    # P's degree exceeds every l, so the table need not reach it
+    c, M = _columns(P, _norm_table(P.shape[0] - 2)[l, mu], m)
     return (c * P[l, mu], c * _dtheta(P, l, mu),
             np.where(M == 0, 0.0, np.copysign(c, M) * _over_sin(P, l, mu)))
 
@@ -171,8 +175,8 @@ class ModeCoefficients:
     """
 
     def __init__(self, lmax, k, a=None, b=None):
-        if lmax < 1:
-            raise ValueError("L_max must be >= 1")
+        if not 1 <= lmax <= MAX_LMAX:
+            raise ValueError(f"L_max must be in 1..{MAX_LMAX}, got {lmax}")
         if k <= 0:
             raise ValueError("wavenumber must be positive")
         self.lmax = int(lmax)

@@ -69,10 +69,10 @@ import numpy as np
 
 from .angles import Angle, AngleError, grid_exclusion_order, sincos_pi
 from .corner import EdgeCornerConfig, ImpedanceKind, ImpedanceSpec
-from .swe import _norm_constants, norm_constant
+from .swe import MAX_LMAX, _norm_constants, norm_constant
 
 INFINITE = math.inf
-MAX_ORDER = 85   # c_n^n needs (2n)!, which overflows a float above n = 85
+MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 
 
 class CaseKind(Enum):
@@ -145,11 +145,6 @@ def config_for_case(case, alpha, eta1, eta2, k):
     """Config of the pairing `case`; eta1 and eta2 are read only on the faces
     that carry an impedance series, and must be given there (the error names
     them by their command-line flags).
-
-    alpha is used as given.  parse_angle leaves a decimal such as "0.37"
-    untagged, so its grid bound is infinite; pass it through detect_rational,
-    as the CLI does, to analyze it as the fraction it spells (see
-    vanishing_order).
     """
     faces = tuple(zip(_PAIRINGS[case][0], (eta1, eta2)))
     missing = [f"--eta{i}" for i, (kind, eta) in enumerate(faces, 1)
@@ -177,8 +172,6 @@ class ConstraintSystem:
     alpha: Angle                      # angle the rows were assembled at
     rows: np.ndarray                  # complex, shape (nrows, ncols)
     provenance: List[str]
-    source_case: Optional[CaseKind] = None  # original pairing before reflection
-    source_alpha: Optional[Angle] = None
 
     @property
     def columns(self):
@@ -570,11 +563,8 @@ def assemble_order_system(n, config):
     layout, tags = _layout(n, case), _tags(n, case)
     rows = np.zeros((len(tags), 2 * (2 * n + 1)), dtype=complex)
     rows[layout.row, layout.col] = _entry_values(layout, np.array([n]), eff, case)
-    system = ConstraintSystem(n=n, case=case, alpha=eff.alpha, rows=rows,
-                              provenance=list(tags))
-    if eff is not config:
-        system.source_case, system.source_alpha = source_case, config.alpha
-    return system
+    return ConstraintSystem(n=n, case=case, alpha=eff.alpha, rows=rows,
+                            provenance=list(tags))
 
 
 _BUFFER = 1 << 18   # complex entries (4 MB) of parity blocks filled at once
@@ -833,12 +823,6 @@ def vanishing_order(config, n_max, tol=1e-9):
     at every order n <= n0.  It must be at least min(grid bound, n_max);
     a report that falls below it contradicts itself and raises
     BoundInvariantError instead.
-
-    An untagged decimal angle has an infinite grid bound.  So
-    config_for_case(IMP_PEC, parse_angle("0.37"), None, 1.3+0.2j, 1.1)
-    raises BoundInvariantError at n_max 85: the reflected angle 37/50 has
-    nullspace dimension 2 at order 50.  With detect_rational(parse_angle(
-    "0.37")) the same call reports the bound 49, equal to the grid bound.
 
     The entries of all orders are filled in one pass (_unit_blocks), and
     each order is decided by nullspace_dim on its view of the parity blocks.

@@ -412,7 +412,7 @@ def check_reflection_reduction():
     return "reflected system equals the doubled-angle system, n <= 4"
 
 
-def check_cascade_backsubstitution(seed=57):
+def check_cascade_backsubstitution():
     """At trivial-nullspace orders the 2x2 cascade reproduces zeros."""
     cfg = _config("0.37", 1.0 - 0.5j, 2.0, 1.2)
     for n in (2, 3, 4):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewave import angles
-from edgewave.angles import Angle, AngleError, PolyhedronAngles
+from edgewave.angles import Angle, AngleError
 
 
 class TestParse:
@@ -15,10 +15,20 @@ class TestParse:
         assert a.value == pytest.approx(1 / 3)
         assert a.rational == (1, 3)
 
-    def test_decimal_stays_untagged(self):
+    def test_decimal_gets_its_fraction(self):
         a = angles.parse_angle("0.5")
         assert a.value == 0.5
+        assert a.rational == (1, 2)
+        assert angles.parse_angle(" 0.37 ").rational == (37, 100)
+
+    def test_decimal_stays_untagged(self):
+        # only a decimal that no fraction matches
+        a = angles.parse_angle("0.6180339887")
+        assert a.value == 0.6180339887
         assert a.rational is None
+
+    def test_float_angle_stays_untagged(self):
+        assert Angle(0.37).rational is None
 
     def test_flat_angle_rejected(self):
         with pytest.raises(AngleError):
@@ -135,22 +145,3 @@ class TestSinCosPi:
     def test_matches_math_elsewhere(self, value):
         assert angles.sincos_pi(value) == (math.sin(value * math.pi),
                                            math.cos(value * math.pi))
-
-
-class TestPolyhedron:
-    def test_all_irrational(self):
-        poly = PolyhedronAngles((Angle(0.618034), Angle(0.707107)))
-        assert angles.polyhedron_degree(poly) == ("irrational", None)
-
-    def test_min_denominator(self):
-        poly = PolyhedronAngles((angles.parse_angle("1/3"),
-                                 angles.parse_angle("3/5"), Angle(0.9191)))
-        assert angles.polyhedron_degree(poly) == ("rational", 3)
-
-    def test_single(self):
-        poly = PolyhedronAngles((angles.parse_angle("7/9"),))
-        assert angles.polyhedron_degree(poly) == ("rational", 9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(AngleError):
-            PolyhedronAngles(())

@@ -1,13 +1,16 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config
-from edgewave import cli
+from edgewave import angles, cli
 from edgewave.cli import main, parse_complex
 from edgewave.vanish import closed_det_A
 
@@ -29,6 +32,43 @@ class TestComplexGrammar:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_complex("1+2j+3")
+
+    @given(st.text(alphabet="0123456789.eE+-ij ", max_size=12))
+    @settings(max_examples=3000, deadline=None)
+    def test_matches_the_reference_grammar(self, text):
+        try:
+            expect = _reference_complex(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_complex(text)
+        else:
+            assert parse_complex(text) == expect
+
+
+def _reference_complex(text):
+    """The explicit 'a+bi' grammar parse_complex must accept, with its values."""
+    text = text.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty complex literal")
+    m = re.fullmatch(
+        r"(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
+        r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i)?"
+        r"|(?P<only_im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i", text)
+    if m is None:
+        raise ValueError(f"cannot parse complex literal {text!r}")
+    if m.group("only_im") is not None:
+        part = m.group("only_im")
+        if part in ("", "+"):
+            return complex(0.0, 1.0)
+        if part == "-":
+            return complex(0.0, -1.0)
+        return complex(0.0, float(part))
+    realpart = float(m.group("re")) if m.group("re") else 0.0
+    impart = 0.0
+    if m.group("im") is not None:
+        part = m.group("im")
+        impart = 1.0 if part == "+" else -1.0 if part == "-" else float(part)
+    return complex(realpart, impart)
 
 
 class TestAnalyze:
@@ -223,7 +263,8 @@ class TestExitCodes:
     def test_bound_invariant_exits_four(self, capsys, monkeypatch, command,
                                         message):
         # without its fraction, 0.37 claims no grid hit up to n = 52
-        monkeypatch.setattr(cli, "detect_rational", lambda angle: angle)
+        monkeypatch.setattr(cli, "parse_angle", lambda text: angles.Angle(0.37)
+                            if text == "0.37" else angles.parse_angle(text))
         code = main(command + ["--eta2", "0.7+0.2i", "--nmax", "52"])
         captured = capsys.readouterr()
         assert code == 4

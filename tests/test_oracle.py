@@ -209,11 +209,6 @@ class TestVaniEstimate:
 
 
 class TestCollocation:
-    def test_min_samples_enforced(self):
-        cfg = make_config("0.37")
-        with pytest.raises(ValueError):
-            collocation_nullspace(1, cfg, samples=3)
-
     def test_irrational_proxy_trivial(self):
         cfg = make_config(repr(1 / math.sqrt(2)))
         assert collocation_nullspace(1, cfg) == 0
@@ -298,6 +293,14 @@ class TestCollocation:
         monkeypatch.setattr(corner, "_spherical_components", counted)
         collocation_nullspace(n, cfg)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
+    @pytest.mark.parametrize("n", [80, 85])
+    def test_underflowing_radial_power_refused(self, case, n):
+        # r^{n-1} underflows on the collocation radii, so the scaled samples
+        # are not finite: refused before they reach the fit and the SVD
+        with pytest.raises(oracle.ExtrapolationError, match="not finite"):
+            collocation_nullspace(n, make_config("1/3", case=case))
 
     @pytest.mark.parametrize("case", ["imp-imp", "imp-pec"])
     @pytest.mark.parametrize("alpha", ["1/13", "1/3", "2/5", "0.37", "3/7", "1/4"])

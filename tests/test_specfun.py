@@ -277,9 +277,6 @@ class TestRadialPQ:
         rad = sf.radial_pq(2, t)
         assert rad.p / t == pytest.approx(1 / 15, rel=1e-9)
         assert rad.q / t == pytest.approx(3 / 15, rel=1e-9)
-        lead_p, lead_q = sf.pq_leading_coeff(2)
-        assert lead_p == pytest.approx(1 / 15)
-        assert lead_q == pytest.approx(3 / 15)
 
     def test_composition_from_bessel(self):
         t = 1.2

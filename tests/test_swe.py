@@ -130,6 +130,24 @@ class TestEvalField:
         slopes = np.diff(np.log(maxima)) / np.diff(np.log([1e-2, 1e-3, 1e-4]))
         assert np.allclose(slopes, 2.0, atol=0.05)
 
+    def test_largest_table_matches_a_small_one(self):
+        # lmax 85 = vanish.MAX_ORDER: its normalisation table needs every
+        # factorial a float holds, and the field is that of the same modes
+        # in a degree-3 table
+        a, b = {(1, 0): 0.7 - 0.2j, (3, -2): 0.4}, {(2, 1): 0.3j}
+        big, small = (ModeCoefficients(lmax, 1.3, a=a, b=b) for lmax in (85, 3))
+        r, theta, phi = (np.array([0.0, 0.01, 0.4]), np.array([0.0, 0.7, 2.9]),
+                         np.array([0.0, 1.0, 4.0]))
+        for point in ((r, theta, phi), (r[:, None, None], theta[:, None], phi)):
+            np.testing.assert_array_equal(swe.eval_field(big, point),
+                                          swe.eval_field(small, point))
+        assert (oracle.vani_estimate(big).integrals
+                == oracle.vani_estimate(small).integrals)
+
+    def test_degree_above_85_refused(self):
+        with pytest.raises(ValueError, match="L_max must be in 1..85, got 86"):
+            ModeCoefficients(86, 1.0)
+
     def test_origin_limit(self):
         c = ModeCoefficients(2, 1.0, b={(1, 0): 1.0}, a={(2, 1): 1.0})
         at0 = swe.eval_field(c, np.zeros(3))

@@ -369,8 +369,8 @@ class TestVanishingOrder:
     def test_bound_below_grid_bound_raises(self):
         # an untagged 0.37 claims no grid hit, yet the reflected 37/50
         # degenerates at n = 50: the report would contradict itself
-        cfg = vanish.config_for_case(CaseKind.IMP_PEC, angles.parse_angle("0.37"),
-                                     None, 0.7 + 0.2j, 1.0)
+        cfg = vanish.config_for_case(CaseKind.IMP_PEC, angles.Angle(0.37), None,
+                                     0.7 + 0.2j, 1.0)
         with pytest.raises(vanish.BoundInvariantError,
                            match="assembled bound 49 is below") as info:
             vanishing_order(cfg, 52)
@@ -457,7 +457,6 @@ class TestReflection:
             s_dir = assemble_order_system(n, direct)
             assert np.allclose(s_ref.rows, s_dir.rows, atol=1e-15)
             assert nullspace_dim(s_ref) == nullspace_dim(s_dir)
-            assert s_ref.source_case == CaseKind.IMP_PEC
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
     def test_effective_config_is_the_config(self, case):
@@ -716,14 +715,14 @@ class TestReportFill:
         assert capsys.readouterr().err == f"rank ambiguity at order {j}: {info.value}\n"
 
     def test_library_decimal_angle_needs_its_fraction(self):
-        # parse_angle leaves "0.37" untagged, so its grid bound is infinite,
-        # yet the reflected angle 37/50 degenerates at n = 50
-        alpha = angles.parse_angle("0.37")
-        cfg = vanish.config_for_case(CaseKind.IMP_PEC, alpha, None, 1.3 + 0.2j, 1.1)
+        # an untagged 0.37 has an infinite grid bound, yet the reflected
+        # angle 37/50 degenerates at n = 50; parse_angle tags it 37/100
+        cfg = vanish.config_for_case(CaseKind.IMP_PEC, angles.Angle(0.37), None,
+                                     1.3 + 0.2j, 1.1)
         with pytest.raises(vanish.BoundInvariantError,
                            match="nullspace dimension 2 at order 50"):
             vanishing_order(cfg, vanish.MAX_ORDER)
-        tagged = vanish.config_for_case(CaseKind.IMP_PEC, angles.detect_rational(alpha),
+        tagged = vanish.config_for_case(CaseKind.IMP_PEC, angles.parse_angle("0.37"),
                                         None, 1.3 + 0.2j, 1.1)
         report = vanishing_order(tagged, vanish.MAX_ORDER)
         assert report.order_lower_bound == report.theorem_bound == 49
