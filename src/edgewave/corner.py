@@ -15,17 +15,26 @@ face_residuals gives the residuals of both faces from one evaluation of E
 and curl E: the two faces share their radii and polar angles, so their
 points differ only in phi and go through one mode table.
 impedance_residual is its one-face view on a series face.
+
+The evaluation is kept apart from the trace algebra.  _face_points lays out
+the points of the faces, _face_fields splits E and curl E evaluated there
+into one entry per face, and _residual combines an entry under the face's
+condition.  A table is evaluated through coeffs.with_curl() (_table_fields);
+the collocation oracle gathers its unit basis fields off one mode table
+instead, and ends in the same _residual.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 import numpy as np
 
 from .angles import Angle, sincos_pi
-from .swe import _cartesian, _spherical_components, unit_frame
+from .swe import (_cartesian, _check_wavenumber, _spherical_components,
+                  unit_frame)
 
 
 class ImpedanceKind(IntEnum):
@@ -41,8 +50,10 @@ class ImpedanceSpec:
     higher: tuple = ()  # theta-dependent coefficient functions eta_j(theta)
 
     def __post_init__(self):
-        if self.kind == ImpedanceKind.SERIES and self.eta0 == 0:
-            raise ValueError("series impedance requires a nonzero constant term")
+        if self.kind == ImpedanceKind.SERIES and not (
+                self.eta0 != 0 and cmath.isfinite(self.eta0)):
+            raise ValueError("series impedance requires a finite nonzero "
+                             f"constant term, got {self.eta0!r}")
 
     @classmethod
     def zero(cls):
@@ -73,6 +84,9 @@ class Face(IntEnum):
     TWO = 2   # half-plane phi = phi0
 
 
+FACES = (Face.ONE, Face.TWO)
+
+
 @dataclass(frozen=True)
 class EdgeCornerConfig:
     alpha: Angle
@@ -81,8 +95,7 @@ class EdgeCornerConfig:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        _check_wavenumber(self.k)
 
     @property
     def phi0(self):
@@ -150,34 +163,45 @@ def tangential_projection(coeffs, config, face, r, theta):
     return _project(*_expansion(coeffs, config, face, r, theta), config, face)
 
 
-def _face_fields(coeffs, config, faces, r, theta):
-    """E and curl E on each of faces, from one evaluation of coeffs.with_curl().
+def _face_points(config, faces, r, theta, rank):
+    """The points (face, r, theta) of faces, with phi = face_phi on each, as
+    arrays r, theta, phi that broadcast to them plus one trailing axis, on
+    which E and curl E go side by side.
 
-    The points are (face, r, theta), with phi = face_phi on each face.  r
-    carries the face axis, so every point is a sample of its own and all of
-    them go through one pointwise mode table.  Returns, per face, the
-    spherical components of E and of curl E, and the frame there.
+    r carries the face axis, so every point is a sample of its own and all
+    of them go through one pointwise mode table.  The points line up with
+    rank field axes from the right, so they reach at least that rank before
+    the face axis goes in front.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    # the points line up with the field axes from the right, so they reach
-    # at least the field rank before the face axis goes in front
-    rank = max(r.ndim, theta.ndim, coeffs._a.ndim - 2)
     points = (len(faces),) + np.broadcast_shapes(r.shape, theta.shape,
                                                  (1,) * rank)
     phi = np.reshape([face_phi(config, face) for face in faces],
                      points[:1] + (1,) * len(points))
-    # the extra field axis comes last, so the points gain one to line up
-    comps = _spherical_components(coeffs.with_curl(),
-                                  np.broadcast_to(r, points)[..., None],
-                                  theta[..., None], phi)
+    return np.broadcast_to(r, points)[..., None], theta[..., None], phi
+
+
+def _face_fields(comps, config, faces, theta):
+    """Per face, the spherical components of E and of curl E, and the frame
+    there, from comps: the components on _face_points, with E at [..., 0]
+    and curl E at [..., 1]."""
+    theta = np.asarray(theta, dtype=float)
     return [([c[i, ..., 0] for c in comps], [c[i, ..., 1] for c in comps],
              unit_frame(theta, face_phi(config, face)))
             for i, face in enumerate(faces)]
 
 
+def _table_fields(coeffs, config, faces, r, theta):
+    """_face_fields of the table coeffs, from one evaluation of
+    coeffs.with_curl() on the points of all faces."""
+    comps = _spherical_components(coeffs.with_curl(), *_face_points(
+        config, faces, r, theta, coeffs._a.ndim - 2))
+    return _face_fields(comps, config, faces, theta)
+
+
 def _residual(fields, config, face, spec, r, theta):
-    """The boundary combination of spec on face from _face_fields' entry."""
+    """The boundary combination of spec on face from its _face_fields entry."""
     E, curl, frame = fields
     if spec.kind == ImpedanceKind.INFINITE:
         return _project(E, frame, config, face)
@@ -189,18 +213,26 @@ def _residual(fields, config, face, spec, r, theta):
                                                               face)
 
 
+def _face_residuals(fields, config, r, theta):
+    """The residuals of both faces from their _face_fields entries, each
+    under its own condition (config.bc1, config.bc2), stacked on a leading
+    face axis."""
+    return np.stack([
+        _residual(entry, config, face, spec, r, theta)
+        for entry, face, spec in zip(fields, FACES, (config.bc1, config.bc2))])
+
+
 def face_residuals(coeffs, config, r, theta):
     """impedance_residual of both faces, each under its own condition
     (config.bc1, config.bc2), stacked on a leading face axis.
 
     Both come from one evaluation of coeffs.with_curl(), which shares the
-    Bessel and Legendre tabulation of the two faces' points.
+    Bessel and Legendre tabulation of the two faces' points.  The
+    collocation oracle's unit basis joins this path at _face_residuals,
+    from its own evaluation.
     """
-    faces = (Face.ONE, Face.TWO)
-    return np.stack([
-        _residual(fields, config, face, spec, r, theta)
-        for fields, face, spec in zip(_face_fields(coeffs, config, faces, r, theta),
-                                      faces, (config.bc1, config.bc2))])
+    return _face_residuals(_table_fields(coeffs, config, FACES, r, theta),
+                           config, r, theta)
 
 
 def impedance_residual(coeffs, config, face, spec, r, theta):
@@ -218,7 +250,7 @@ def impedance_residual(coeffs, config, face, spec, r, theta):
         return tangential_projection(coeffs, config, face, r, theta)
     if spec.kind == ImpedanceKind.ZERO:
         return trace_tangential_curl(coeffs, config, face, r, theta)
-    fields, = _face_fields(coeffs, config, (face,), r, theta)
+    fields, = _table_fields(coeffs, config, (face,), r, theta)
     return _residual(fields, config, face, spec, r, theta)
 
 

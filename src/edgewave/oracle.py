@@ -7,9 +7,12 @@ Richardson-extrapolating the leading radial coefficients, rather than by the
 closed-form row formulas of the structured assembler.  Leading-order
 extraction uses a polynomial fit over a geometric radius grid (ratio 2), so
 the oracle stays independent of the series coefficients used elsewhere.
-A query tabulates its basis fields once: the rows of both faces come from
-one evaluation of E and curl E (corner.face_residuals) and share one radial
-fit; the first-order head row is one face-1 impedance_residual.
+A query tabulates its basis fields once, as one mode table over the
+points of both faces (swe._mode_table): each unit field's E is one column of
+it and its curl E is +-ik times another, so every field is a column gather,
+with no coefficient table.  The rows of both faces go through corner's trace
+algebra (corner._face_residuals) and share one radial fit; the first-order
+head row is the same gather on face 1 alone.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import corner as _corner
-from .corner import Face, ImpedanceSpec, face_normal, impedance_residual
-from .swe import (ModeCoefficients, _angular_parts, _radial_factors,
-                  _spherical_components, norm_constant)
+from .corner import Face, ImpedanceSpec, face_normal
+from .swe import (ModeCoefficients, _angular_parts, _mode_table,
+                  _radial_factors, _spherical_components, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
 from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
                      nullspace_dim)
@@ -227,14 +230,40 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
 # collocation nullspace
 # ---------------------------------------------------------------------------
 
-def _unit_basis(n, k):
-    """The unit-coefficient order-n basis fields as one table whose field
-    axis runs over the assembler's columns."""
-    unit = np.eye(2 * (2 * n + 1))
-    cols = list(enumerate(column_labels(n)))
-    return ModeCoefficients(
-        n, k, a={(n, m): unit[f] for f, (fam, m) in cols if fam == "a"},
-        b={(n, m): unit[f] for f, (fam, m) in cols if fam == "b"})
+@lru_cache(maxsize=None)
+def _unit_columns(n):
+    """The order-n modes (l, m) of the unit basis, as _mode_table takes
+    them, and for each of the assembler's columns the table columns of its
+    E and its curl E, shape (2(2n+1), 2), with the sign of ik in the curl:
+    E = M_n^m has curl -ik N_n^m, E = N_n^m has curl +ik M_n^m (as in
+    ModeCoefficients.curl).  Read-only."""
+    size = 2 * n + 1
+    l, m = np.full(size, n), np.arange(-n, n + 1)
+    cols, sign = [], []
+    for fam, mu in column_labels(n):
+        a, b = n + mu, n + mu + size      # M_n^mu, N_n^mu in the table
+        cols.append((a, b) if fam == "a" else (b, a))
+        sign.append(-1.0 if fam == "a" else 1.0)
+    out = l, m, np.array(cols), np.array(sign)
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+def _unit_face_fields(n, config, faces, r, theta):
+    """corner._face_fields of every unit-coefficient order-n basis field,
+    fields in the assembler's column order, as the identity table's
+    with_curl() gives them.  One mode table of the points of all faces;
+    each field's E is one column of it and its curl E another times +-ik."""
+    l, m, cols, sign = _unit_columns(n)
+    points = np.broadcast_arrays(*_corner._face_points(config, faces, r,
+                                                       theta, 1))
+    table = _mode_table(n, config.k, l, m, *(v.ravel() for v in points))
+    fields = np.take(table, cols, axis=2)
+    fields[..., 1] *= 1j * config.k * sign
+    shape = np.broadcast_shapes(points[0].shape, cols.shape)
+    return _corner._face_fields(fields.reshape((3,) + shape), config, faces,
+                                theta)
 
 
 @lru_cache(maxsize=None)
@@ -289,13 +318,15 @@ def _sample_rows_true(n, config, thetas, radii, orders):
 
     Returns an array (nrows, 2(2n+1)): for each face, extracted order j and
     theta sample and Cartesian component, the r^{n-1+j} coefficient (j in
-    orders).  Both faces' residuals come from one field evaluation and one
-    radial fit, in which each face is a field block of its own, so the fit
-    guards each face's rows against that face's scale.
+    orders).  Both faces' residuals come from one mode table of their points
+    (_unit_face_fields) and one radial fit, in which each face is a field
+    block of its own, so the fit guards each face's rows against that face's
+    scale.
     """
-    basis = _unit_basis(n, config.k)
-    res = _corner.face_residuals(basis, config, np.asarray(radii)[:, None, None],
-                                 np.asarray(thetas)[None, :, None])
+    r = np.asarray(radii)[:, None, None]
+    theta = np.asarray(thetas)[None, :, None]
+    res = _corner._face_residuals(
+        _unit_face_fields(n, config, _corner.FACES, r, theta), config, r, theta)
     # (face, nr, ntheta, field, 3) -> (nr, ntheta, 3, face x field)
     faces, nr, ntheta, nfields, _ = res.shape
     values = res.transpose(1, 2, 4, 0, 3).reshape(nr, ntheta, 3, -1)
@@ -310,17 +341,18 @@ def _sampled_head_row(n, config, thetas, radii):
 
     Samples the combination -nu1 ^ (curl E) + eta1 (nu1 ^ E) ^ nu1 (the
     orientation under which the first-order head block closes), from one
-    evaluation of E and curl E, extracts the r^{n-1} coefficient of its e2
-    component and projects the theta dependence on the P_n^0 direction.
+    mode table of the face-1 points (_unit_face_fields), extracts the
+    r^{n-1} coefficient of its e2 component and projects the theta
+    dependence on the P_n^0 direction.
     """
-    basis = _unit_basis(n, config.k)
     thetas = np.asarray(thetas)
     r, theta = np.asarray(radii)[:, None, None], thetas[None, :, None]
     e2 = _corner.e_vectors(thetas, 0.0)[1]           # (ntheta, 3)
+    fields, = _unit_face_fields(n, config, (Face.ONE,), r, theta)
     # the negated series residual with eta = -eta1; negation is exact, so
     # this is -nu1 ^ (curl E) + eta1 (nu1 ^ E) ^ nu1 to the bit
-    res = -impedance_residual(basis, config, Face.ONE,
-                              ImpedanceSpec.series(-config.bc1.eta0), r, theta)
+    res = -_corner._residual(fields, config, Face.ONE,
+                             ImpedanceSpec.series(-config.bc1.eta0), r, theta)
     lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, (0,))[0]
     sampled = np.sum(lead * e2[:, :, None], axis=1)  # (ntheta, nbasis)
     # least-squares split over the degree-n Legendre components; keep mu = 0

@@ -82,6 +82,13 @@ def norm_constant(l, m):
     return math.sqrt((2 * l + 1) / (4 * math.pi) * factorial(l - m) / factorial(l + m))
 
 
+def _check_wavenumber(k):
+    """k itself, refused unless finite and positive (so NaN is refused)."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be finite and positive, got {k!r}")
+    return k
+
+
 MAX_LMAX = 85   # c_l^l needs (2l)!, which overflows a float above l = 85
 
 
@@ -177,10 +184,8 @@ class ModeCoefficients:
     def __init__(self, lmax, k, a=None, b=None):
         if not 1 <= lmax <= MAX_LMAX:
             raise ValueError(f"L_max must be in 1..{MAX_LMAX}, got {lmax}")
-        if k <= 0:
-            raise ValueError("wavenumber must be positive")
         self.lmax = int(lmax)
-        self.k = float(k)
+        self.k = float(_check_wavenumber(k))
         fields = next((np.shape(v) for src in (a, b) if src for v in src.values()),
                       ())
         shape = (self.lmax + 1, 2 * self.lmax + 1) + fields
@@ -342,15 +347,16 @@ def _sum_orders(part, orders, phi):
 _BLOCK = 2048   # points per mode table, so its size does not grow with them
 
 
-def _mode_table(coeffs, l, m, r, theta, phi):
-    """The modes (l, m) at the points (r, theta, phi), 1-d arrays, as one
-    table of shape (3, points, 2M): for each spherical component, a column
-    per a_l^m and then one per b_l^m, with e^{i m phi} folded in."""
-    jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
+def _mode_table(lmax, k, l, m, r, theta, phi):
+    """The modes (l, m), l <= lmax, of wavenumber k at the points (r, theta,
+    phi), 1-d arrays, as one table of shape (3, points, 2M): for each
+    spherical component, a column per M_l^m (coefficient a_l^m) and then one
+    per N_l^m (b_l^m), with e^{i m phi} folded in."""
+    jt = bessel_table(lmax + 1, k * r)
     (p, q), j = _pq(jt, l), jt[l]
     L = np.sqrt(l * (l + 1.0))[:, None]
     e = np.exp(1j * m[:, None] * phi) / -L
-    y, yt, ys = _polar(legendre_table(coeffs.lmax + 1, np.cos(theta)), l, m)
+    y, yt, ys = _polar(legendre_table(lmax + 1, np.cos(theta)), l, m)
     table = np.zeros((3, 2) + e.shape, dtype=complex)
     np.multiply(L * L * p * y, e, out=table[0, 1])              # E_r
     np.multiply(j * ys, e, out=table[1, 0])                     # E_theta
@@ -388,8 +394,8 @@ def _spherical_components(coeffs, r, theta, phi):
         2 * l.size, math.prod(fields))
     out = np.empty((3, flat[0].size, coef.shape[1]), dtype=complex)
     for s in range(0, flat[0].size, _BLOCK):
-        out[:, s:s + _BLOCK] = _mode_table(
-            coeffs, l, m, *(v[s:s + _BLOCK] for v in flat)) @ coef
+        out[:, s:s + _BLOCK] = _mode_table(coeffs.lmax, coeffs.k, l, m, *(
+            v[s:s + _BLOCK] for v in flat)) @ coef
     return tuple(out.reshape((3,) + shape))
 
 

@@ -668,7 +668,10 @@ def _dim_from_values(system, s, ncols, tol):
     """Nullity of each block of ncols columns from its singular values s
     (blocks, values), as a list.  Threshold and band are relative to the
     largest value of all blocks: the decision is that of the unsplit matrix.
-    The few relative values are compared as Python floats."""
+    The few relative values are compared as Python floats.  A tol outside
+    (0, 1), NaN included, decides nothing and is refused."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     top = s.max(initial=0.0)
     if top == 0.0:
         return [ncols] * len(s)

@@ -287,6 +287,30 @@ class TestExitCodes:
         assert captured.err == "error: n_max must be in 1..85, got 86\n"
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "nan"], "wavenumber must be finite and positive, got nan"),
+        (["--k", "inf"], "wavenumber must be finite and positive, got inf"),
+        (["--k", "0"], "wavenumber must be finite and positive, got 0.0"),
+        (["--eta1=1e400"],
+         "series impedance requires a finite nonzero constant term, got (inf+0j)"),
+        (["--tol", "0"], "tol must be in (0, 1), got 0.0"),
+        (["--tol", "-1"], "tol must be in (0, 1), got -1.0"),
+        (["--tol", "nan"], "tol must be in (0, 1), got nan"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--alpha", "1/3", "--case", "imp-imp", "--eta2", "1"],
+        ["table", "--case", "imp-imp", "--alphas", "1/3", "--eta2", "1"],
+    ])
+    def test_non_finite_or_out_of_range_values_exit_one(self, capsys, command,
+                                                        flags, message):
+        # earlier, NaN reached the SVD and tol <= 0 printed a bound of >= 6
+        eta1 = [] if any(f.startswith("--eta1") for f in flags) else ["--eta1", "1"]
+        assert main(command + eta1 + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
         code = main(["verify", "--suite", "specfun"])

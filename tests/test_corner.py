@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestImpedanceSpec:
     def test_series_requires_nonzero_constant(self):
         with pytest.raises(ValueError):
             ImpedanceSpec.series(0.0)
+
+    @pytest.mark.parametrize("eta0", [math.inf, complex(1, math.inf),
+                                      complex(math.nan, 0), 1e400])
+    def test_series_requires_finite_constant(self, eta0):
+        with pytest.raises(ValueError, match=re.escape(f"got {complex(eta0)!r}")):
+            ImpedanceSpec.series(eta0)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    def test_wavenumber_finite_and_positive(self, k):
+        spec = ImpedanceSpec.series(1.0)
+        with pytest.raises(ValueError, match=f"finite and positive, got {k!r}"):
+            corner.EdgeCornerConfig(make_config("1/3").alpha, spec, spec, k)
+        with pytest.raises(ValueError, match=f"finite and positive, got {k!r}"):
+            swe.ModeCoefficients(1, k)
 
     def test_pointwise_eta(self):
         spec = ImpedanceSpec.series(2.0, higher=(lambda t: math.cos(t),))

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_config, random_coeffs
+from conftest import identity_table, make_config, random_coeffs
 from edgewave import corner, oracle, swe, vanish
 from edgewave.corner import Face, ImpedanceKind, ImpedanceSpec, e_vectors, \
     impedance_residual, tangential_projection, trace_tangential_curl
@@ -281,18 +281,20 @@ class TestCollocation:
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_field_evaluation_per_query(self, monkeypatch, case, n):
-        # both faces' rows, or the head row at n = 1, share one tabulation
+        # both faces' rows, or the head row at n = 1, share one mode table
         cfg = make_config("0.37", case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
                           k=1.2)
         calls = []
-        inner = corner._spherical_components
+        inner = oracle._mode_table
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append(args[4].size)
             return inner(*args, **kwargs)
-        monkeypatch.setattr(corner, "_spherical_components", counted)
+        monkeypatch.setattr(oracle, "_mode_table", counted)
         collocation_nullspace(n, cfg)
-        assert len(calls) == 1
+        faces = 1 if n == 1 and case != "pec-pmc" else 2
+        ntheta = max(4, math.ceil(4 * (2 * n + 1) / 5))
+        assert calls == [faces * 5 * ntheta]     # five radii
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
     @pytest.mark.parametrize("n", [80, 85])
@@ -382,3 +384,51 @@ class TestBatchedCollocationRows:
             ref = _reference_head_row(n, cfg, thetas, radii)
             np.testing.assert_allclose(head, ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _collocated_rows(monkeypatch, n, cfg):
+    """The rows collocation_nullspace passes to nullspace_dim, and its rank."""
+    seen, inner = [], oracle.nullspace_dim
+
+    def captured(rows, *args, **kwargs):
+        seen.append(rows)
+        return inner(rows, *args, **kwargs)
+    monkeypatch.setattr(oracle, "nullspace_dim", captured)
+    rank = collocation_nullspace(n, cfg)
+    return seen.pop(), rank
+
+
+class TestUnitColumnGather:
+    """Collocation reads its basis fields as columns of one mode table."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 30])
+    @pytest.mark.parametrize("case, alpha", [
+        ("imp-imp", "0.37"), ("pec-pmc", "0.37"), ("imp-pec", "0.37"),
+        ("imp-pmc", "0.37"), ("imp-pec", "1/2")])
+    def test_rows_equal_the_identity_table_path(self, monkeypatch, case,
+                                                alpha, n):
+        cfg = make_config(alpha, case=case, eta1=1.1 - 0.3j, eta2=0.7 - 0.2j,
+                          k=1.2)
+        rows, rank = _collocated_rows(monkeypatch, n, cfg)
+
+        def table_path(n, config, faces, r, theta):
+            return corner._table_fields(identity_table(n, config.k), config,
+                                        faces, r, theta)
+        monkeypatch.setattr(oracle, "_unit_face_fields", table_path)
+        ref, ref_rank = _collocated_rows(monkeypatch, n, cfg)
+        assert rows.shape == ref.shape and np.array_equal(rows, ref)
+        assert rank == ref_rank
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_no_coefficient_table_is_evaluated(self, monkeypatch, case):
+        cfg = make_config("0.37", case=case, eta1=1.1 - 0.3j, eta2=0.8 + 0.5j,
+                          k=1.2)
+        ranks = [collocation_nullspace(n, cfg) for n in (1, 2, 10)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coefficient table was evaluated")
+        for method in ("__init__", "with_curl"):
+            monkeypatch.setattr(swe.ModeCoefficients, method, refuse)
+        for module in (swe, corner, oracle):
+            monkeypatch.setattr(module, "_spherical_components", refuse)
+        assert [collocation_nullspace(n, cfg) for n in (1, 2, 10)] == ranks

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_coeffs
+from conftest import identity_table, random_coeffs
 from edgewave import oracle, swe
 from edgewave.specfun import _pq, bessel_table, legendre_table, radial_pq
 from edgewave.swe import ModeCoefficients, SphericalPoint
@@ -243,9 +243,9 @@ class TestPerOrderEvaluation:
         # table holds at most _BLOCK points, and the last block is short
         sizes, table = [], swe._mode_table
 
-        def counted(coeffs, l, m, r, theta, phi):
+        def counted(lmax, k, l, m, r, theta, phi):
             sizes.append(r.size)
-            return table(coeffs, l, m, r, theta, phi)
+            return table(lmax, k, l, m, r, theta, phi)
         monkeypatch.setattr(swe, "_mode_table", counted)
         monkeypatch.setattr(swe, "_BLOCK", 6)
         n = 50
@@ -318,10 +318,10 @@ class TestPerOrderEvaluation:
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_collocation_shape_uses_no_per_mode_loop(self, monkeypatch, n):
-        # the order-n unit basis with its curl on the shape the collocation
-        # oracle samples, (nr,1,1,1) x (1,ntheta,1,1) x scalar phi, evaluated
+        # the identity table of the order-n basis with its curl, on a corner
+        # face's shape (nr,1,1,1) x (1,ntheta,1,1) x scalar phi, evaluated
         # while the per-mode harmonics refuse to run
-        coeffs = oracle._unit_basis(n, 1.2).with_curl()
+        coeffs = identity_table(n, 1.2).with_curl()
         point = (self.R[:, None, None, None], self.THETA[None, :, None, None], 0.9)
         ref = _per_mode_components(coeffs, *point)
 

@@ -218,6 +218,18 @@ class TestNullspace:
             scale = complex(*rng.standard_normal(2))
             assert nullspace_dim(system.rows * scale) == base
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
+    def test_threshold_outside_unit_interval_refused(self, tol):
+        # at tol <= 0 no value is below it, and every order would read full rank
+        system = assemble_order_system(3, make_config("1/3"))
+        for decide in (nullspace_dim, vanish.nullspace_basis):
+            with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+                decide(system, tol=tol)
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            vanish.vanishing_order(make_config("1/3"), 6, tol=tol)
+        with pytest.raises(ValueError, match="tol must be"):
+            nullspace_dim(np.zeros((2, 2)), tol=tol)
+
 
 class TestClosedDeterminants:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
