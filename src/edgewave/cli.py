@@ -4,7 +4,7 @@ Subcommands:
 
     analyze  --alpha A --case C [--eta1 Z] [--eta2 Z] [--k K] [--nmax N]
              [--tol T] [--json]
-    verify   --suite {specfun|swe|corner|vanish|oracle|all} [--seed S]
+    verify   --suite {vanish|oracle|all} [--seed S]
     table    --case C [--alphas A1 A2 ...] [--nmax N] [--json] ...
 
 Exit codes: 0 ok, 1 usage error, 2 numerical rank ambiguity,
@@ -24,7 +24,7 @@ import sys
 from .angles import AngleError, parse_angle
 from .vanish import (INFINITE, MAX_ORDER, BoundInvariantError, CaseKind,
                      RankAmbiguityError, config_for_case, vanishing_order)
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 def parse_complex(text):
     """Parse 'a+bi' / 'a-bi' with optional parts ('2', '1.5-0.5i', 'i', '-i')."""
@@ -148,9 +148,8 @@ def build_parser():
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_table)
 
-    pv = sub.add_parser("verify", help="run a module invariant suite")
-    pv.add_argument("--suite", required=True,
-                    choices=["specfun", "swe", "corner", "vanish", "oracle", "all"])
+    pv = sub.add_parser("verify", help="run a product invariant suite")
+    pv.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     pv.add_argument("--seed", type=int)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)

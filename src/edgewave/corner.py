@@ -253,19 +253,3 @@ def impedance_residual(coeffs, config, face, spec, r, theta):
     fields, = _table_fields(coeffs, config, (face,), r, theta)
     return _residual(fields, config, face, spec, r, theta)
 
-
-def edge_vector_table(config):
-    """Cross/dot products of nu_2 with the frame at theta = phi = 0.
-
-    Returns dict with keys 'cross_r', 'cross_theta', 'cross_phi', 'dot_r',
-    'dot_theta', 'dot_phi' (the evaluated table used on the edge).
-    """
-    s, c = sincos_pi(config.alpha.value)
-    return {
-        "cross_r": np.array([c, s, 0.0]),
-        "cross_theta": np.array([0.0, 0.0, -c]),
-        "cross_phi": np.array([0.0, 0.0, -s]),
-        "dot_r": 0.0,
-        "dot_theta": -s,
-        "dot_phi": c,
-    }

@@ -379,7 +379,7 @@ def _numeric_edge_rows(n, config):
     Kp = (L / 2.0) * c1 * qlead / sL
     Ap = L * c0 * plead / sL
     return edge_rows(s, co, Kp, Ap, config.bc1.eta0, config.bc2.eta0, config.k,
-                     len(column_labels(n)))[0]
+                     len(column_labels(n)))
 
 
 def collocation_nullspace(n, config, seed=42):

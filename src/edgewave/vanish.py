@@ -58,6 +58,7 @@ raising ValueError at run time on a nonzero outside its row's class.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -357,7 +358,7 @@ def edge_rows(s, co, Kp, Ap, eta1, eta2, k, ncols):
     """Matching rows plus face-2 edge rows (six rows, see _edge_values)."""
     rows = np.zeros((6, ncols), dtype=complex)
     rows[_EDGE_ENTRIES] = _edge_values(s, co, Kp, Ap, eta1, eta2, k)
-    return rows, list(_EDGE_TAGS)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -368,12 +369,24 @@ def _closed_det_prefactor(n):
 
 def _closed_dets(n, eff):
     """Closed (det A, det B) of the order-n head blocks assembled at the
-    impedance-impedance config eff."""
+    impedance-impedance config eff; ValueError where they overflow a float."""
     ap = eff.alpha.value * math.pi
     prefactor = _closed_det_prefactor(n)
-    return (-1j * eff.k ** 2 * eff.bc1.eta0 * prefactor * math.sin(ap) ** 2,
-            -eff.k * eff.bc2.eta0 ** 2 * prefactor
-            * math.sin(ap) ** 2 * math.cos(ap) ** 2)
+    try:
+        dets = (-1j * eff.k ** 2 * eff.bc1.eta0 * prefactor * math.sin(ap) ** 2,
+                -eff.k * eff.bc2.eta0 ** 2 * prefactor
+                * math.sin(ap) ** 2 * math.cos(ap) ** 2)
+        if cmath.isfinite(dets[0]) and cmath.isfinite(dets[1]):
+            return dets
+    except OverflowError:
+        pass
+    raise _overflow_error(eff)
+
+
+def _overflow_error(eff):
+    """The refusal of a k or eta too large for the rows of eff in floats."""
+    return ValueError(f"k = {eff.k!r} with eta = {eff.bc1.eta0!r}, "
+                      f"{eff.bc2.eta0!r} overflows the boundary system")
 
 
 def _head_block_config(config):
@@ -575,11 +588,16 @@ def _unit_blocks(n_max, eff, case):
     at eff, order by order.  The entry values and row norms of all orders
     come from one pass.  They are scattered into one buffer per run of
     orders whose blocks fit _BUFFER entries (orders up to about 45 fit one),
-    and each order's blocks are a view into its run's buffer."""
+    and each order's blocks are a view into its run's buffer.  Entry values
+    or row norms that overflow a float raise ValueError."""
     layout = _report_layout(n_max, case)
-    values = _entry_values(layout, np.arange(1, n_max + 1), eff, case)
-    norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
-                                    layout.starts))
+    try:
+        with np.errstate(over="raise"):
+            values = _entry_values(layout, np.arange(1, n_max + 1), eff, case)
+            norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
+                                            layout.starts))
+    except FloatingPointError:
+        raise _overflow_error(eff) from None
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
     offsets = layout.offsets
     cut = np.searchsorted(layout.at, np.arange(n_max + 1))   # first entry per order

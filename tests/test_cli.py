@@ -296,6 +296,14 @@ class TestExitCodes:
         (["--tol", "0"], "tol must be in (0, 1), got 0.0"),
         (["--tol", "-1"], "tol must be in (0, 1), got -1.0"),
         (["--tol", "nan"], "tol must be in (0, 1), got nan"),
+        (["--eta1=1", "--eta2=1", "--k", "1e160"],
+         "k = 1e+160 with eta = (1+0j), (1+0j) overflows the boundary system"),
+        (["--eta1=1e300", "--eta2=1e300", "--k", "1e10"],
+         "k = 10000000000.0 with eta = (1e+300+0j), (1e+300+0j) overflows the "
+         "boundary system"),
+        (["--eta1=1e110", "--eta2=1e110", "--k", "1e110"],
+         "k = 1e+110 with eta = (1e+110+0j), (1e+110+0j) overflows the "
+         "boundary system"),
     ])
     @pytest.mark.parametrize("command", [
         ["analyze", "--alpha", "1/3", "--case", "imp-imp", "--eta2", "1"],
@@ -303,7 +311,8 @@ class TestExitCodes:
     ])
     def test_non_finite_or_out_of_range_values_exit_one(self, capsys, command,
                                                         flags, message):
-        # earlier, NaN reached the SVD and tol <= 0 printed a bound of >= 6
+        # earlier, NaN reached the SVD, tol <= 0 printed a bound of >= 6, and
+        # a huge k or eta overflowed into a traceback or NaN determinants
         eta1 = [] if any(f.startswith("--eta1") for f in flags) else ["--eta1", "1"]
         assert main(command + eta1 + flags) == 1
         captured = capsys.readouterr()
@@ -313,15 +322,20 @@ class TestExitCodes:
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
-        code = main(["verify", "--suite", "specfun"])
+        code = main(["verify", "--suite", "vanish"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 3
+
+    def test_module_suite_is_an_invalid_choice(self, capsys):
+        # module self-checks run under pytest only
+        assert main(["verify", "--suite", "specfun"]) == 1
+        assert "invalid choice: 'specfun'" in capsys.readouterr().err
 
     def test_seed_reproducible_json(self, capsys, monkeypatch):
         monkeypatch.setenv("EDGEWAVE_SEED", "123")
-        main(["verify", "--suite", "specfun", "--json"])
+        main(["verify", "--suite", "vanish", "--json"])
         first = capsys.readouterr().out
-        main(["verify", "--suite", "specfun", "--json"])
+        main(["verify", "--suite", "vanish", "--json"])
         second = capsys.readouterr().out
         assert first == second

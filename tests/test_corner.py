@@ -41,17 +41,6 @@ class TestGeometry:
                 assert abs(np.dot(e1, nu)) < 1e-14
                 assert abs(np.dot(e2, nu)) < 1e-14
 
-    def test_edge_vector_table(self):
-        cfg = make_config("0.37")
-        tab = corner.edge_vector_table(cfg)
-        nu2 = corner.face_normal(cfg, Face.TWO)
-        rhat, that, phat = swe.unit_frame(0.0, 0.0)
-        assert np.allclose(np.cross(nu2, rhat), tab["cross_r"])
-        assert np.allclose(np.cross(nu2, that), tab["cross_theta"])
-        assert np.allclose(np.cross(nu2, phat), tab["cross_phi"])
-        assert np.dot(nu2, that) == pytest.approx(tab["dot_theta"])
-        assert np.dot(nu2, phat) == pytest.approx(tab["dot_phi"])
-
 
 class TestImpedanceSpec:
     def test_series_requires_nonzero_constant(self):
@@ -321,12 +310,15 @@ class TestResidual:
         assert np.max(np.abs(lead)) < 1e-12
 
     def test_tangential_identity(self, rng):
+        # (nu ^ E) ^ nu = E - (nu . E) nu
         cfg = make_config("0.37")
         coeffs = random_coeffs(rng, k=cfg.k)
         for face in (Face.ONE, Face.TWO):
             nu = corner.face_normal(cfg, face)
             phi = corner.face_phi(cfg, face)
-            r, th = 0.4, 1.2
-            E = swe.eval_field(coeffs, (r, th, phi))
-            tang = corner.tangential_projection(coeffs, cfg, face, r, th)
-            assert np.max(np.abs(tang - (E - np.dot(nu, E) * nu))) < 1e-13
+            for r, th in [(0.4, 1.2)] + [(rng.uniform(0.05, 0.6),
+                                          rng.uniform(0.1, math.pi - 0.1))
+                                         for _ in range(10)]:
+                E = swe.eval_field(coeffs, (r, th, phi))
+                tang = corner.tangential_projection(coeffs, cfg, face, r, th)
+                assert np.max(np.abs(tang - (E - np.dot(nu, E) * nu))) < 1e-13

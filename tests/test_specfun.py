@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewave import specfun as sf
+from edgewave.swe import norm_constant
 from edgewave.vanish import MAX_ORDER
 
 
@@ -25,8 +26,10 @@ def _legendre_table_per_order(lmax, x):
 
 class TestAssocLegendre:
     def test_values_at_one(self):
-        assert sf.assoc_legendre(3, 0, 1.0) == 1.0
-        assert sf.assoc_legendre(2, 1, 1.0) == 0.0
+        for l in range(9):
+            assert sf.assoc_legendre(l, 0, 1.0) == 1.0
+            for m in range(1, l + 1):
+                assert sf.assoc_legendre(l, m, 1.0) == 0.0
 
     def test_closed_form_degree_two(self):
         # P_2^1(x) = 3 x sqrt(1 - x^2)
@@ -43,7 +46,7 @@ class TestAssocLegendre:
     def test_negative_order_relation(self):
         for n in range(1, 11):
             for m in range(1, n + 1):
-                for x in (-0.8, 0.0, 0.3, 0.99):
+                for x in (-0.8, -0.7, 0.0, 0.1, 0.3, 0.9, 0.99):
                     lhs = sf.assoc_legendre(n, -m, x)
                     rhs = ((-1) ** m * sf.factorial(n - m) / sf.factorial(n + m)
                            * sf.assoc_legendre(n, m, x))
@@ -69,13 +72,24 @@ class TestThetaRecursions:
         assert sf.legendre_dtheta(1, 1, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
         assert sf.legendre_dtheta(1, 0, math.pi / 2) == pytest.approx(-1.0)
 
-    def test_dtheta_vs_finite_difference(self, rng):
-        h = 1e-6
-        for _ in range(20):
-            theta = rng.uniform(0.05, math.pi - 0.05)
-            fd = (sf.assoc_legendre(2, 2, math.cos(theta + h))
-                  - sf.assoc_legendre(2, 2, math.cos(theta - h))) / (2 * h)
-            assert sf.legendre_dtheta(2, 2, theta) == pytest.approx(fd, abs=1e-8)
+    def test_dtheta_vs_finite_difference(self):
+        # compared on the unit-normalized scale: the raw P_l^m reach ~1e8 at
+        # l = m = 10, where no finite difference resolves 1e-8 absolutely.
+        # The O(h^4) stencil at h = 3e-4 keeps truncation and rounding near
+        # 1e-10.  Seeds 125, 274, 554 and 567 draw points where a two-point
+        # difference at h = 1e-6 misses 1e-8 through rounding alone.
+        h = 3e-4
+        for seed in (42, 125, 274, 554, 567):
+            rng = np.random.default_rng(seed)
+            for _ in range(50):
+                theta = rng.uniform(0.01, math.pi - 0.01)
+                l = int(rng.integers(1, 11))
+                m = int(rng.integers(0, l + 1))
+                p = [sf.assoc_legendre(l, m, math.cos(theta + j * h))
+                     for j in (-2, -1, 1, 2)]
+                fd = (p[0] - 8 * p[1] + 8 * p[2] - p[3]) / (12 * h)
+                err = norm_constant(l, m) * abs(sf.legendre_dtheta(l, m, theta) - fd)
+                assert err < 1e-8, (seed, l, m, theta, err)
 
     def test_over_sin_simple(self):
         assert sf.legendre_over_sin(1, 1, math.pi / 2) == pytest.approx(1.0)
@@ -85,9 +99,15 @@ class TestThetaRecursions:
         assert sf.legendre_over_sin(2, 1, 0.0) == pytest.approx(3.0)
 
     def test_over_sin_vs_direct_quotient(self):
-        theta = math.pi / 4
-        direct = 2 * sf.assoc_legendre(3, 2, math.cos(theta)) / math.sin(theta)
-        assert sf.legendre_over_sin(3, 2, theta) == pytest.approx(direct, abs=1e-10)
+        # on the unit-normalized scale, as the theta derivative
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            theta = rng.uniform(0.01, math.pi - 0.01)
+            l = int(rng.integers(1, 11))
+            m = int(rng.integers(1, l + 1))
+            direct = m * sf.assoc_legendre(l, m, math.cos(theta)) / math.sin(theta)
+            err = norm_constant(l, m) * abs(sf.legendre_over_sin(l, m, theta) - direct)
+            assert err < 1e-8, (l, m, theta, err)
 
     def test_index_errors(self):
         with pytest.raises(ValueError):
@@ -106,8 +126,8 @@ class TestSphericalBessel:
         assert sf.sph_bessel(1, t) == pytest.approx(
             math.sin(t) / t ** 2 - math.cos(t) / t, rel=1e-12)
 
-    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
-    @pytest.mark.parametrize("l", range(1, 11))
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0])
+    @pytest.mark.parametrize("l", range(1, 13))
     def test_ratio_recurrence(self, l, t):
         lhs = sf.sph_bessel(l, t) / t
         rhs = (sf.sph_bessel(l - 1, t) + sf.sph_bessel(l + 1, t)) / (2 * l + 1)
@@ -115,10 +135,24 @@ class TestSphericalBessel:
 
     def test_derivative_recurrence(self):
         for l in range(1, 13):
-            for t in (0.3, 2.0, 9.0):
+            for t in (0.1, 0.3, 1.0, 2.0, 5.0, 9.0, 10.0):
                 ref = (l * sf.sph_bessel(l - 1, t)
                        - (l + 1) * sf.sph_bessel(l + 1, t)) / (2 * l + 1)
                 assert sf.sph_bessel_deriv(l, t) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0])
+    def test_closed_forms_and_sum_rule(self, t):
+        # anchors the recurrences do not give by construction: the closed
+        # forms of j_0, j_1, j_2, measured against their largest term since
+        # they cancel near t = 0, and sum_l (2l+1) j_l(t)^2 = 1 on a table
+        # reaching l = 60, far above t
+        s, c = math.sin(t), math.cos(t)
+        closed = ((s / t,), (s / t ** 2, -c / t),
+                  (3 * s / t ** 3, -s / t, -3 * c / t ** 2))
+        j = sf.bessel_table(60, t)
+        for l, terms in enumerate(closed):
+            assert abs(math.fsum(terms) - j[l]) < 1e-12 * max(map(abs, terms))
+        assert abs(np.sum((2 * np.arange(61) + 1) * j * j) - 1) < 1e-12
 
     def test_series_matches_scipy_at_crossover(self):
         from scipy.special import spherical_jn

@@ -18,6 +18,11 @@ def fd_curl(coeffs, x, h=1e-4):
     return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 
 
+def fd_div(coeffs, x, h=1e-4):
+    return sum((swe.eval_field(coeffs, x + d)[j] - swe.eval_field(coeffs, x - d)[j])
+               / (2 * h) for j, d in enumerate(h * np.eye(3)))
+
+
 class TestFrame:
     def test_pole(self):
         rhat, that, phat = swe.unit_frame(0.0, 0.0)
@@ -32,10 +37,12 @@ class TestFrame:
         assert np.allclose(phat, [0, 1, 0])
 
     def test_gram_identity(self, rng):
-        for _ in range(10):
+        # orthonormal and right-handed: theta-hat x phi-hat = r-hat
+        for _ in range(30):
             V = np.stack(swe.unit_frame(rng.uniform(0, math.pi),
                                         rng.uniform(0, 2 * math.pi)))
             assert np.max(np.abs(V @ V.T - np.eye(3))) < 1e-14
+            assert np.max(np.abs(np.cross(V[1], V[2]) - V[0])) < 1e-14
 
 
 class TestSphHarmonic:
@@ -98,6 +105,16 @@ class TestVectorModes:
             curl_n = fd_curl(ModeCoefficients(l, k, b={(l, m): 1.0}), x)
             assert np.linalg.norm(curl_m + 1j * k * N) / np.linalg.norm(N) < 1e-5
             assert np.linalg.norm(curl_n - 1j * k * M) / np.linalg.norm(M) < 1e-5
+
+    def test_divergence_free(self, rng):
+        k = 1.1
+        for l in range(1, 4):
+            m = int(rng.integers(-l, l + 1))
+            x = rng.uniform(0.2, 0.5, 3)
+            for fam in "ab":
+                c = ModeCoefficients(l, k, **{fam: {(l, m): 1.0}})
+                mag = np.linalg.norm(swe.eval_field(c, x))
+                assert abs(fd_div(c, x)) / mag < 1e-5, (fam, l, m)
 
     def test_singular_origin(self):
         with pytest.raises(ValueError):

@@ -53,9 +53,10 @@ def test_import_does_not_load_scipy_integrate():
 
 
 def test_runtime_loads_no_scipy():
-    # the package runs on numpy alone; scipy is a test dependency only
+    # the package runs on numpy alone, collocation and ball integrals
+    # included; scipy is a test dependency only
     code = ("import edgewave, edgewave.cli, edgewave.verify\n"
-            "results = edgewave.verify.run_suite('specfun')\n"
+            "results = edgewave.verify.run_suite('all')\n"
             "assert results and all(r[2] for r in results), results")
     assert _loaded_after(code, "scipy") == "[]"
 
