@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from edgewave import CaseKind, ModeCoefficients, config_for_case, parse_angle
+from edgewave import specfun as sf
+from edgewave.swe import norm_constant
 from edgewave.vanish import column_labels
 
 
@@ -28,6 +32,24 @@ def identity_table(n, k):
     return ModeCoefficients(
         n, k, a={(n, m): unit[f] for f, (fam, m) in cols if fam == "a"},
         b={(n, m): unit[f] for f, (fam, m) in cols if fam == "b"})
+
+
+def assert_dtheta_matches_five_point(seed, draws=50, tol=1e-8):
+    """legendre_dtheta against an O(h^4) central difference at `draws`
+    random (l <= 10, m, theta), compared on the unit-normalized scale: the
+    raw P_l^m reach ~1e8 at l = m = 10, where no finite difference resolves
+    1e-8 absolutely.  At h = 3e-4 truncation and rounding stay near 1e-10."""
+    h = 3e-4
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        theta = rng.uniform(0.01, math.pi - 0.01)
+        l = int(rng.integers(1, 11))
+        m = int(rng.integers(0, l + 1))
+        p = [sf.assoc_legendre(l, m, math.cos(theta + j * h))
+             for j in (-2, -1, 1, 2)]
+        fd = (p[0] - 8 * p[1] + 8 * p[2] - p[3]) / (12 * h)
+        err = norm_constant(l, m) * abs(sf.legendre_dtheta(l, m, theta) - fd)
+        assert err < tol, (seed, l, m, theta, err)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_dtheta_matches_five_point
 from edgewave import specfun as sf
 from edgewave.swe import norm_constant
 from edgewave.vanish import MAX_ORDER
@@ -73,23 +74,10 @@ class TestThetaRecursions:
         assert sf.legendre_dtheta(1, 0, math.pi / 2) == pytest.approx(-1.0)
 
     def test_dtheta_vs_finite_difference(self):
-        # compared on the unit-normalized scale: the raw P_l^m reach ~1e8 at
-        # l = m = 10, where no finite difference resolves 1e-8 absolutely.
-        # The O(h^4) stencil at h = 3e-4 keeps truncation and rounding near
-        # 1e-10.  Seeds 125, 274, 554 and 567 draw points where a two-point
-        # difference at h = 1e-6 misses 1e-8 through rounding alone.
-        h = 3e-4
+        # seeds 125, 274, 554 and 567 draw points where a two-point
+        # difference at h = 1e-6 misses 1e-8 through rounding alone
         for seed in (42, 125, 274, 554, 567):
-            rng = np.random.default_rng(seed)
-            for _ in range(50):
-                theta = rng.uniform(0.01, math.pi - 0.01)
-                l = int(rng.integers(1, 11))
-                m = int(rng.integers(0, l + 1))
-                p = [sf.assoc_legendre(l, m, math.cos(theta + j * h))
-                     for j in (-2, -1, 1, 2)]
-                fd = (p[0] - 8 * p[1] + 8 * p[2] - p[3]) / (12 * h)
-                err = norm_constant(l, m) * abs(sf.legendre_dtheta(l, m, theta) - fd)
-                assert err < 1e-8, (seed, l, m, theta, err)
+            assert_dtheta_matches_five_point(seed)
 
     def test_over_sin_simple(self):
         assert sf.legendre_over_sin(1, 1, math.pi / 2) == pytest.approx(1.0)

@@ -1,7 +1,10 @@
-"""Every named invariant suite must run green (these back `edgewave verify`)."""
+"""Every named invariant suite must run green (these back `edgewave verify`),
+and the theta-derivative comparison that left verify still resolves the
+seeds where a two-point difference failed through rounding."""
 
 import pytest
 
+from conftest import assert_dtheta_matches_five_point
 from edgewave.verify import SUITES, run_suite
 
 
@@ -15,3 +18,11 @@ def test_suite_green(suite):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("seed", [125, 274, 554, 567])
+def test_dtheta_check_resolves_rounding(seed):
+    # these seeds drew points where a two-point difference at h = 1e-6
+    # missed the 1e-8 tolerance through rounding alone; the five-point
+    # comparison that replaced it in verify now lives in the tests
+    assert_dtheta_matches_five_point(seed)
