@@ -47,7 +47,7 @@ def _build_config(args, alpha_text):
     """Config of the parsed arguments."""
     alpha = parse_angle(alpha_text)
     eta1, eta2 = (parse_complex(e) if e else None for e in (args.eta1, args.eta2))
-    return config_for_case(CaseKind.parse(args.case), alpha, eta1, eta2, args.k)
+    return config_for_case(CaseKind(args.case), alpha, eta1, eta2, args.k)
 
 
 def cmd_analyze(args):

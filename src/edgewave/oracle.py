@@ -26,8 +26,8 @@ import numpy as np
 
 from . import corner as _corner
 from .corner import Face, ImpedanceSpec, face_normal
-from .swe import (ModeCoefficients, _angular_parts, _mode_table,
-                  _radial_factors, _spherical_components, norm_constant)
+from .swe import (ModeCoefficients, _ball_parts, _mode_table,
+                  _spherical_components, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
 from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
                      nullspace_dim)
@@ -74,19 +74,15 @@ def _field_magnitude(field, r, theta, phi):
 
 
 def _real_blocks(field, r, theta, phi):
-    """E_c = sum_k R_k A_{k,c} on the grid (r, theta, phi) as real blocks:
-    the radial factors R, (balls x radial nodes, k), against the angular
-    table A as a (k, Re/Im x component x angle) matrix.  E_r takes only the
-    p rows, E_theta and E_phi only the j and q rows: two blocks.  The complex
-    A is freed on return, which keeps a query's peak memory down."""
-    R = _radial_factors(field, r)
-    A = _angular_parts(field, theta[:, None], phi[None, :])
-    blocks = []
-    for Rb, Ab in ((R[:1], A[:1, :, :1]), (R[1:], A[1:, :, 1:])):
-        k = Rb.shape[0] * Rb.shape[1]
-        blocks.append((Rb.reshape(k, r.size).T, np.concatenate(
-            [Ab.real, Ab.imag], axis=2).reshape(k, 2 * math.prod(Ab.shape[2:]))))
-    return blocks
+    """E_c = sum_k R_k A_{k,c} on the grid (r, theta, phi) as real blocks,
+    one per pair of swe._ball_parts (E_r on the p factors, E_theta and E_phi
+    on the j and q factors): the radial factors R as a (balls x radial
+    nodes, k) matrix against the angular table A as a (k, Re/Im x component
+    x angle) matrix.  The complex A is freed on return, which keeps a
+    query's peak memory down."""
+    return [(R.reshape(len(R), r.size).T, np.concatenate(
+        [A.real, A.imag], axis=1).reshape(len(A), 2 * math.prod(A.shape[1:])))
+        for R, A in _ball_parts(field, r, theta, phi)]
 
 
 def _ball_magnitudes(field, r, theta, phi):

@@ -14,17 +14,16 @@ spherical frame with the radial factors p_l, q_l, which is finite at r = 0
 and theta = 0 (the m/sin(theta) factors are routed through the stable
 degree-lowering recursion).
 
-Every mode is a radial x polar factor times e^{i m phi}.  Where phi adds
-axes of its own to the (r, theta, fields) shape, the expansion is separated
-as E_c(r, theta, phi) = sum_k R_k(r) A_{k,c}(theta, phi), k running over
-(radial kind p/j/q, populated degree l): the real radial factors R are
-tabulated on the shape of r alone, and the angular table A (coefficients x
-polar factors, summed over m by one matrix product against the (m, phi)
-table of e^{i m phi}) on theta, phi and the fields alone.  Elsewhere (a
-scalar phi on a corner face, or one phi per sample) the points go in
-fixed-size blocks: the factors of the M populated modes, with e^{i m phi}
-folded in, form a (points x 2M) mode table per component, and one matrix
-product with the (2M x fields) matrix of the coefficients gives the field.
+Every field evaluation goes through one pointwise path: the points are
+flattened and taken in fixed-size blocks, the factors of the M populated
+modes, with e^{i m phi} folded in, form a (points x 2M) mode table per
+component, and one matrix product with the (2M x fields) matrix of the
+coefficients gives the field.  The ball quadrature alone uses a separated
+form of the same components on its tensor grid (_ball_parts),
+E_c(r, theta, phi) = sum_k R_k(r) A_{k,c}(theta, phi), k running over
+(radial kind p/j/q, populated degree l): the real radial factors R on the
+radial nodes, and the angular table A (coefficients x polar factors, summed
+over m by one contraction against e^{i m phi}) on the angular nodes.
 """
 
 from __future__ import annotations
@@ -287,63 +286,6 @@ class ModeCoefficients:
                 and np.array_equal(self._b, other._b))
 
 
-def _radial_factors(coeffs, r):
-    """p_l, j_l and q_l of kr at the populated degrees l, ascending, from one
-    bessel_table on the shape of r: shape (3, degrees) + r.shape."""
-    l = np.unique(coeffs._populated()[0])
-    jt = bessel_table(coeffs.lmax + 1, coeffs.k * np.asarray(r, dtype=float))
-    p, q = _pq(jt, l)
-    return np.stack([p, jt[l], q])
-
-
-def _angular_parts(coeffs, theta, phi):
-    """The angular table A of the expansion E_c = sum_{s,i} R[s, i] A[s, i, c],
-    R the _radial_factors.
-
-    Shape (3, degrees, 3) + the broadcast shape of theta, phi and the field
-    axes: A[s, i, c] is the part of component c (E_r, E_theta, E_phi) that
-    multiplies radial factor s (p, j, q) of the i-th populated degree; E_r
-    takes only p, the others only j and q.  Each part is coefficient x polar
-    factors, from one legendre_table, summed over the orders m against
-    e^{i m phi} (_sum_orders); phi may vary only along axes on which theta
-    and the field axes are 1.
-    """
-    fields = coeffs._a.shape[2:]
-    theta = np.asarray(theta, dtype=float)
-    nd = max(theta.ndim, np.ndim(phi), len(fields))
-    theta = theta.reshape((1,) * (nd - theta.ndim) + theta.shape)
-    l, m = coeffs._populated()
-    degrees, orders = np.unique(l), np.unique(m)
-    y, yt, ys = _polar(legendre_table(coeffs.lmax + 1, np.cos(theta)), l, m)
-    a, b = (t[l, m].reshape(l.shape + (1,) * (nd - len(fields)) + fields)
-            for t in (coeffs._a, coeffs._b))
-    L = np.sqrt(l * (l + 1.0)).reshape(l.shape + (1,) * nd)
-    shape = np.broadcast_shapes(theta.shape, a.shape[1:])
-    parts = np.zeros((orders.size, 3, degrees.size, 3) + shape, dtype=complex)
-    o, i = np.searchsorted(orders, m), np.searchsorted(degrees, l)
-    parts[o, 0, i, 0] = -L * b * y                          # E_r
-    parts[o, 1, i, 1] = -a / L * ys                         # E_theta
-    parts[o, 2, i, 1] = -b / L * yt
-    parts[o, 1, i, 2] = -1j * a / L * yt                    # E_phi
-    parts[o, 2, i, 2] = -1j * b / L * ys
-    return _sum_orders(parts, orders, phi)
-
-
-def _sum_orders(part, orders, phi):
-    """sum_i part[i] e^{i orders[i] phi}, where phi varies only along axes on
-    which part[i] is 1: one matrix product of the (orders x points) parts
-    against the (orders x phi) table of e^{i m phi}."""
-    phi = np.asarray(phi, dtype=float)
-    nd = max(part.ndim - 1, phi.ndim)
-    shapes = [(1,) * (nd - len(s)) + s for s in (part.shape[1:], phi.shape)]
-    e = np.exp(1j * orders[:, None] * phi.ravel())
-    out = part.reshape(orders.size, math.prod(shapes[0])).T @ e
-    # the two shapes' axes interleaved: one of each pair has length 1
-    pairs = [a for i in range(nd) for a in (i, nd + i)]
-    return out.reshape(shapes[0] + shapes[1]).transpose(pairs).reshape(
-        np.broadcast_shapes(*shapes))
-
-
 _BLOCK = 2048   # points per mode table, so its size does not grow with them
 
 
@@ -370,22 +312,16 @@ def _mode_table(lmax, k, l, m, r, theta, phi):
 def _spherical_components(coeffs, r, theta, phi):
     """(E_r, E_theta, E_phi) of the expansion at broadcastable arrays.
 
-    Where phi adds axes of its own to the (r, theta, fields) shape, the
-    radial factors (_radial_factors) are contracted with the angular table
-    (_angular_parts) over (kind, degree).  Otherwise the points are
-    flattened, and each block of _BLOCK of them is one mode table
-    (_mode_table) times the (2M x fields) matrix of the coefficients a_l^m,
-    then b_l^m, of the M populated modes.  The points may not vary along the
-    field axes.
+    The points are flattened, and each block of _BLOCK of them is one mode
+    table (_mode_table) times the (2M x fields) matrix of the coefficients
+    a_l^m, then b_l^m, of the M populated modes, so memory stays bounded
+    however many points there are.  The points may not vary along the field
+    axes.
     """
     r, theta, phi = (np.asarray(v, dtype=float) for v in (r, theta, phi))
     fields = coeffs._a.shape[2:]
-    base = np.broadcast_shapes(r.shape, theta.shape, fields)
-    shape = np.broadcast_shapes(base, phi.shape)
-    if phi.size > 1 and math.prod(shape) == math.prod(base) * phi.size:
-        return tuple(np.einsum("si...,sic...->c...", _radial_factors(coeffs, r),
-                               _angular_parts(coeffs, theta, phi)))
     points = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
+    shape = np.broadcast_shapes(points, fields)
     if math.prod(shape) != math.prod(points) * math.prod(fields):
         raise ValueError("the points cannot vary along the field axes")
     flat = [np.broadcast_to(v, points).ravel() for v in (r, theta, phi)]
@@ -397,6 +333,32 @@ def _spherical_components(coeffs, r, theta, phi):
         out[:, s:s + _BLOCK] = _mode_table(coeffs.lmax, coeffs.k, l, m, *(
             v[s:s + _BLOCK] for v in flat)) @ coef
     return tuple(out.reshape((3,) + shape))
+
+
+def _ball_parts(coeffs, r, theta, phi):
+    """A single-field table on the tensor grid (r, theta, phi), theta and phi
+    1-d, separated as E_c = sum_k R_k(r) A_{k,c}(theta, phi) for the ball
+    quadrature: two pairs (R, A), R of shape (K,) + r.shape and A of shape
+    (K, components, theta, phi).  The first pairs the p_l of the populated
+    degrees with E_r; the second pairs j_l, then q_l, of each degree with
+    (E_theta, E_phi).  Each part of A is coefficient x polar factors, summed
+    over the orders m by one contraction against e^{i m phi}."""
+    l, m = coeffs._populated()
+    degrees, orders = np.unique(l), np.unique(m)
+    jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)
+    p, q = _pq(jt, degrees)
+    y, yt, ys = _polar(legendre_table(coeffs.lmax + 1, np.cos(theta)), l, m)
+    L = np.sqrt(l * (l + 1.0))[:, None]
+    a, b = (t[l, m][:, None] / -L for t in (coeffs._a, coeffs._b))
+    parts = np.zeros((orders.size, degrees.size, 5, theta.size), dtype=complex)
+    parts[np.searchsorted(orders, m), np.searchsorted(degrees, l)] = np.stack(
+        [L * L * b * y,                                     # E_r: p
+         a * ys, 1j * a * yt,                               # E_theta, E_phi: j
+         b * yt, 1j * b * ys], axis=1)                      # E_theta, E_phi: q
+    A = np.tensordot(parts, np.exp(1j * orders[:, None] * phi), axes=(0, 0))
+    return ((p, A[:, :1]),
+            (np.stack([jt[degrees], q], axis=1).reshape((-1,) + r.shape),
+             A[:, 1:].reshape(-1, 2, theta.size, phi.size)))
 
 
 def eval_field(coeffs, point):

@@ -82,13 +82,6 @@ class CaseKind(Enum):
     IMP_PEC = "imp-pec"
     IMP_PMC = "imp-pmc"
 
-    @classmethod
-    def parse(cls, text):
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown case {text!r}")
-
 
 class UnsupportedPairingError(ValueError):
     pass
@@ -567,15 +560,31 @@ def _entry_values(layout, orders, eff, case):
             * np.exp(1j * phase * layout.turn))
 
 
+def _checked_entries(layout, orders, eff, case):
+    """_entry_values of layout and the 2-norm of each of its rows; entry
+    values or row norms that overflow a float raise ValueError."""
+    try:
+        with np.errstate(over="raise"):
+            values = _entry_values(layout, orders, eff, case)
+            norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
+                                            layout.starts))
+    except FloatingPointError:
+        raise _overflow_error(eff) from None
+    return values, norms
+
+
 def assemble_order_system(n, config):
-    """Full order-n constraint system for the configured boundary pairing."""
+    """Full order-n constraint system for the configured boundary pairing;
+    a k or eta whose entries or row norms overflow a float raises
+    ValueError."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
     source_case, eff = effective_config(config)
     case = _assembled_case(source_case)
     layout, tags = _layout(n, case), _tags(n, case)
     rows = np.zeros((len(tags), 2 * (2 * n + 1)), dtype=complex)
-    rows[layout.row, layout.col] = _entry_values(layout, np.array([n]), eff, case)
+    rows[layout.row, layout.col] = _checked_entries(layout, np.array([n]), eff,
+                                                    case)[0]
     return ConstraintSystem(n=n, case=case, alpha=eff.alpha, rows=rows,
                             provenance=list(tags))
 
@@ -591,13 +600,7 @@ def _unit_blocks(n_max, eff, case):
     and each order's blocks are a view into its run's buffer.  Entry values
     or row norms that overflow a float raise ValueError."""
     layout = _report_layout(n_max, case)
-    try:
-        with np.errstate(over="raise"):
-            values = _entry_values(layout, np.arange(1, n_max + 1), eff, case)
-            norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
-                                            layout.starts))
-    except FloatingPointError:
-        raise _overflow_error(eff) from None
+    values, norms = _checked_entries(layout, np.arange(1, n_max + 1), eff, case)
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
     offsets = layout.offsets
     cut = np.searchsorted(layout.at, np.arange(n_max + 1))   # first entry per order
@@ -795,7 +798,7 @@ class VanishReport:
         bound = (per[-1].n if per else 0) if bound == "gte_nmax" else int(bound)
         theorem = INFINITE if data["theorem_bound"] == "infinite" \
             else int(data["theorem_bound"])
-        return cls(alpha=alpha, case=CaseKind.parse(data["case"]), per_order=per,
+        return cls(alpha=alpha, case=CaseKind(data["case"]), per_order=per,
                    order_lower_bound=bound, theorem_bound=theorem)
 
     def render(self):

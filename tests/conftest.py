@@ -11,7 +11,7 @@ from edgewave.vanish import column_labels
 
 def make_config(alpha, case="imp-imp", eta1=1.0, eta2=1.0, k=1.0):
     a = parse_angle(alpha) if isinstance(alpha, str) else alpha
-    return config_for_case(CaseKind.parse(case), a, eta1, eta2, k)
+    return config_for_case(CaseKind(case), a, eta1, eta2, k)
 
 
 def random_coeffs(rng, lmax=3, k=1.3, fields=()):

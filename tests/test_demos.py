@@ -1,5 +1,5 @@
-"""Smoke test: the demos that print assembled angles and use the traces
-run to completion."""
+"""Smoke test: every demo runs to completion, with a RuntimeWarning an error
+as in the test suite."""
 
 import os
 import pathlib
@@ -9,15 +9,15 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", ["03_corner_traces.py",
-                                  "04_vanishing_order.py",
-                                  "05_oracle_crosscheck.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

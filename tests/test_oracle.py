@@ -50,7 +50,9 @@ class TestBallIntegral:
             QuadratureSpec(radial_nodes=4)
 
     def test_mc_cross_check(self, rng):
-        c = random_coeffs(rng, lmax=1, k=1.0)
+        # a pure degree-2 field: |E| grows like r over the ball, so the
+        # sampled radial law counts (a degree-1 |E| is nearly constant)
+        c = _decay_like(rng, (2,))
         quad = QuadratureSpec(mc_samples=100000, seed=5)
         g = ball_integral(c, 0.1, quad)
         mc = oracle.ball_integral_mc(c, 0.1, quad)
@@ -109,13 +111,19 @@ class TestBallQuadrature:
 
     @pytest.mark.parametrize("quad", [QuadratureSpec(), QuadratureSpec(16, 16)],
                              ids=["default", "16-node"])
-    @pytest.mark.parametrize("table", ["degrees-5-7", "two-modes"])
+    @pytest.mark.parametrize("table", ["degrees-5-7", "two-modes", "order-0",
+                                       "degree-4"])
     def test_matches_pointwise_path(self, rng, quad, table):
         if table == "degrees-5-7":
             c = _decay_like(rng, (5, 6, 7))
-        else:
+        elif table == "two-modes":
             c = swe.ModeCoefficients(3, 0.9, a={(2, 1): 0.4 - 1j},
                                      b={(3, 2): 1.3 + 0.2j})
+        elif table == "order-0":     # one populated order, several degrees
+            c = swe.ModeCoefficients(4, 1.2, a={(1, 0): 0.7j, (3, 0): -1.1},
+                                     b={(2, 0): 0.5 + 0.5j, (4, 0): 0.9})
+        else:                        # one populated degree, every order
+            c = _decay_like(rng, (4,))
         mags, ref = self._pointwise(c, self.RADII, quad)
         nth, nphi = quad.angular_nodes, 2 * quad.angular_nodes
         xr, _ = np.polynomial.legendre.leggauss(quad.radial_nodes)

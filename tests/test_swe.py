@@ -271,6 +271,23 @@ class TestPerOrderEvaluation:
             rng.uniform(0, 2 * math.pi, n)))
         assert sizes == ([6] * 8 + [2]) * 3   # components, eval_field, |E|
 
+    def test_tensor_grid_goes_in_blocks(self, rng, monkeypatch):
+        # a tensor grid takes the pointwise path as well: the mode table
+        # never holds more than _BLOCK points, however many the grid has
+        sizes, table = [], swe._mode_table
+
+        def counted(lmax, k, l, m, r, theta, phi):
+            sizes.append(r.size)
+            return table(lmax, k, l, m, r, theta, phi)
+        monkeypatch.setattr(swe, "_mode_table", counted)
+        shape = (5, 24, 20)
+        assert math.prod(shape) > swe._BLOCK
+        self._assert_matches(random_coeffs(rng, 3), (
+            rng.uniform(0, 0.5, shape[0])[:, None, None],
+            rng.uniform(0, math.pi, shape[1])[None, :, None],
+            rng.uniform(0, 2 * math.pi, shape[2])[None, None, :]))
+        assert sizes == [swe._BLOCK, math.prod(shape) - swe._BLOCK] * 3
+
     def test_points_may_not_vary_along_the_field_axes(self):
         coeffs = ModeCoefficients(1, 1.0, a={(1, 0): np.ones(3)})
         with pytest.raises(ValueError, match="field axes"):

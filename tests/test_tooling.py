@@ -74,7 +74,7 @@ def test_theorem_bound_matches_benchmark_grid_rule(case):
             alpha = parse_angle(f"{q}/{p}")
             for n_max in (1, 6, 12, 24, 85):
                 assert (min(_WORKLOADS.grid_bound(Fraction(q, p), case), n_max)
-                        == theorem_bound(alpha, CaseKind.parse(case), n_max)), \
+                        == theorem_bound(alpha, CaseKind(case), n_max)), \
                     (q, p, n_max)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,18 @@ class TestAssembly:
     def test_impmc_domain(self):
         with pytest.raises(ValueError):
             assemble_order_system(1, make_config("3/2", case="imp-pmc"))
+
+    @pytest.mark.parametrize("eta, k", [(1.0, 1e160), (1e300, 1e10)])
+    def test_overflowing_k_or_eta_is_refused(self, eta, k):
+        # earlier the system was built with inf row norms, and nullspace_dim
+        # of it warned of an overflow and returned a full nullity
+        cfg = make_config("1/3", eta1=eta, eta2=eta, k=k)
+        message = re.escape(f"k = {k!r} with eta = {complex(eta)!r}, "
+                            f"{complex(eta)!r} overflows the boundary system")
+        with pytest.raises(ValueError, match=message):
+            assemble_order_system(2, cfg)
+        with pytest.raises(ValueError, match=message):
+            vanishing_order(cfg, 2)
 
 
 def _loop_chain_rows(n, eta, k, phase, ix):
@@ -335,7 +348,7 @@ class TestTheoremBound:
     ])
     def test_examples(self, alpha, case, expect):
         a = angles.parse_angle(alpha)
-        assert theorem_bound(a, CaseKind.parse(case), 10) == expect
+        assert theorem_bound(a, CaseKind(case), 10) == expect
 
     def test_irrational_infinite(self):
         a = angles.Angle(0.6180339887)
@@ -473,7 +486,7 @@ class TestReflection:
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
     def test_effective_config_is_the_config(self, case):
         cfg = make_config("2/7", case=case)
-        assert vanish.effective_config(cfg) == (CaseKind.parse(case), cfg)
+        assert vanish.effective_config(cfg) == (CaseKind(case), cfg)
         assert vanish.effective_config(cfg)[1] is cfg
 
     @pytest.mark.parametrize("case", [CaseKind.IMP_PEC, CaseKind.IMP_PMC])
