@@ -47,13 +47,12 @@ A layout maps every entry of a run of orders to its class, row slot and
 column slot: a flat position in the orders' parity blocks.  It is built in
 one pass, vectorized over the orders, and cached per (n, pairing) and per
 (n_max, pairing).  Its builder raises ValueError naming any row with entries
-in both classes.  vanishing_order fills every order of a report in one pass
-(entry values, then row norms by one reduceat) into one buffer, or one per
-run of orders past n ~ 45, and decides each order by nullspace_dim on its
-view of the buffer.
-assemble_order_system scatters the same entry values into dense rows, and
-nullspace_dim gathers a ConstraintSystem back through its order's layout,
-raising ValueError at run time on a nonzero outside its row's class.
+in both classes.  An order's ConstraintSystem holds its unit rows in those
+parity blocks, plus each row's norm; the dense rows are derived on demand.
+_systems fills the systems of a run of orders in one pass (entry values,
+then row norms by one reduceat) into one buffer, or one per run of orders
+past n ~ 45.  vanishing_order takes every order of a report from it and
+assemble_order_system one order, so both decide on the same blocks.
 """
 
 from __future__ import annotations
@@ -159,13 +158,30 @@ def column_labels(n):
 
 @dataclass
 class ConstraintSystem:
-    """Labeled linear system over the order-n unknowns."""
+    """Labeled linear system over the order-n unknowns, held as its rows
+    scaled to unit 2-norm and split by parity class (zero rows pad the
+    shorter block), and each row's 2-norm in provenance order; rows rebuilds
+    the dense rows from the two."""
 
     n: int
     case: CaseKind
     alpha: Angle                      # angle the rows were assembled at
-    rows: np.ndarray                  # complex, shape (nrows, ncols)
-    provenance: List[str]
+    blocks: np.ndarray                # complex, shape (2, height, 2n+1)
+    norms: np.ndarray                 # float, shape (nrows,)
+
+    @property
+    def provenance(self):
+        return list(_tags(self.n, self.case))
+
+    @property
+    def rows(self):
+        """Dense rows, complex of shape (nrows, 2(2n+1)), in provenance
+        order and column_labels order."""
+        layout = _layout(self.n, self.case)
+        rows = np.zeros((self.norms.size, 2 * (2 * self.n + 1)), dtype=complex)
+        rows[layout.row, layout.col] = (self.blocks.reshape(-1)[layout.pos]
+                                        * self.norms[layout.row])
+        return rows
 
     @property
     def columns(self):
@@ -191,10 +207,10 @@ class ConstraintSystem:
         pec-pmc, which has no head blocks."""
         if self.case == CaseKind.PEC_PMC:
             return None
-        ix = self.column_index
+        ix, rows, tags = self.column_index, self.rows, self.provenance
         block = []
         for name in names:
-            row = self.rows[self.provenance.index(name)]
+            row = rows[tags.index(name)]
             plus, minus = row[ix[(fam, 1)]], row[ix[(fam, -1)]]
             block.append([(plus + minus) / 2, (plus - minus) / 2, row[ix[third]]])
         return np.array(block)
@@ -464,7 +480,6 @@ class _Layout(NamedTuple):
     numbered across the orders.  Entry i sits at (row, col) of the rows and
     at flat index pos of the parity blocks: order j's blocks have shape
     shapes[j], (2, height, 2n+1), and start at offsets[j] of one buffer.
-    Row r lies in parity class row_class[r], at row_slot[r] of its block.
     """
     at: np.ndarray
     const: np.ndarray
@@ -474,14 +489,8 @@ class _Layout(NamedTuple):
     col: np.ndarray
     pos: np.ndarray
     starts: np.ndarray
-    row_class: np.ndarray
-    row_slot: np.ndarray
-    shapes: tuple
     offsets: np.ndarray
-
-
-def _coupling_error(tag):
-    return ValueError(f"row {tag!r} has nonzeros in both parity classes")
+    shapes: tuple
 
 
 def _columns(col):
@@ -510,7 +519,8 @@ def _build_layout(orders, case):
     mixed = np.flatnonzero(np.maximum.reduceat(entry_class, starts) > row_class)
     if mixed.size:
         first = starts[mixed[0]]
-        raise _coupling_error(_tags(int(orders[k[first]]), case)[row[first]])
+        tag = _tags(int(orders[k[first]]), case)[row[first]]
+        raise ValueError(f"row {tag!r} has nonzeros in both parity classes")
     rows = np.bincount(k[starts], minlength=orders.size)
     first_row = np.cumsum(rows) - rows
     ones = np.add.reduceat(row_class, first_row)
@@ -525,9 +535,8 @@ def _build_layout(orders, case):
     pos = offsets[k] + (row_class[grow] * height[k] + row_slot[grow]) * width[k] \
         + col_slot
     return _Layout(*_read_only(k, const, factor, turn, grow, col, pos, starts,
-                               row_class, row_slot),
-                   tuple(zip([2] * orders.size, height.tolist(), width.tolist())),
-                   *_read_only(offsets))
+                               offsets),
+                   tuple(zip([2] * orders.size, height.tolist(), width.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -560,9 +569,30 @@ def _entry_values(layout, orders, eff, case):
             * np.exp(1j * phase * layout.turn))
 
 
-def _checked_entries(layout, orders, eff, case):
-    """_entry_values of layout and the 2-norm of each of its rows; entry
-    values or row norms that overflow a float raise ValueError."""
+def assemble_order_system(n, config):
+    """Full order-n constraint system for the configured boundary pairing,
+    filled as one order of a report is (_systems); a k or eta too large for
+    the system in floats raises ValueError."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    source_case, eff = effective_config(config)
+    case = _assembled_case(source_case)
+    return next(_systems(_layout(n, case), np.array([n]), eff, case))
+
+
+_BUFFER = 1 << 18   # complex entries (4 MB) of parity blocks filled at once
+
+
+def _systems(layout, orders, eff, case):
+    """The ConstraintSystem of each n of orders, in turn, that case assembles
+    at eff; layout is the orders' layout.  The entry values and row norms of
+    all orders come from one pass.  They are scattered into one buffer per
+    run of orders whose blocks fit _BUFFER entries (orders up to about 45 fit
+    one), and each system's blocks are a view into its run's buffer.
+
+    Before the first system, a k or eta whose entry values, row norms or
+    head-block determinants (_closed_dets, largest at the highest order)
+    overflow a float raises ValueError."""
     try:
         with np.errstate(over="raise"):
             values = _entry_values(layout, orders, eff, case)
@@ -570,50 +600,25 @@ def _checked_entries(layout, orders, eff, case):
                                             layout.starts))
     except FloatingPointError:
         raise _overflow_error(eff) from None
-    return values, norms
-
-
-def assemble_order_system(n, config):
-    """Full order-n constraint system for the configured boundary pairing;
-    a k or eta whose entries or row norms overflow a float raises
-    ValueError."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
-    source_case, eff = effective_config(config)
-    case = _assembled_case(source_case)
-    layout, tags = _layout(n, case), _tags(n, case)
-    rows = np.zeros((len(tags), 2 * (2 * n + 1)), dtype=complex)
-    rows[layout.row, layout.col] = _checked_entries(layout, np.array([n]), eff,
-                                                    case)[0]
-    return ConstraintSystem(n=n, case=case, alpha=eff.alpha, rows=rows,
-                            provenance=list(tags))
-
-
-_BUFFER = 1 << 18   # complex entries (4 MB) of parity blocks filled at once
-
-
-def _unit_blocks(n_max, eff, case):
-    """Parity blocks of the unit rows of orders 1..n_max that case assembles
-    at eff, order by order.  The entry values and row norms of all orders
-    come from one pass.  They are scattered into one buffer per run of
-    orders whose blocks fit _BUFFER entries (orders up to about 45 fit one),
-    and each order's blocks are a view into its run's buffer.  Entry values
-    or row norms that overflow a float raise ValueError."""
-    layout = _report_layout(n_max, case)
-    values, norms = _checked_entries(layout, np.arange(1, n_max + 1), eff, case)
+    n = orders.tolist()
+    if case == CaseKind.IMP_IMP:
+        _closed_dets(max(n), eff)
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
-    offsets = layout.offsets
-    cut = np.searchsorted(layout.at, np.arange(n_max + 1))   # first entry per order
+    offsets, ends = layout.offsets, np.arange(len(n) + 1)
+    cut = np.searchsorted(layout.at, ends)                # first entry per order
+    row_cut = np.searchsorted(layout.at[layout.starts], ends).tolist()   # first row
     first = 0
-    while first < n_max:
+    while first < len(n):
         last = max(first + 1, int(np.searchsorted(
             offsets, offsets[first] + _BUFFER, side="right")) - 1)
         base = offsets[first]
         buffer = np.zeros(offsets[last] - base, dtype=complex)
         buffer[layout.pos[cut[first]:cut[last]] - base] = values[cut[first]:cut[last]]
         for i in range(first, last):
-            yield buffer[offsets[i] - base:offsets[i + 1] - base].reshape(
+            blocks = buffer[offsets[i] - base:offsets[i + 1] - base].reshape(
                 layout.shapes[i])
+            yield ConstraintSystem(n[i], case, eff.alpha, blocks,
+                                   norms[row_cut[i]:row_cut[i + 1]])
         first = last
 
 
@@ -621,10 +626,9 @@ def _unit_blocks(n_max, eff, case):
 # rank
 # ---------------------------------------------------------------------------
 
-def _unit_rows(system):
-    """Rows of a system or matrix scaled to unit 2-norm, zero rows left at
-    zero.  Row scaling leaves the nullspace unchanged."""
-    rows = system.rows if isinstance(system, ConstraintSystem) else np.asarray(system)
+def _unit_rows(rows):
+    """Rows of a matrix scaled to unit 2-norm, zero rows left at zero.  Row
+    scaling leaves the nullspace unchanged."""
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / np.where(norms > 0.0, norms, 1.0)
 
@@ -640,45 +644,33 @@ def _parity_classes(n):
     return _CLASS_MASKS[:, :2 * (2 * n + 1)]
 
 
-class _OrderBlocks(NamedTuple):
-    """Order n of a report, split already: its unit-row parity blocks."""
-    n: int
-    blocks: np.ndarray
-
-
 def _parity_blocks(system):
-    """Unit rows split by parity class, stacked (classes, rows, 2n+1) with
-    zero rows padding the shorter block, and each class's column mask.
+    """Unit rows split by parity class, stacked (classes, rows, columns),
+    and each class's column mask.
 
-    A ConstraintSystem is split by its order's layout; a nonzero off the
-    class its layout gives the row raises ValueError.  A bare matrix is one
-    class, and _OrderBlocks are split already.
+    A ConstraintSystem holds its two blocks already.  A bare matrix is one
+    class; one that is not 2-D or has a NaN or infinite entry raises
+    ValueError.
     """
-    if isinstance(system, _OrderBlocks):
+    if isinstance(system, ConstraintSystem):
         return system.blocks, _parity_classes(system.n)
-    rows = _unit_rows(system)
-    if not isinstance(system, ConstraintSystem):
-        return rows[None], np.ones((1, rows.shape[1]), dtype=bool)
-    layout = _layout(system.n, system.case)
-    classes = _parity_classes(system.n)
-    off = np.flatnonzero(np.any((rows != 0) & classes[1 - layout.row_class], axis=1))
-    if off.size:
-        raise _coupling_error(system.provenance[off[0]])
-    columns = np.nonzero(classes)[1].reshape(2, -1)
-    blocks = np.zeros(layout.shapes[0], dtype=complex)
-    blocks[layout.row_class, layout.row_slot] = np.take_along_axis(
-        rows, columns[layout.row_class], axis=1)
-    return blocks, classes
+    rows = np.asarray(system)
+    if rows.ndim != 2:
+        raise ValueError(f"the matrix must be 2-D, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        bad = "a NaN" if np.isnan(rows).any() else "an infinite"
+        raise ValueError(f"the matrix has {bad} entry")
+    return _unit_rows(rows)[None], np.ones((1, rows.shape[1]), dtype=bool)
 
 
 def nullspace_dim(system, tol=1e-9):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
-    system is a ConstraintSystem, a bare matrix, or one order of a report
-    (_OrderBlocks).  The singular values are those of the rows scaled to unit
-    length, taken on the two parity blocks in one batched SVD.  Relative
-    singular values inside (tol/10, tol*10) are neither clearly zero nor
-    clearly nonzero; these raise RankAmbiguityError instead of guessing.
+    system is a ConstraintSystem or a bare matrix.  The singular values are
+    those of the rows scaled to unit length, for a ConstraintSystem taken on
+    its two parity blocks in one batched SVD.  Relative singular values
+    inside (tol/10, tol*10) are neither clearly zero nor clearly nonzero;
+    these raise RankAmbiguityError instead of guessing.
     """
     blocks, _ = _parity_blocks(system)
     return sum(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
@@ -848,8 +840,8 @@ def vanishing_order(config, n_max, tol=1e-9):
     a report that falls below it contradicts itself and raises
     BoundInvariantError instead.
 
-    The entries of all orders are filled in one pass (_unit_blocks), and
-    each order is decided by nullspace_dim on its view of the parity blocks.
+    The systems of all orders are filled in one pass (_systems), and each
+    is decided by nullspace_dim.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
@@ -858,8 +850,10 @@ def vanishing_order(config, n_max, tol=1e-9):
     dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
             for m in range(2, n_max + 1)]
     per = []
-    for n, blocks in enumerate(_unit_blocks(n_max, eff, _assembled_case(case)), 1):
-        dim = nullspace_dim(_OrderBlocks(n, blocks), tol=tol)
+    assembled = _assembled_case(case)
+    for system in _systems(_report_layout(n_max, assembled),
+                           np.arange(1, n_max + 1), eff, assembled):
+        dim, n = nullspace_dim(system, tol=tol), system.n
         head = (None, None) if pecpmc else _closed_dets(n, eff)
         per.append(OrderDiagnostics(n, dim, *head, dets[:n - 1]))
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)

@@ -98,6 +98,18 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     assert calls == {"nullspace_dim": 7, "assemble_order_system": 0}
 
 
+def test_crosscheck_structured_rank_is_the_report_rank():
+    # crosscheck referees the rank of assemble_order_system against
+    # collocation; that rank must be the one the report decides
+    from edgewave import vanish
+    for query in _WORKLOADS.WORKLOADS["crosscheck"].queries(1, 1):
+        config = _WORKLOADS.make_config(query.case, query.alpha, query.eta1,
+                                        query.eta2, query.k)
+        report = vanish.vanishing_order(config, query.n)
+        assert (_WORKLOADS.crosscheck_prepare(query)()[0]
+                == report.per_order[-1].nullspace_dim), query
+
+
 def test_decimal_fractions_are_detected():
     # the sweep spells each DECIMAL_FRACTIONS entry as repr(float(f)) and
     # expects the CLI to label it f

@@ -74,10 +74,12 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_order_system(1, make_config("3/2", case="imp-pmc"))
 
-    @pytest.mark.parametrize("eta, k", [(1.0, 1e160), (1e300, 1e10)])
+    @pytest.mark.parametrize("eta, k", [(1.0, 1e160), (1e300, 1e10),
+                                        (1e110, 1e110)])
     def test_overflowing_k_or_eta_is_refused(self, eta, k):
         # earlier the system was built with inf row norms, and nullspace_dim
-        # of it warned of an overflow and returned a full nullity
+        # of it warned of an overflow and returned a full nullity; at 1e110
+        # the entries are finite but the head-block determinants overflow
         cfg = make_config("1/3", eta1=eta, eta2=eta, k=k)
         message = re.escape(f"k = {k!r} with eta = {complex(eta)!r}, "
                             f"{complex(eta)!r} overflows the boundary system")
@@ -548,7 +550,7 @@ class TestFlatAngle:
 
 def _unsplit_dim(system, tol=1e-9):
     """Nullity from one SVD of all unit rows, the decision before the split."""
-    s = np.linalg.svd(vanish._unit_rows(system), compute_uv=False)
+    s = np.linalg.svd(vanish._unit_rows(system.rows), compute_uv=False)
     rel = s / s[0]
     assert not np.any((tol / 10 < rel) & (rel < tol * 10))
     return int(np.sum(rel < tol)) + system.rows.shape[1] - s.size
@@ -611,17 +613,6 @@ class TestParityBlocks:
                 touched = [np.any(system.rows[:, c] != 0, axis=1) for c in classes]
                 assert not np.any(touched[0] & touched[1])
 
-    def test_row_coupling_both_classes_raises(self):
-        system = assemble_order_system(3, make_config("0.41", **self.ETAS))
-        row = system.provenance.index("face2-chain-e1 mu=2")
-        ix = system.column_index
-        assert system.rows[row, ix[("a", 2)]] != 0      # class 0
-        system.rows[row, ix[("a", 1)]] = 0.5            # class 1
-        with pytest.raises(ValueError, match="'face2-chain-e1 mu=2'"):
-            nullspace_dim(system)
-        with pytest.raises(ValueError, match="both parity classes"):
-            vanish.nullspace_basis(system)
-
     @pytest.mark.parametrize("alpha", ["1/2", "3/2"])
     def test_zero_edge_rows_at_the_flat_angle_pass(self, alpha):
         # reflected to alpha' = 1, where sin(alpha' pi) = 0 empties two rows
@@ -640,7 +631,7 @@ class TestParityBlocks:
         dim = nullspace_dim(system)
         assert dim > 0 and basis.shape == (system.rows.shape[1], dim)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-12)
-        assert np.max(np.abs(vanish._unit_rows(system) @ basis)) < 1e-10
+        assert np.max(np.abs(vanish._unit_rows(system.rows) @ basis)) < 1e-10
         # each vector lives on the columns of one class
         classes = vanish._parity_blocks(system)[1]
         for v in basis.T:
@@ -650,6 +641,17 @@ class TestParityBlocks:
         blocks, classes = vanish._parity_blocks(np.eye(3, dtype=complex)[:2])
         assert blocks.shape == (1, 2, 3)
         assert classes.tolist() == [[True, True, True]]
+
+    @pytest.mark.parametrize("rows,problem", [
+        ([[1.0, np.nan], [0.0, 1.0]], "has a NaN entry"),
+        ([[1.0, np.inf], [0.0, 1.0]], "has an infinite entry"),
+        ([1.0, 2.0], r"must be 2-D, got shape \(2,\)"),
+    ])
+    def test_malformed_bare_matrix_refused(self, rows, problem):
+        # earlier: SVD did not converge, an overflow warning, or an AxisError
+        for decide in (nullspace_dim, vanish.nullspace_basis):
+            with pytest.raises(ValueError, match=problem):
+                decide(np.array(rows, dtype=complex))
 
     def test_layout_builder_names_a_row_in_both_classes(self, monkeypatch):
         tag = "face2-chain-e1 mu=2"
@@ -706,16 +708,19 @@ class TestReportFill:
     def test_report_blocks_are_the_assembled_blocks(self, monkeypatch, alpha, case,
                                                     buffer):
         # a smaller buffer fills the orders in several runs; a buffer of one
-        # entry takes one order per run
+        # entry takes one order per run.  The report decides on the very
+        # blocks assemble_order_system returns, bit for bit.
         monkeypatch.setattr(vanish, "_BUFFER", buffer)
         cfg = make_config(alpha, case=case, **self.ETAS)
         source, eff = vanish.effective_config(cfg)
-        views = list(vanish._unit_blocks(12, eff, vanish._assembled_case(source)))
-        assert len(views) == 12
-        for n, view in enumerate(views, 1):
-            blocks, _ = vanish._parity_blocks(assemble_order_system(n, cfg))
-            assert view.shape == blocks.shape
-            np.testing.assert_allclose(view, blocks, rtol=0, atol=1e-15)
+        assembled = vanish._assembled_case(source)
+        systems = list(vanish._systems(vanish._report_layout(12, assembled),
+                                       np.arange(1, 13), eff, assembled))
+        assert [s.n for s in systems] == list(range(1, 13))
+        for system in systems:
+            alone = assemble_order_system(system.n, cfg)
+            np.testing.assert_array_equal(system.blocks, alone.blocks)
+            np.testing.assert_array_equal(system.norms, alone.norms)
 
     @pytest.mark.parametrize("alpha,j", [("0.33333", 3), ("0.4000001", 5)])
     def test_ambiguity_names_its_order(self, capsys, alpha, j):
