@@ -29,8 +29,8 @@ from .corner import Face, ImpedanceSpec, face_normal
 from .swe import (ModeCoefficients, _ball_parts, _mode_table,
                   _spherical_components, norm_constant)
 from .specfun import gauss_legendre, legendre_table, radial_pq
-from .vanish import (CaseKind, column_labels, edge_rows, effective_config,
-                     nullspace_dim)
+from .vanish import (MAX_ORDER, CaseKind, column_labels, edge_rows,
+                     effective_config, nullspace_dim)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -392,8 +392,8 @@ def collocation_nullspace(n, config, seed=42):
     six edge relations with numerically rebuilt entries; mixed pairings are
     collocated on the reflected configuration.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
     rng = np.random.default_rng(seed)
     case, config = effective_config(config)
     k = config.k

@@ -43,16 +43,16 @@ and b_mu, the edge rows have orders <= 1 (a_{+-1} with b_0, or b_{+-1} with
 a_0), and a PEC/PMC row one family at one |m|.  So the singular values are
 the union of the two blocks'.
 
-A layout maps every entry of a run of orders to its class, row slot and
-column slot: a flat position in the orders' parity blocks.  It is built in
-one pass, vectorized over the orders, and cached per (n, pairing) and per
-(n_max, pairing).  Its builder raises ValueError naming any row with entries
-in both classes.  An order's ConstraintSystem holds its unit rows in those
-parity blocks, plus each row's norm; the dense rows are derived on demand.
-_systems fills the systems of a run of orders in one pass (entry values,
-then row norms by one reduceat) into one buffer, or one per run of orders
-past n ~ 45.  vanishing_order takes every order of a report from it and
-assemble_order_system one order, so both decide on the same blocks.
+A layout maps every entry of a run of orders to its flat position in its
+order's parity blocks (class, row slot, column slot).  It is built in one
+pass, vectorized over the orders, and cached per (orders, pairing).  Its
+builder raises ValueError naming any row with entries in both classes.  An
+order's ConstraintSystem holds its unit rows in parity blocks of its own,
+plus each row's norm; the dense rows are derived on demand.  _systems
+computes the entry values and row norms of a run of orders in one pass and
+yields their systems one order at a time.  vanishing_order takes every
+order of a report from it and assemble_order_system one order, so both
+decide on the same blocks.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class ConstraintSystem:
     def rows(self):
         """Dense rows, complex of shape (nrows, 2(2n+1)), in provenance
         order and column_labels order."""
-        layout = _layout(self.n, self.case)
+        layout = _layout((self.n,), self.case)
         rows = np.zeros((self.norms.size, 2 * (2 * self.n + 1)), dtype=complex)
         rows[layout.row, layout.col] = (self.blocks.reshape(-1)[layout.pos]
                                         * self.norms[layout.row])
@@ -472,15 +472,17 @@ def _assembled_case(case):
 # ---------------------------------------------------------------------------
 
 class _Layout(NamedTuple):
-    """Where the entries of the rows of a run of orders land.
+    """Where the entries of the rows case assembles at a run of orders land.
 
     Entry i has the value const * F[at, factor] * e^{i turn alpha' pi}, F the
-    factor table of _entry_values and at the index of the entry's order.
+    factor table of _entry_values and at the index of the entry's order in n.
     Entries are grouped by row, starts holding each row's first; rows are
     numbered across the orders.  Entry i sits at (row, col) of the rows and
-    at flat index pos of the parity blocks: order j's blocks have shape
-    shapes[j], (2, height, 2n+1), and start at offsets[j] of one buffer.
+    at flat index pos of its order's parity blocks.  parts holds, per order,
+    (n, its entry slice, its row slice, its block shape (2, height, 2n+1)).
     """
+    case: CaseKind
+    n: np.ndarray
     at: np.ndarray
     const: np.ndarray
     factor: np.ndarray
@@ -489,8 +491,7 @@ class _Layout(NamedTuple):
     col: np.ndarray
     pos: np.ndarray
     starts: np.ndarray
-    offsets: np.ndarray
-    shapes: tuple
+    parts: tuple
 
 
 def _columns(col):
@@ -529,41 +530,36 @@ def _build_layout(orders, case):
         np.cumsum(ones) - ones, rows)
     row_slot = np.where(row_class == 1, ones_before, in_order - ones_before)
     height = np.maximum(ones, rows - ones)
-    width = 2 * orders + 1
-    offsets = np.cumsum(np.concatenate([[0], 2 * height * width]))
     grow = np.cumsum(new) - 1
-    pos = offsets[k] + (row_class[grow] * height[k] + row_slot[grow]) * width[k] \
+    pos = (row_class[grow] * height[k] + row_slot[grow]) * (2 * orders[k] + 1) \
         + col_slot
-    return _Layout(*_read_only(k, const, factor, turn, grow, col, pos, starts,
-                               offsets),
-                   tuple(zip([2] * orders.size, height.tolist(), width.tolist())))
+    entry_cut = np.searchsorted(k, np.arange(orders.size + 1)).tolist()
+    row_cut = np.append(first_row, row_class.size).tolist()
+    parts = tuple((n, slice(*entry_cut[j:j + 2]), slice(*row_cut[j:j + 2]),
+                   (2, int(height[j]), 2 * n + 1))
+                  for j, n in enumerate(orders.tolist()))
+    return _Layout(case, *_read_only(orders, k, const, factor, turn, grow, col, pos,
+                                     starts), parts)
 
 
 @lru_cache(maxsize=None)
-def _layout(n, case):
-    """Layout of the order-n rows of case, imp-imp or pec-pmc."""
-    return _build_layout(np.array([n]), case)
+def _layout(orders, case):
+    """Layout of the rows of case, imp-imp or pec-pmc, at the orders (a tuple)."""
+    return _build_layout(np.array(orders), case)
 
 
-@lru_cache(maxsize=None)
-def _report_layout(n_max, case):
-    """Layout of the rows of case at orders 1..n_max."""
-    return _build_layout(np.arange(1, n_max + 1), case)
-
-
-def _entry_values(layout, orders, eff, case):
-    """Value of each entry of layout at eff, the config the rows of case are
-    assembled at; orders holds the n of each layout.at.  The factor table F
-    has one row per order: ik, eta1, eta2 and then the edge values for
-    imp-imp, all ones for pec-pmc."""
-    if case == CaseKind.PEC_PMC:
-        table = np.ones((len(orders), 3))
+def _entry_values(layout, eff):
+    """Value of each entry of layout at eff, the config its rows are
+    assembled at.  The factor table F has one row per order: ik, eta1, eta2
+    and then the edge values for imp-imp, all ones for pec-pmc."""
+    if layout.case == CaseKind.PEC_PMC:
+        table = np.ones((layout.n.size, 3))
     else:
         eta1, eta2, k = eff.bc1.eta0, eff.bc2.eta0, eff.k
-        table = np.empty((len(orders), 3 + len(_EDGE_ENTRIES[0])), dtype=complex)
+        table = np.empty((layout.n.size, 3 + len(_EDGE_ENTRIES[0])), dtype=complex)
         table[:, :3] = 1j * k, eta1, eta2
         table[:, 3:] = np.transpose(_edge_values(
-            *sincos_pi(eff.alpha.value), *_radial_weights(orders), eta1, eta2, k))
+            *sincos_pi(eff.alpha.value), *_radial_weights(layout.n), eta1, eta2, k))
     phase = eff.alpha.value * math.pi
     return (layout.const * table[layout.at, layout.factor]
             * np.exp(1j * phase * layout.turn))
@@ -576,50 +572,31 @@ def assemble_order_system(n, config):
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
     source_case, eff = effective_config(config)
-    case = _assembled_case(source_case)
-    return next(_systems(_layout(n, case), np.array([n]), eff, case))
+    return next(_systems(_layout((n,), _assembled_case(source_case)), eff))
 
 
-_BUFFER = 1 << 18   # complex entries (4 MB) of parity blocks filled at once
-
-
-def _systems(layout, orders, eff, case):
-    """The ConstraintSystem of each n of orders, in turn, that case assembles
-    at eff; layout is the orders' layout.  The entry values and row norms of
-    all orders come from one pass.  They are scattered into one buffer per
-    run of orders whose blocks fit _BUFFER entries (orders up to about 45 fit
-    one), and each system's blocks are a view into its run's buffer.
+def _systems(layout, eff):
+    """The ConstraintSystem of each order of layout, in turn, assembled at
+    eff.  The entry values and row norms of all orders come from one pass;
+    each order's unit rows are then scattered into blocks of its own.
 
     Before the first system, a k or eta whose entry values, row norms or
     head-block determinants (_closed_dets, largest at the highest order)
     overflow a float raises ValueError."""
     try:
         with np.errstate(over="raise"):
-            values = _entry_values(layout, orders, eff, case)
+            values = _entry_values(layout, eff)
             norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
                                             layout.starts))
     except FloatingPointError:
         raise _overflow_error(eff) from None
-    n = orders.tolist()
-    if case == CaseKind.IMP_IMP:
-        _closed_dets(max(n), eff)
+    if layout.case == CaseKind.IMP_IMP:
+        _closed_dets(int(layout.n[-1]), eff)
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
-    offsets, ends = layout.offsets, np.arange(len(n) + 1)
-    cut = np.searchsorted(layout.at, ends)                # first entry per order
-    row_cut = np.searchsorted(layout.at[layout.starts], ends).tolist()   # first row
-    first = 0
-    while first < len(n):
-        last = max(first + 1, int(np.searchsorted(
-            offsets, offsets[first] + _BUFFER, side="right")) - 1)
-        base = offsets[first]
-        buffer = np.zeros(offsets[last] - base, dtype=complex)
-        buffer[layout.pos[cut[first]:cut[last]] - base] = values[cut[first]:cut[last]]
-        for i in range(first, last):
-            blocks = buffer[offsets[i] - base:offsets[i + 1] - base].reshape(
-                layout.shapes[i])
-            yield ConstraintSystem(n[i], case, eff.alpha, blocks,
-                                   norms[row_cut[i]:row_cut[i + 1]])
-        first = last
+    for n, entries, rows, shape in layout.parts:
+        blocks = np.zeros(shape, dtype=complex)
+        blocks.reshape(-1)[layout.pos[entries]] = values[entries]
+        yield ConstraintSystem(n, layout.case, eff.alpha, blocks, norms[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +605,12 @@ def _systems(layout, orders, eff, case):
 
 def _unit_rows(rows):
     """Rows of a matrix scaled to unit 2-norm, zero rows left at zero.  Row
-    scaling leaves the nullspace unchanged."""
+    scaling leaves the nullspace unchanged.  Each row is first scaled by the
+    power of two of its largest real or imaginary part, which is exact, so
+    that its norm neither overflows nor underflows."""
+    top = np.maximum(abs(rows.real), abs(rows.imag))
+    _, exp = np.frexp(top.max(axis=1, keepdims=True, initial=0.0))
+    rows = np.ldexp(rows.real, -exp) + 1j * np.ldexp(rows.imag, -exp)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / np.where(norms > 0.0, norms, 1.0)
 
@@ -851,8 +833,7 @@ def vanishing_order(config, n_max, tol=1e-9):
             for m in range(2, n_max + 1)]
     per = []
     assembled = _assembled_case(case)
-    for system in _systems(_report_layout(n_max, assembled),
-                           np.arange(1, n_max + 1), eff, assembled):
+    for system in _systems(_layout(tuple(range(1, n_max + 1)), assembled), eff):
         dim, n = nullspace_dim(system, tol=tol), system.n
         head = (None, None) if pecpmc else _closed_dets(n, eff)
         per.append(OrderDiagnostics(n, dim, *head, dets[:n - 1]))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -311,6 +312,17 @@ class TestCollocation:
         # are not finite: refused before they reach the fit and the SVD
         with pytest.raises(oracle.ExtrapolationError, match="not finite"):
             collocation_nullspace(n, make_config("1/3", case=case))
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
+    @pytest.mark.parametrize("n", [0, vanish.MAX_ORDER + 1])
+    def test_order_outside_the_cap_refused(self, case, n):
+        # as assemble_order_system does; past the cap the sampled rows earlier
+        # raised IndexError (pec-pmc) or ExtrapolationError (imp-imp)
+        cfg = make_config("1/3", case=case)
+        message = re.escape(f"order must be in 1..{vanish.MAX_ORDER}, got {n}")
+        for build in (collocation_nullspace, vanish.assemble_order_system):
+            with pytest.raises(ValueError, match=message):
+                build(n, cfg)
 
     @pytest.mark.parametrize("case", ["imp-imp", "imp-pec"])
     @pytest.mark.parametrize("alpha", ["1/13", "1/3", "2/5", "0.37", "3/7", "1/4"])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -653,6 +654,18 @@ class TestParityBlocks:
             with pytest.raises(ValueError, match=problem):
                 decide(np.array(rows, dtype=complex))
 
+    @pytest.mark.parametrize("rows", [[[1e200, 1e200], [1e200, -1e200]],
+                                      np.diag([1e-170, 1.0]),
+                                      [[1.5e308 + 1.5e308j, 1.0], [1.0, 1.0]]],
+                             ids=["norm-overflows", "norm-underflows",
+                                  "modulus-overflows"])
+    @pytest.mark.parametrize("decide", [nullspace_dim, vanish.nullspace_basis])
+    def test_rows_of_extreme_scale_in_a_bare_matrix(self, rows, decide):
+        # all have full rank; unscaled, a row norm overflows (a full nullity
+        # after a warning) or the 1e-170 row's squared norm underflows to 0
+        dim = decide(np.array(rows, dtype=complex))
+        assert (dim if decide is nullspace_dim else dim.shape[1]) == 0
+
     def test_layout_builder_names_a_row_in_both_classes(self, monkeypatch):
         tag = "face2-chain-e1 mu=2"
         row = vanish._tags(3, CaseKind.IMP_IMP).index(tag)
@@ -704,23 +717,33 @@ class TestReportFill:
     @pytest.mark.parametrize("alpha,case", [("2/7", "imp-imp"), ("0.37", "pec-pmc"),
                                             ("1/2", "imp-pec"),
                                             ("0.6180339887", "imp-pmc")])
-    @pytest.mark.parametrize("buffer", [vanish._BUFFER, 1500, 1])
-    def test_report_blocks_are_the_assembled_blocks(self, monkeypatch, alpha, case,
-                                                    buffer):
-        # a smaller buffer fills the orders in several runs; a buffer of one
-        # entry takes one order per run.  The report decides on the very
-        # blocks assemble_order_system returns, bit for bit.
-        monkeypatch.setattr(vanish, "_BUFFER", buffer)
+    def test_report_blocks_are_the_assembled_blocks(self, alpha, case):
+        # the report decides on the very blocks assemble_order_system
+        # returns, bit for bit, and each order's blocks are its own
         cfg = make_config(alpha, case=case, **self.ETAS)
         source, eff = vanish.effective_config(cfg)
-        assembled = vanish._assembled_case(source)
-        systems = list(vanish._systems(vanish._report_layout(12, assembled),
-                                       np.arange(1, 13), eff, assembled))
+        layout = vanish._layout(tuple(range(1, 13)), vanish._assembled_case(source))
+        systems = list(vanish._systems(layout, eff))
         assert [s.n for s in systems] == list(range(1, 13))
         for system in systems:
             alone = assemble_order_system(system.n, cfg)
             np.testing.assert_array_equal(system.blocks, alone.blocks)
             np.testing.assert_array_equal(system.norms, alone.norms)
+            assert system.blocks.flags.owndata, system.n
+
+    @pytest.mark.parametrize("alpha,case", [("1/13", "imp-imp"), ("2/9", "pec-pmc")])
+    def test_report_peak_memory_is_one_order(self, alpha, case):
+        # the blocks of one order at a time are alive, not those of a run
+        # of orders: at n_max 85 one order's blocks are about 1 MB
+        cfg = make_config(alpha, case=case)             # eta = 1, k = 1
+        vanishing_order(cfg, vanish.MAX_ORDER)
+        tracemalloc.start()
+        try:
+            vanishing_order(cfg, vanish.MAX_ORDER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
 
     @pytest.mark.parametrize("alpha,j", [("0.33333", 3), ("0.4000001", 5)])
     def test_ambiguity_names_its_order(self, capsys, alpha, j):
