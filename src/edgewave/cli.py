@@ -5,7 +5,7 @@ Subcommands:
     analyze  --alpha A --case C [--eta1 Z] [--eta2 Z] [--k K] [--nmax N]
              [--tol T] [--json]
     verify   --suite {vanish|oracle|all} [--seed S]
-    table    --case C [--alphas A1 A2 ...] [--nmax N] [--json] ...
+    table    --case C --alphas A1 [A2 ...] [--nmax N] [--json] ...
 
 Exit codes: 0 ok, 1 usage error, 2 numerical rank ambiguity,
 3 verification failure, 4 bound invariant violated (the assembled bound fell
@@ -139,7 +139,7 @@ def build_parser():
     pt = sub.add_parser("table", help="angle-vs-bound table over several angles")
     pt.add_argument("--case", required=True,
                     choices=[c.value for c in CaseKind])
-    pt.add_argument("--alphas", nargs="*", default=[])
+    pt.add_argument("--alphas", nargs="+", required=True)
     pt.add_argument("--eta1", default="1")
     pt.add_argument("--eta2", default="1")
     pt.add_argument("--k", type=float, default=1.0)

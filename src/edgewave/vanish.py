@@ -27,8 +27,10 @@ determinants, the induction driver and the collocation oracle all read it.
 A chain entry at column (a, m) is ik c e^{i m phase}, at (b, m) eta c
 e^{i m phase}, with c a constant of (n, mu, m) and phase 0 on face 1 and
 alpha*pi on face 2.  A PEC/PMC entry is c e^{i m phase}, and the six edge
-rows have 17 structurally nonzero entries (_edge_values).  _entry_values
-computes all of them, for one order or for many.
+rows have 17 structurally nonzero entries, each an edge value (_edge_values)
+times the radial weight of its column's |m| (_radial_weights).
+_entry_values computes all of them, for one order or for many, from one row
+of configuration factors and one row of phases.
 
 Of a series impedance eta0 + sum_j eta_j(theta) r^j only eta0 enters the
 rows.  Under the induction hypothesis the coefficients of degree below n
@@ -67,7 +69,7 @@ from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .angles import Angle, AngleError, grid_exclusion_order, sincos_pi
+from .angles import DETECT_TOL, Angle, AngleError, grid_exclusion_order, sincos_pi
 from .corner import EdgeCornerConfig, ImpedanceKind, ImpedanceSpec
 from .swe import MAX_LMAX, _norm_constants, norm_constant
 
@@ -296,11 +298,13 @@ _HEAD_ROW = 8   # "face1-chain-e2 mu=0" at n = 1, the one chain row kept there
 
 
 def _edge_entries(orders):
-    """The six edge rows at each n of orders; factor 3 + j is edge value j."""
+    """The six edge rows at each n of orders; factor 3 + j is edge value j at
+    unit weights, the constant its column's weight at n (Ap at m = 0, Kp)."""
     count = len(_EDGE_ENTRIES[0])
     k = np.repeat(np.arange(orders.size), count)
     r, cols, j = (np.tile(x, orders.size) for x in (*_EDGE_ENTRIES, np.arange(count)))
-    return k, r, cols, 3 + j, np.zeros_like(k), np.ones(k.size)
+    Kp, Ap = _radial_weights(orders)
+    return k, r, cols, 3 + j, np.zeros_like(k), np.where(cols < 2, Ap[k], Kp[k])
 
 
 def _pattern(orders, case):
@@ -335,8 +339,8 @@ def _edge_values(s, co, Kp, Ap, eta1, eta2, k):
     reach orders m <= 1 only.
 
     s, co are sin and cos of the opening angle; Kp, Ap the radial weights of
-    the m = 1 and m = 0 edge terms (see _radial_weights), scalars or arrays
-    over orders.
+    the m = 1 and m = 0 edge terms (see _radial_weights).  A report takes the
+    values at unit weights, its layout carrying the weights.
     """
     return (
         # matching-x, matching-y: a_1, a_-1, b_0
@@ -437,17 +441,20 @@ def reflected_angle(alpha, case):
     2a on (0,1/2), 2(1-a) on [1/2,1), 2(a-1) on (1,3/2), 2(2-a) on [3/2,2).
 
     The branch the float value selects is applied to the fraction as well.
+    Doubling doubles the value's distance to it, so it is kept only within
+    DETECT_TOL, as every tagged Angle must be.
     """
     _require_pmc_range(alpha, case)
     a = alpha.value
     if a == 1:
         raise ValueError(f"angle {a} out of range")
     shift, sign = ((0, 1), (1, -1), (-1, 1), (2, -1))[int(2 * a)]
-    frac = None
+    value, frac = 2 * (shift + sign * a), None
     if alpha.rational is not None:
         fr = 2 * (shift + sign * Fraction(*alpha.rational))
-        frac = (fr.numerator, fr.denominator)
-    return Angle(2 * (shift + sign * a), frac)
+        if abs(value - fr.numerator / fr.denominator) <= DETECT_TOL:
+            frac = (fr.numerator, fr.denominator)
+    return Angle(value, frac)
 
 
 def effective_config(config):
@@ -474,8 +481,8 @@ def _assembled_case(case):
 class _Layout(NamedTuple):
     """Where the entries of the rows case assembles at a run of orders land.
 
-    Entry i has the value const * F[at, factor] * e^{i turn alpha' pi}, F the
-    factor table of _entry_values and at the index of the entry's order in n.
+    Entry i has the value const * F[factor] * e^{i turn alpha' pi}: F is the
+    factor row of _entry_values, const a constant of n (an edge's weight).
     Entries are grouped by row, starts holding each row's first; rows are
     numbered across the orders.  Entry i sits at (row, col) of the rows and
     at flat index pos of its order's parity blocks.  parts holds, per order,
@@ -483,7 +490,6 @@ class _Layout(NamedTuple):
     """
     case: CaseKind
     n: np.ndarray
-    at: np.ndarray
     const: np.ndarray
     factor: np.ndarray
     turn: np.ndarray
@@ -538,7 +544,7 @@ def _build_layout(orders, case):
     parts = tuple((n, slice(*entry_cut[j:j + 2]), slice(*row_cut[j:j + 2]),
                    (2, int(height[j]), 2 * n + 1))
                   for j, n in enumerate(orders.tolist()))
-    return _Layout(case, *_read_only(orders, k, const, factor, turn, grow, col, pos,
+    return _Layout(case, *_read_only(orders, const, factor, turn, grow, col, pos,
                                      starts), parts)
 
 
@@ -550,19 +556,19 @@ def _layout(orders, case):
 
 def _entry_values(layout, eff):
     """Value of each entry of layout at eff, the config its rows are
-    assembled at.  The factor table F has one row per order: ik, eta1, eta2
-    and then the edge values for imp-imp, all ones for pec-pmc."""
+    assembled at.  The factor row F holds ik, eta1, eta2 and the edge values
+    at unit weights for imp-imp, all ones for pec-pmc; the phase row holds
+    e^{i t alpha' pi} for the turns t = -N..N, N the highest order."""
     if layout.case == CaseKind.PEC_PMC:
-        table = np.ones((layout.n.size, 3))
+        table = np.ones(3)
     else:
         eta1, eta2, k = eff.bc1.eta0, eff.bc2.eta0, eff.k
-        table = np.empty((layout.n.size, 3 + len(_EDGE_ENTRIES[0])), dtype=complex)
-        table[:, :3] = 1j * k, eta1, eta2
-        table[:, 3:] = np.transpose(_edge_values(
-            *sincos_pi(eff.alpha.value), *_radial_weights(layout.n), eta1, eta2, k))
+        table = np.array((1j * k, eta1, eta2, *_edge_values(
+            *sincos_pi(eff.alpha.value), 1.0, 1.0, eta1, eta2, k)))
+    top = int(layout.n[-1])
     phase = eff.alpha.value * math.pi
-    return (layout.const * table[layout.at, layout.factor]
-            * np.exp(1j * phase * layout.turn))
+    phases = np.exp(1j * phase * np.arange(-top, top + 1))
+    return layout.const * table[layout.factor] * phases[layout.turn + top]
 
 
 def assemble_order_system(n, config):

@@ -153,8 +153,15 @@ class TestTable:
 
     def test_empty_list(self, capsys):
         code = main(["table", "--case", "imp-imp", "--alphas"])
-        assert code == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 1
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--alphas: expected at least one argument" in err
+
+    def test_no_alphas_is_usage_error(self, capsys):
+        code = main(["table", "--case", "imp-imp"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "required: --alphas" in err
 
     def test_json_mode(self, capsys):
         code = main(["table", "--case", "imp-imp", "--alphas", "1/3",
@@ -190,6 +197,19 @@ class TestDecimalAngles:
         out = capsys.readouterr().out
         assert code == 0
         assert "guaranteed bound (angle grid):         0\n" in out
+
+    @pytest.mark.parametrize("case,alpha", [
+        ("imp-pec", "0.200000000001"), ("imp-pmc", "0.200000000001"),
+        ("imp-pec", "0.2000000000009"), ("imp-pmc", "0.7999999999991"),
+        ("imp-pec", "0.0500000000006"), ("imp-pec", "1.2000000000009"),
+        ("imp-pec", "0.4999999999993")])
+    def test_reflected_decimal_near_its_fraction(self, capsys, case, alpha):
+        # the decimal misses its fraction by 5e-13..1e-12, the doubled angle
+        # by twice that, past the tag tolerance: still a report
+        report = self._report(capsys, ["analyze", "--alpha", alpha, "--case",
+                                       case, "--eta2", "1"])
+        assert report["alpha"]["rational"] == list(
+            angles.parse_angle(alpha).rational)
 
     def test_irrational_decimal_stays_irrational(self, capsys):
         report = self._report(capsys, ["table", "--case", "imp-imp",

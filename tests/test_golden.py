@@ -41,6 +41,10 @@ def _calls():
                 stem = f"analyze_{case}_{label}_n{nmax}"
                 calls[f"{stem}.txt"] = argv
                 calls[f"{stem}.json"] = argv + ["--json"]
+            # the orders where the slowest benchmark queries run
+            calls[f"analyze_{case}_{label}_n24.json"] = (
+                ["analyze", "--alpha", alpha, "--case", case] + etas
+                + ["--nmax", "24", "--json"])
     calls["table.txt"] = _TABLE
     calls["table.json"] = _TABLE + ["--json"]
     calls["verify_all_seed7.txt"] = ["verify", "--suite", "all", "--seed", "7"]

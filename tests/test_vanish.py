@@ -533,6 +533,19 @@ class TestReflection:
                 assert eff.rational == (expect.numerator, expect.denominator)
                 assert eff.value == pytest.approx(float(expect), abs=1e-15)
 
+    @pytest.mark.parametrize("alpha,doubled", [("0.2000000000004", (2, 5)),
+                                               ("0.200000000001", None),
+                                               ("0.7999999999991", None)])
+    def test_fraction_kept_within_the_tag_tolerance(self, alpha, doubled):
+        # doubling doubles the distance to the fraction: 8e-13 keeps the
+        # tag, 1.8e-12 and 2e-12 drop it
+        angle = angles.parse_angle(alpha)
+        assert angle.rational is not None
+        eff = vanish.reflected_angle(angle, CaseKind.IMP_PEC)
+        assert eff.rational == doubled
+        shift, sign = (0, 1) if angle.value < 0.5 else (1, -1)
+        assert eff.value == 2 * (shift + sign * angle.value)
+
 
 class TestFlatAngle:
     @pytest.mark.parametrize("alpha", ["1/2", "3/2"])
@@ -704,6 +717,30 @@ class TestReportFill:
             assert [d.nullspace_dim for d in report.per_order] == [
                 nullspace_dim(assemble_order_system(n, cfg))
                 for n in range(1, 25)], text
+
+    @pytest.mark.parametrize("case", ["imp-imp", "imp-pec", "imp-pmc"])
+    @pytest.mark.parametrize("n", [1, 2, 24, 85])
+    def test_edge_rows_carry_the_radial_weights(self, case, n):
+        # the layout's constants are the edge weights Kp and Ap at n
+        cfg = make_config("0.37", case=case, **self.ETAS)
+        _, eff = vanish.effective_config(cfg)
+        expect = vanish.edge_rows(*angles.sincos_pi(eff.alpha.value),
+                                  *vanish._radial_weights(n), eff.bc1.eta0,
+                                  eff.bc2.eta0, eff.k, 2 * (2 * n + 1))
+        np.testing.assert_allclose(assemble_order_system(n, cfg).rows[:6],
+                                   expect, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("case", ["imp-imp", "imp-pec"])
+    def test_warm_report_reads_only_its_configuration(self, monkeypatch, case):
+        # with the layout cached, a query computes no weight of n
+        configs = [make_config("2/7", case=case, **self.ETAS),
+                   make_config("0.37", case=case, eta1=0.6, eta2=1.4j, k=0.9)]
+        expect = [vanishing_order(cfg, 12) for cfg in configs]
+
+        def refuse(n):
+            raise AssertionError("radial weights recomputed")
+        monkeypatch.setattr(vanish, "_radial_weights", refuse)
+        assert [vanishing_order(cfg, 12) for cfg in configs] == expect
 
     def test_column_classes_follow_the_labels(self):
         for n in (1, 2, 7):
