@@ -20,15 +20,16 @@ At n = 1 only the relations actually derived at first order enter: the two
 plus the third face-2 edge row.  The PEC/PMC pairing assembles the leading
 tangential relations plus the second-lowest-order coupling rows.  Mixed
 pairings are reduced by the reflection principle to an impedance-impedance
-system at the doubled angle given by the four-branch table; that reduction
-lives in effective_config alone, and the assembler, the closed head-block
-determinants, the induction driver and the collocation oracle all read it.
+system at the doubled angle given by the four-branch table, in
+effective_config alone, which every consumer reads.
 
-A chain entry at column (a, m) is ik c e^{i m phase}, at (b, m) eta c
-e^{i m phase}, with c a constant of (n, mu, m) and phase 0 on face 1 and
-alpha*pi on face 2.  A PEC/PMC entry is c e^{i m phase}, and the six edge
-rows have 17 structurally nonzero entries, each an edge value (_edge_values)
-times the radial weight of its column's |m| (_radial_weights).
+The impedance rows are in the scaled unknowns k a_n^m, eta2 b_n^m, a column
+scaling that keeps every nullity: each a-entry is linear in k and each
+b-entry in its face's eta.  A chain entry at column (a, m) is i c e^{i m phase},
+at (b, m) r c e^{i m phase}: c a constant of (n, mu, m), phase 0 on face 1 and
+alpha*pi on face 2, r = eta1/eta2 on face 1 and 1 on face 2.  A PEC/PMC entry
+is c e^{i m phase}, and the six edge rows have 17 structurally nonzero entries,
+each an edge value (_edge_values) times its column's radial weight.
 _entry_values computes all of them, for one order or for many, from one row
 of configuration factors and one row of phases.
 
@@ -45,16 +46,12 @@ and b_mu, the edge rows have orders <= 1 (a_{+-1} with b_0, or b_{+-1} with
 a_0), and a PEC/PMC row one family at one |m|.  So the singular values are
 the union of the two blocks'.
 
-A layout maps every entry of a run of orders to its flat position in its
-order's parity blocks (class, row slot, column slot).  It is built in one
-pass, vectorized over the orders, and cached per (orders, pairing).  Its
-builder raises ValueError naming any row with entries in both classes.  An
-order's ConstraintSystem holds its unit rows in parity blocks of its own,
-plus each row's norm; the dense rows are derived on demand.  _systems
-computes the entry values and row norms of a run of orders in one pass and
-yields their systems one order at a time.  vanishing_order takes every
-order of a report from it and assemble_order_system one order, so both
-decide on the same blocks.
+A layout, built in one pass vectorized over a run of orders and cached per
+(orders, pairing), maps every entry to its flat position in its order's
+parity blocks; its builder raises ValueError naming any row with entries in
+both classes.  _systems fills a run of orders in one pass and yields each
+order's ConstraintSystem; vanishing_order and assemble_order_system both
+take theirs from it, so both decide on the same blocks.
 """
 
 from __future__ import annotations
@@ -75,6 +72,7 @@ from .swe import MAX_LMAX, _norm_constants, norm_constant
 
 INFINITE = math.inf
 MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
+ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
 
 
 class CaseKind(Enum):
@@ -160,14 +158,14 @@ def column_labels(n):
 
 @dataclass
 class ConstraintSystem:
-    """Labeled linear system over the order-n unknowns, held as its rows
-    scaled to unit 2-norm and split by parity class (zero rows pad the
-    shorter block), and each row's 2-norm in provenance order; rows rebuilds
-    the dense rows from the two."""
+    """Labeled linear system over the order-n unknowns k a and eta2 b (a, b
+    for pec-pmc), held as its rows scaled to unit 2-norm and split by parity
+    class (zero rows pad the shorter block), and each row's 2-norm in
+    provenance order; rows rebuilds the dense rows in a and b from the two."""
 
     n: int
     case: CaseKind
-    alpha: Angle                      # angle the rows were assembled at
+    config: EdgeCornerConfig          # config the rows were assembled at
     blocks: np.ndarray                # complex, shape (2, height, 2n+1)
     norms: np.ndarray                 # float, shape (nrows,)
 
@@ -176,14 +174,21 @@ class ConstraintSystem:
         return list(_tags(self.n, self.case))
 
     @property
+    def column_scale(self):
+        """k on an a-column, eta2 on a b-column; ones for pec-pmc."""
+        k, eta2 = (1.0, 1.0) if self.case == CaseKind.PEC_PMC else (
+            self.config.k, self.config.bc2.eta0)
+        return np.array([k if fam == "a" else eta2 for fam, _ in self.columns])
+
+    @property
     def rows(self):
-        """Dense rows, complex of shape (nrows, 2(2n+1)), in provenance
-        order and column_labels order."""
+        """Dense rows in a and b, complex of shape (nrows, 2(2n+1)), in
+        provenance order and column_labels order."""
         layout = _layout((self.n,), self.case)
         rows = np.zeros((self.norms.size, 2 * (2 * self.n + 1)), dtype=complex)
         rows[layout.row, layout.col] = (self.blocks.reshape(-1)[layout.pos]
                                         * self.norms[layout.row])
-        return rows
+        return rows * self.column_scale
 
     @property
     def columns(self):
@@ -241,8 +246,8 @@ def _entries(terms):
     """Entry vectors (order index, row, column, factor, turn, constant) of
     terms (order index, row, face, is_a, order m, constant, sign): an m >= 1
     enters column (fam, m) with the constant and (fam, -m) with sign times
-    it.  The factor is 0 (ik) on an a-column and 1 + face (the face's eta) on
-    a b-column; turn = face * m."""
+    it.  The factor is 0 (i) on an a-column and 1 + face (the face's eta over
+    eta2) on a b-column; turn = face * m."""
     k, r, f, a, m, v, sign = (np.concatenate(x) for x in zip(
         *(np.broadcast_arrays(*map(np.atleast_1d, t)) for t in terms)))
     pair = m > 0
@@ -254,8 +259,8 @@ def _entries(terms):
 
 def _chain_entries(orders):
     """Entries of both faces' order-n recursive chains at each n of orders,
-    numbered after the six edge rows; a-entries scale with ik, b-entries with
-    the face's eta."""
+    numbered after the six edge rows; a-entries carry i, b-entries the face's
+    eta over eta2."""
     k, n, mu = _pairs(orders, 0)
     c = _norm_constants(n, mu)
     sL = np.sqrt(n * (n + 1))
@@ -340,8 +345,7 @@ def _edge_values(s, co, Kp, Ap, eta1, eta2, k):
 
     s, co are sin and cos of the opening angle; Kp, Ap the radial weights of
     the m = 1 and m = 0 edge terms (see _radial_weights).  A report takes the
-    values at unit weights, its layout carrying the weights.
-    """
+    values at unit weights and k = eta2 = 1, eta1/eta2 on face 1."""
     return (
         # matching-x, matching-y: a_1, a_-1, b_0
         1j * k * Kp * s * s - k * Kp * s * co, 1j * k * Kp * s * s + k * Kp * s * co,
@@ -381,7 +385,7 @@ def _closed_det_prefactor(n):
 
 
 def _closed_dets(n, eff):
-    """Closed (det A, det B) of the order-n head blocks assembled at the
+    """Closed (det A, det B) in a and b of the order-n head blocks at the
     impedance-impedance config eff; ValueError where they overflow a float."""
     ap = eff.alpha.value * math.pi
     prefactor = _closed_det_prefactor(n)
@@ -393,13 +397,8 @@ def _closed_dets(n, eff):
             return dets
     except OverflowError:
         pass
-    raise _overflow_error(eff)
-
-
-def _overflow_error(eff):
-    """The refusal of a k or eta too large for the rows of eff in floats."""
-    return ValueError(f"k = {eff.k!r} with eta = {eff.bc1.eta0!r}, "
-                      f"{eff.bc2.eta0!r} overflows the boundary system")
+    raise ValueError(f"k = {eff.k!r} with eta = {eff.bc1.eta0!r}, "
+                     f"{eff.bc2.eta0!r} overflows the boundary system")
 
 
 def _head_block_config(config):
@@ -556,15 +555,21 @@ def _layout(orders, case):
 
 def _entry_values(layout, eff):
     """Value of each entry of layout at eff, the config its rows are
-    assembled at.  The factor row F holds ik, eta1, eta2 and the edge values
-    at unit weights for imp-imp, all ones for pec-pmc; the phase row holds
-    e^{i t alpha' pi} for the turns t = -N..N, N the highest order."""
+    assembled at.  The factor row F holds i, eta1/eta2, 1 and the edge values
+    at unit weights and k = eta2 = 1 for imp-imp, all ones for pec-pmc; the
+    phase row holds e^{i t alpha' pi} for the turns t = -N..N, N the highest
+    order.  No column scaling balances both faces' b-entries: an |eta1/eta2|
+    outside ETA_RATIO_WINDOW, where the rank is undecided or wrong, raises."""
     if layout.case == CaseKind.PEC_PMC:
         table = np.ones(3)
     else:
-        eta1, eta2, k = eff.bc1.eta0, eff.bc2.eta0, eff.k
-        table = np.array((1j * k, eta1, eta2, *_edge_values(
-            *sincos_pi(eff.alpha.value), 1.0, 1.0, eta1, eta2, k)))
+        ratio = eff.bc1.eta0 / eff.bc2.eta0
+        size, (low, high) = math.hypot(ratio.real, ratio.imag), ETA_RATIO_WINDOW
+        if not low <= size <= high:
+            raise ValueError(f"|eta1/eta2| = {size:.3g} is outside "
+                             f"[{low:g}, {high:g}], where the rank is decided")
+        table = np.array((1j, ratio, 1.0, *_edge_values(
+            *sincos_pi(eff.alpha.value), 1.0, 1.0, ratio, 1.0, 1.0)))
     top = int(layout.n[-1])
     phase = eff.alpha.value * math.pi
     phases = np.exp(1j * phase * np.arange(-top, top + 1))
@@ -573,8 +578,8 @@ def _entry_values(layout, eff):
 
 def assemble_order_system(n, config):
     """Full order-n constraint system for the configured boundary pairing,
-    filled as one order of a report is (_systems); a k or eta too large for
-    the system in floats raises ValueError."""
+    filled as one order of a report is (_systems); an |eta1/eta2| outside
+    ETA_RATIO_WINDOW raises ValueError."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
     source_case, eff = effective_config(config)
@@ -584,25 +589,15 @@ def assemble_order_system(n, config):
 def _systems(layout, eff):
     """The ConstraintSystem of each order of layout, in turn, assembled at
     eff.  The entry values and row norms of all orders come from one pass;
-    each order's unit rows are then scattered into blocks of its own.
-
-    Before the first system, a k or eta whose entry values, row norms or
-    head-block determinants (_closed_dets, largest at the highest order)
-    overflow a float raises ValueError."""
-    try:
-        with np.errstate(over="raise"):
-            values = _entry_values(layout, eff)
-            norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
-                                            layout.starts))
-    except FloatingPointError:
-        raise _overflow_error(eff) from None
-    if layout.case == CaseKind.IMP_IMP:
-        _closed_dets(int(layout.n[-1]), eff)
+    each order's unit rows are then scattered into blocks of its own."""
+    values = _entry_values(layout, eff)
+    norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
+                                    layout.starts))
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
     for n, entries, rows, shape in layout.parts:
         blocks = np.zeros(shape, dtype=complex)
         blocks.reshape(-1)[layout.pos[entries]] = values[entries]
-        yield ConstraintSystem(n, layout.case, eff.alpha, blocks, norms[rows])
+        yield ConstraintSystem(n, layout.case, eff, blocks, norms[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -689,18 +684,22 @@ def _dim_from_values(system, s, ncols, tol):
 
 
 def nullspace_basis(system, tol=1e-9):
-    """Orthonormal basis of the nullspace, columns of shape (ncols, dim).
-    Useful for building fields that satisfy a degenerate order-n system.
-
-    Each null vector lives on the columns of one parity class: class 0's
-    vectors come first."""
+    """Orthonormal basis of the nullspace in a and b, columns of shape
+    (ncols, dim); each null vector lives on the columns of one parity class,
+    class 0's first.  A ConstraintSystem's null vectors, found in k a and
+    eta2 b, are divided by its column_scale and orthonormalized again by one
+    QR per class, its largest unknowns first: Householder QR on rows sorted
+    by size is row-wise stable (Powell and Reid 1969; Cox and Higham 1998)."""
     blocks, classes = _parity_blocks(system)
     _, s, vh = np.linalg.svd(blocks)
     width = blocks.shape[-1]
     dims = _dim_from_values(system, s, width, tol)
+    scale = getattr(system, "column_scale", np.ones(classes.shape[1]))
     basis = np.zeros((classes.shape[1], sum(dims)), dtype=complex)
     for cols, v, dim, end in zip(classes, vh, dims, np.cumsum(dims)):
-        basis[cols, end - dim:end] = v[width - dim:].conj().T
+        order = np.argsort(abs(scale[cols]), kind="stable")
+        null = v[width - dim:, order].conj().T / scale[cols][order, None]
+        basis[np.flatnonzero(cols)[order], end - dim:end] = np.linalg.qr(null)[0]
     return basis
 
 
@@ -829,7 +828,8 @@ def vanishing_order(config, n_max, tol=1e-9):
     BoundInvariantError instead.
 
     The systems of all orders are filled in one pass (_systems), and each
-    is decided by nullspace_dim.
+    is decided by nullspace_dim.  Head-block determinants that overflow a
+    float, or an |eta1/eta2| outside ETA_RATIO_WINDOW, raise ValueError.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")

@@ -324,6 +324,15 @@ class TestExitCodes:
         (["--eta1=1e110", "--eta2=1e110", "--k", "1e110"],
          "k = 1e+110 with eta = (1e+110+0j), (1e+110+0j) overflows the "
          "boundary system"),
+        (["--eta1=1e-9"],
+         "|eta1/eta2| = 1e-09 is outside [1e-08, 1e+08], where the rank is "
+         "decided"),
+        (["--eta1=2e8"],
+         "|eta1/eta2| = 2e+08 is outside [1e-08, 1e+08], where the rank is "
+         "decided"),
+        (["--eta1=1e300", "--eta2=1e-10"],
+         "|eta1/eta2| = inf is outside [1e-08, 1e+08], where the rank is "
+         "decided"),
     ])
     @pytest.mark.parametrize("command", [
         ["analyze", "--alpha", "1/3", "--case", "imp-imp", "--eta2", "1"],
@@ -331,8 +340,9 @@ class TestExitCodes:
     ])
     def test_non_finite_or_out_of_range_values_exit_one(self, capsys, command,
                                                         flags, message):
-        # earlier, NaN reached the SVD, tol <= 0 printed a bound of >= 6, and
-        # a huge k or eta overflowed into a traceback or NaN determinants
+        # earlier, NaN reached the SVD, tol <= 0 printed a bound of >= 6, a
+        # huge k or eta overflowed into a traceback or NaN determinants, and
+        # an |eta1/eta2| past about 1e10 gave wrong dims
         eta1 = [] if any(f.startswith("--eta1") for f in flags) else ["--eta1", "1"]
         assert main(command + eta1 + flags) == 1
         captured = capsys.readouterr()

@@ -78,16 +78,38 @@ class TestAssembly:
     @pytest.mark.parametrize("eta, k", [(1.0, 1e160), (1e300, 1e10),
                                         (1e110, 1e110)])
     def test_overflowing_k_or_eta_is_refused(self, eta, k):
-        # earlier the system was built with inf row norms, and nullspace_dim
-        # of it warned of an overflow and returned a full nullity; at 1e110
-        # the entries are finite but the head-block determinants overflow
+        # the report's displayed head-block determinants overflow a float
         cfg = make_config("1/3", eta1=eta, eta2=eta, k=k)
         message = re.escape(f"k = {k!r} with eta = {complex(eta)!r}, "
                             f"{complex(eta)!r} overflows the boundary system")
         with pytest.raises(ValueError, match=message):
+            vanishing_order(cfg, 2)
+
+    @pytest.mark.parametrize("eta, k", [(1.0, 1e160), (1e300, 1e10),
+                                        (1e110, 1e110)])
+    def test_overflowing_k_or_eta_still_assembles(self, eta, k):
+        # the rows are in k a and eta2 b, so no entry carries k or eta;
+        # earlier these were refused, and before that nullspace_dim warned of
+        # an overflow and returned a full nullity
+        cfg = make_config("1/3", eta1=eta, eta2=eta, k=k)
+        assert [nullspace_dim(assemble_order_system(n, cfg)) for n in (2, 3)] == [0, 2]
+
+    @pytest.mark.parametrize("eta1, size", [(1e-9, "1e-09"), (-2e8j, "2e+08"),
+                                            (1e300, "1e+300")])
+    def test_eta_ratio_outside_the_window_is_refused(self, eta1, size):
+        # both faces share the b-columns, so eta1/eta2 is the one scale left
+        # in the entries; past about 1e10 it gives wrong dims
+        cfg = make_config("1/3", eta1=eta1, eta2=1.0)
+        message = re.escape(f"|eta1/eta2| = {size} is outside [1e-08, 1e+08]")
+        with pytest.raises(ValueError, match=message):
             assemble_order_system(2, cfg)
         with pytest.raises(ValueError, match=message):
             vanishing_order(cfg, 2)
+
+    @pytest.mark.parametrize("eta1", [1e-8, 1e8, 0.6e8 + 0.8e8j])
+    def test_eta_ratio_at_the_window_edge_assembles(self, eta1):
+        system = assemble_order_system(2, make_config("1/3", eta1=eta1, eta2=1.0))
+        assert system.rows.shape == (18, 10)
 
 
 def _loop_chain_rows(n, eta, k, phase, ix):
@@ -144,7 +166,7 @@ class TestPatternAssembly:
         eta1, eta2, k = 1.1 - 0.3j, 0.8 + 0.5j, 1.2
         system = assemble_order_system(n, make_config(alpha, eta1=eta1, eta2=eta2, k=k))
         ix = system.column_index
-        phase = system.alpha.value * math.pi
+        phase = system.config.alpha.value * math.pi
         ref = np.vstack([_loop_chain_rows(n, eta1, k, 0.0, ix),
                          _loop_chain_rows(n, eta2, k, phase, ix)])
         self.assert_rows_close(system.rows[6:], ref)
@@ -640,16 +662,20 @@ class TestParityBlocks:
                                               ("1/4", "pec-pmc", 2),
                                               ("1/2", "imp-pec", 2)])
     def test_basis_per_block(self, alpha, case, n):
-        system = assemble_order_system(n, make_config(alpha, case=case, **self.ETAS))
-        basis = vanish.nullspace_basis(system)
-        dim = nullspace_dim(system)
-        assert dim > 0 and basis.shape == (system.rows.shape[1], dim)
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-12)
-        assert np.max(np.abs(vanish._unit_rows(system.rows) @ basis)) < 1e-10
-        # each vector lives on the columns of one class
-        classes = vanish._parity_blocks(system)[1]
-        for v in basis.T:
-            assert sum(np.any(v[c] != 0) for c in classes) == 1
+        # the basis is in a and b, mapped back from k a and eta2 b: at
+        # k = 1e-8, eta = 1e6 across 14 decades
+        for etas in (self.ETAS, dict(eta1=1e6, eta2=1e6, k=1e-8)):
+            system = assemble_order_system(n, make_config(alpha, case=case, **etas))
+            basis = vanish.nullspace_basis(system)
+            dim = nullspace_dim(system)
+            assert dim > 0 and basis.shape == (system.rows.shape[1], dim)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim),
+                                       atol=1e-12)
+            assert np.max(np.abs(vanish._unit_rows(system.rows) @ basis)) < 1e-10
+            # each vector lives on the columns of one class
+            classes = vanish._parity_blocks(system)[1]
+            for v in basis.T:
+                assert sum(np.any(v[c] != 0) for c in classes) == 1
 
     def test_bare_matrix_is_one_block(self):
         blocks, classes = vanish._parity_blocks(np.eye(3, dtype=complex)[:2])
@@ -694,6 +720,46 @@ class TestParityBlocks:
         for orders in ([3], [1, 2, 3, 4]):
             with pytest.raises(ValueError, match=f"'{tag}' has nonzeros in both"):
                 vanish._build_layout(np.array(orders), CaseKind.IMP_IMP)
+
+
+class TestScaleFree:
+    """The rows are in k a and eta2 b, so the dims do not depend on the size
+    of k or of eta1 = eta2.  Earlier a row held ik- and eta-entries that no
+    row scaling balances: far from k ~ |eta| the report read a rank
+    ambiguity (exit 2) or a bound below the grid bound (exit 4)."""
+
+    ANGLES = {"imp-imp": "1/3", "pec-pmc": "1/4", "imp-pec": "1/5",
+              "imp-pmc": "3/7"}
+
+    @staticmethod
+    def dims(cfg, n_max):
+        return [d.nullspace_dim for d in vanishing_order(cfg, n_max).per_order]
+
+    @pytest.mark.parametrize("k, eta", [(1e-300, 1.0), (1e-12, 1.0), (1e-8, 1.0),
+                                        (1e8, 1.0), (1e12, 1.0), (1e100, 1.0),
+                                        (1.0, 1e-12), (1.0, 1e12)])
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_dims_do_not_depend_on_the_scale(self, case, k, eta):
+        alpha = self.ANGLES[case]
+        expect = self.dims(make_config(alpha, case=case), 24)
+        assert expect == [_cascade_count(case, Fraction(alpha), n)
+                          for n in range(1, 25)]
+        cfg = make_config(alpha, case=case, eta1=eta, eta2=eta, k=k)
+        assert self.dims(cfg, 24) == expect
+        assert [nullspace_dim(assemble_order_system(n, cfg))
+                for n in range(1, 25)] == expect
+
+    def test_highest_order(self):
+        expect = self.dims(make_config("1/3"), 85)
+        assert self.dims(make_config("1/3", k=1e-12), 85) == expect
+        system = assemble_order_system(85, make_config("1/3", eta1=1e12,
+                                                       eta2=1e12))
+        assert nullspace_dim(system) == expect[-1] == 56
+
+    @pytest.mark.parametrize("ratio", [1e-5, 1e5j])
+    def test_eta_ratio_inside_the_window(self, ratio):
+        expect = self.dims(make_config("1/3"), 24)
+        assert self.dims(make_config("1/3", eta1=ratio, eta2=1.0), 24) == expect
 
 
 class TestReportFill:
