@@ -23,7 +23,8 @@ import sys
 
 from .angles import AngleError, parse_angle
 from .vanish import (INFINITE, MAX_ORDER, BoundInvariantError, CaseKind,
-                     RankAmbiguityError, config_for_case, vanishing_order)
+                     RankAmbiguityError, config_for_case, theorem_bound,
+                     vanishing_order)
 from .verify import SUITES, run_suite
 
 def parse_complex(text):
@@ -68,33 +69,41 @@ def cmd_analyze(args):
 
 
 def cmd_table(args):
-    rows = []
+    """One row per angle.  An angle whose rank is ambiguous, or whose report
+    breaks the bound invariant, keeps its row, marked in the assembled
+    column (JSON: its input, message and exit code); its message goes to
+    stderr, and the exit code is that of the worst row: 4, else 2."""
+    case, rows = CaseKind(args.case), []
     for text in args.alphas:
         config = _build_config(args, text)
         try:
-            report = vanishing_order(config, args.nmax, tol=args.tol)
+            report, failure = vanishing_order(config, args.nmax, tol=args.tol), None
         except RankAmbiguityError as exc:
-            print(f"rank ambiguity at order {exc.order} for alpha={text}: {exc}",
-                  file=sys.stderr)
-            return 2
+            report, failure = None, ("ambiguous", 2, f"rank ambiguity at order "
+                                     f"{exc.order} for alpha={text}: {exc}")
         except BoundInvariantError as exc:
-            print(f"bound invariant violated for alpha={text}: {exc}",
-                  file=sys.stderr)
-            return 4
-        rows.append((text, report))
+            report, failure = None, ("violated", 4, f"bound invariant violated "
+                                     f"for alpha={text}: {exc}")
+        if failure:
+            print(failure[2], file=sys.stderr)
+        rows.append((text, config.alpha, report, failure))
+    code = max((failure[1] for *_, failure in rows if failure), default=0)
     if args.json:
-        print(json.dumps([r.to_json_dict() for _, r in rows]))
-        return 0
+        print(json.dumps([
+            report.to_json_dict() if report else
+            {"alpha_input": text, "error": failure[2], "exit_code": failure[1]}
+            for text, _, report, failure in rows]))
+        return code
     print(f"{'alpha':>12} {'rationality':>12} {'grid bound':>12} {'assembled':>12}")
-    for text, report in rows:
-        alpha = report.alpha
+    for text, alpha, report, failure in rows:
         rat = f"{alpha.rational[0]}/{alpha.rational[1]}" if alpha.rational \
             else "irrational"
-        tb = f">= {args.nmax}" if report.theorem_bound == INFINITE \
-            else str(int(report.theorem_bound))
-        ob = f">= {args.nmax}" if report.at_nmax else str(report.order_lower_bound)
+        grid = theorem_bound(alpha, case, args.nmax)
+        tb = f">= {args.nmax}" if grid == INFINITE else str(int(grid))
+        ob = failure[0] if failure else f">= {args.nmax}" if report.at_nmax \
+            else str(report.order_lower_bound)
         print(f"{text:>12} {rat:>12} {tb:>12} {ob:>12}")
-    return 0
+    return code
 
 
 def cmd_verify(args):

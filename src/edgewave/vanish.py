@@ -73,6 +73,8 @@ from .swe import MAX_LMAX, _norm_constants, norm_constant
 INFINITE = math.inf
 MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
+CERTIFY_THETA = 1e-8   # full rank certified at relative singular values >= 1e-4
+_CERTIFY_MAX_TOL = math.sqrt(CERTIFY_THETA) / 100
 
 
 class CaseKind(Enum):
@@ -646,7 +648,7 @@ def _parity_blocks(system):
     return _unit_rows(rows)[None], np.ones((1, rows.shape[1]), dtype=bool)
 
 
-def nullspace_dim(system, tol=1e-9):
+def nullspace_dim(system, tol=1e-9, *, certify=True):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
     system is a ConstraintSystem or a bare matrix.  The singular values are
@@ -654,10 +656,47 @@ def nullspace_dim(system, tol=1e-9):
     its two parity blocks in one batched SVD.  Relative singular values
     inside (tol/10, tol*10) are neither clearly zero nor clearly nonzero;
     these raise RankAmbiguityError instead of guessing.
+
+    Before the SVD, full column rank is tried by a certificate
+    (_certified_full_rank).  Each block B_c has unit or zero rows, so the
+    traces of the Gram matrices G_c = B_c^H B_c sum to the count R of unit
+    rows, and R >= s_max^2.  If the Cholesky factorization of
+    G_c - theta R I completes for every block, then G_c - theta R I + E is
+    positive definite for a backward error of norm |E| <= c N eps R, N the
+    block's size (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, 10.1); forming
+    G_c adds an error of the same order.  So every singular value is at
+    least sqrt(theta) s_max (1 - O(N eps / theta)).  theta = CERTIFY_THETA
+    = 1e-8 gives a relative 1e-4 and clears the rounding, N eps R ~ 4e-14 R
+    at n = 85, by a factor 2e5.  For tol <= 1e-6 that margin lies 100 tol
+    above the threshold, 10 times above the ambiguity band, where the SVD
+    counts no zero either, and nullity 0 is returned without it.  Otherwise
+    (a factorization fails, tol > 1e-6, or certify is false) the SVD
+    decides.  vanishing_order passes certify=False past a report's first
+    nontrivial order, where the certificate would only fail.
     """
     blocks, _ = _parity_blocks(system)
+    if certify and 0 < tol <= _CERTIFY_MAX_TOL and _certified_full_rank(blocks):
+        return 0
     return sum(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
                                 blocks.shape[-1], tol))
+
+
+def _certified_full_rank(blocks):
+    """Whether the Cholesky factorization of G_c - CERTIFY_THETA R I
+    completes for every block of the unit-row blocks (classes, rows,
+    columns), G_c the block's Gram matrix and R the trace of all of them:
+    then every relative singular value is at least sqrt(CERTIFY_THETA), up
+    to rounding (see nullspace_dim)."""
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    units = gram.trace(axis1=1, axis2=2).real.sum()
+    diagonal = np.arange(gram.shape[-1])
+    gram[:, diagonal, diagonal] -= CERTIFY_THETA * units
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _dim_from_values(system, s, ncols, tol):
@@ -828,8 +867,9 @@ def vanishing_order(config, n_max, tol=1e-9):
     BoundInvariantError instead.
 
     The systems of all orders are filled in one pass (_systems), and each
-    is decided by nullspace_dim.  Head-block determinants that overflow a
-    float, or an |eta1/eta2| outside ETA_RATIO_WINDOW, raise ValueError.
+    is decided by nullspace_dim, which tries its full-rank certificate only
+    up to the first nontrivial order.  Head-block determinants that overflow
+    a float, or an |eta1/eta2| outside ETA_RATIO_WINDOW, raise ValueError.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
@@ -837,10 +877,13 @@ def vanishing_order(config, n_max, tol=1e-9):
     pecpmc = case == CaseKind.PEC_PMC
     dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
             for m in range(2, n_max + 1)]
-    per = []
+    per, certify = [], True
     assembled = _assembled_case(case)
     for system in _systems(_layout(tuple(range(1, n_max + 1)), assembled), eff):
-        dim, n = nullspace_dim(system, tol=tol), system.n
+        dim, n = nullspace_dim(system, tol=tol, certify=certify), system.n
+        # the cascade count is nondecreasing in n: past the first nontrivial
+        # order every order is nontrivial, and a certificate would only fail
+        certify = certify and dim == 0
         head = (None, None) if pecpmc else _closed_dets(n, eff)
         per.append(OrderDiagnostics(n, dim, *head, dets[:n - 1]))
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)

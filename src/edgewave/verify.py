@@ -89,6 +89,33 @@ def check_reflection_reduction():
     return "reflected system equals the doubled-angle system, n <= 4"
 
 
+def check_certificate(seed=57):
+    """Every order nullspace_dim certifies full rank without its SVD, on all
+    pairings at rational and irrational angles, n <= 12: the SVD's nullity
+    is 0 there and the smallest relative singular value at least
+    sqrt(CERTIFY_THETA)/2."""
+    rng = _rng(seed)
+    floor = np.sqrt(vanish.CERTIFY_THETA) / 2
+    certified, worst = 0, np.inf
+    for alpha in ("1/3", "2/7", "1/4", "3/5", "7/4", "0.6180339887", "0.37",
+                  "1.41421356237"):
+        for case, cfg in _case_configs(alpha, rng):
+            for n in range(1, 13):
+                system = vanish.assemble_order_system(n, cfg)
+                if not vanish._certified_full_rank(system.blocks):
+                    continue
+                s = np.linalg.svd(system.blocks, compute_uv=False)
+                dim = vanish.nullspace_dim(system, certify=False)
+                assert dim == 0, f"{alpha} {case} n={n}: certified, SVD nullity {dim}"
+                worst = min(worst, s.min() / s.max())
+                assert worst >= floor, \
+                    f"{alpha} {case} n={n}: {worst:.2e} < {floor:.0e}"
+                certified += 1
+    assert certified, "no order certified"
+    return (f"{certified} certified orders, SVD nullity 0, smallest relative "
+            f"singular value {worst:.2e} >= {floor:.0e}")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -125,6 +152,7 @@ SUITES = {
         ("closed-vs-numeric-determinants", check_closed_vs_numeric_dets),
         ("bound-monotonicity", check_bound_monotonicity),
         ("reflection-reduction", check_reflection_reduction),
+        ("certificate-agrees-with-svd", check_certificate),
     ],
     "oracle": [
         ("cross-oracle-agreement", check_cross_oracle),

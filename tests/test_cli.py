@@ -170,6 +170,51 @@ class TestTable:
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 1 and data[0]["theorem_bound"] == 2
 
+    AMBIGUOUS = "0.3333333333"   # 1e-10 off 1/3, untagged: order 6 is ambiguous
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_ambiguous_row_keeps_the_table(self, capsys, json_mode):
+        # the bad row is marked in place, the good rows are as alone, and
+        # the ambiguity message still goes to stderr
+        angles_ = ["1/3", self.AMBIGUOUS, "1/4"]
+        flags = ["--json"] if json_mode else []
+        expect = []
+        for alpha in ("1/3", "1/4"):
+            assert main(["table", "--case", "imp-imp", "--alphas", alpha,
+                         "--nmax", "12"] + flags) == 0
+            expect.append(capsys.readouterr().out)
+        code = main(["table", "--case", "imp-imp", "--alphas", *angles_,
+                     "--nmax", "12"] + flags)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith(f"rank ambiguity at order 6 for alpha={self.AMBIGUOUS}: ")
+        message = err.rstrip("\n")
+        if json_mode:
+            rows = json.loads(out)
+            assert rows[1] == {"alpha_input": self.AMBIGUOUS, "error": message,
+                               "exit_code": 2}
+            assert [json.dumps(r) for r in rows[::2]] == [
+                json.dumps(json.loads(e)[0]) for e in expect]
+        else:
+            head, first, bad, last = out.splitlines()
+            assert [head, first, last] == [expect[0].splitlines()[0],
+                                           expect[0].splitlines()[1],
+                                           expect[1].splitlines()[1]]
+            assert bad.split() == [self.AMBIGUOUS, "irrational", ">=", "12",
+                                   "ambiguous"]
+
+    def test_worst_row_sets_the_exit_code(self, capsys, monkeypatch):
+        # one ambiguous and one violating row, in either order: exit 4
+        monkeypatch.setattr(cli, "parse_angle", lambda text: angles.Angle(0.37)
+                            if text == "0.37" else angles.parse_angle(text))
+        for alphas in ([self.AMBIGUOUS, "0.37"], ["0.37", self.AMBIGUOUS]):
+            code = main(["table", "--case", "imp-pec", "--alphas", *alphas,
+                         "--eta2", "0.7+0.2i", "--nmax", "52", "--json"])
+            out, err = capsys.readouterr()
+            assert code == 4
+            assert sorted(r["exit_code"] for r in json.loads(out)) == [2, 4]
+            assert len(err.splitlines()) == 2
+
 
 class TestDecimalAngles:
     """A decimal --alpha is classified like the reduced fraction it spells."""
@@ -288,7 +333,13 @@ class TestExitCodes:
         code = main(command + ["--eta2", "0.7+0.2i", "--nmax", "52"])
         captured = capsys.readouterr()
         assert code == 4
-        assert captured.out == ""
+        # table keeps the other rows and marks the bad one in place
+        assert captured.out == ("" if command[0] == "analyze" else
+                                f"{'alpha':>12} {'rationality':>12} "
+                                f"{'grid bound':>12} {'assembled':>12}\n"
+                                f"{'1/3':>12} {'1/3':>12} {'2':>12} {'2':>12}\n"
+                                f"{'0.37':>12} {'irrational':>12} {'>= 52':>12} "
+                                f"{'violated':>12}\n")
         assert captured.err.startswith(message)
 
     @pytest.mark.parametrize("command", [
@@ -355,7 +406,7 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "vanish"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 4
 
     def test_module_suite_is_an_invalid_choice(self, capsys):
         # module self-checks run under pytest only

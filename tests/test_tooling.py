@@ -80,22 +80,39 @@ def test_theorem_bound_matches_benchmark_grid_rule(case):
 
 def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     # `--trace 1` counts vanish.assemble_calls and vanish.rank_calls through
-    # these module globals; a report fills every order in one pass and ranks
-    # each order through nullspace_dim, without assembling it
+    # these module globals, and times the rank layer as nullspace_dim's self
+    # time; a report fills every order in one pass and ranks each order
+    # through nullspace_dim, without assembling it, and the full-rank
+    # certificate runs only inside nullspace_dim
     from edgewave import vanish
     from edgewave.angles import parse_angle
     calls = {"nullspace_dim": 0, "assemble_order_system": 0}
+    inside = []
     for name in calls:
         inner = getattr(vanish, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
             calls[_name] += 1
-            return _inner(*args, **kwargs)
+            inside.append(_name)
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                inside.pop()
         monkeypatch.setattr(vanish, name, counted)
-    cfg = vanish.config_for_case(vanish.CaseKind.IMP_IMP, parse_angle("1/3"),
-                                 1.0, 1.0, 1.0)
-    vanish.vanishing_order(cfg, 7)
-    assert calls == {"nullspace_dim": 7, "assemble_order_system": 0}
+    certify, certified = vanish._certified_full_rank, []
+
+    def spy(blocks):
+        certified.append(inside == ["nullspace_dim"])
+        return certify(blocks)
+    monkeypatch.setattr(vanish, "_certified_full_rank", spy)
+    # 1/3 is nontrivial from order 3 on, where the report stops certifying
+    for alpha, tried in (("1/3", 3), ("0.6180339887", 7)):
+        cfg = vanish.config_for_case(vanish.CaseKind.IMP_IMP, parse_angle(alpha),
+                                     1.0, 1.0, 1.0)
+        vanish.vanishing_order(cfg, 7)
+        assert calls == {"nullspace_dim": 7, "assemble_order_system": 0}
+        assert certified == [True] * tried
+        calls["nullspace_dim"], certified[:] = 0, []
 
 
 def test_crosscheck_structured_rank_is_the_report_rank():

@@ -257,16 +257,21 @@ class TestNullspace:
             assert nullspace_dim(system.rows * scale) == base
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
-    def test_threshold_outside_unit_interval_refused(self, tol):
-        # at tol <= 0 no value is below it, and every order would read full rank
-        system = assemble_order_system(3, make_config("1/3"))
+    def test_threshold_outside_unit_interval_refused(self, monkeypatch, tol):
+        # at tol <= 0 no value is below it, and every order would read full
+        # rank; the full-rank certificate is not tried first
+        def certify(blocks):
+            raise AssertionError("certificate tried")
+        monkeypatch.setattr(vanish, "_certified_full_rank", certify)
+        system = assemble_order_system(3, make_config("0.37"))
         for decide in (nullspace_dim, vanish.nullspace_basis):
             with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
                 decide(system, tol=tol)
         with pytest.raises(ValueError, match=f"got {tol!r}"):
             vanish.vanishing_order(make_config("1/3"), 6, tol=tol)
-        with pytest.raises(ValueError, match="tol must be"):
-            nullspace_dim(np.zeros((2, 2)), tol=tol)
+        for matrix in (np.zeros((2, 2)), np.eye(3)):
+            with pytest.raises(ValueError, match="tol must be"):
+                nullspace_dim(matrix, tol=tol)
 
 
 class TestClosedDeterminants:
@@ -760,6 +765,131 @@ class TestScaleFree:
     def test_eta_ratio_inside_the_window(self, ratio):
         expect = self.dims(make_config("1/3"), 24)
         assert self.dims(make_config("1/3", eta1=ratio, eta2=1.0), 24) == expect
+
+
+def _outcome(decide):
+    """decide()'s value, or the type and message of the error it raised."""
+    try:
+        return decide()
+    except (RankAmbiguityError, vanish.BoundInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCertificate:
+    """nullspace_dim first tries to certify full column rank by one Cholesky
+    factorization of each parity block's Gram matrix, shifted by
+    CERTIFY_THETA times the trace of both; only where that fails does the
+    SVD decide.  The grid: every reduced q/p with p <= 12, five quadratic
+    irrationals and decimals 1e-11 to 1e-8 off 1/3, 1/4 and 1/5, in every
+    pairing, at n <= 24, under TestReportFill's impedances, k = eta = 1 and
+    TestScaleFree's scalings."""
+
+    ORDERS = tuple(range(1, 25))
+    UNIT = dict(eta1=1.0, eta2=1.0, k=1.0)
+    SCALINGS = [dict(eta1=eta, eta2=eta, k=k) for k, eta in (
+        (1e-300, 1.0), (1e-12, 1.0), (1e-8, 1.0), (1e8, 1.0), (1e12, 1.0),
+        (1e100, 1.0), (1.0, 1e-12), (1.0, 1e12))]
+    IRRATIONALS = ((math.sqrt(5) - 1) / 2, math.sqrt(2) - 1, math.sqrt(3) / 2,
+                   math.sqrt(2), (1 + math.sqrt(3)) / 2)
+
+    @classmethod
+    def angles(cls, case):
+        upper = 1 if case == "imp-pmc" else 2
+        texts = [f"{q}/{p}" for p in range(2, 13) for q in range(1, upper * p)
+                 if math.gcd(q, p) == 1]
+        texts += [repr(x) for x in cls.IRRATIONALS if x < upper]
+        return texts + [repr(f + d) for f in (1 / 3, 1 / 4, 1 / 5)
+                        for d in (1e-11, -1e-10, 1e-9, -1e-8)]
+
+    @classmethod
+    def systems(cls, text, case, scale):
+        source, eff = vanish.effective_config(make_config(text, case=case, **scale))
+        layout = vanish._layout(cls.ORDERS, vanish._assembled_case(source))
+        return list(vanish._systems(layout, eff))
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_certified_orders_agree_with_the_svd(self, case):
+        # the scalings leave every block bit for bit as at k = eta = 1 (the
+        # entries carry eta1/eta2 = 1, and no k), so each distinct block set
+        # is decided once; where the certificate accepts, the smallest
+        # relative singular value is at least sqrt(theta)/2 and the SVD's
+        # nullity is 0
+        floor = math.sqrt(vanish.CERTIFY_THETA) / 2
+        certified = refused = 0
+        for text in self.angles(case):
+            unit = self.systems(text, case, self.UNIT)
+            blocks = [system.blocks.tobytes() for system in unit]
+            for scale in self.SCALINGS:
+                assert [system.blocks.tobytes()
+                        for system in self.systems(text, case, scale)] == blocks
+            distinct = {system.blocks.tobytes(): system for system in
+                        unit + self.systems(text, case, TestReportFill.ETAS)}
+            for system in distinct.values():
+                svd = _outcome(lambda: nullspace_dim(system, certify=False))
+                assert _outcome(lambda: nullspace_dim(system)) == svd, (text, system.n)
+                if vanish._certified_full_rank(system.blocks):
+                    s = np.linalg.svd(system.blocks, compute_uv=False)
+                    assert svd == 0 and s.min() >= floor * s.max(), (text, system.n)
+                    certified += 1
+                else:
+                    refused += 1
+        assert certified > 0 and refused > 0
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_reports_do_not_depend_on_the_certificate(self, monkeypatch, case):
+        # the scalings give the unit blocks (test above), and outside imp-imp
+        # so do TestReportFill's impedances (the entries carry no eta, or
+        # eta1/eta2 = 1): these scales cover every block set of the grid
+        scales = (self.UNIT, TestReportFill.ETAS) if case == "imp-imp" \
+            else (TestReportFill.ETAS,)
+        for text in self.angles(case):
+            for scale in scales:
+                cfg = make_config(text, case=case, **scale)
+                expect = _outcome(lambda: vanishing_order(cfg, 24).to_json_dict())
+                with monkeypatch.context() as patch:
+                    patch.setattr(vanish, "_certified_full_rank", lambda blocks: False)
+                    assert _outcome(lambda: vanishing_order(cfg, 24).to_json_dict()) \
+                        == expect, (text, scale)
+
+    @pytest.mark.parametrize("alpha,case,first", [
+        ("1/3", "imp-imp", 3), ("1/4", "pec-pmc", 2), ("1/2", "imp-pec", 1),
+        ("0.6180339887", "imp-pmc", None)])
+    def test_report_stops_certifying_at_its_first_nontrivial_order(
+            self, monkeypatch, alpha, case, first):
+        orders = []
+        certify = vanish._certified_full_rank
+
+        def spy(blocks):
+            orders.append(blocks.shape[-1] // 2)
+            return certify(blocks)
+        monkeypatch.setattr(vanish, "_certified_full_rank", spy)
+        dims = [d.nullspace_dim for d in
+                vanishing_order(make_config(alpha, case=case), 12).per_order]
+        last = first or 12
+        assert orders == list(range(1, last + 1))
+        assert dims[:last] == [0] * (last - 1) + [dims[last - 1]]
+        assert (dims[last - 1] > 0) == (first is not None)
+
+    def test_certificate_only_below_its_tolerance(self, monkeypatch):
+        # sqrt(theta) = 1e-4 must lie 100 tol above the threshold
+        calls = []
+        monkeypatch.setattr(vanish, "_certified_full_rank",
+                            lambda blocks: calls.append(blocks.shape) or True)
+        system = assemble_order_system(3, make_config("0.37"))
+        for tol, tried in ((1e-9, 1), (1e-6, 1), (2e-6, 0), (1e-3, 0)):
+            calls.clear()
+            nullspace_dim(system, tol=tol)
+            assert len(calls) == tried, tol
+
+    @pytest.mark.parametrize("matrix,certified", [
+        (np.eye(3), True), (np.zeros((2, 2)), False), (np.eye(3)[:2], False),
+        (np.zeros((2, 0)), True), ([[1.0, 1.0], [1.0, 1.0 + 1e-4]], False)])
+    def test_bare_matrices(self, matrix, certified):
+        # the last has relative singular values 1 and 2.5e-5, short of the
+        # certified 1e-4, so the SVD decides (nullity 0)
+        blocks, _ = vanish._parity_blocks(np.array(matrix, dtype=complex))
+        assert vanish._certified_full_rank(blocks) == certified
+        assert nullspace_dim(matrix) == nullspace_dim(matrix, certify=False)
 
 
 class TestReportFill:
