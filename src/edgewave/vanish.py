@@ -57,6 +57,7 @@ take theirs from it, so both decide on the same blocks.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,8 +74,9 @@ from .swe import MAX_LMAX, _norm_constants, norm_constant
 INFINITE = math.inf
 MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
-CERTIFY_THETA = 1e-8   # full rank certified at relative singular values >= 1e-4
-_CERTIFY_MAX_TOL = math.sqrt(CERTIFY_THETA) / 100
+CERTIFY_THETA = 1e-9   # kept columns certified at relative singular values >= 3.2e-5
+CERTIFY_TOLS = (1e-12, math.sqrt(CERTIFY_THETA) / 100)   # see _certified_nullities
+_ROOT_TWO = math.sqrt(2.0)
 
 
 class CaseKind(Enum):
@@ -651,52 +653,133 @@ def _parity_blocks(system):
 def nullspace_dim(system, tol=1e-9, *, certify=True):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
-    system is a ConstraintSystem or a bare matrix.  The singular values are
-    those of the rows scaled to unit length, for a ConstraintSystem taken on
-    its two parity blocks in one batched SVD.  Relative singular values
-    inside (tol/10, tol*10) are neither clearly zero nor clearly nonzero;
-    these raise RankAmbiguityError instead of guessing.
+    system is a ConstraintSystem, a bare matrix, or a nonempty list of
+    ConstraintSystems, decided as one batch and answered by the list of
+    their nullities.  The singular values are those of the rows scaled to
+    unit length, for a ConstraintSystem taken on its two parity blocks in
+    one batched SVD.  Relative singular values inside (tol/10, tol*10) are
+    neither clearly zero nor clearly nonzero; these raise RankAmbiguityError
+    instead of guessing.
 
-    Before the SVD, full column rank is tried by a certificate
-    (_certified_full_rank).  Each block B_c has unit or zero rows, so the
-    traces of the Gram matrices G_c = B_c^H B_c sum to the count R of unit
-    rows, and R >= s_max^2.  If the Cholesky factorization of
-    G_c - theta R I completes for every block, then G_c - theta R I + E is
-    positive definite for a backward error of norm |E| <= c N eps R, N the
-    block's size (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 2002, 10.1); forming
-    G_c adds an error of the same order.  So every singular value is at
-    least sqrt(theta) s_max (1 - O(N eps / theta)).  theta = CERTIFY_THETA
-    = 1e-8 gives a relative 1e-4 and clears the rounding, N eps R ~ 4e-14 R
-    at n = 85, by a factor 2e5.  For tol <= 1e-6 that margin lies 100 tol
-    above the threshold, 10 times above the ambiguity band, where the SVD
-    counts no zero either, and nullity 0 is returned without it.  Otherwise
-    (a factorization fails, tol > 1e-6, or certify is false) the SVD
-    decides.  vanishing_order passes certify=False past a report's first
-    nontrivial order, where the certificate would only fail.
+    For tol in CERTIFY_TOLS the nullities are first proven without the SVD
+    (_certified_nullities), for a batch all at once and, if that fails, one
+    system at a time.  Where that fails too, for another tol, or when
+    certify is false, the SVD decides each system's blocks.
     """
-    blocks, _ = _parity_blocks(system)
-    if certify and 0 < tol <= _CERTIFY_MAX_TOL and _certified_full_rank(blocks):
-        return 0
-    return sum(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
-                                blocks.shape[-1], tol))
+    batch = (isinstance(system, list) and len(system) > 0
+             and all(isinstance(s, ConstraintSystem) for s in system))
+    systems = system if batch else [system]
+    blocks = [_parity_blocks(s)[0] for s in systems]
+    pairs = isinstance(systems[0], ConstraintSystem)
+    dims = None
+    if certify and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]:
+        dims = _certified_nullities(blocks, tol, pairs)
+        if dims is None and len(blocks) > 1:
+            dims = [(_certified_nullities([b], tol, pairs) or [None])[0] for b in blocks]
+    dims = dims or [None] * len(blocks)
+    dims = [sum(_dim_from_values(s, np.linalg.svd(b, compute_uv=False),
+                                 b.shape[-1], tol)) if d is None else d
+            for s, b, d in zip(systems, blocks, dims)]
+    return dims if batch else dims[0]
 
 
-def _certified_full_rank(blocks):
-    """Whether the Cholesky factorization of G_c - CERTIFY_THETA R I
-    completes for every block of the unit-row blocks (classes, rows,
-    columns), G_c the block's Gram matrix and R the trace of all of them:
-    then every relative singular value is at least sqrt(CERTIFY_THETA), up
-    to rounding (see nullspace_dim)."""
-    gram = blocks.conj().transpose(0, 2, 1) @ blocks
-    units = gram.trace(axis1=1, axis2=2).real.sum()
-    diagonal = np.arange(gram.shape[-1])
-    gram[:, diagonal, diagonal] -= CERTIFY_THETA * units
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _certified_nullities(blocks, tol, pairs):
+    """The nullity the SVD would give each parity-block stack A (classes,
+    rows, columns) in blocks at the threshold tol, proven by one Cholesky
+    factorization of all of them, or None.
+
+    If pairs, each pair of columns (fam, m), (fam, -m) of A is first
+    rotated to its sum and difference, and column (fam, 0) scaled by
+    sqrt 2: sqrt 2 times a unitary map, so every relative singular value
+    stays.  At a grid hit the cascade's null directions are such sums or
+    differences: a face-1 row gives both columns of a pair bit-identical
+    entries, so their difference is exactly 0 there, and a face-2 row
+    leaves c sqrt(2) i sin(m alpha' pi) ~ 1e-16 c; for pec-pmc the zeros at
+    cos(m alpha pi) = 0 are a sum on a and a difference on b.  Then each
+    column whose squared norm is at most (tol/100)^2 R/N^2 is deflated, R
+    the squared Frobenius norm of A and N its column count.  Since
+    R/N <= s_max^2, the d deflated columns, at most N of them, form a
+    matrix E of spectral norm at most (tol/100) s_max.  A bare matrix
+    (pairs false) is neither rotated nor deflated.  The stacks are
+    zero-padded to one shape; a padded column is deflated and not counted.
+
+    The Gram matrices G_c of the classes enter the factorization as
+    G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
+    deflated column.  S bounds s_max^2 = max_c |G_c| from above: first
+    S = R, and if that does not factor, once more S = U, the least of R and
+    the largest absolute row sum of any G_c (Gershgorin).  On the rotated
+    blocks U is within 1.1 to 1.4 times s_max^2 where R is about N times it,
+    so orders whose smallest relative singular value is down to about
+    3.5e-5, as near a grid hit of an irrational angle, are certified rather
+    than sent to the SVD.  If the matrix factors, so does the principal
+    submatrix on the kept columns, with a backward error of norm
+    |F| <= c N eps R (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, 10.1); forming
+    G_c adds one of the same order.  Since s_max^2 <= S and R <= 2 N S, the
+    kept columns then have every singular value at least sqrt(theta) s_max
+    (1 - O(N^2 eps / theta)), and A with the deflated columns set to zero
+    has d zero singular values and no other below that.  By Weyl's
+    inequality |s_k(A + E) - s_k(A)| <= |E| (Golub and Van Loan, Matrix
+    Computations, 4th ed., 8.6.1), A itself has d singular values at most
+    (tol/100) s_max and the others at least (sqrt(theta) - tol/100) s_max.
+
+    The SVD computes each within about N eps s_max, 4e-14 s_max at n = 85.
+    For tol in CERTIFY_TOLS = [1e-12, sqrt(theta)/100 = 3.2e-7] both groups
+    clear the ambiguity band (tol/10, 10 tol) of nullspace_dim: at n = 85
+    theta = 1e-9 clears the rounding N eps R by a factor 2.7e4 when S = R,
+    and by at least 78 when S = U (R <= 2 N U); the kept values lie 10
+    times above the band at tol = 3.2e-7; and at tol = 1e-12 the deflated
+    ones, below 1e-14 + 4e-14, lie twice below it.  So the SVD would count
+    d.
+    """
+    if len(blocks) == 1:
+        stack = blocks[0][None]
+    else:
+        stack = np.zeros((len(blocks), len(blocks[0]), max(b.shape[1] for b in blocks),
+                          max(b.shape[2] for b in blocks)), dtype=complex)
+        for padded, b in zip(stack, blocks):
+            padded[:, :b.shape[1], :b.shape[2]] = b
+    orders, classes, height, width = stack.shape
+    widths = np.array([b.shape[-1] for b in blocks])
+    if pairs:
+        odd, even = stack[..., 1::2], stack[..., 2::2]
+        gram = _gram(np.concatenate((stack[..., :1] * _ROOT_TWO, odd + even,
+                                     odd - even), axis=-1))
+    else:
+        gram = _gram(stack)
+    diagonal = gram.reshape(orders, classes, width * width)[..., ::width + 1]
+    units = diagonal.real.sum(axis=(1, 2), keepdims=True)
+    if pairs:
+        small = diagonal.real <= units * ((tol / 100 / classes / widths) ** 2)[:, None, None]
+    original = diagonal.copy()
+
+    def factors(bound):
+        diagonal[...] = original - CERTIFY_THETA * bound
+        if pairs:
+            np.copyto(diagonal, units, where=small)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if not factors(units):
+        # the Gershgorin bound costs a pass over the Gram, so only on refusal
+        diagonal[...] = original
+        rows = np.abs(gram).sum(axis=-1).reshape(orders, classes * width)
+        bound = np.minimum(units, rows.max(axis=1, initial=0.0)[:, None, None])
+        if not ((bound < units).any() and factors(bound)):
+            return None
+    if not pairs:
+        return [0] * orders
+    return (np.count_nonzero(small, axis=(1, 2)) - classes * (width - widths)).tolist()
+
+
+def _gram(stack):
+    """The Gram matrices of the stacks (orders, classes, rows, columns); a
+    rotated copy passed in is freed on return, before the factorization."""
+    flat = stack.reshape(stack.shape[0] * stack.shape[1], *stack.shape[2:])
+    return flat.conj().transpose(0, 2, 1) @ flat
 
 
 def _dim_from_values(system, s, ncols, tol):
@@ -856,6 +939,14 @@ def theorem_bound(alpha, case, n_max):
     return grid_exclusion_order(alpha, grid, n_max)
 
 
+# The orders with 2n+1 <= BATCH_WIDTH are certified in one zero-padded batch.
+# On the sweep benchmark's queries, in process with one BLAS thread: deciding
+# every order alone took 7% longer than a certificate of full rank alone did,
+# batch widths 13, 17 and 25 took 9-10% less, and one batch of all 24 orders
+# made the n_max 24 reports 2.5 times slower.
+BATCH_WIDTH = 17
+
+
 def vanishing_order(config, n_max, tol=1e-9):
     """Per-order nullspace analysis for n = 1..n_max plus the grid bound.
 
@@ -866,10 +957,11 @@ def vanishing_order(config, n_max, tol=1e-9):
     a report that falls below it contradicts itself and raises
     BoundInvariantError instead.
 
-    The systems of all orders are filled in one pass (_systems), and each
-    is decided by nullspace_dim, which tries its full-rank certificate only
-    up to the first nontrivial order.  Head-block determinants that overflow
-    a float, or an |eta1/eta2| outside ETA_RATIO_WINDOW, raise ValueError.
+    The systems of all orders are filled in one pass (_systems).  The
+    orders of at most BATCH_WIDTH columns per parity class are decided by
+    one nullspace_dim call on all of them, each larger order by a call of
+    its own.  Head-block determinants that overflow a float, or an
+    |eta1/eta2| outside ETA_RATIO_WINDOW, raise ValueError.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
@@ -877,15 +969,24 @@ def vanishing_order(config, n_max, tol=1e-9):
     pecpmc = case == CaseKind.PEC_PMC
     dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
             for m in range(2, n_max + 1)]
-    per, certify = [], True
-    assembled = _assembled_case(case)
-    for system in _systems(_layout(tuple(range(1, n_max + 1)), assembled), eff):
-        dim, n = nullspace_dim(system, tol=tol, certify=certify), system.n
-        # the cascade count is nondecreasing in n: past the first nontrivial
-        # order every order is nontrivial, and a certificate would only fail
-        certify = certify and dim == 0
-        head = (None, None) if pecpmc else _closed_dets(n, eff)
-        per.append(OrderDiagnostics(n, dim, *head, dets[:n - 1]))
+
+    def heads(n):   # the closed head-block determinants; pec-pmc has none
+        return (None, None) if pecpmc else _closed_dets(n, eff)
+
+    per = []
+    systems = _systems(_layout(tuple(range(1, n_max + 1)), _assembled_case(case)), eff)
+    low = list(itertools.islice(systems, (BATCH_WIDTH - 1) // 2))
+    for batch in itertools.chain([low], ([system] for system in systems)):
+        try:
+            dims = nullspace_dim(batch, tol=tol)
+        except RankAmbiguityError as exc:
+            # decided order by order, a lower order's overflow came first
+            for n in range(batch[0].n, exc.order):
+                heads(n)
+            raise
+        # no loop variable keeps an order's blocks alive into the next
+        per += [OrderDiagnostics(system.n, dim, *heads(system.n), dets[:system.n - 1])
+                for system, dim in zip(batch, dims)]
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
     grid = theorem_bound(config.alpha, case, n_max)
     guaranteed = min(grid, n_max)

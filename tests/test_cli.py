@@ -263,6 +263,56 @@ class TestDecimalAngles:
         assert report[0]["theorem_bound"] == "infinite"
 
 
+class TestNearFraction:
+    """analyze --nmax 12 at the decimal repr(f + delta) a distance delta off
+    a fraction f.  parse_angle tags it within 1e-12; from 1e-11 to 1e-9 or
+    1e-8 a singular value falls inside the ambiguity band (exit 2, at the
+    order named), and beyond that the decimal is decided as irrational.  The
+    rank certificate proves no ambiguous order, so the SVD decides these.
+    The exit-4 rows, a nullspace read at an untagged angle, are the open
+    defect of ROADMAP.md item 3: a fix changes them on purpose."""
+
+    FRACTIONS = {"imp-imp": (1 / 3, ["--eta1", "1", "--eta2", "1"]),
+                 "pec-pmc": (1 / 4, []), "imp-pec": (1 / 5, ["--eta2", "1"])}
+    # (case, delta, exit code, then the order lower bound for exit 0, the
+    # ambiguous order for exit 2, the assembled bound for exit 4)
+    TABLE = [
+        ("imp-imp", 1e-12, 0, 2), ("imp-imp", -1e-12, 0, 2),
+        ("imp-imp", 1e-11, 2, 12), ("imp-imp", -1e-11, 2, 12),
+        ("imp-imp", 1e-10, 2, 3), ("imp-imp", -1e-10, 2, 3),
+        ("imp-imp", 1e-9, 2, 3), ("imp-imp", -1e-9, 2, 3),
+        ("imp-imp", 1e-8, 2, 7), ("imp-imp", -1e-8, 2, 7),
+        ("imp-imp", 1e-7, 0, "gte_nmax"), ("imp-imp", -1e-7, 0, "gte_nmax"),
+        ("imp-imp", 1e-6, 0, "gte_nmax"), ("imp-imp", -1e-6, 0, "gte_nmax"),
+        ("pec-pmc", 1e-12, 0, 1), ("pec-pmc", -1e-12, 4, 1),
+        ("pec-pmc", 1e-11, 2, 10), ("pec-pmc", -1e-11, 2, 10),
+        ("pec-pmc", 1e-10, 2, 2), ("pec-pmc", -1e-10, 2, 2),
+        ("pec-pmc", 1e-9, 2, 2), ("pec-pmc", -1e-9, 2, 2),
+        ("pec-pmc", 1e-8, 0, "gte_nmax"), ("pec-pmc", -1e-8, 0, "gte_nmax"),
+        ("pec-pmc", 1e-7, 0, "gte_nmax"), ("pec-pmc", -1e-7, 0, "gte_nmax"),
+        ("pec-pmc", 1e-6, 0, "gte_nmax"), ("pec-pmc", -1e-6, 0, "gte_nmax"),
+        ("imp-pec", 1e-12, 4, 4), ("imp-pec", -1e-12, 4, 4),
+        ("imp-pec", 1e-11, 2, 10), ("imp-pec", -1e-11, 2, 10),
+        ("imp-pec", 1e-10, 2, 5), ("imp-pec", -1e-10, 2, 5),
+        ("imp-pec", 1e-9, 2, 5), ("imp-pec", -1e-9, 2, 5),
+        ("imp-pec", 1e-8, 0, "gte_nmax"), ("imp-pec", -1e-8, 0, "gte_nmax"),
+        ("imp-pec", 1e-7, 0, "gte_nmax"), ("imp-pec", -1e-7, 0, "gte_nmax"),
+        ("imp-pec", 1e-6, 0, "gte_nmax"), ("imp-pec", -1e-6, 0, "gte_nmax"),
+    ]
+
+    @pytest.mark.parametrize("case,delta,code,detail", TABLE)
+    def test_answer(self, capsys, case, delta, code, detail):
+        fraction, etas = self.FRACTIONS[case]
+        assert main(["analyze", "--alpha", repr(fraction + delta), "--case", case,
+                     "--nmax", "12", "--json", *etas]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["order_lower_bound"] == detail
+        else:
+            pattern = "rank ambiguity at order" if code == 2 else "assembled bound"
+            assert out == "" and re.search(rf"{pattern} {detail}\b", err)
+
+
 class TestParser:
     def test_built_once_and_not_at_import(self):
         code = ("import edgewave.cli as cli; "

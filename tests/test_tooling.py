@@ -81,8 +81,9 @@ def test_theorem_bound_matches_benchmark_grid_rule(case):
 def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     # `--trace 1` counts vanish.assemble_calls and vanish.rank_calls through
     # these module globals, and times the rank layer as nullspace_dim's self
-    # time; a report fills every order in one pass and ranks each order
-    # through nullspace_dim, without assembling it, and the full-rank
+    # time; a report fills every order in one pass, without assembling it,
+    # and ranks the orders of at most BATCH_WIDTH columns per class in one
+    # nullspace_dim call and each larger order in one of its own; the
     # certificate runs only inside nullspace_dim
     from edgewave import vanish
     from edgewave.angles import parse_angle
@@ -99,20 +100,23 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
             finally:
                 inside.pop()
         monkeypatch.setattr(vanish, name, counted)
-    certify, certified = vanish._certified_full_rank, []
+    certify, certified = vanish._certified_nullities, []
 
-    def spy(blocks):
-        certified.append(inside == ["nullspace_dim"])
-        return certify(blocks)
-    monkeypatch.setattr(vanish, "_certified_full_rank", spy)
-    # 1/3 is nontrivial from order 3 on, where the report stops certifying
-    for alpha, tried in (("1/3", 3), ("0.6180339887", 7)):
+    def spy(blocks, tol, pairs):
+        dims = certify(blocks, tol, pairs)
+        certified.append((inside == ["nullspace_dim"], len(blocks), dims is not None))
+        return dims
+    monkeypatch.setattr(vanish, "_certified_nullities", spy)
+    # BATCH_WIDTH 17: one call for orders 1..8, then one per order
+    for alpha in ("1/3", "0.6180339887"):
         cfg = vanish.config_for_case(vanish.CaseKind.IMP_IMP, parse_angle(alpha),
                                      1.0, 1.0, 1.0)
-        vanish.vanishing_order(cfg, 7)
-        assert calls == {"nullspace_dim": 7, "assemble_order_system": 0}
-        assert certified == [True] * tried
-        calls["nullspace_dim"], certified[:] = 0, []
+        for n_max, batch, rank_calls in ((7, 7, 1), (24, 8, 17)):
+            vanish.vanishing_order(cfg, n_max)
+            assert calls == {"nullspace_dim": rank_calls, "assemble_order_system": 0}
+            singles = [(True, 1, True)] * (rank_calls - 1)
+            assert certified == [(True, batch, True)] + singles
+            calls["nullspace_dim"], certified[:] = 0, []
 
 
 def test_crosscheck_structured_rank_is_the_report_rank():

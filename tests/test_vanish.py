@@ -259,10 +259,10 @@ class TestNullspace:
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
     def test_threshold_outside_unit_interval_refused(self, monkeypatch, tol):
         # at tol <= 0 no value is below it, and every order would read full
-        # rank; the full-rank certificate is not tried first
-        def certify(blocks):
+        # rank; the certificate is not tried first
+        def certify(blocks, tol, pairs):
             raise AssertionError("certificate tried")
-        monkeypatch.setattr(vanish, "_certified_full_rank", certify)
+        monkeypatch.setattr(vanish, "_certified_nullities", certify)
         system = assemble_order_system(3, make_config("0.37"))
         for decide in (nullspace_dim, vanish.nullspace_basis):
             with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
@@ -776,9 +776,11 @@ def _outcome(decide):
 
 
 class TestCertificate:
-    """nullspace_dim first tries to certify full column rank by one Cholesky
-    factorization of each parity block's Gram matrix, shifted by
-    CERTIFY_THETA times the trace of both; only where that fails does the
+    """nullspace_dim first tries to prove each nullity without its SVD: the
+    parity blocks' (fam, +-m) column pairs are rotated to sums and
+    differences, columns below the deflation bound are deflated, and the
+    Gram matrices of the rest, shifted by CERTIFY_THETA times the squared
+    norm, take one Cholesky factorization; only where that fails does the
     SVD decide.  The grid: every reduced q/p with p <= 12, five quadratic
     irrationals and decimals 1e-11 to 1e-8 off 1/3, 1/4 and 1/5, in every
     pairing, at n <= 24, under TestReportFill's impedances, k = eta = 1 and
@@ -811,11 +813,11 @@ class TestCertificate:
     def test_certified_orders_agree_with_the_svd(self, case):
         # the scalings leave every block bit for bit as at k = eta = 1 (the
         # entries carry eta1/eta2 = 1, and no k), so each distinct block set
-        # is decided once; where the certificate accepts, the smallest
-        # relative singular value is at least sqrt(theta)/2 and the SVD's
-        # nullity is 0
+        # is decided once; where the certificate proves a nullity d, the
+        # SVD's nullity is d, its d smallest relative singular values are at
+        # most tol/10 and the others at least sqrt(theta)/2
         floor = math.sqrt(vanish.CERTIFY_THETA) / 2
-        certified = refused = 0
+        refused = trivial = nontrivial = 0
         for text in self.angles(case):
             unit = self.systems(text, case, self.UNIT)
             blocks = [system.blocks.tobytes() for system in unit]
@@ -827,13 +829,18 @@ class TestCertificate:
             for system in distinct.values():
                 svd = _outcome(lambda: nullspace_dim(system, certify=False))
                 assert _outcome(lambda: nullspace_dim(system)) == svd, (text, system.n)
-                if vanish._certified_full_rank(system.blocks):
-                    s = np.linalg.svd(system.blocks, compute_uv=False)
-                    assert svd == 0 and s.min() >= floor * s.max(), (text, system.n)
-                    certified += 1
-                else:
+                certified = vanish._certified_nullities([system.blocks], 1e-9, True)
+                if certified is None:
                     refused += 1
-        assert certified > 0 and refused > 0
+                    continue
+                d = certified[0]
+                s = np.linalg.svd(system.blocks, compute_uv=False)
+                rel = np.sort(np.append(s, np.zeros(2 * (2 * system.n + 1) - s.size)))
+                rel /= rel[-1]
+                assert svd == d and rel[d] >= floor, (text, system.n)
+                assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n)
+                trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
+        assert refused > 0 and trivial > 0 and nontrivial > 0
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
     def test_reports_do_not_depend_on_the_certificate(self, monkeypatch, case):
@@ -847,36 +854,79 @@ class TestCertificate:
                 cfg = make_config(text, case=case, **scale)
                 expect = _outcome(lambda: vanishing_order(cfg, 24).to_json_dict())
                 with monkeypatch.context() as patch:
-                    patch.setattr(vanish, "_certified_full_rank", lambda blocks: False)
+                    patch.setattr(vanish, "_certified_nullities",
+                                  lambda blocks, tol, pairs: None)
                     assert _outcome(lambda: vanishing_order(cfg, 24).to_json_dict()) \
                         == expect, (text, scale)
 
-    @pytest.mark.parametrize("alpha,case,first", [
-        ("1/3", "imp-imp", 3), ("1/4", "pec-pmc", 2), ("1/2", "imp-pec", 1),
-        ("0.6180339887", "imp-pmc", None)])
-    def test_report_stops_certifying_at_its_first_nontrivial_order(
-            self, monkeypatch, alpha, case, first):
-        orders = []
-        certify = vanish._certified_full_rank
+    @pytest.mark.parametrize("alpha,case", [
+        ("1/13", "imp-imp"), ("1/3", "imp-imp"), ("2/9", "pec-pmc"),
+        ("0.37", "imp-pec")])
+    def test_reports_to_the_highest_order_do_not_depend_on_the_certificate(
+            self, monkeypatch, alpha, case):
+        cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
+        expect = vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict()
+        monkeypatch.setattr(vanish, "_certified_nullities",
+                            lambda blocks, tol, pairs: None)
+        assert vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict() == expect
 
-        def spy(blocks):
+    @pytest.mark.parametrize("alpha,case,svd_orders", [
+        ("1/3", "imp-imp", []), ("1/4", "pec-pmc", []), ("2/5", "imp-pec", []),
+        ("0.6180339887", "imp-pmc", []), ("1/2", "imp-imp", [1])],
+        ids=["1/3-imp-imp", "1/4-pec-pmc", "2/5-imp-pec", "0.618-imp-pmc",
+             "1/2-imp-imp"])
+    def test_svd_runs_only_where_the_certificate_refuses(
+            self, monkeypatch, alpha, case, svd_orders):
+        # at 1/2 the first-order null vector is a head-block combination, not
+        # a pair's sum or difference: the batch of orders 1..8 refuses, and
+        # of its orders tried alone only order 1
+        orders, svd = [], np.linalg.svd
+
+        def spy(blocks, *args, **kwargs):
             orders.append(blocks.shape[-1] // 2)
-            return certify(blocks)
-        monkeypatch.setattr(vanish, "_certified_full_rank", spy)
-        dims = [d.nullspace_dim for d in
-                vanishing_order(make_config(alpha, case=case), 12).per_order]
-        last = first or 12
-        assert orders == list(range(1, last + 1))
-        assert dims[:last] == [0] * (last - 1) + [dims[last - 1]]
-        assert (dims[last - 1] > 0) == (first is not None)
+            return svd(blocks, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        report = vanishing_order(make_config(alpha, case=case), 24)
+        assert orders == svd_orders
+        assert any(d.nullspace_dim for d in report.per_order) == (case != "imp-pmc")
+
+    def test_a_batch_decides_as_its_orders_alone(self):
+        for alpha, case in (("1/3", "imp-imp"), ("1/2", "imp-imp"), ("1/4", "pec-pmc"),
+                            ("0.6180339887", "imp-pec")):
+            systems = self.systems(alpha, case, TestReportFill.ETAS)[:8]
+            alone = [nullspace_dim(system, certify=False) for system in systems]
+            assert nullspace_dim(systems) == alone, alpha
+            assert nullspace_dim(systems, certify=False) == alone, alpha
+
+    def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
+        # imp-pmc at 4 sqrt(5)/7 - 1 assembles to 0.5555063, 5e-5 off 5/9:
+        # from order 9 the smallest relative singular value falls from 4.4e-4
+        # to 7.8e-5 at order 24, while R/s_max^2 grows like N.  The shift
+        # theta R, R = 2 |blocks|_F^2 on the rotated copy, refuses orders
+        # 17..24; the shift theta U under the Gershgorin bound U (1.1 to 1.4
+        # s_max^2) certifies them all
+        text = "0.2777531299998799"
+        refused = []
+        for system in self.systems(text, "imp-pmc", self.UNIT):
+            s = np.linalg.svd(system.blocks, compute_uv=False)
+            by_r = vanish.CERTIFY_THETA * np.sum(np.abs(system.blocks) ** 2)
+            if s.min() ** 2 < by_r:
+                refused.append(system.n)
+        assert refused == list(range(17, 25))
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("SVD"))
+        report = vanishing_order(make_config(text, case="imp-pmc"), 24)
+        assert not any(d.nullspace_dim for d in report.per_order)
 
     def test_certificate_only_below_its_tolerance(self, monkeypatch):
-        # sqrt(theta) = 1e-4 must lie 100 tol above the threshold
+        # sqrt(theta) = 3.2e-5 must lie 100 tol above the threshold, and at
+        # tol = 1e-12 the deflated values tol/100 plus the SVD's rounding
+        # N eps ~ 4e-14 must lie below tol/10
         calls = []
-        monkeypatch.setattr(vanish, "_certified_full_rank",
-                            lambda blocks: calls.append(blocks.shape) or True)
+        monkeypatch.setattr(vanish, "_certified_nullities",
+                            lambda blocks, tol, pairs: calls.append(tol) or [0])
         system = assemble_order_system(3, make_config("0.37"))
-        for tol, tried in ((1e-9, 1), (1e-6, 1), (2e-6, 0), (1e-3, 0)):
+        for tol, tried in ((1e-9, 1), (3e-7, 1), (4e-7, 0), (1e-6, 0), (1e-3, 0), (1e-12, 1),
+                           (9e-13, 0)):
             calls.clear()
             nullspace_dim(system, tol=tol)
             assert len(calls) == tried, tol
@@ -885,10 +935,12 @@ class TestCertificate:
         (np.eye(3), True), (np.zeros((2, 2)), False), (np.eye(3)[:2], False),
         (np.zeros((2, 0)), True), ([[1.0, 1.0], [1.0, 1.0 + 1e-4]], False)])
     def test_bare_matrices(self, matrix, certified):
-        # the last has relative singular values 1 and 2.5e-5, short of the
-        # certified 1e-4, so the SVD decides (nullity 0)
+        # a bare matrix is certified full rank or not at all: the zero matrix
+        # is not deflated; the last has relative singular values 1 and
+        # 2.5e-5, short of the certified 3.2e-5, so the SVD decides (nullity 0)
         blocks, _ = vanish._parity_blocks(np.array(matrix, dtype=complex))
-        assert vanish._certified_full_rank(blocks) == certified
+        expect = [0] if certified else None
+        assert vanish._certified_nullities([blocks], 1e-9, False) == expect
         assert nullspace_dim(matrix) == nullspace_dim(matrix, certify=False)
 
 
