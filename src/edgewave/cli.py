@@ -124,6 +124,22 @@ def cmd_verify(args):
     return 0
 
 
+def _shared_flags():
+    """A parent parser of the flags analyze and table share.  Each
+    subcommand takes a fresh one: set_defaults on a subcommand writes into
+    the actions it inherits."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--case", required=True,
+                       choices=[c.value for c in CaseKind])
+    flags.add_argument("--eta1", help="face-1 impedance constant, 'a+bi'")
+    flags.add_argument("--eta2", help="face-2 impedance constant, 'a+bi'")
+    flags.add_argument("--k", type=float, default=1.0, help="wavenumber")
+    flags.add_argument("--nmax", type=int, default=6, help=f"1..{MAX_ORDER}")
+    flags.add_argument("--tol", type=float, default=1e-9)
+    flags.add_argument("--json", action="store_true")
+    return flags
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -132,30 +148,16 @@ def build_parser():
                     "impedance edge-corner")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="per-order nullspace analysis of one corner")
+    pa = sub.add_parser("analyze", parents=[_shared_flags()],
+                        help="per-order nullspace analysis of one corner")
     pa.add_argument("--alpha", required=True,
                     help="dihedral angle in units of pi: 'q/p' or a decimal")
-    pa.add_argument("--case", required=True,
-                    choices=[c.value for c in CaseKind])
-    pa.add_argument("--eta1", help="face-1 impedance constant, 'a+bi'")
-    pa.add_argument("--eta2", help="face-2 impedance constant, 'a+bi'")
-    pa.add_argument("--k", type=float, default=1.0, help="wavenumber")
-    pa.add_argument("--nmax", type=int, default=6, help=f"1..{MAX_ORDER}")
-    pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
-    pt = sub.add_parser("table", help="angle-vs-bound table over several angles")
-    pt.add_argument("--case", required=True,
-                    choices=[c.value for c in CaseKind])
+    pt = sub.add_parser("table", parents=[_shared_flags()],
+                        help="angle-vs-bound table over several angles")
     pt.add_argument("--alphas", nargs="+", required=True)
-    pt.add_argument("--eta1", default="1")
-    pt.add_argument("--eta2", default="1")
-    pt.add_argument("--k", type=float, default=1.0)
-    pt.add_argument("--nmax", type=int, default=6, help=f"1..{MAX_ORDER}")
-    pt.add_argument("--tol", type=float, default=1e-9)
-    pt.add_argument("--json", action="store_true")
-    pt.set_defaults(func=cmd_table)
+    pt.set_defaults(func=cmd_table, eta1="1", eta2="1")
 
     pv = sub.add_parser("verify", help="run a product invariant suite")
     pv.add_argument("--suite", required=True, choices=[*SUITES, "all"])

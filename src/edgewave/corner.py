@@ -14,14 +14,14 @@ is reported in the Cartesian frame.
 face_residuals gives the residuals of both faces from one evaluation of E
 and curl E: the two faces share their radii and polar angles, so their
 points differ only in phi and go through one mode table.
-impedance_residual is its one-face view on a series face.
+impedance_residual is its one-face view, for every kind of face.
 
 The evaluation is kept apart from the trace algebra.  _face_points lays out
 the points of the faces, _face_fields splits E and curl E evaluated there
-into one entry per face, and _residual combines an entry under the face's
-condition.  A table is evaluated through coeffs.with_curl() (_table_fields);
-the collocation oracle gathers its unit basis fields off one mode table
-instead, and ends in the same _residual.
+into one entry per face, and _cross, _project and _residual combine an
+entry.  Every trace evaluates its table through coeffs.with_curl()
+(_table_fields); the collocation oracle gathers its unit basis fields off
+one mode table instead, and ends in the same _residual.
 """
 
 from __future__ import annotations
@@ -122,12 +122,6 @@ def e_vectors(theta, phi):
     return thetahat, -rhat
 
 
-def _expansion(coeffs, config, face, r, theta):
-    """Spherical components of the expansion on face j, and the frame there."""
-    phi = face_phi(config, face)
-    return _spherical_components(coeffs, r, theta, phi), unit_frame(theta, phi)
-
-
 def _cross(comps, frame, face):
     """nu_j ^ F on face j from F's spherical components.
 
@@ -146,21 +140,6 @@ def _project(comps, frame, config, face):
     F = _cartesian(comps, frame)
     nu = face_normal(config, face)
     return F - np.tensordot(F, nu, axes=([-1], [0]))[..., None] * nu
-
-
-def trace_tangential_E(coeffs, config, face, r, theta):
-    """nu_j ^ E on face j, Cartesian, via the closed-form face series."""
-    return _cross(*_expansion(coeffs, config, face, r, theta), face)
-
-
-def trace_tangential_curl(coeffs, config, face, r, theta):
-    """nu_j ^ (curl E) on face j, Cartesian, via the face series."""
-    return _cross(*_expansion(coeffs.curl(), config, face, r, theta), face)
-
-
-def tangential_projection(coeffs, config, face, r, theta):
-    """(nu ^ E) ^ nu = E - (nu . E) nu on the face, Cartesian."""
-    return _project(*_expansion(coeffs, config, face, r, theta), config, face)
 
 
 def _face_points(config, faces, r, theta, rank):
@@ -198,6 +177,24 @@ def _table_fields(coeffs, config, faces, r, theta):
     comps = _spherical_components(coeffs.with_curl(), *_face_points(
         config, faces, r, theta, coeffs._a.ndim - 2))
     return _face_fields(comps, config, faces, theta)
+
+
+def trace_tangential_E(coeffs, config, face, r, theta):
+    """nu_j ^ E on face j, Cartesian, via the closed-form face series."""
+    E, _, frame = _table_fields(coeffs, config, (face,), r, theta)[0]
+    return _cross(E, frame, face)
+
+
+def trace_tangential_curl(coeffs, config, face, r, theta):
+    """nu_j ^ (curl E) on face j, Cartesian, via the face series."""
+    _, curl, frame = _table_fields(coeffs, config, (face,), r, theta)[0]
+    return _cross(curl, frame, face)
+
+
+def tangential_projection(coeffs, config, face, r, theta):
+    """(nu ^ E) ^ nu = E - (nu . E) nu on the face, Cartesian."""
+    E, _, frame = _table_fields(coeffs, config, (face,), r, theta)[0]
+    return _project(E, frame, config, face)
 
 
 def _residual(fields, config, face, spec, r, theta):
@@ -242,14 +239,9 @@ def impedance_residual(coeffs, config, face, spec, r, theta):
     zero:     nu ^ (curl E)
     infinite: (nu ^ E) ^ nu
 
-    The zero and infinite kinds need only one of E and curl E and evaluate
-    just that.  A series face is the one-face view of face_residuals: E and
-    curl E come from one evaluation of the table coeffs.with_curl().
+    This is the one-face view of face_residuals: E and curl E come from
+    one evaluation of the table coeffs.with_curl().
     """
-    if spec.kind == ImpedanceKind.INFINITE:
-        return tangential_projection(coeffs, config, face, r, theta)
-    if spec.kind == ImpedanceKind.ZERO:
-        return trace_tangential_curl(coeffs, config, face, r, theta)
     fields, = _table_fields(coeffs, config, (face,), r, theta)
     return _residual(fields, config, face, spec, r, theta)
 

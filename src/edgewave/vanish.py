@@ -650,57 +650,63 @@ def _parity_blocks(system):
     return _unit_rows(rows)[None], np.ones((1, rows.shape[1]), dtype=bool)
 
 
-def nullspace_dim(system, tol=1e-9, *, certify=True):
+def nullspace_dim(system, tol=1e-9):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
     system is a ConstraintSystem, a bare matrix, or a nonempty list of
     ConstraintSystems, decided as one batch and answered by the list of
     their nullities.  The singular values are those of the rows scaled to
-    unit length, for a ConstraintSystem taken on its two parity blocks in
-    one batched SVD.  Relative singular values inside (tol/10, tol*10) are
-    neither clearly zero nor clearly nonzero; these raise RankAmbiguityError
-    instead of guessing.
+    unit length, for a ConstraintSystem taken on its two parity blocks.
+    Relative singular values inside (tol/10, tol*10) are neither clearly
+    zero nor clearly nonzero; these raise RankAmbiguityError instead of
+    guessing.
 
-    For tol in CERTIFY_TOLS the nullities are first proven without the SVD
-    (_certified_nullities), for a batch all at once and, if that fails, one
-    system at a time.  Where that fails too, for another tol, or when
-    certify is false, the SVD decides each system's blocks.
+    For tol in CERTIFY_TOLS the nullities of ConstraintSystems are first
+    proven without the SVD (_certified_nullities), for a batch all at once
+    and, if that fails, one system at a time.  Where that fails too, for
+    another tol, and for a bare matrix such as the collocation rows, the
+    SVD decides (_svd_nullity).
     """
     batch = (isinstance(system, list) and len(system) > 0
              and all(isinstance(s, ConstraintSystem) for s in system))
     systems = system if batch else [system]
-    blocks = [_parity_blocks(s)[0] for s in systems]
-    pairs = isinstance(systems[0], ConstraintSystem)
     dims = None
-    if certify and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]:
-        dims = _certified_nullities(blocks, tol, pairs)
+    if (isinstance(systems[0], ConstraintSystem)
+            and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]):
+        blocks = [s.blocks for s in systems]
+        dims = _certified_nullities(blocks, tol)
         if dims is None and len(blocks) > 1:
-            dims = [(_certified_nullities([b], tol, pairs) or [None])[0] for b in blocks]
-    dims = dims or [None] * len(blocks)
-    dims = [sum(_dim_from_values(s, np.linalg.svd(b, compute_uv=False),
-                                 b.shape[-1], tol)) if d is None else d
-            for s, b, d in zip(systems, blocks, dims)]
+            dims = [(_certified_nullities([b], tol) or [None])[0] for b in blocks]
+    dims = dims or [None] * len(systems)
+    dims = [_svd_nullity(s, tol) if d is None else d for s, d in zip(systems, dims)]
     return dims if batch else dims[0]
 
 
-def _certified_nullities(blocks, tol, pairs):
-    """The nullity the SVD would give each parity-block stack A (classes,
-    rows, columns) in blocks at the threshold tol, proven by one Cholesky
-    factorization of all of them, or None.
+def _svd_nullity(system, tol):
+    """Nullity of a ConstraintSystem or a bare matrix from the singular
+    values of its parity blocks (_dim_from_values)."""
+    blocks = _parity_blocks(system)[0]
+    return sum(_dim_from_values(system, np.linalg.svd(blocks, compute_uv=False),
+                                blocks.shape[-1], tol))
 
-    If pairs, each pair of columns (fam, m), (fam, -m) of A is first
-    rotated to its sum and difference, and column (fam, 0) scaled by
-    sqrt 2: sqrt 2 times a unitary map, so every relative singular value
-    stays.  At a grid hit the cascade's null directions are such sums or
-    differences: a face-1 row gives both columns of a pair bit-identical
-    entries, so their difference is exactly 0 there, and a face-2 row
-    leaves c sqrt(2) i sin(m alpha' pi) ~ 1e-16 c; for pec-pmc the zeros at
+
+def _certified_nullities(blocks, tol):
+    """The nullity the SVD would give each parity-block stack A (classes,
+    rows, columns) of a ConstraintSystem in blocks at the threshold tol,
+    proven by one Cholesky factorization of all of them, or None.
+
+    Each pair of columns (fam, m), (fam, -m) of A is first rotated to its
+    sum and difference, and column (fam, 0) scaled by sqrt 2: sqrt 2 times
+    a unitary map, so every relative singular value stays.  At a grid hit
+    the cascade's null directions are such sums or differences: a face-1
+    row gives both columns of a pair bit-identical entries, so their
+    difference is exactly 0 there, and a face-2 row leaves
+    c sqrt(2) i sin(m alpha' pi) ~ 1e-16 c; for pec-pmc the zeros at
     cos(m alpha pi) = 0 are a sum on a and a difference on b.  Then each
     column whose squared norm is at most (tol/100)^2 R/N^2 is deflated, R
     the squared Frobenius norm of A and N its column count.  Since
     R/N <= s_max^2, the d deflated columns, at most N of them, form a
-    matrix E of spectral norm at most (tol/100) s_max.  A bare matrix
-    (pairs false) is neither rotated nor deflated.  The stacks are
+    matrix E of spectral norm at most (tol/100) s_max.  The stacks are
     zero-padded to one shape; a padded column is deflated and not counted.
 
     The Gram matrices G_c of the classes enter the factorization as
@@ -741,22 +747,17 @@ def _certified_nullities(blocks, tol, pairs):
             padded[:, :b.shape[1], :b.shape[2]] = b
     orders, classes, height, width = stack.shape
     widths = np.array([b.shape[-1] for b in blocks])
-    if pairs:
-        odd, even = stack[..., 1::2], stack[..., 2::2]
-        gram = _gram(np.concatenate((stack[..., :1] * _ROOT_TWO, odd + even,
-                                     odd - even), axis=-1))
-    else:
-        gram = _gram(stack)
+    odd, even = stack[..., 1::2], stack[..., 2::2]
+    gram = _gram(np.concatenate((stack[..., :1] * _ROOT_TWO, odd + even, odd - even),
+                                axis=-1))
     diagonal = gram.reshape(orders, classes, width * width)[..., ::width + 1]
     units = diagonal.real.sum(axis=(1, 2), keepdims=True)
-    if pairs:
-        small = diagonal.real <= units * ((tol / 100 / classes / widths) ** 2)[:, None, None]
+    small = diagonal.real <= units * ((tol / 100 / classes / widths) ** 2)[:, None, None]
     original = diagonal.copy()
 
     def factors(bound):
         diagonal[...] = original - CERTIFY_THETA * bound
-        if pairs:
-            np.copyto(diagonal, units, where=small)
+        np.copyto(diagonal, units, where=small)
         try:
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -770,8 +771,6 @@ def _certified_nullities(blocks, tol, pairs):
         bound = np.minimum(units, rows.max(axis=1, initial=0.0)[:, None, None])
         if not ((bound < units).any() and factors(bound)):
             return None
-    if not pairs:
-        return [0] * orders
     return (np.count_nonzero(small, axis=(1, 2)) - classes * (width - widths)).tolist()
 
 
@@ -957,11 +956,14 @@ def vanishing_order(config, n_max, tol=1e-9):
     a report that falls below it contradicts itself and raises
     BoundInvariantError instead.
 
-    The systems of all orders are filled in one pass (_systems).  The
-    orders of at most BATCH_WIDTH columns per parity class are decided by
-    one nullspace_dim call on all of them, each larger order by a call of
-    its own.  Head-block determinants that overflow a float, or an
-    |eta1/eta2| outside ETA_RATIO_WINDOW, raise ValueError.
+    The systems of all orders are filled in one pass (_systems), which
+    refuses an |eta1/eta2| outside ETA_RATIO_WINDOW with ValueError.  The
+    closed head-block determinants of every order are evaluated next, before
+    any rank is decided, so one that overflows a float raises ValueError
+    even where a lower order's rank is ambiguous.  The orders of at most
+    BATCH_WIDTH columns per parity class are then decided by one
+    nullspace_dim call on all of them, each larger order by a call of its
+    own.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
@@ -969,24 +971,15 @@ def vanishing_order(config, n_max, tol=1e-9):
     pecpmc = case == CaseKind.PEC_PMC
     dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
             for m in range(2, n_max + 1)]
-
-    def heads(n):   # the closed head-block determinants; pec-pmc has none
-        return (None, None) if pecpmc else _closed_dets(n, eff)
-
     per = []
     systems = _systems(_layout(tuple(range(1, n_max + 1)), _assembled_case(case)), eff)
     low = list(itertools.islice(systems, (BATCH_WIDTH - 1) // 2))
+    heads = [(None, None) if pecpmc else _closed_dets(n, eff)
+             for n in range(1, n_max + 1)]
     for batch in itertools.chain([low], ([system] for system in systems)):
-        try:
-            dims = nullspace_dim(batch, tol=tol)
-        except RankAmbiguityError as exc:
-            # decided order by order, a lower order's overflow came first
-            for n in range(batch[0].n, exc.order):
-                heads(n)
-            raise
         # no loop variable keeps an order's blocks alive into the next
-        per += [OrderDiagnostics(system.n, dim, *heads(system.n), dets[:system.n - 1])
-                for system, dim in zip(batch, dims)]
+        per += [OrderDiagnostics(system.n, dim, *heads[system.n - 1], dets[:system.n - 1])
+                for system, dim in zip(batch, nullspace_dim(batch, tol=tol))]
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
     grid = theorem_bound(config.alpha, case, n_max)
     guaranteed = min(grid, n_max)

@@ -103,12 +103,12 @@ def check_certificate(seed=57, tol=1e-9):
         for case, cfg in _case_configs(alpha, rng):
             for n in range(1, 13):
                 system = vanish.assemble_order_system(n, cfg)
-                certified = vanish._certified_nullities([system.blocks], tol, True)
+                certified = vanish._certified_nullities([system.blocks], tol)
                 if certified is None:
                     continue
                 where, d = f"{alpha} {case} n={n}", certified[0]
                 try:
-                    dim = vanish.nullspace_dim(system, tol, certify=False)
+                    dim = vanish._svd_nullity(system, tol)
                 except vanish.RankAmbiguityError:
                     dim = "ambiguous"
                 assert dim == d, f"{where}: certified {d}, SVD nullity {dim}"

@@ -237,12 +237,26 @@ class TestResidual:
             assert ref.shape == shape
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc"])
+    def test_one_face_is_its_face_residuals_entry(self, rng, case):
+        # series, PEC and PMC faces: on the collocation grid the one-face
+        # view is the stacked evaluation's entry, bit for bit
+        cfg = make_config("0.37", case=case, eta1=0.8 - 0.4j, eta2=1.1 + 0.2j,
+                          k=1.3)
+        coeffs = random_coeffs(rng, k=cfg.k, fields=(4,))
+        r = np.array([1e-3, 5e-4, 2.5e-4])[:, None, None]
+        th = np.linspace(0.1, 3.0, 7)[None, :, None]
+        both = corner.face_residuals(coeffs, cfg, r, th)
+        for got, face, spec in zip(both, (Face.ONE, Face.TWO), (cfg.bc1, cfg.bc2)):
+            np.testing.assert_array_equal(
+                corner.impedance_residual(coeffs, cfg, face, spec, r, th), got)
+
     @pytest.mark.parametrize("spec", [
         ImpedanceSpec.series(0.8 - 0.4j), ImpedanceSpec.series(1.1, higher=(np.cos,)),
         ImpedanceSpec.zero(), ImpedanceSpec.infinite()])
     def test_scalar_points_against_a_field_axis(self, rng, monkeypatch, spec):
         # scalar r and theta broadcast against every field, as a point of
-        # its own, and the zero and infinite kinds evaluate E or curl E alone
+        # its own, and every kind evaluates E and curl E in one table
         cfg = make_config("0.37", k=1.3)
         coeffs = random_coeffs(rng, k=cfg.k, fields=(4,))
         r, th = 0.25, 0.9
@@ -266,9 +280,7 @@ class TestResidual:
             monkeypatch.undo()
             assert res.shape == comp.shape == (4, 3)
             assert np.max(np.abs(res - comp)) <= 1e-14 * np.max(np.abs(comp))
-            fields = [t._a.shape[2:] for t in tables]
-            assert fields == ([(4, 2)] if spec.kind == ImpedanceKind.SERIES
-                              else [(4,)])
+            assert [t._a.shape[2:] for t in tables] == [(4, 2)]
 
     def test_with_curl_stacks_the_curl_last(self, rng):
         coeffs = random_coeffs(rng, fields=(2,))

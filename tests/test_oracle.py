@@ -231,6 +231,23 @@ class TestCollocation:
         system = vanish.assemble_order_system(2, cfg)
         assert collocation_nullspace(2, cfg) == vanish.nullspace_dim(system)
 
+    def test_rank_is_one_svd_decision(self, monkeypatch):
+        # the oracle referees the certificate, so it must not use it: its
+        # rows are decided by the SVD alone, in one nullspace_dim call
+        def certify(blocks, tol):
+            raise AssertionError("certificate tried")
+        monkeypatch.setattr(vanish, "_certified_nullities", certify)
+        calls, rank = [], oracle.nullspace_dim
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rank(*args, **kwargs)
+        monkeypatch.setattr(oracle, "nullspace_dim", counted)
+        for n, nullity in ((2, 0), (3, 2)):
+            calls.clear()
+            assert collocation_nullspace(n, make_config("1/3")) == nullity
+            assert len(calls) == 1, n
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_radial_fit_is_least_squares(self, rng, n):
         # the cached pseudo-inverse gives lstsq's cubic, and a sample off the

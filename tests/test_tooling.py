@@ -102,8 +102,8 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         monkeypatch.setattr(vanish, name, counted)
     certify, certified = vanish._certified_nullities, []
 
-    def spy(blocks, tol, pairs):
-        dims = certify(blocks, tol, pairs)
+    def spy(blocks, tol):
+        dims = certify(blocks, tol)
         certified.append((inside == ["nullspace_dim"], len(blocks), dims is not None))
         return dims
     monkeypatch.setattr(vanish, "_certified_nullities", spy)

@@ -260,7 +260,7 @@ class TestNullspace:
     def test_threshold_outside_unit_interval_refused(self, monkeypatch, tol):
         # at tol <= 0 no value is below it, and every order would read full
         # rank; the certificate is not tried first
-        def certify(blocks, tol, pairs):
+        def certify(blocks, tol):
             raise AssertionError("certificate tried")
         monkeypatch.setattr(vanish, "_certified_nullities", certify)
         system = assemble_order_system(3, make_config("0.37"))
@@ -827,9 +827,9 @@ class TestCertificate:
             distinct = {system.blocks.tobytes(): system for system in
                         unit + self.systems(text, case, TestReportFill.ETAS)}
             for system in distinct.values():
-                svd = _outcome(lambda: nullspace_dim(system, certify=False))
+                svd = _outcome(lambda: vanish._svd_nullity(system, 1e-9))
                 assert _outcome(lambda: nullspace_dim(system)) == svd, (text, system.n)
-                certified = vanish._certified_nullities([system.blocks], 1e-9, True)
+                certified = vanish._certified_nullities([system.blocks], 1e-9)
                 if certified is None:
                     refused += 1
                     continue
@@ -855,7 +855,7 @@ class TestCertificate:
                 expect = _outcome(lambda: vanishing_order(cfg, 24).to_json_dict())
                 with monkeypatch.context() as patch:
                     patch.setattr(vanish, "_certified_nullities",
-                                  lambda blocks, tol, pairs: None)
+                                  lambda blocks, tol: None)
                     assert _outcome(lambda: vanishing_order(cfg, 24).to_json_dict()) \
                         == expect, (text, scale)
 
@@ -867,7 +867,7 @@ class TestCertificate:
         cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict()
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol, pairs: None)
+                            lambda blocks, tol: None)
         assert vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict() == expect
 
     @pytest.mark.parametrize("alpha,case,svd_orders", [
@@ -890,13 +890,16 @@ class TestCertificate:
         assert orders == svd_orders
         assert any(d.nullspace_dim for d in report.per_order) == (case != "imp-pmc")
 
-    def test_a_batch_decides_as_its_orders_alone(self):
+    def test_a_batch_decides_as_its_orders_alone(self, monkeypatch):
+        # with the certificate and with the SVD fallback alone
         for alpha, case in (("1/3", "imp-imp"), ("1/2", "imp-imp"), ("1/4", "pec-pmc"),
                             ("0.6180339887", "imp-pec")):
             systems = self.systems(alpha, case, TestReportFill.ETAS)[:8]
-            alone = [nullspace_dim(system, certify=False) for system in systems]
+            alone = [vanish._svd_nullity(system, 1e-9) for system in systems]
             assert nullspace_dim(systems) == alone, alpha
-            assert nullspace_dim(systems, certify=False) == alone, alpha
+            with monkeypatch.context() as patch:
+                patch.setattr(vanish, "_certified_nullities", lambda blocks, tol: None)
+                assert nullspace_dim(systems) == alone, alpha
 
     def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
         # imp-pmc at 4 sqrt(5)/7 - 1 assembles to 0.5555063, 5e-5 off 5/9:
@@ -923,7 +926,7 @@ class TestCertificate:
         # N eps ~ 4e-14 must lie below tol/10
         calls = []
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol, pairs: calls.append(tol) or [0])
+                            lambda blocks, tol: calls.append(tol) or [0])
         system = assemble_order_system(3, make_config("0.37"))
         for tol, tried in ((1e-9, 1), (3e-7, 1), (4e-7, 0), (1e-6, 0), (1e-3, 0), (1e-12, 1),
                            (9e-13, 0)):
@@ -931,17 +934,16 @@ class TestCertificate:
             nullspace_dim(system, tol=tol)
             assert len(calls) == tried, tol
 
-    @pytest.mark.parametrize("matrix,certified", [
-        (np.eye(3), True), (np.zeros((2, 2)), False), (np.eye(3)[:2], False),
-        (np.zeros((2, 0)), True), ([[1.0, 1.0], [1.0, 1.0 + 1e-4]], False)])
-    def test_bare_matrices(self, matrix, certified):
-        # a bare matrix is certified full rank or not at all: the zero matrix
-        # is not deflated; the last has relative singular values 1 and
-        # 2.5e-5, short of the certified 3.2e-5, so the SVD decides (nullity 0)
-        blocks, _ = vanish._parity_blocks(np.array(matrix, dtype=complex))
-        expect = [0] if certified else None
-        assert vanish._certified_nullities([blocks], 1e-9, False) == expect
-        assert nullspace_dim(matrix) == nullspace_dim(matrix, certify=False)
+    @pytest.mark.parametrize("matrix,nullity", [
+        (np.eye(3), 0), (np.zeros((2, 2)), 2), (np.eye(3)[:2], 1),
+        (np.zeros((2, 0)), 0), ([[1.0, 1.0], [1.0, 1.0 + 1e-4]], 0)])
+    def test_bare_matrices(self, monkeypatch, matrix, nullity):
+        # a bare matrix, such as the collocation rows, is decided by the SVD
+        # alone; the last has relative singular values 1 and 2.5e-5
+        def certify(blocks, tol):
+            raise AssertionError("certificate tried")
+        monkeypatch.setattr(vanish, "_certified_nullities", certify)
+        assert nullspace_dim(matrix) == vanish._svd_nullity(matrix, 1e-9) == nullity
 
 
 class TestReportFill:
@@ -1051,6 +1053,26 @@ class TestReportFill:
                      "--eta2", "1", "--nmax", str(j + 2), "--tol", repr(tol)])
         assert code == 2
         assert capsys.readouterr().err == f"rank ambiguity at order {j}: {info.value}\n"
+
+    def test_an_overflow_above_an_ambiguous_order_comes_first(self, capsys):
+        # every order's head determinants are evaluated before any rank is
+        # decided: at k = 1e154, eta = 1.5, det A overflows from order 44
+        # on, and order 3 is ambiguous at this tol (test above), so the
+        # report refuses the input, exit 1, not the rank, exit 2
+        from edgewave.cli import main
+        blocks, _ = vanish._parity_blocks(assemble_order_system(3, make_config("0.33333")))
+        s = np.linalg.svd(blocks, compute_uv=False)
+        tol = float(s.min() / s.max())
+        cfg = make_config("0.33333", eta1=1.5, eta2=1.5, k=1e154)
+        with pytest.raises(RankAmbiguityError):
+            vanishing_order(cfg, 43, tol=tol)
+        with pytest.raises(ValueError, match="overflows the boundary system"):
+            vanishing_order(cfg, 44, tol=tol)
+        code = main(["analyze", "--alpha", "0.33333", "--case", "imp-imp", "--eta1",
+                     "1.5", "--eta2", "1.5", "--k", "1e154", "--nmax", "44",
+                     "--tol", repr(tol)])
+        assert code == 1
+        assert "overflows the boundary system" in capsys.readouterr().err
 
     def test_library_decimal_angle_needs_its_fraction(self):
         # an untagged 0.37 has an infinite grid bound, yet the reflected
