@@ -76,6 +76,8 @@ MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
 CERTIFY_THETA = 1e-9   # kept columns certified at relative singular values >= 3.2e-5
 CERTIFY_TOLS = (1e-12, math.sqrt(CERTIFY_THETA) / 100)   # see _certified_nullities
+ROTATE_BELOW = 1e-5      # measured bounds of the certificate's routes, see
+HEAD_SVD_BELOW = 1e-5    # _certified_nullities
 _ROOT_TWO = math.sqrt(2.0)
 
 
@@ -662,24 +664,53 @@ def nullspace_dim(system, tol=1e-9):
     guessing.
 
     For tol in CERTIFY_TOLS the nullities of ConstraintSystems are first
-    proven without the SVD (_certified_nullities), for a batch all at once
-    and, if that fails, one system at a time.  Where that fails too, for
+    proven without the SVD (_certified_nullities), for a batch all at once,
+    each system routed by its closed block determinants (_route); a batch
+    is rotated whole if any system in it is to be, since one rotated copy
+    of the padded batch costs less than rotating part of it.  If that
+    fails, each system is tried alone with its column pairs rotated.  Where
+    that fails too, at an order-1 head the cascade leaves degenerate, for
     another tol, and for a bare matrix such as the collocation rows, the
     SVD decides (_svd_nullity).
     """
     batch = (isinstance(system, list) and len(system) > 0
              and all(isinstance(s, ConstraintSystem) for s in system))
     systems = system if batch else [system]
-    dims = None
+    dims = [None] * len(systems)
     if (isinstance(systems[0], ConstraintSystem)
             and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]):
-        blocks = [s.blocks for s in systems]
-        dims = _certified_nullities(blocks, tol)
-        if dims is None and len(blocks) > 1:
-            dims = [(_certified_nullities([b], tol) or [None])[0] for b in blocks]
-    dims = dims or [None] * len(systems)
+        routes = [_route(s) for s in systems]
+        todo = [i for i, rotate in enumerate(routes) if rotate is not None]
+        blocks, rotate = [systems[i].blocks for i in todo], any(routes[i] for i in todo)
+        proven = todo and _certified_nullities(blocks, tol, rotate)
+        if proven is None and (len(blocks) > 1 or not rotate):
+            proven = [(_certified_nullities([b], tol, True) or [None])[0]
+                      for b in blocks]
+        for i, d in zip(todo, proven or ()):
+            dims[i] = d
     dims = [_svd_nullity(s, tol) if d is None else d for s, d in zip(systems, dims)]
     return dims if batch else dims[0]
+
+
+@lru_cache(maxsize=64)
+def _block_floors(alpha, pecpmc):
+    """Least |sin(m alpha pi)|, or |cos(m alpha pi)| for pec-pmc, over
+    m = 1..n: half the least cascade block determinant of each order
+    n = 1..MAX_ORDER at the angle alpha the rows are assembled at."""
+    turns = np.arange(1, MAX_ORDER + 1) * alpha * math.pi
+    return tuple(np.minimum.accumulate(np.abs(np.cos(turns) if pecpmc
+                                              else np.sin(turns))).tolist())
+
+
+def _route(system):
+    """How _certified_nullities takes a ConstraintSystem: whether its column
+    pairs are rotated, or None for an order-1 impedance system whose head
+    block B, det B ~ sin^2 cos^2(alpha' pi), the certificate cannot prove
+    and the SVD decides."""
+    alpha, pecpmc = system.config.alpha.value, system.case == CaseKind.PEC_PMC
+    if system.n == 1 and not pecpmc and abs(math.cos(alpha * math.pi)) < HEAD_SVD_BELOW:
+        return None
+    return _block_floors(alpha, pecpmc)[system.n - 1] < ROTATE_BELOW
 
 
 def _svd_nullity(system, tol):
@@ -690,34 +721,54 @@ def _svd_nullity(system, tol):
                                 blocks.shape[-1], tol))
 
 
-def _certified_nullities(blocks, tol):
+def _certified_nullities(blocks, tol, rotate):
     """The nullity the SVD would give each parity-block stack A (classes,
     rows, columns) of a ConstraintSystem in blocks at the threshold tol,
     proven by one Cholesky factorization of all of them, or None.
 
-    Each pair of columns (fam, m), (fam, -m) of A is first rotated to its
-    sum and difference, and column (fam, 0) scaled by sqrt 2: sqrt 2 times
-    a unitary map, so every relative singular value stays.  At a grid hit
-    the cascade's null directions are such sums or differences: a face-1
-    row gives both columns of a pair bit-identical entries, so their
-    difference is exactly 0 there, and a face-2 row leaves
-    c sqrt(2) i sin(m alpha' pi) ~ 1e-16 c; for pec-pmc the zeros at
-    cos(m alpha pi) = 0 are a sum on a and a difference on b.  Then each
-    column whose squared norm is at most (tol/100)^2 R/N^2 is deflated, R
-    the squared Frobenius norm of A and N its column count.  Since
-    R/N <= s_max^2, the d deflated columns, at most N of them, form a
-    matrix E of spectral norm at most (tol/100) s_max.  The stacks are
-    zero-padded to one shape; a padded column is deflated and not counted.
+    If rotate is set, each pair of columns (fam, m), (fam, -m) of A is
+    rotated to its sum and difference, and column (fam, 0) scaled by
+    sqrt 2: sqrt 2 times a unitary map, so every relative singular value
+    stays.  At a grid hit the cascade's null directions are such sums or
+    differences: a face-1 row gives both columns of a pair bit-identical
+    entries, so their difference is exactly 0 there, and a face-2 row
+    leaves c sqrt(2) i sin(m alpha' pi) ~ 1e-16 c; for pec-pmc the zeros at
+    cos(m alpha pi) = 0 are a sum on a and a difference on b.  Otherwise
+    the identity takes the place of that map.  Then each column whose
+    squared norm is at most (tol/100)^2 R/N^2 is deflated, R the squared
+    Frobenius norm of A and N its column count.  Since R/N <= s_max^2, the
+    d deflated columns, at most N of them, form a matrix E of spectral norm
+    at most (tol/100) s_max.  The stacks are zero-padded to one shape; a
+    padded column is deflated and not counted.
+
+    The routes (_route) read the cascade: order n can lose rank only where
+    a block determinant -2i sin(m alpha' pi), or 2 cos(m alpha pi) for
+    pec-pmc, m <= n, vanishes, and at n = 1 also det B ~ sin^2 cos^2.  With
+    v the least |sin| (|cos|) over m <= n, an order is rotated iff
+    v < ROTATE_BELOW = 1e-5, and so is the batch it is decided in.
+    Measured over every q/p with p <= 10 at offsets 1e-12 to 1e-1, the
+    four pairings, four impedance pairs and n <= 24, the rotation deflates
+    a column only at v <= 3.1e-12 for tol = 1e-9 and v <= 1.3e-9 for
+    tol = 3.1e-7, and unrotated no order with v below 9.4e-5 factors
+    (1.6e-4 on seven angles to n = 85): the bound lies 9 times under the
+    least v proven unrotated and 8e3 times above the largest the rotation
+    needs.  An order-1 impedance stack with
+    |cos alpha' pi| below HEAD_SVD_BELOW = 1e-5 goes to the SVD untried:
+    there its null vector lies in head block B, no sum or difference, and
+    for |eta1/eta2| from 1e-7 to 1e7 no |cos| below 5.6e-5 factored
+    (1.2e-4 at eta1 = eta2).  Either bound only routes; an order it
+    misroutes is refused, not misjudged, and nullspace_dim retries it
+    rotated and then by the SVD.
 
     The Gram matrices G_c of the classes enter the factorization as
     G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
     deflated column.  S bounds s_max^2 = max_c |G_c| from above: first
     S = R, and if that does not factor, once more S = U, the least of R and
-    the largest absolute row sum of any G_c (Gershgorin).  On the rotated
-    blocks U is within 1.1 to 1.4 times s_max^2 where R is about N times it,
-    so orders whose smallest relative singular value is down to about
-    3.5e-5, as near a grid hit of an irrational angle, are certified rather
-    than sent to the SVD.  If the matrix factors, so does the principal
+    the largest absolute row sum of any G_c (Gershgorin).  On either route
+    U is within 1.0 to 1.4 times s_max^2 where R is about N times it, so
+    orders whose smallest relative singular value is down to about 3.5e-5,
+    as near a grid hit of an irrational angle, are certified rather than
+    sent to the SVD.  If the matrix factors, so does the principal
     submatrix on the kept columns, with a backward error of norm
     |F| <= c N eps R (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., 2002, 10.1); forming
@@ -747,16 +798,14 @@ def _certified_nullities(blocks, tol):
             padded[:, :b.shape[1], :b.shape[2]] = b
     orders, classes, height, width = stack.shape
     widths = np.array([b.shape[-1] for b in blocks])
-    odd, even = stack[..., 1::2], stack[..., 2::2]
-    gram = _gram(np.concatenate((stack[..., :1] * _ROOT_TWO, odd + even, odd - even),
-                                axis=-1))
+    gram = _gram(_rotated(stack) if rotate else stack)
     diagonal = gram.reshape(orders, classes, width * width)[..., ::width + 1]
     units = diagonal.real.sum(axis=(1, 2), keepdims=True)
     small = diagonal.real <= units * ((tol / 100 / classes / widths) ** 2)[:, None, None]
     original = diagonal.copy()
 
     def factors(bound):
-        diagonal[...] = original - CERTIFY_THETA * bound
+        np.subtract(original, CERTIFY_THETA * bound, out=diagonal)
         np.copyto(diagonal, units, where=small)
         try:
             np.linalg.cholesky(gram)
@@ -771,7 +820,14 @@ def _certified_nullities(blocks, tol):
         bound = np.minimum(units, rows.max(axis=1, initial=0.0)[:, None, None])
         if not ((bound < units).any() and factors(bound)):
             return None
-    return (np.count_nonzero(small, axis=(1, 2)) - classes * (width - widths)).tolist()
+    return (small.sum(axis=(1, 2)) - classes * (width - widths)).tolist()
+
+
+def _rotated(stack):
+    """The stacks with each column pair (fam, m), (fam, -m) rotated to its
+    sum and difference and column (fam, 0) scaled by sqrt 2."""
+    odd, even = stack[..., 1::2], stack[..., 2::2]
+    return np.concatenate((stack[..., :1] * _ROOT_TWO, odd + even, odd - even), axis=-1)
 
 
 def _gram(stack):
@@ -939,10 +995,11 @@ def theorem_bound(alpha, case, n_max):
 
 
 # The orders with 2n+1 <= BATCH_WIDTH are certified in one zero-padded batch.
-# On the sweep benchmark's queries, in process with one BLAS thread: deciding
-# every order alone took 7% longer than a certificate of full rank alone did,
-# batch widths 13, 17 and 25 took 9-10% less, and one batch of all 24 orders
-# made the n_max 24 reports 2.5 times slower.
+# On the sweep benchmark's queries (seeds 9 and 10), in process with one BLAS
+# thread and the widths interleaved pass by pass under the routed
+# certificate: widths 13 and 25 took -2% to +20% against 17, and 33 took
+# 21-38% longer.  Before the routing, one batch of all 24 orders made the
+# n_max 24 reports 2.5 times slower.
 BATCH_WIDTH = 17
 
 

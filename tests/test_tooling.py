@@ -84,7 +84,9 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     # time; a report fills every order in one pass, without assembling it,
     # and ranks the orders of at most BATCH_WIDTH columns per class in one
     # nullspace_dim call and each larger order in one of its own; the
-    # certificate runs only inside nullspace_dim
+    # certificate, and the SVD of a degenerate order-1 head, run only inside
+    # nullspace_dim
+    import numpy as np
     from edgewave import vanish
     from edgewave.angles import parse_angle
     calls = {"nullspace_dim": 0, "assemble_order_system": 0}
@@ -100,23 +102,33 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
             finally:
                 inside.pop()
         monkeypatch.setattr(vanish, name, counted)
-    certify, certified = vanish._certified_nullities, []
+    certify, certified, decomposed = vanish._certified_nullities, [], []
 
-    def spy(blocks, tol):
-        dims = certify(blocks, tol)
+    def spy(blocks, tol, rotate):
+        dims = certify(blocks, tol, rotate)
         certified.append((inside == ["nullspace_dim"], len(blocks), dims is not None))
         return dims
     monkeypatch.setattr(vanish, "_certified_nullities", spy)
-    # BATCH_WIDTH 17: one call for orders 1..8, then one per order
-    for alpha in ("1/3", "0.6180339887"):
-        cfg = vanish.config_for_case(vanish.CaseKind.IMP_IMP, parse_angle(alpha),
+    svd = np.linalg.svd
+
+    def svd_spy(*args, **kwargs):
+        decomposed.append(list(inside))
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    # BATCH_WIDTH 17: one call for orders 1..8, then one per order; at 1/2
+    # (imp-pec 1/4 assembles there) order 1 leaves the batch for the SVD,
+    # inside the same nullspace_dim call
+    for alpha, case, head in (("1/3", "imp-imp", 0), ("0.6180339887", "imp-imp", 0),
+                              ("1/2", "imp-imp", 1), ("1/4", "imp-pec", 1)):
+        cfg = vanish.config_for_case(vanish.CaseKind(case), parse_angle(alpha),
                                      1.0, 1.0, 1.0)
         for n_max, batch, rank_calls in ((7, 7, 1), (24, 8, 17)):
             vanish.vanishing_order(cfg, n_max)
             assert calls == {"nullspace_dim": rank_calls, "assemble_order_system": 0}
             singles = [(True, 1, True)] * (rank_calls - 1)
-            assert certified == [(True, batch, True)] + singles
-            calls["nullspace_dim"], certified[:] = 0, []
+            assert certified == [(True, batch - head, True)] + singles
+            assert decomposed == [["nullspace_dim"]] * head
+            calls["nullspace_dim"], certified[:], decomposed[:] = 0, [], []
 
 
 def test_crosscheck_structured_rank_is_the_report_rank():

@@ -260,7 +260,7 @@ class TestNullspace:
     def test_threshold_outside_unit_interval_refused(self, monkeypatch, tol):
         # at tol <= 0 no value is below it, and every order would read full
         # rank; the certificate is not tried first
-        def certify(blocks, tol):
+        def certify(blocks, tol, rotate):
             raise AssertionError("certificate tried")
         monkeypatch.setattr(vanish, "_certified_nullities", certify)
         system = assemble_order_system(3, make_config("0.37"))
@@ -776,12 +776,13 @@ def _outcome(decide):
 
 
 class TestCertificate:
-    """nullspace_dim first tries to prove each nullity without its SVD: the
-    parity blocks' (fam, +-m) column pairs are rotated to sums and
-    differences, columns below the deflation bound are deflated, and the
-    Gram matrices of the rest, shifted by CERTIFY_THETA times the squared
-    norm, take one Cholesky factorization; only where that fails does the
-    SVD decide.  The grid: every reduced q/p with p <= 12, five quadratic
+    """nullspace_dim first tries to prove each nullity without its SVD: where
+    a cascade block determinant is near zero the parity blocks' (fam, +-m)
+    column pairs are rotated to sums and differences, columns below the
+    deflation bound are deflated, and the Gram matrices of the rest,
+    shifted by CERTIFY_THETA times the squared norm, take one Cholesky
+    factorization; only where that fails, and at a degenerate order-1 head,
+    does the SVD decide.  The grid: every reduced q/p with p <= 12, five quadratic
     irrationals and decimals 1e-11 to 1e-8 off 1/3, 1/4 and 1/5, in every
     pairing, at n <= 24, under TestReportFill's impedances, k = eta = 1 and
     TestScaleFree's scalings."""
@@ -829,17 +830,19 @@ class TestCertificate:
             for system in distinct.values():
                 svd = _outcome(lambda: vanish._svd_nullity(system, 1e-9))
                 assert _outcome(lambda: nullspace_dim(system)) == svd, (text, system.n)
-                certified = vanish._certified_nullities([system.blocks], 1e-9)
-                if certified is None:
-                    refused += 1
-                    continue
-                d = certified[0]
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * system.n + 1) - s.size)))
                 rel /= rel[-1]
-                assert svd == d and rel[d] >= floor, (text, system.n)
-                assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n)
-                trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
+                for rotate in (False, True):
+                    certified = vanish._certified_nullities([system.blocks], 1e-9,
+                                                            rotate)
+                    if certified is None:
+                        refused += 1
+                        continue
+                    d = certified[0]
+                    assert svd == d and rel[d] >= floor, (text, system.n, rotate)
+                    assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n, rotate)
+                    trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
         assert refused > 0 and trivial > 0 and nontrivial > 0
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
@@ -855,7 +858,7 @@ class TestCertificate:
                 expect = _outcome(lambda: vanishing_order(cfg, 24).to_json_dict())
                 with monkeypatch.context() as patch:
                     patch.setattr(vanish, "_certified_nullities",
-                                  lambda blocks, tol: None)
+                                  lambda blocks, tol, rotate: None)
                     assert _outcome(lambda: vanishing_order(cfg, 24).to_json_dict()) \
                         == expect, (text, scale)
 
@@ -867,7 +870,7 @@ class TestCertificate:
         cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict()
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol: None)
+                            lambda blocks, tol, rotate: None)
         assert vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict() == expect
 
     @pytest.mark.parametrize("alpha,case,svd_orders", [
@@ -878,8 +881,7 @@ class TestCertificate:
     def test_svd_runs_only_where_the_certificate_refuses(
             self, monkeypatch, alpha, case, svd_orders):
         # at 1/2 the first-order null vector is a head-block combination, not
-        # a pair's sum or difference: the batch of orders 1..8 refuses, and
-        # of its orders tried alone only order 1
+        # a pair's sum or difference: order 1 goes to the SVD untried
         orders, svd = [], np.linalg.svd
 
         def spy(blocks, *args, **kwargs):
@@ -890,6 +892,81 @@ class TestCertificate:
         assert orders == svd_orders
         assert any(d.nullspace_dim for d in report.per_order) == (case != "imp-pmc")
 
+    @pytest.mark.parametrize("alpha,case", [
+        ("0.6180339887", "imp-imp"), ("0.41421356237", "pec-pmc"), ("0.37", "imp-pec")])
+    def test_no_small_block_builds_no_rotated_copy(self, monkeypatch, alpha, case):
+        # up to order 24 the least |sin(m alpha' pi)|, |cos(m alpha pi)| for
+        # pec-pmc, is 0.067, 0.046 and 0.063; imp-pec at 0.37 is assembled
+        # at 37/50, whose first block zero is at m = 50
+        cfg = make_config(alpha, case=case)
+        source, eff = vanish.effective_config(cfg)
+        floors = vanish._block_floors(eff.alpha.value, source == CaseKind.PEC_PMC)
+        assert 0.04 < floors[23] < 0.07
+        assert (floors[49] < 1e-14) == (case == "imp-pec")
+        monkeypatch.setattr(vanish, "_rotated", lambda stack: pytest.fail("rotated"))
+        assert not any(d.nullspace_dim for d in vanishing_order(cfg, 24).per_order)
+
+    def test_only_orders_with_a_small_block_rotate(self, monkeypatch):
+        # imp-imp 1/13: |sin(m pi/13)| >= 0.24 below m = 13, 0 at m = 13
+        certify, routes = vanish._certified_nullities, []
+
+        def spy(blocks, tol, rotate):
+            routes.extend((b.shape[-1] // 2, rotate) for b in blocks)
+            return certify(blocks, tol, rotate)
+        monkeypatch.setattr(vanish, "_certified_nullities", spy)
+        vanishing_order(make_config("1/13"), 24)
+        assert [n for n, _ in routes] == list(range(1, 25))
+        assert [n for n, rotate in routes if rotate] == list(range(13, 25))
+
+    @pytest.mark.parametrize("alpha,case", [
+        ("1/2", "imp-imp"), ("3/2", "imp-imp"), ("1/4", "imp-pec")])
+    def test_a_degenerate_head_goes_to_the_svd_alone(self, monkeypatch, alpha, case):
+        # cos(alpha' pi) = 0: order 1 is decided by the SVD inside the
+        # batch's nullspace_dim call, and orders 2..8 are still certified
+        # together: no certificate refuses and no order is retried alone
+        calls, svd_orders = {"nullspace_dim": 0, "certify": 0}, []
+        rank, svd = vanish.nullspace_dim, np.linalg.svd
+        certify = vanish._certified_nullities
+
+        def ranked(*args, **kwargs):
+            calls["nullspace_dim"] += 1
+            return rank(*args, **kwargs)
+
+        def certified(blocks, tol, rotate):
+            calls["certify"] += 1
+            dims = certify(blocks, tol, rotate)
+            assert dims is not None, [b.shape[-1] // 2 for b in blocks]
+            return dims
+
+        def decomposed(blocks, *args, **kwargs):
+            svd_orders.append(blocks.shape[-1] // 2)
+            return svd(blocks, *args, **kwargs)
+        monkeypatch.setattr(vanish, "nullspace_dim", ranked)
+        monkeypatch.setattr(vanish, "_certified_nullities", certified)
+        monkeypatch.setattr(np.linalg, "svd", decomposed)
+        report = vanishing_order(make_config(alpha, case=case), 12)
+        assert svd_orders == [1] and report.per_order[0].nullspace_dim > 0
+        assert calls == {"nullspace_dim": 5, "certify": 5}
+
+    @pytest.mark.parametrize("alpha,bound,svd_orders", [
+        ("1/3", "ROTATE_BELOW", []), ("1/2", "HEAD_SVD_BELOW", [1])])
+    def test_a_misrouted_order_is_refused_not_misjudged(
+            self, monkeypatch, alpha, bound, svd_orders):
+        # with a bound of 0 no order is rotated up front (1/3) or no head
+        # sent to the SVD (1/2): the unrotated batch refuses, each order is
+        # retried alone rotated, and order 1 at 1/2 then goes to the SVD
+        cfg = make_config(alpha, **TestReportFill.ETAS)
+        expect = vanishing_order(cfg, 12)
+        monkeypatch.setattr(vanish, bound, 0.0)
+        orders, svd = [], np.linalg.svd
+
+        def spy(blocks, *args, **kwargs):
+            orders.append(blocks.shape[-1] // 2)
+            return svd(blocks, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert vanishing_order(cfg, 12) == expect
+        assert orders == svd_orders
+
     def test_a_batch_decides_as_its_orders_alone(self, monkeypatch):
         # with the certificate and with the SVD fallback alone
         for alpha, case in (("1/3", "imp-imp"), ("1/2", "imp-imp"), ("1/4", "pec-pmc"),
@@ -898,16 +975,18 @@ class TestCertificate:
             alone = [vanish._svd_nullity(system, 1e-9) for system in systems]
             assert nullspace_dim(systems) == alone, alpha
             with monkeypatch.context() as patch:
-                patch.setattr(vanish, "_certified_nullities", lambda blocks, tol: None)
+                patch.setattr(vanish, "_certified_nullities",
+                              lambda blocks, tol, rotate: None)
                 assert nullspace_dim(systems) == alone, alpha
 
     def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
         # imp-pmc at 4 sqrt(5)/7 - 1 assembles to 0.5555063, 5e-5 off 5/9:
         # from order 9 the smallest relative singular value falls from 4.4e-4
-        # to 7.8e-5 at order 24, while R/s_max^2 grows like N.  The shift
-        # theta R, R = 2 |blocks|_F^2 on the rotated copy, refuses orders
-        # 17..24; the shift theta U under the Gershgorin bound U (1.1 to 1.4
-        # s_max^2) certifies them all
+        # to 7.8e-5 at order 24, while R/s_max^2 grows like N.  These orders
+        # are not rotated (their least |sin(m alpha' pi)| is 1.4e-3).  The
+        # shift theta R, R = |blocks|_F^2, refuses orders 17..24; the shift
+        # theta U under the Gershgorin bound U (1.0 to 1.4 s_max^2)
+        # certifies them all
         text = "0.2777531299998799"
         refused = []
         for system in self.systems(text, "imp-pmc", self.UNIT):
@@ -926,7 +1005,7 @@ class TestCertificate:
         # N eps ~ 4e-14 must lie below tol/10
         calls = []
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol: calls.append(tol) or [0])
+                            lambda blocks, tol, rotate: calls.append(tol) or [0])
         system = assemble_order_system(3, make_config("0.37"))
         for tol, tried in ((1e-9, 1), (3e-7, 1), (4e-7, 0), (1e-6, 0), (1e-3, 0), (1e-12, 1),
                            (9e-13, 0)):
@@ -940,7 +1019,7 @@ class TestCertificate:
     def test_bare_matrices(self, monkeypatch, matrix, nullity):
         # a bare matrix, such as the collocation rows, is decided by the SVD
         # alone; the last has relative singular values 1 and 2.5e-5
-        def certify(blocks, tol):
+        def certify(blocks, tol, rotate):
             raise AssertionError("certificate tried")
         monkeypatch.setattr(vanish, "_certified_nullities", certify)
         assert nullspace_dim(matrix) == vanish._svd_nullity(matrix, 1e-9) == nullity
