@@ -6,8 +6,6 @@ rationality: first failures land exactly where the cascade determinants
 -2i sin(m alpha pi) (or 2 cos(m alpha pi) for the PEC/PMC pairing) vanish.
 """
 
-import json
-
 from edgewave import parse_angle, vanish
 from edgewave.corner import EdgeCornerConfig, ImpedanceSpec
 
@@ -50,5 +48,4 @@ print(f"  source pairing {case.value} at {mixed.alpha} "
       f"-> assembled at {eff.alpha} with eta on both faces")
 
 print("\nReports serialize to a stable JSON shape:")
-data = vanish.vanishing_order(impimp("2/5"), 4).to_json_dict()
-print("  " + json.dumps(data)[:110] + " ...")
+print("  " + vanish.vanishing_order(impimp("2/5"), 4).to_json()[:110] + " ...")

@@ -62,7 +62,7 @@ def cmd_analyze(args):
         print(f"bound invariant violated: {exc}", file=sys.stderr)
         return 4
     if args.json:
-        print(json.dumps(report.to_json_dict()))
+        print(report.to_json())
     else:
         print(report.render())
     return 0
@@ -89,10 +89,10 @@ def cmd_table(args):
         rows.append((text, config.alpha, report, failure))
     code = max((failure[1] for *_, failure in rows if failure), default=0)
     if args.json:
-        print(json.dumps([
-            report.to_json_dict() if report else
-            {"alpha_input": text, "error": failure[2], "exit_code": failure[1]}
-            for text, _, report, failure in rows]))
+        print("[" + ", ".join(
+            report.to_json() if report else json.dumps(
+                {"alpha_input": text, "error": failure[2], "exit_code": failure[1]})
+            for text, _, report, failure in rows) + "]")
         return code
     print(f"{'alpha':>12} {'rationality':>12} {'grid bound':>12} {'assembled':>12}")
     for text, alpha, report, failure in rows:

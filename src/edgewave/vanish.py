@@ -167,13 +167,16 @@ class ConstraintSystem:
     """Labeled linear system over the order-n unknowns k a and eta2 b (a, b
     for pec-pmc), held as its rows scaled to unit 2-norm and split by parity
     class (zero rows pad the shorter block), and each row's 2-norm in
-    provenance order; rows rebuilds the dense rows in a and b from the two."""
+    provenance order; rows rebuilds the dense rows in a and b from the two.
+    floor is half the least cascade block determinant of the order
+    (_block_floors), which routes its rank certificate (_route)."""
 
     n: int
     case: CaseKind
     config: EdgeCornerConfig          # config the rows were assembled at
     blocks: np.ndarray                # complex, shape (2, height, 2n+1)
     norms: np.ndarray                 # float, shape (nrows,)
+    floor: float
 
     @property
     def provenance(self):
@@ -594,8 +597,11 @@ def assemble_order_system(n, config):
 
 def _systems(layout, eff):
     """The ConstraintSystem of each order of layout, in turn, assembled at
-    eff.  The entry values and row norms of all orders come from one pass;
-    each order's unit rows are then scattered into blocks of its own."""
+    eff.  The entry values, row norms and block floors of all orders come
+    from one pass; each order's unit rows are then scattered into blocks of
+    its own."""
+    floors = _block_floors(eff.alpha.value, layout.case == CaseKind.PEC_PMC,
+                           layout.parts[-1][0])
     values = _entry_values(layout, eff)
     norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
                                     layout.starts))
@@ -603,7 +609,7 @@ def _systems(layout, eff):
     for n, entries, rows, shape in layout.parts:
         blocks = np.zeros(shape, dtype=complex)
         blocks.reshape(-1)[layout.pos[entries]] = values[entries]
-        yield ConstraintSystem(n, layout.case, eff, blocks, norms[rows])
+        yield ConstraintSystem(n, layout.case, eff, blocks, norms[rows], floors[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +698,13 @@ def nullspace_dim(system, tol=1e-9):
     return dims if batch else dims[0]
 
 
-@lru_cache(maxsize=64)
-def _block_floors(alpha, pecpmc):
+def _block_floors(alpha, pecpmc, n_max=MAX_ORDER):
     """Least |sin(m alpha pi)|, or |cos(m alpha pi)| for pec-pmc, over
     m = 1..n: half the least cascade block determinant of each order
-    n = 1..MAX_ORDER at the angle alpha the rows are assembled at."""
-    turns = np.arange(1, MAX_ORDER + 1) * alpha * math.pi
-    return tuple(np.minimum.accumulate(np.abs(np.cos(turns) if pecpmc
-                                              else np.sin(turns))).tolist())
+    n = 1..n_max at the angle alpha the rows are assembled at."""
+    trig = math.cos if pecpmc else math.sin
+    return list(itertools.accumulate(
+        (abs(trig(m * alpha * math.pi)) for m in range(1, n_max + 1)), min))
 
 
 def _route(system):
@@ -710,7 +715,7 @@ def _route(system):
     alpha, pecpmc = system.config.alpha.value, system.case == CaseKind.PEC_PMC
     if system.n == 1 and not pecpmc and abs(math.cos(alpha * math.pi)) < HEAD_SVD_BELOW:
         return None
-    return _block_floors(alpha, pecpmc)[system.n - 1] < ROTATE_BELOW
+    return system.floor < ROTATE_BELOW
 
 
 def _svd_nullity(system, tol):
@@ -884,6 +889,13 @@ def nullspace_basis(system, tol=1e-9):
 # induction driver and report
 # ---------------------------------------------------------------------------
 
+def _json_pair(z):
+    """z as json.dumps writes [z.real, z.imag], None as null."""
+    if z is not None and not cmath.isfinite(z):
+        raise ValueError(f"{z!r} has no JSON number")
+    return "null" if z is None else f"[{z.real!r}, {z.imag!r}]"
+
+
 @dataclass
 class OrderDiagnostics:
     n: int
@@ -915,29 +927,37 @@ class VanishReport:
         """The assembled bound strictly exceeds the theorem bound."""
         return self.order_lower_bound > self.theorem_bound
 
+    def _block_prefixes(self):
+        """The last order's block determinants, and per order the length of
+        its prefix of them (vanishing_order lists m = 2..n), None if none."""
+        last = self.per_order[-1].block_dets if self.per_order else []
+        return last, [len(d.block_dets) if d.block_dets == last[:len(d.block_dets)]
+                      else None for d in self.per_order]
+
+    def to_json(self):
+        """The report as the JSON text json.dumps writes of it, in one pass:
+        each block determinant is formatted once and each order joins its
+        prefix of them.  json would write a non-finite value as NaN or
+        Infinity, which is not JSON: ValueError."""
+        last, prefixes = self._block_prefixes()
+        items = [_json_pair(z) for z in last]
+        orders = ", ".join(
+            f'{{"n": {d.n}, "nullspace_dim": {d.nullspace_dim}, "det_A": '
+            f'{_json_pair(d.det_A_closed)}, "det_B": {_json_pair(d.det_B_closed)}, '
+            '"block_dets": [' + ", ".join(items[:k] if k is not None else
+                                           map(_json_pair, d.block_dets)) + "]}"
+            for d, k in zip(self.per_order, prefixes))
+        rational = "[%d, %d]" % self.alpha.rational if self.alpha.rational else "null"
+        bound = '"gte_nmax"' if self.at_nmax else self.order_lower_bound
+        theorem = ('"infinite"' if self.theorem_bound == INFINITE
+                   else int(self.theorem_bound))
+        return (f'{{"alpha": {{"value": {self.alpha.value!r}, "rational": {rational}}}, '
+                f'"case": "{self.case.value}", "per_order": [{orders}], '
+                f'"order_lower_bound": {bound}, "theorem_bound": {theorem}}}')
+
     def to_json_dict(self):
-        per = []
-        for d in self.per_order:
-            per.append({
-                "n": d.n,
-                "nullspace_dim": d.nullspace_dim,
-                "det_A": None if d.det_A_closed is None
-                else [d.det_A_closed.real, d.det_A_closed.imag],
-                "det_B": None if d.det_B_closed is None
-                else [d.det_B_closed.real, d.det_B_closed.imag],
-                "block_dets": [[z.real, z.imag] for z in d.block_dets],
-            })
-        return {
-            "alpha": {"value": self.alpha.value,
-                      "rational": list(self.alpha.rational)
-                      if self.alpha.rational else None},
-            "case": self.case.value,
-            "per_order": per,
-            "order_lower_bound": "gte_nmax" if self.at_nmax
-            else self.order_lower_bound,
-            "theorem_bound": "infinite" if self.theorem_bound == INFINITE
-            else int(self.theorem_bound),
-        }
+        import json   # only here: import edgewave loads no json
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data):
@@ -961,11 +981,13 @@ class VanishReport:
         lines = [f"alpha = {self.alpha}   case = {self.case.value}",
                  f"{'n':>3} {'null dim':>9} {'|det A|':>12} {'|det B|':>12} "
                  f"{'min |block det|':>16}"]
-        for d in self.per_order:
+        last, prefixes = self._block_prefixes()
+        lows = list(itertools.accumulate(map(abs, last), min))
+        for d, k in zip(self.per_order, prefixes):
             da = "-" if d.det_A_closed is None else f"{abs(d.det_A_closed):.3e}"
             db = "-" if d.det_B_closed is None else f"{abs(d.det_B_closed):.3e}"
-            bd = "-" if not d.block_dets \
-                else f"{min(abs(z) for z in d.block_dets):.3e}"
+            bd = "-" if not d.block_dets else \
+                f"{lows[k - 1] if k is not None else min(map(abs, d.block_dets)):.3e}"
             lines.append(f"{d.n:>3} {d.nullspace_dim:>9} {da:>12} {db:>12} {bd:>16}")
         olb = f">= {self.n_max}" if self.at_nmax else str(self.order_lower_bound)
         tb = (f">= {self.n_max} (irrational)" if self.theorem_bound == INFINITE

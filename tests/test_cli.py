@@ -215,6 +215,20 @@ class TestTable:
             assert sorted(r["exit_code"] for r in json.loads(out)) == [2, 4]
             assert len(err.splitlines()) == 2
 
+    def test_json_rows_are_json_dumps_of_the_list(self, capsys, monkeypatch):
+        # each report row is written by VanishReport.to_json, each error row
+        # by json.dumps; the whole is what json.dumps writes of the list
+        monkeypatch.setattr(cli, "parse_angle", lambda text: angles.Angle(0.37)
+                            if text == "0.37" else angles.parse_angle(text))
+        code = main(["table", "--case", "imp-pec", "--alphas", "1/5", self.AMBIGUOUS,
+                     "0.37", "0.6180339887", "--eta2", "0.7+0.2i", "--nmax", "52",
+                     "--json"])
+        out = capsys.readouterr().out
+        rows = json.loads(out)
+        assert code == 4
+        assert [r.get("exit_code") for r in rows] == [None, 2, 4, None]
+        assert out == json.dumps(rows) + "\n"
+
 
 class TestDecimalAngles:
     """A decimal --alpha is classified like the reduced fraction it spells."""

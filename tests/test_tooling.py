@@ -131,6 +131,27 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
             calls["nullspace_dim"], certified[:], decomposed[:] = 0, [], []
 
 
+def test_json_output_encodes_no_report_dict(monkeypatch, capsys):
+    # analyze --json and table --json write a report with
+    # VanishReport.to_json, which formats each block determinant once; json's
+    # encoder, given the report's dict, formats order n_max's determinants
+    # once per order.  Only table's error row goes through the encoder
+    import json
+    from edgewave.cli import main
+    encode, encoded = json.JSONEncoder.encode, []
+
+    def spy(self, o):
+        encoded.append(o)
+        return encode(self, o)
+    monkeypatch.setattr(json.JSONEncoder, "encode", spy)
+    assert main(["analyze", "--alpha", "1/3", "--case", "imp-imp", "--eta1", "1",
+                 "--eta2", "1", "--nmax", "12", "--json"]) == 0
+    assert main(["table", "--case", "imp-imp", "--alphas", "1/3", "0.3333333333",
+                 "0.6180339887", "--nmax", "12", "--json"]) == 2
+    capsys.readouterr()
+    assert [sorted(o) for o in encoded] == [["alpha_input", "error", "exit_code"]]
+
+
 def test_crosscheck_structured_rank_is_the_report_rank():
     # crosscheck referees the rank of assemble_order_system against
     # collocation; that rank must be the one the report decides

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -468,6 +469,77 @@ class TestVanishingOrder:
         assert data["alpha"]["rational"] is None
         assert set(data["per_order"][0]) == {"n", "nullspace_dim", "det_A",
                                              "det_B", "block_dets"}
+
+
+def _reference_json_dict(report):
+    """The report's JSON object built field by field, every value of every
+    order on its own, as json.dumps is to write it."""
+    def pair(z):
+        return None if z is None else [z.real, z.imag]
+    per = [{"n": d.n, "nullspace_dim": d.nullspace_dim,
+            "det_A": pair(d.det_A_closed), "det_B": pair(d.det_B_closed),
+            "block_dets": [pair(z) for z in d.block_dets]}
+           for d in report.per_order]
+    return {"alpha": {"value": report.alpha.value,
+                      "rational": list(report.alpha.rational)
+                      if report.alpha.rational else None},
+            "case": report.case.value,
+            "per_order": per,
+            "order_lower_bound": "gte_nmax" if report.at_nmax
+            else report.order_lower_bound,
+            "theorem_bound": "infinite" if report.theorem_bound == INFINITE
+            else int(report.theorem_bound)}
+
+
+class TestJsonWriter:
+    """to_json formats each block determinant once; its text is what
+    json.dumps writes of the report's fields."""
+
+    @pytest.mark.parametrize("alpha,case,n_max,scale", [
+        ("2/9", "pec-pmc", 24, {}),              # det_A and det_B null
+        ("1/3", "imp-imp", 1, {}),               # no block determinants
+        ("1/13", "imp-imp", vanish.MAX_ORDER, dict(eta1=1.3 - 0.2j, eta2=0.7 + 0.4j)),
+        ("0.6180339887", "imp-imp", vanish.MAX_ORDER, {}),   # untagged
+        ("0.37", "imp-pec", vanish.MAX_ORDER, dict(eta2=1 - 1j)),
+        ("1/3", "imp-imp", 12, dict(k=1e-300)),
+        ("1/3", "imp-imp", 12, dict(k=1e100)),
+        ("1/5", "imp-pec", 12, dict(eta1=1e-12, eta2=1e-12)),
+        ("3/7", "imp-pmc", 12, dict(eta1=1e12, eta2=1e12)),
+        ("1/2", "imp-pec", 6, {}),               # order 1 decided by the SVD
+        ("0.25", "pec-pmc", 12, {}),             # a decimal tagged 1/4
+    ])
+    def test_text_is_json_dumps_of_the_fields(self, alpha, case, n_max, scale):
+        report = vanishing_order(make_config(alpha, case=case, **scale), n_max)
+        text = report.to_json()
+        assert text == json.dumps(_reference_json_dict(report))
+        assert report.to_json_dict() == _reference_json_dict(report)
+        assert vanish.VanishReport.from_json_dict(json.loads(text)).to_json() == text
+
+    def test_orders_that_are_not_a_prefix_are_written_alone(self):
+        # vanishing_order gives order n the block determinants m = 2..n of
+        # one list; a report read from other JSON need not
+        report = vanishing_order(make_config("2/7"), 6)
+        report.per_order[2].block_dets = [3.0 - 1j, -0.0 + 2j]
+        report.per_order[4].block_dets = report.per_order[4].block_dets[1:]
+        assert report.to_json() == json.dumps(_reference_json_dict(report))
+        lows = [line.split()[-1] for line in report.render().splitlines()[2:8]]
+        assert lows == ["-"] + [f"{min(abs(z) for z in d.block_dets):.3e}"
+                                for d in report.per_order[1:]]
+
+    @pytest.mark.parametrize("where", ["block_det", "det_A", "det_B"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_refused(self, where, bad):
+        # json.dumps would write NaN or Infinity, which is not JSON
+        report = vanishing_order(make_config("1/3"), 4)
+        d = report.per_order[-1]
+        if where == "block_det":
+            d.block_dets = d.block_dets[:-1] + [complex(1.0, bad)]
+        elif where == "det_A":
+            d.det_A_closed = complex(bad, 1.0)
+        else:
+            d.det_B_closed = complex(bad, bad)
+        with pytest.raises(ValueError, match="no JSON number"):
+            report.to_json()
 
 
 class TestHighOrders:
