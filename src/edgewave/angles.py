@@ -92,7 +92,7 @@ def detect_rational(angle, max_den=DEFAULT_MAX_DEN):
     if angle.rational is not None:
         return angle
     best = Fraction(angle.value).limit_denominator(max_den)
-    if best.denominator >= 1 and abs(angle.value - float(best)) < DETECT_TOL:
+    if abs(angle.value - float(best)) < DETECT_TOL:
         if 0 < best < 2 and best != 1:
             return Angle(value=angle.value, rational=(best.numerator, best.denominator))
     return angle

@@ -51,20 +51,25 @@ def _build_config(args, alpha_text):
     return config_for_case(CaseKind(args.case), alpha, eta1, eta2, args.k)
 
 
-def cmd_analyze(args):
-    config = _build_config(args, args.alpha)
+def _report(args, config, where=""):
+    """(report, None) for the parsed arguments at config, or (None, (label,
+    exit code, message)) where its rank is ambiguous (2) or it breaks the
+    bound invariant (4); where names the input in the message."""
     try:
-        report = vanishing_order(config, args.nmax, tol=args.tol)
+        return vanishing_order(config, args.nmax, tol=args.tol), None
     except RankAmbiguityError as exc:
-        print(f"rank ambiguity at order {exc.order}: {exc}", file=sys.stderr)
-        return 2
+        return None, ("ambiguous", 2,
+                      f"rank ambiguity at order {exc.order}{where}: {exc}")
     except BoundInvariantError as exc:
-        print(f"bound invariant violated: {exc}", file=sys.stderr)
-        return 4
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
+        return None, ("violated", 4, f"bound invariant violated{where}: {exc}")
+
+
+def cmd_analyze(args):
+    report, failure = _report(args, _build_config(args, args.alpha))
+    if failure:
+        print(failure[2], file=sys.stderr)
+        return failure[1]
+    print(report.to_json() if args.json else report.render())
     return 0
 
 
@@ -76,14 +81,7 @@ def cmd_table(args):
     case, rows = CaseKind(args.case), []
     for text in args.alphas:
         config = _build_config(args, text)
-        try:
-            report, failure = vanishing_order(config, args.nmax, tol=args.tol), None
-        except RankAmbiguityError as exc:
-            report, failure = None, ("ambiguous", 2, f"rank ambiguity at order "
-                                     f"{exc.order} for alpha={text}: {exc}")
-        except BoundInvariantError as exc:
-            report, failure = None, ("violated", 4, f"bound invariant violated "
-                                     f"for alpha={text}: {exc}")
+        report, failure = _report(args, config, f" for alpha={text}")
         if failure:
             print(failure[2], file=sys.stderr)
         rows.append((text, config.alpha, report, failure))

@@ -673,11 +673,11 @@ def nullspace_dim(system, tol=1e-9):
     proven without the SVD (_certified_nullities), for a batch all at once,
     each system routed by its closed block determinants (_route); a batch
     is rotated whole if any system in it is to be, since one rotated copy
-    of the padded batch costs less than rotating part of it.  If that
-    fails, each system is tried alone with its column pairs rotated.  Where
-    that fails too, at an order-1 head the cascade leaves degenerate, for
-    another tol, and for a bare matrix such as the collocation rows, the
-    SVD decides (_svd_nullity).
+    of the padded batch costs less than rotating part of it.  Where the
+    certificate refuses the batch, the SVD decides each of its systems
+    (_svd_nullity), as it does at an order-1 head the cascade leaves
+    degenerate, for another tol, and for a bare matrix such as the
+    collocation rows.
     """
     batch = (isinstance(system, list) and len(system) > 0
              and all(isinstance(s, ConstraintSystem) for s in system))
@@ -689,16 +689,13 @@ def nullspace_dim(system, tol=1e-9):
         todo = [i for i, rotate in enumerate(routes) if rotate is not None]
         blocks, rotate = [systems[i].blocks for i in todo], any(routes[i] for i in todo)
         proven = todo and _certified_nullities(blocks, tol, rotate)
-        if proven is None and (len(blocks) > 1 or not rotate):
-            proven = [(_certified_nullities([b], tol, True) or [None])[0]
-                      for b in blocks]
         for i, d in zip(todo, proven or ()):
             dims[i] = d
     dims = [_svd_nullity(s, tol) if d is None else d for s, d in zip(systems, dims)]
     return dims if batch else dims[0]
 
 
-def _block_floors(alpha, pecpmc, n_max=MAX_ORDER):
+def _block_floors(alpha, pecpmc, n_max):
     """Least |sin(m alpha pi)|, or |cos(m alpha pi)| for pec-pmc, over
     m = 1..n: half the least cascade block determinant of each order
     n = 1..n_max at the angle alpha the rows are assembled at."""
@@ -762,8 +759,7 @@ def _certified_nullities(blocks, tol, rotate):
     there its null vector lies in head block B, no sum or difference, and
     for |eta1/eta2| from 1e-7 to 1e7 no |cos| below 5.6e-5 factored
     (1.2e-4 at eta1 = eta2).  Either bound only routes; an order it
-    misroutes is refused, not misjudged, and nullspace_dim retries it
-    rotated and then by the SVD.
+    misroutes is refused, not misjudged, and the SVD decides it.
 
     The Gram matrices G_c of the classes enter the factorization as
     G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a

@@ -283,11 +283,18 @@ class TestNearFraction:
     1e-8 a singular value falls inside the ambiguity band (exit 2, at the
     order named), and beyond that the decimal is decided as irrational.  The
     rank certificate proves no ambiguous order, so the SVD decides these.
-    The exit-4 rows, a nullspace read at an untagged angle, are the open
-    defect of ROADMAP.md item 3: a fix changes them on purpose."""
+    TABLE samples whole decades; golden/near_fraction.json holds each
+    pairing's rows [sign, k, exit code, order or bound] at
+    delta = sign 10^(k/10), k = -120..-70.  No row pins the stderr: its
+    singular values end in digits that depend on the BLAS.  The exit-4
+    rows, a nullspace read at an untagged angle, are the open defect of
+    ROADMAP.md item 1: a fix changes them on purpose."""
 
     FRACTIONS = {"imp-imp": (1 / 3, ["--eta1", "1", "--eta2", "1"]),
-                 "pec-pmc": (1 / 4, []), "imp-pec": (1 / 5, ["--eta2", "1"])}
+                 "pec-pmc": (1 / 4, []), "imp-pec": (1 / 5, ["--eta2", "1"]),
+                 "imp-pmc": (1 / 5, ["--eta2", "1"])}
+    GRID = json.loads((pathlib.Path(__file__).with_name("golden")
+                       / "near_fraction.json").read_text())
     # (case, delta, exit code, then the order lower bound for exit 0, the
     # ambiguous order for exit 2, the assembled bound for exit 4)
     TABLE = [
@@ -314,17 +321,33 @@ class TestNearFraction:
         ("imp-pec", 1e-6, 0, "gte_nmax"), ("imp-pec", -1e-6, 0, "gte_nmax"),
     ]
 
-    @pytest.mark.parametrize("case,delta,code,detail", TABLE)
-    def test_answer(self, capsys, case, delta, code, detail):
+    def answer(self, capsys, case, delta):
+        """The exit code and, as in TABLE, the bound or order it names."""
         fraction, etas = self.FRACTIONS[case]
-        assert main(["analyze", "--alpha", repr(fraction + delta), "--case", case,
-                     "--nmax", "12", "--json", *etas]) == code
+        code = main(["analyze", "--alpha", repr(fraction + delta), "--case", case,
+                     "--nmax", "12", "--json", *etas])
         out, err = capsys.readouterr()
         if code == 0:
-            assert json.loads(out)["order_lower_bound"] == detail
-        else:
-            pattern = "rank ambiguity at order" if code == 2 else "assembled bound"
-            assert out == "" and re.search(rf"{pattern} {detail}\b", err)
+            return code, json.loads(out)["order_lower_bound"]
+        pattern = "rank ambiguity at order" if code == 2 else "assembled bound"
+        assert out == "", out
+        return code, int(re.search(rf"{pattern} (\d+)\b", err).group(1))
+
+    @pytest.mark.parametrize("case,delta,code,detail", TABLE)
+    def test_answer(self, capsys, case, delta, code, detail):
+        assert self.answer(capsys, case, delta) == (code, detail)
+
+    @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
+    def test_tenth_decades(self, capsys, case):
+        rows = self.GRID[case]
+        assert [row[:2] for row in rows] == [[sign, k] for k in range(-120, -69)
+                                             for sign in (1, -1)]
+        wrong = []
+        for sign, k, code, detail in rows:
+            got = self.answer(capsys, case, sign * 10 ** (k / 10))
+            if got != (code, detail):
+                wrong.append((sign, k, got))
+        assert not wrong, wrong
 
 
 class TestParser:

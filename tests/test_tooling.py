@@ -131,6 +131,53 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
             calls["nullspace_dim"], certified[:], decomposed[:] = 0, [], []
 
 
+def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
+    # a batch the certificate refuses goes to the SVD whole, so one
+    # misrouted order would cost its batch an SVD each: on the sweep's
+    # traffic no certificate refuses, none is tried twice in one
+    # nullspace_dim call, and the SVD decides only the order-1 heads that
+    # _route sends it, impedance systems with |cos alpha' pi| < HEAD_SVD_BELOW
+    import numpy as np
+    from edgewave import vanish
+    rank, certify, decide = (vanish.nullspace_dim, vanish._certified_nullities,
+                             vanish._svd_nullity)
+    svd, certified, deciding, decided = np.linalg.svd, [], [], []
+
+    def ranked(*args, **kwargs):
+        certified.append([])
+        return rank(*args, **kwargs)
+
+    def certificate(blocks, tol, rotate):
+        dims = certify(blocks, tol, rotate)
+        certified[-1].append(dims is not None)
+        return dims
+
+    def svd_nullity(system, tol):
+        deciding.append(system)
+        try:
+            return decide(system, tol)
+        finally:
+            deciding.pop()
+
+    def decomposed(*args, **kwargs):
+        decided.append(deciding[-1] if deciding else None)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(vanish, "nullspace_dim", ranked)
+    monkeypatch.setattr(vanish, "_certified_nullities", certificate)
+    monkeypatch.setattr(vanish, "_svd_nullity", svd_nullity)
+    monkeypatch.setattr(np.linalg, "svd", decomposed)
+    sweep = _WORKLOADS.WORKLOADS["sweep"]
+    for query in sweep.round(1, 0):
+        ok, reason = sweep.check(query, sweep.prepare(query)())
+        assert ok, (query.argv, reason)
+    assert certified and all(calls in ([], [True]) for calls in certified)
+    assert decided, "no order-1 head drawn"
+    for system in decided:
+        assert isinstance(system, vanish.ConstraintSystem) and system.n == 1
+        assert system.case != vanish.CaseKind.PEC_PMC
+        assert abs(math.cos(system.config.alpha.value * math.pi)) < vanish.HEAD_SVD_BELOW
+
+
 def test_json_output_encodes_no_report_dict(monkeypatch, capsys):
     # analyze --json and table --json write a report with
     # VanishReport.to_json, which formats each block determinant once; json's

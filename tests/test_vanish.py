@@ -972,7 +972,8 @@ class TestCertificate:
         # at 37/50, whose first block zero is at m = 50
         cfg = make_config(alpha, case=case)
         source, eff = vanish.effective_config(cfg)
-        floors = vanish._block_floors(eff.alpha.value, source == CaseKind.PEC_PMC)
+        floors = vanish._block_floors(eff.alpha.value, source == CaseKind.PEC_PMC,
+                                      vanish.MAX_ORDER)
         assert 0.04 < floors[23] < 0.07
         assert (floors[49] < 1e-14) == (case == "imp-pec")
         monkeypatch.setattr(vanish, "_rotated", lambda stack: pytest.fail("rotated"))
@@ -995,7 +996,7 @@ class TestCertificate:
     def test_a_degenerate_head_goes_to_the_svd_alone(self, monkeypatch, alpha, case):
         # cos(alpha' pi) = 0: order 1 is decided by the SVD inside the
         # batch's nullspace_dim call, and orders 2..8 are still certified
-        # together: no certificate refuses and no order is retried alone
+        # together: no certificate refuses
         calls, svd_orders = {"nullspace_dim": 0, "certify": 0}, []
         rank, svd = vanish.nullspace_dim, np.linalg.svd
         certify = vanish._certified_nullities
@@ -1021,12 +1022,16 @@ class TestCertificate:
         assert calls == {"nullspace_dim": 5, "certify": 5}
 
     @pytest.mark.parametrize("alpha,bound,svd_orders", [
-        ("1/3", "ROTATE_BELOW", []), ("1/2", "HEAD_SVD_BELOW", [1])])
+        ("1/3", "ROTATE_BELOW", list(range(1, 13))),
+        ("1/2", "HEAD_SVD_BELOW", list(range(1, 9)))])
     def test_a_misrouted_order_is_refused_not_misjudged(
             self, monkeypatch, alpha, bound, svd_orders):
         # with a bound of 0 no order is rotated up front (1/3) or no head
-        # sent to the SVD (1/2): the unrotated batch refuses, each order is
-        # retried alone rotated, and order 1 at 1/2 then goes to the SVD
+        # sent to the SVD (1/2): the certificate refuses each batch holding
+        # such an order, and the SVD decides that batch whole.  At 1/3 every
+        # order from 3 up has a null column pair, so orders 1..8 go together
+        # and 9..12 each alone; at 1/2 only the batch of orders 1..8 holds
+        # the head, and 9..12 are still certified rotated
         cfg = make_config(alpha, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, 12)
         monkeypatch.setattr(vanish, bound, 0.0)
