@@ -61,7 +61,9 @@ def parse_angle(text):
     """Parse "q/p" (exact, reduced on input) or a decimal literal.
 
     A decimal is tagged with the fraction detect_rational finds, so "0.37"
-    is the angle 37/100; one that no fraction matches stays untagged.
+    is the angle 37/100; one that no fraction matches stays untagged.  By
+    the same rule a value within DETECT_TOL of 0, 1 or 2 reads as that
+    integer, and is refused.
     """
     text = text.strip()
     if "/" in text:
@@ -77,7 +79,7 @@ def parse_angle(text):
             value, rational = float(text), None
         except ValueError as exc:
             raise AngleError(f"cannot parse angle {text!r}") from exc
-    if not (0 < value < 2) or value == 1:
+    if not (0 < value < 2) or abs(value - round(value)) < DETECT_TOL:
         raise AngleError(f"angle {text} outside (0,2)\\{{1}}")
     return detect_rational(Angle(value=value, rational=rational))
 

@@ -44,12 +44,15 @@ holds a_m with m even and b_m with m odd, class 1 the rest.  No row couples
 them: chain row e1 mu touches a_mu and b_{mu+-1}, e2 mu touches a_{mu+-1}
 and b_mu, the edge rows have orders <= 1 (a_{+-1} with b_0, or b_{+-1} with
 a_0), and a PEC/PMC row one family at one |m|.  So the singular values are
-the union of the two blocks'.
+the union of the two blocks'.  Each block is assembled in the cascade's
+sum/difference basis, x_m + x_-m and x_m - x_-m per pair (fam, +-m), where
+a grid hit's null directions lie (_certified_nullities).
 
 A layout, built in one pass vectorized over a run of orders and cached per
 (orders, pairing), maps every entry to its flat position in its order's
-parity blocks; its builder raises ValueError naming any row with entries in
-both classes.  _systems fills a run of orders in one pass and yields each
+parity blocks and pairs the entries of each (fam, +-m) column pair in a
+row; its builder raises ValueError naming any row with entries in both
+classes.  _systems fills a run of orders in one pass and yields each
 order's ConstraintSystem; vanishing_order and assemble_order_system both
 take theirs from it, so both decide on the same blocks.
 """
@@ -76,8 +79,8 @@ MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
 CERTIFY_THETA = 1e-9   # kept columns certified at relative singular values >= 3.2e-5
 CERTIFY_TOLS = (1e-12, math.sqrt(CERTIFY_THETA) / 100)   # see _certified_nullities
-ROTATE_BELOW = 1e-5      # measured bounds of the certificate's routes, see
-HEAD_SVD_BELOW = 1e-5    # _certified_nullities
+HEAD_SVD_BELOW = 1e-5   # measured bound of the certificate's head route, see
+                        # _certified_nullities
 _ROOT_TWO = math.sqrt(2.0)
 
 
@@ -168,15 +171,15 @@ class ConstraintSystem:
     for pec-pmc), held as its rows scaled to unit 2-norm and split by parity
     class (zero rows pad the shorter block), and each row's 2-norm in
     provenance order; rows rebuilds the dense rows in a and b from the two.
-    floor is half the least cascade block determinant of the order
-    (_block_floors), which routes its rank certificate (_route)."""
+    The blocks are in the cascade's sum/difference basis: class slot 2m-1
+    holds x_m + x_-m and slot 2m holds x_m - x_-m, slot 0 sqrt(2) x_0, for
+    the class's unknowns x (_butterfly)."""
 
     n: int
     case: CaseKind
     config: EdgeCornerConfig          # config the rows were assembled at
     blocks: np.ndarray                # complex, shape (2, height, 2n+1)
     norms: np.ndarray                 # float, shape (nrows,)
-    floor: float
 
     @property
     def provenance(self):
@@ -194,9 +197,10 @@ class ConstraintSystem:
         """Dense rows in a and b, complex of shape (nrows, 2(2n+1)), in
         provenance order and column_labels order."""
         layout = _layout((self.n,), self.case)
+        values = self.blocks.reshape(-1)[layout.pos]
+        _butterfly(values, layout)
         rows = np.zeros((self.norms.size, 2 * (2 * self.n + 1)), dtype=complex)
-        rows[layout.row, layout.col] = (self.blocks.reshape(-1)[layout.pos]
-                                        * self.norms[layout.row])
+        rows[layout.row, layout.col] = values * (self.norms[layout.row] / 2)
         return rows * self.column_scale
 
     @property
@@ -493,7 +497,9 @@ class _Layout(NamedTuple):
     factor row of _entry_values, const a constant of n (an edge's weight).
     Entries are grouped by row, starts holding each row's first; rows are
     numbered across the orders.  Entry i sits at (row, col) of the rows and
-    at flat index pos of its order's parity blocks.  parts holds, per order,
+    at flat index pos of its order's parity blocks.  plus[j] and minus[j]
+    are the entries of one row in columns (fam, m) and (fam, -m), m >= 1;
+    zero holds the entries in the columns m = 0.  parts holds, per order,
     (n, its entry slice, its row slice, its block shape (2, height, 2n+1)).
     """
     case: CaseKind
@@ -505,6 +511,9 @@ class _Layout(NamedTuple):
     col: np.ndarray
     pos: np.ndarray
     starts: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    zero: np.ndarray
     parts: tuple
 
 
@@ -522,7 +531,9 @@ def _build_layout(orders, case):
     """Layout of the rows case assembles at each n of orders, in one pass
     over all of them.  A row joins the parity class of its entries' columns,
     after the rows before it in that class; a row with entries in both
-    classes raises ValueError naming its tag."""
+    classes raises ValueError naming its tag.  Every entry in a column
+    (fam, m), m >= 1, has a partner in (fam, -m) of its row (_entries and
+    _EDGE_ENTRIES emit both), the next entry of its row in column order."""
     k, row, col, factor, turn, const = _pattern(orders, case)
     order = np.lexsort((row, k))
     k, row, col, factor, turn, const = (x[order] for x in (k, row, col, factor,
@@ -547,13 +558,16 @@ def _build_layout(orders, case):
     grow = np.cumsum(new) - 1
     pos = (row_class[grow] * height[k] + row_slot[grow]) * (2 * orders[k] + 1) \
         + col_slot
+    by_col = np.lexsort((col, grow))
+    plus = np.flatnonzero((col[by_col] >= 2) & (col[by_col] % 2 == 0))
     entry_cut = np.searchsorted(k, np.arange(orders.size + 1)).tolist()
     row_cut = np.append(first_row, row_class.size).tolist()
     parts = tuple((n, slice(*entry_cut[j:j + 2]), slice(*row_cut[j:j + 2]),
                    (2, int(height[j]), 2 * n + 1))
                   for j, n in enumerate(orders.tolist()))
     return _Layout(case, *_read_only(orders, const, factor, turn, grow, col, pos,
-                                     starts), parts)
+                                     starts, by_col[plus], by_col[plus + 1],
+                                     np.flatnonzero(col < 2)), parts)
 
 
 @lru_cache(maxsize=None)
@@ -595,21 +609,31 @@ def assemble_order_system(n, config):
     return next(_systems(_layout((n,), _assembled_case(source_case)), eff))
 
 
+def _butterfly(values, layout):
+    """Rewrite the entry values of layout in place: each pair (p, q) in
+    columns (fam, m), (fam, -m) of a row becomes (p + q, p - q), and each
+    value in a column m = 0 is multiplied by sqrt 2.  That is sqrt 2 times a
+    unitary map of the columns, and applied twice it doubles the values."""
+    p, q = values[layout.plus], values[layout.minus]
+    values[layout.plus] = p + q
+    values[layout.minus] = p - q
+    values[layout.zero] *= _ROOT_TWO
+
+
 def _systems(layout, eff):
     """The ConstraintSystem of each order of layout, in turn, assembled at
-    eff.  The entry values, row norms and block floors of all orders come
-    from one pass; each order's unit rows are then scattered into blocks of
-    its own."""
-    floors = _block_floors(eff.alpha.value, layout.case == CaseKind.PEC_PMC,
-                           layout.parts[-1][0])
+    eff.  The entry values and row norms of all orders come from one pass,
+    which also takes the unit rows to the sum/difference basis (_butterfly);
+    each order's values are then scattered into blocks of its own."""
     values = _entry_values(layout, eff)
     norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
                                     layout.starts))
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
+    _butterfly(values, layout)
     for n, entries, rows, shape in layout.parts:
         blocks = np.zeros(shape, dtype=complex)
         blocks.reshape(-1)[layout.pos[entries]] = values[entries]
-        yield ConstraintSystem(n, layout.case, eff, blocks, norms[rows], floors[n - 1])
+        yield ConstraintSystem(n, layout.case, eff, blocks, norms[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +664,11 @@ def _parity_classes(n):
 
 
 def _parity_blocks(system):
-    """Unit rows split by parity class, stacked (classes, rows, columns),
-    and each class's column mask.
+    """Rows split by parity class, stacked (classes, rows, columns), and
+    each class's column mask.
 
-    A ConstraintSystem holds its two blocks already.  A bare matrix is one
+    A ConstraintSystem holds its two blocks already, whose rows are sqrt 2
+    times unit length, in the sum/difference basis.  A bare matrix is one
     class; one that is not 2-D or has a NaN or infinite entry raises
     ValueError.
     """
@@ -671,13 +696,10 @@ def nullspace_dim(system, tol=1e-9):
 
     For tol in CERTIFY_TOLS the nullities of ConstraintSystems are first
     proven without the SVD (_certified_nullities), for a batch all at once,
-    each system routed by its closed block determinants (_route); a batch
-    is rotated whole if any system in it is to be, since one rotated copy
-    of the padded batch costs less than rotating part of it.  Where the
-    certificate refuses the batch, the SVD decides each of its systems
-    (_svd_nullity), as it does at an order-1 head the cascade leaves
-    degenerate, for another tol, and for a bare matrix such as the
-    collocation rows.
+    but for an order-1 head the cascade leaves degenerate (_route).  Where
+    the certificate refuses the batch, the SVD decides each of its systems
+    (_svd_nullity), as it does at such a head, for another tol, and for a
+    bare matrix such as the collocation rows.
     """
     batch = (isinstance(system, list) and len(system) > 0
              and all(isinstance(s, ConstraintSystem) for s in system))
@@ -685,34 +707,20 @@ def nullspace_dim(system, tol=1e-9):
     dims = [None] * len(systems)
     if (isinstance(systems[0], ConstraintSystem)
             and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]):
-        routes = [_route(s) for s in systems]
-        todo = [i for i, rotate in enumerate(routes) if rotate is not None]
-        blocks, rotate = [systems[i].blocks for i in todo], any(routes[i] for i in todo)
-        proven = todo and _certified_nullities(blocks, tol, rotate)
+        todo = [i for i, s in enumerate(systems) if _route(s)]
+        proven = todo and _certified_nullities([systems[i].blocks for i in todo], tol)
         for i, d in zip(todo, proven or ()):
             dims[i] = d
     dims = [_svd_nullity(s, tol) if d is None else d for s, d in zip(systems, dims)]
     return dims if batch else dims[0]
 
 
-def _block_floors(alpha, pecpmc, n_max):
-    """Least |sin(m alpha pi)|, or |cos(m alpha pi)| for pec-pmc, over
-    m = 1..n: half the least cascade block determinant of each order
-    n = 1..n_max at the angle alpha the rows are assembled at."""
-    trig = math.cos if pecpmc else math.sin
-    return list(itertools.accumulate(
-        (abs(trig(m * alpha * math.pi)) for m in range(1, n_max + 1)), min))
-
-
 def _route(system):
-    """How _certified_nullities takes a ConstraintSystem: whether its column
-    pairs are rotated, or None for an order-1 impedance system whose head
-    block B, det B ~ sin^2 cos^2(alpha' pi), the certificate cannot prove
-    and the SVD decides."""
-    alpha, pecpmc = system.config.alpha.value, system.case == CaseKind.PEC_PMC
-    if system.n == 1 and not pecpmc and abs(math.cos(alpha * math.pi)) < HEAD_SVD_BELOW:
-        return None
-    return system.floor < ROTATE_BELOW
+    """Whether _certified_nullities takes a ConstraintSystem: not an order-1
+    impedance system whose head block B, det B ~ sin^2 cos^2(alpha' pi), the
+    certificate cannot prove and the SVD decides."""
+    return not (system.n == 1 and system.case != CaseKind.PEC_PMC and abs(
+        math.cos(system.config.alpha.value * math.pi)) < HEAD_SVD_BELOW)
 
 
 def _svd_nullity(system, tol):
@@ -723,49 +731,40 @@ def _svd_nullity(system, tol):
                                 blocks.shape[-1], tol))
 
 
-def _certified_nullities(blocks, tol, rotate):
+def _certified_nullities(blocks, tol):
     """The nullity the SVD would give each parity-block stack A (classes,
     rows, columns) of a ConstraintSystem in blocks at the threshold tol,
     proven by one Cholesky factorization of all of them, or None.
 
-    If rotate is set, each pair of columns (fam, m), (fam, -m) of A is
-    rotated to its sum and difference, and column (fam, 0) scaled by
-    sqrt 2: sqrt 2 times a unitary map, so every relative singular value
-    stays.  At a grid hit the cascade's null directions are such sums or
-    differences: a face-1 row gives both columns of a pair bit-identical
-    entries, so their difference is exactly 0 there, and a face-2 row
-    leaves c sqrt(2) i sin(m alpha' pi) ~ 1e-16 c; for pec-pmc the zeros at
-    cos(m alpha pi) = 0 are a sum on a and a difference on b.  Otherwise
-    the identity takes the place of that map.  Then each column whose
-    squared norm is at most (tol/100)^2 R/N^2 is deflated, R the squared
-    Frobenius norm of A and N its column count.  Since R/N <= s_max^2, the
-    d deflated columns, at most N of them, form a matrix E of spectral norm
-    at most (tol/100) s_max.  The stacks are zero-padded to one shape; a
-    padded column is deflated and not counted.
+    A's columns are in the cascade's sum/difference basis (ConstraintSystem):
+    order n can lose rank only where a block determinant -2i sin(m alpha' pi),
+    or 2 cos(m alpha pi) for pec-pmc, m <= n, vanishes, and at such a grid
+    hit the null directions are x_m + x_-m or x_m - x_-m.  A face-1 row
+    gives both columns of a pair bit-identical entries, so their difference
+    is exactly 0 there, and a face-2 row leaves c sqrt(2) i sin(m alpha' pi)
+    ~ 1e-16 c; for pec-pmc the zeros at cos(m alpha pi) = 0 are a sum on a
+    and a difference on b.  So each column whose squared norm is at most
+    (tol/100)^2 R/N^2 is deflated, R the squared Frobenius norm of A and N
+    its column count.  Since R/N <= s_max^2, the d deflated columns, at most
+    N of them, form a matrix E of spectral norm at most (tol/100) s_max.
+    The stacks are zero-padded to one shape; a padded column is deflated
+    and not counted.
 
-    The routes (_route) read the cascade: order n can lose rank only where
-    a block determinant -2i sin(m alpha' pi), or 2 cos(m alpha pi) for
-    pec-pmc, m <= n, vanishes, and at n = 1 also det B ~ sin^2 cos^2.  With
-    v the least |sin| (|cos|) over m <= n, an order is rotated iff
-    v < ROTATE_BELOW = 1e-5, and so is the batch it is decided in.
-    Measured over every q/p with p <= 10 at offsets 1e-12 to 1e-1, the
-    four pairings, four impedance pairs and n <= 24, the rotation deflates
-    a column only at v <= 3.1e-12 for tol = 1e-9 and v <= 1.3e-9 for
-    tol = 3.1e-7, and unrotated no order with v below 9.4e-5 factors
-    (1.6e-4 on seven angles to n = 85): the bound lies 9 times under the
-    least v proven unrotated and 8e3 times above the largest the rotation
-    needs.  An order-1 impedance stack with
-    |cos alpha' pi| below HEAD_SVD_BELOW = 1e-5 goes to the SVD untried:
-    there its null vector lies in head block B, no sum or difference, and
-    for |eta1/eta2| from 1e-7 to 1e7 no |cos| below 5.6e-5 factored
-    (1.2e-4 at eta1 = eta2).  Either bound only routes; an order it
+    At n = 1 the head block B, det B ~ sin^2 cos^2(alpha' pi), also
+    degenerates where cos(alpha' pi) = 0, and its null vector is no sum or
+    difference.  So an order-1 impedance stack with |cos alpha' pi| below
+    HEAD_SVD_BELOW = 1e-5 goes to the SVD untried (_route).  Measured on
+    these blocks at alpha' within 1e-9 to 1e-2 of 1/2 and 3/2 and 22 values
+    of eta1/eta2 (complex among them) with moduli 1e-7 to 1e7, no head with
+    |cos| below 5.6e-5 factored (9.9e-5 at eta1 = eta2), and none at all at
+    a modulus up to 1e-5 or from 1e3 on.  The bound only routes; a head it
     misroutes is refused, not misjudged, and the SVD decides it.
 
     The Gram matrices G_c of the classes enter the factorization as
     G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
     deflated column.  S bounds s_max^2 = max_c |G_c| from above: first
     S = R, and if that does not factor, once more S = U, the least of R and
-    the largest absolute row sum of any G_c (Gershgorin).  On either route
+    the largest absolute row sum of any G_c (Gershgorin).  On these blocks
     U is within 1.0 to 1.4 times s_max^2 where R is about N times it, so
     orders whose smallest relative singular value is down to about 3.5e-5,
     as near a grid hit of an irrational angle, are certified rather than
@@ -799,7 +798,7 @@ def _certified_nullities(blocks, tol, rotate):
             padded[:, :b.shape[1], :b.shape[2]] = b
     orders, classes, height, width = stack.shape
     widths = np.array([b.shape[-1] for b in blocks])
-    gram = _gram(_rotated(stack) if rotate else stack)
+    gram = _gram(stack)
     diagonal = gram.reshape(orders, classes, width * width)[..., ::width + 1]
     units = diagonal.real.sum(axis=(1, 2), keepdims=True)
     small = diagonal.real <= units * ((tol / 100 / classes / widths) ** 2)[:, None, None]
@@ -824,16 +823,8 @@ def _certified_nullities(blocks, tol, rotate):
     return (small.sum(axis=(1, 2)) - classes * (width - widths)).tolist()
 
 
-def _rotated(stack):
-    """The stacks with each column pair (fam, m), (fam, -m) rotated to its
-    sum and difference and column (fam, 0) scaled by sqrt 2."""
-    odd, even = stack[..., 1::2], stack[..., 2::2]
-    return np.concatenate((stack[..., :1] * _ROOT_TWO, odd + even, odd - even), axis=-1)
-
-
 def _gram(stack):
-    """The Gram matrices of the stacks (orders, classes, rows, columns); a
-    rotated copy passed in is freed on return, before the factorization."""
+    """The Gram matrices of the stacks (orders, classes, rows, columns)."""
     flat = stack.reshape(stack.shape[0] * stack.shape[1], *stack.shape[2:])
     return flat.conj().transpose(0, 2, 1) @ flat
 
@@ -864,14 +855,19 @@ def _dim_from_values(system, s, ncols, tol):
 def nullspace_basis(system, tol=1e-9):
     """Orthonormal basis of the nullspace in a and b, columns of shape
     (ncols, dim); each null vector lives on the columns of one parity class,
-    class 0's first.  A ConstraintSystem's null vectors, found in k a and
-    eta2 b, are divided by its column_scale and orthonormalized again by one
-    QR per class, its largest unknowns first: Householder QR on rows sorted
-    by size is row-wise stable (Powell and Reid 1969; Cox and Higham 1998)."""
+    class 0's first.  A ConstraintSystem's null vectors y, found in the
+    sum/difference basis of k a and eta2 b, are taken back to k a and eta2 b
+    by (y_2m-1 +- y_2m)/sqrt 2, then divided by its column_scale and
+    orthonormalized again by one QR per class, its largest unknowns first:
+    Householder QR on rows sorted by size is row-wise stable (Powell and
+    Reid 1969; Cox and Higham 1998)."""
     blocks, classes = _parity_blocks(system)
     _, s, vh = np.linalg.svd(blocks)
     width = blocks.shape[-1]
     dims = _dim_from_values(system, s, width, tol)
+    if isinstance(system, ConstraintSystem):
+        odd, even = vh[..., 1::2], vh[..., 2::2]
+        vh[..., 1::2], vh[..., 2::2] = (odd + even) / _ROOT_TWO, (odd - even) / _ROOT_TWO
     scale = getattr(system, "column_scale", np.ones(classes.shape[1]))
     basis = np.zeros((classes.shape[1], sum(dims)), dtype=complex)
     for cols, v, dim, end in zip(classes, vh, dims, np.cumsum(dims)):
@@ -1013,11 +1009,12 @@ def theorem_bound(alpha, case, n_max):
 
 
 # The orders with 2n+1 <= BATCH_WIDTH are certified in one zero-padded batch.
-# On the sweep benchmark's queries (seeds 9 and 10), in process with one BLAS
-# thread and the widths interleaved pass by pass under the routed
-# certificate: widths 13 and 25 took -2% to +20% against 17, and 33 took
-# 21-38% longer.  Before the routing, one batch of all 24 orders made the
-# n_max 24 reports 2.5 times slower.
+# On the sweep benchmark's queries (seeds 9 and 10, 256 each), in process
+# with one BLAS thread and the widths interleaved pass by pass, against 17:
+# at n_max 12, width 13 took +3% to +9%, 25 -5% to -9% and 33 -3% to +5%; at
+# n_max 24, 13 took +1% to +5%, 25 -1% to +1% and 33 +42% to +48%.  At n_max
+# 6, one batch at every width, the same code read -1% to +10%.  No width was
+# faster in every stratum.
 BATCH_WIDTH = 17
 
 

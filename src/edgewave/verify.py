@@ -92,44 +92,39 @@ def check_reflection_reduction():
 def check_certificate(seed=57, tol=1e-9):
     """Every order whose nullity nullspace_dim proves without its SVD, on
     all pairings at rational and irrational angles and one decimal 7e-11
-    off 1/3, n <= 12, with its column pairs rotated and unrotated, whichever
-    route nullspace_dim takes: the SVD's nullity is the certified one, the
-    smallest kept relative singular value at least sqrt(CERTIFY_THETA)/2
-    and the largest deflated one at most tol/10."""
+    off 1/3, n <= 12: the SVD's nullity is the certified one, the smallest
+    kept relative singular value at least sqrt(CERTIFY_THETA)/2 and the
+    largest deflated one at most tol/10."""
     rng = _rng(seed)
     floor = np.sqrt(vanish.CERTIFY_THETA) / 2
-    counts, kept, deflated = {False: [0, 0], True: [0, 0]}, np.inf, 0.0
+    counts, kept, deflated = [0, 0], np.inf, 0.0
     for alpha in ("1/3", "2/7", "1/4", "3/5", "7/4", "0.6180339887", "0.37",
                   "1.41421356237", "0.3333333334"):
         for case, cfg in _case_configs(alpha, rng):
             for n in range(1, 13):
                 system = vanish.assemble_order_system(n, cfg)
+                certified = vanish._certified_nullities([system.blocks], tol)
+                if certified is None:
+                    continue
                 try:
                     dim = vanish._svd_nullity(system, tol)
                 except vanish.RankAmbiguityError:
                     dim = "ambiguous"
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * n + 1) - s.size))) / s.max()
-                for rotate in (False, True):
-                    certified = vanish._certified_nullities([system.blocks], tol,
-                                                            rotate)
-                    if certified is None:
-                        continue
-                    where = f"{alpha} {case} n={n}{' rotated' * rotate}"
-                    d = certified[0]
-                    assert dim == d, f"{where}: certified {d}, SVD nullity {dim}"
-                    kept = min(kept, rel[d])
-                    deflated = max(deflated, rel[d - 1] if d else 0.0)
-                    assert kept >= floor, f"{where}: kept {kept:.2e} < {floor:.0e}"
-                    assert deflated <= tol / 10, \
-                        f"{where}: deflated {deflated:.2e} > {tol / 10:.0e}"
-                    counts[rotate][d > 0] += 1
-    assert counts[False][0] and all(counts[True]), \
-        f"certified orders (trivial, nontrivial), unrotated and rotated: {counts}"
-    return (f"{counts[False][0]} unrotated and {counts[True][0]} rotated trivial, "
-            f"{counts[True][1]} rotated nontrivial certified orders agree with "
-            f"the SVD; smallest kept relative singular value {kept:.2e} >= "
-            f"{floor:.0e}, largest deflated {deflated:.2e} <= {tol / 10:.0e}")
+                where, d = f"{alpha} {case} n={n}", certified[0]
+                assert dim == d, f"{where}: certified {d}, SVD nullity {dim}"
+                kept = min(kept, rel[d])
+                deflated = max(deflated, rel[d - 1] if d else 0.0)
+                assert kept >= floor, f"{where}: kept {kept:.2e} < {floor:.0e}"
+                assert deflated <= tol / 10, \
+                    f"{where}: deflated {deflated:.2e} > {tol / 10:.0e}"
+                counts[d > 0] += 1
+    assert all(counts), f"certified orders (trivial, nontrivial): {counts}"
+    return (f"{counts[0]} trivial and {counts[1]} nontrivial certified orders "
+            f"agree with the SVD; smallest kept relative singular value "
+            f"{kept:.2e} >= {floor:.0e}, largest deflated {deflated:.2e} <= "
+            f"{tol / 10:.0e}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ class TestParse:
         assert Angle(0.37).rational is None
 
     def test_flat_angle_rejected(self):
-        with pytest.raises(AngleError):
-            angles.parse_angle("1/1")
-        with pytest.raises(AngleError):
-            angles.parse_angle("1.0")
+        # a decimal within DETECT_TOL of 1 reads as 1, as 0.333333333333
+        # reads as 1/3
+        for flat in ("1/1", "1.0", "0.9999999999999", "1.0000000000001"):
+            with pytest.raises(AngleError, match=r"outside \(0,2\)"):
+                angles.parse_angle(flat)
 
     def test_out_of_range(self):
-        for bad in ("0", "2", "5/2", "-1/3", "garbage"):
+        for bad in ("0", "2", "5/2", "-1/3", "garbage", "1e-13", "1.9999999999999"):
             with pytest.raises(AngleError):
                 angles.parse_angle(bad)
 

@@ -116,6 +116,12 @@ class TestAnalyze:
     def test_bad_angle_is_usage_error(self, capsys):
         code = main(["analyze", "--alpha", "1/1", "--case", "pec-pmc"])
         assert code == 1
+        # 1e-13 off the flat angle is refused before any rank, not a bound
+        # invariant violation (exit 4) at order 1
+        code = main(["analyze", "--alpha", "1.0000000000001", "--case", "imp-imp",
+                     "--eta1", "1", "--eta2", "1"])
+        assert code == 1
+        assert "outside (0,2)" in capsys.readouterr().err
 
     def test_json_output(self, capsys):
         code = main(["analyze", "--alpha", "1/3", "--case", "imp-imp",

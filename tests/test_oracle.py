@@ -234,7 +234,7 @@ class TestCollocation:
     def test_rank_is_one_svd_decision(self, monkeypatch):
         # the oracle referees the certificate, so it must not use it: its
         # rows are decided by the SVD alone, in one nullspace_dim call
-        def certify(blocks, tol, rotate):
+        def certify(blocks, tol):
             raise AssertionError("certificate tried")
         monkeypatch.setattr(vanish, "_certified_nullities", certify)
         calls, rank = [], oracle.nullspace_dim

@@ -104,8 +104,8 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         monkeypatch.setattr(vanish, name, counted)
     certify, certified, decomposed = vanish._certified_nullities, [], []
 
-    def spy(blocks, tol, rotate):
-        dims = certify(blocks, tol, rotate)
+    def spy(blocks, tol):
+        dims = certify(blocks, tol)
         certified.append((inside == ["nullspace_dim"], len(blocks), dims is not None))
         return dims
     monkeypatch.setattr(vanish, "_certified_nullities", spy)
@@ -147,8 +147,8 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
         certified.append([])
         return rank(*args, **kwargs)
 
-    def certificate(blocks, tol, rotate):
-        dims = certify(blocks, tol, rotate)
+    def certificate(blocks, tol):
+        dims = certify(blocks, tol)
         certified[-1].append(dims is not None)
         return dims
 

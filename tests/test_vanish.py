@@ -261,7 +261,7 @@ class TestNullspace:
     def test_threshold_outside_unit_interval_refused(self, monkeypatch, tol):
         # at tol <= 0 no value is below it, and every order would read full
         # rank; the certificate is not tried first
-        def certify(blocks, tol, rotate):
+        def certify(blocks, tol):
             raise AssertionError("certificate tried")
         monkeypatch.setattr(vanish, "_certified_nullities", certify)
         system = assemble_order_system(3, make_config("0.37"))
@@ -798,6 +798,21 @@ class TestParityBlocks:
             with pytest.raises(ValueError, match=f"'{tag}' has nonzeros in both"):
                 vanish._build_layout(np.array(orders), CaseKind.IMP_IMP)
 
+    @pytest.mark.parametrize("case", [CaseKind.IMP_IMP, CaseKind.PEC_PMC])
+    def test_layout_pairs_each_column_pair_of_a_row(self, case):
+        # the butterfly takes entries plus[j], minus[j] to their sum and
+        # difference: one row, columns (fam, m) and (fam, -m), and with the
+        # m = 0 entries every entry exactly once
+        layout = vanish._layout(tuple(range(1, vanish.MAX_ORDER + 1)), case)
+        assert (layout.row[layout.plus] == layout.row[layout.minus]).all()
+        labels = vanish.column_labels(vanish.MAX_ORDER)
+        for p, q in zip(layout.col[layout.plus], layout.col[layout.minus]):
+            fam, m = labels[p]
+            assert m >= 1 and labels[q] == (fam, -m)
+        assert sorted(np.concatenate([layout.plus, layout.minus, layout.zero])) \
+            == list(range(layout.col.size))
+        assert (layout.col[layout.zero] < 2).all()
+
 
 class TestScaleFree:
     """The rows are in k a and eta2 b, so the dims do not depend on the size
@@ -848,16 +863,15 @@ def _outcome(decide):
 
 
 class TestCertificate:
-    """nullspace_dim first tries to prove each nullity without its SVD: where
-    a cascade block determinant is near zero the parity blocks' (fam, +-m)
-    column pairs are rotated to sums and differences, columns below the
-    deflation bound are deflated, and the Gram matrices of the rest,
-    shifted by CERTIFY_THETA times the squared norm, take one Cholesky
-    factorization; only where that fails, and at a degenerate order-1 head,
-    does the SVD decide.  The grid: every reduced q/p with p <= 12, five quadratic
-    irrationals and decimals 1e-11 to 1e-8 off 1/3, 1/4 and 1/5, in every
-    pairing, at n <= 24, under TestReportFill's impedances, k = eta = 1 and
-    TestScaleFree's scalings."""
+    """nullspace_dim first tries to prove each nullity without its SVD: the
+    parity blocks hold the (fam, +-m) column pairs as sums and differences,
+    columns below the deflation bound are deflated, and the Gram matrices
+    of the rest, shifted by CERTIFY_THETA times the squared norm, take one
+    Cholesky factorization; only where that fails, and at a degenerate
+    order-1 head, does the SVD decide.  The grid: every reduced q/p with
+    p <= 12, five quadratic irrationals and decimals 1e-11 to 1e-8 off 1/3,
+    1/4 and 1/5, in every pairing, at n <= 24, under TestReportFill's
+    impedances, k = eta = 1 and TestScaleFree's scalings."""
 
     ORDERS = tuple(range(1, 25))
     UNIT = dict(eta1=1.0, eta2=1.0, k=1.0)
@@ -905,16 +919,14 @@ class TestCertificate:
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * system.n + 1) - s.size)))
                 rel /= rel[-1]
-                for rotate in (False, True):
-                    certified = vanish._certified_nullities([system.blocks], 1e-9,
-                                                            rotate)
-                    if certified is None:
-                        refused += 1
-                        continue
-                    d = certified[0]
-                    assert svd == d and rel[d] >= floor, (text, system.n, rotate)
-                    assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n, rotate)
-                    trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
+                certified = vanish._certified_nullities([system.blocks], 1e-9)
+                if certified is None:
+                    refused += 1
+                    continue
+                d = certified[0]
+                assert svd == d and rel[d] >= floor, (text, system.n)
+                assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n)
+                trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
         assert refused > 0 and trivial > 0 and nontrivial > 0
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
@@ -930,7 +942,7 @@ class TestCertificate:
                 expect = _outcome(lambda: vanishing_order(cfg, 24).to_json_dict())
                 with monkeypatch.context() as patch:
                     patch.setattr(vanish, "_certified_nullities",
-                                  lambda blocks, tol, rotate: None)
+                                  lambda blocks, tol: None)
                     assert _outcome(lambda: vanishing_order(cfg, 24).to_json_dict()) \
                         == expect, (text, scale)
 
@@ -942,7 +954,7 @@ class TestCertificate:
         cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict()
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol, rotate: None)
+                            lambda blocks, tol: None)
         assert vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict() == expect
 
     @pytest.mark.parametrize("alpha,case,svd_orders", [
@@ -964,32 +976,25 @@ class TestCertificate:
         assert orders == svd_orders
         assert any(d.nullspace_dim for d in report.per_order) == (case != "imp-pmc")
 
-    @pytest.mark.parametrize("alpha,case", [
-        ("0.6180339887", "imp-imp"), ("0.41421356237", "pec-pmc"), ("0.37", "imp-pec")])
-    def test_no_small_block_builds_no_rotated_copy(self, monkeypatch, alpha, case):
-        # up to order 24 the least |sin(m alpha' pi)|, |cos(m alpha pi)| for
-        # pec-pmc, is 0.067, 0.046 and 0.063; imp-pec at 0.37 is assembled
-        # at 37/50, whose first block zero is at m = 50
-        cfg = make_config(alpha, case=case)
-        source, eff = vanish.effective_config(cfg)
-        floors = vanish._block_floors(eff.alpha.value, source == CaseKind.PEC_PMC,
-                                      vanish.MAX_ORDER)
-        assert 0.04 < floors[23] < 0.07
-        assert (floors[49] < 1e-14) == (case == "imp-pec")
-        monkeypatch.setattr(vanish, "_rotated", lambda stack: pytest.fail("rotated"))
-        assert not any(d.nullspace_dim for d in vanishing_order(cfg, 24).per_order)
-
-    def test_only_orders_with_a_small_block_rotate(self, monkeypatch):
-        # imp-imp 1/13: |sin(m pi/13)| >= 0.24 below m = 13, 0 at m = 13
-        certify, routes = vanish._certified_nullities, []
-
-        def spy(blocks, tol, rotate):
-            routes.extend((b.shape[-1] // 2, rotate) for b in blocks)
-            return certify(blocks, tol, rotate)
-        monkeypatch.setattr(vanish, "_certified_nullities", spy)
-        vanishing_order(make_config("1/13"), 24)
-        assert [n for n, _ in routes] == list(range(1, 25))
-        assert [n for n, rotate in routes if rotate] == list(range(13, 25))
+    @pytest.mark.parametrize("alpha,case,deflated", [
+        ("1/3", "imp-imp", ["a_3 - a_-3", "a_6 - a_-6", "b_3 - b_-3", "b_6 - b_-6"]),
+        ("1/4", "pec-pmc", ["a_2 + a_-2", "a_6 + a_-6", "b_2 - b_-2", "b_6 - b_-6"])])
+    def test_blocks_hold_column_pairs_as_sums_and_differences(self, alpha, case,
+                                                               deflated):
+        # class slot 2m-1 holds x_m + x_-m and slot 2m holds x_m - x_-m: at
+        # n = 6 the certificate deflates exactly the cascade's null pairs,
+        # as many as the nullity
+        system = assemble_order_system(6, make_config(alpha, case=case))
+        squares = np.abs(system.blocks) ** 2
+        bound = squares.sum() * (1e-9 / 100 / (2 * 13)) ** 2
+        names = []
+        for mask, norms in zip(vanish._parity_classes(6), squares.sum(axis=1)):
+            labels = [c for c, keep in zip(system.columns, mask) if keep]
+            for slot in np.flatnonzero(norms <= bound):
+                fam, m = labels[slot - 1 + slot % 2]       # (fam, m), m >= 1
+                names.append(f"{fam}_{m} {'+' if slot % 2 else '-'} {fam}_-{m}")
+        assert sorted(names) == deflated
+        assert nullspace_dim(system) == len(deflated) == 4
 
     @pytest.mark.parametrize("alpha,case", [
         ("1/2", "imp-imp"), ("3/2", "imp-imp"), ("1/4", "imp-pec")])
@@ -1005,9 +1010,9 @@ class TestCertificate:
             calls["nullspace_dim"] += 1
             return rank(*args, **kwargs)
 
-        def certified(blocks, tol, rotate):
+        def certified(blocks, tol):
             calls["certify"] += 1
-            dims = certify(blocks, tol, rotate)
+            dims = certify(blocks, tol)
             assert dims is not None, [b.shape[-1] // 2 for b in blocks]
             return dims
 
@@ -1022,16 +1027,13 @@ class TestCertificate:
         assert calls == {"nullspace_dim": 5, "certify": 5}
 
     @pytest.mark.parametrize("alpha,bound,svd_orders", [
-        ("1/3", "ROTATE_BELOW", list(range(1, 13))),
         ("1/2", "HEAD_SVD_BELOW", list(range(1, 9)))])
     def test_a_misrouted_order_is_refused_not_misjudged(
             self, monkeypatch, alpha, bound, svd_orders):
-        # with a bound of 0 no order is rotated up front (1/3) or no head
-        # sent to the SVD (1/2): the certificate refuses each batch holding
-        # such an order, and the SVD decides that batch whole.  At 1/3 every
-        # order from 3 up has a null column pair, so orders 1..8 go together
-        # and 9..12 each alone; at 1/2 only the batch of orders 1..8 holds
-        # the head, and 9..12 are still certified rotated
+        # with a bound of 0 no head is sent to the SVD up front: the
+        # certificate refuses the batch holding it, and the SVD decides that
+        # batch whole.  Only the batch of orders 1..8 holds the head, and
+        # 9..12 are still certified
         cfg = make_config(alpha, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, 12)
         monkeypatch.setattr(vanish, bound, 0.0)
@@ -1053,14 +1055,14 @@ class TestCertificate:
             assert nullspace_dim(systems) == alone, alpha
             with monkeypatch.context() as patch:
                 patch.setattr(vanish, "_certified_nullities",
-                              lambda blocks, tol, rotate: None)
+                              lambda blocks, tol: None)
                 assert nullspace_dim(systems) == alone, alpha
 
     def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
         # imp-pmc at 4 sqrt(5)/7 - 1 assembles to 0.5555063, 5e-5 off 5/9:
         # from order 9 the smallest relative singular value falls from 4.4e-4
-        # to 7.8e-5 at order 24, while R/s_max^2 grows like N.  These orders
-        # are not rotated (their least |sin(m alpha' pi)| is 1.4e-3).  The
+        # to 7.8e-5 at order 24, while R/s_max^2 grows like N (their least
+        # |sin(m alpha' pi)| is 1.4e-3, so no column is deflated).  The
         # shift theta R, R = |blocks|_F^2, refuses orders 17..24; the shift
         # theta U under the Gershgorin bound U (1.0 to 1.4 s_max^2)
         # certifies them all
@@ -1082,7 +1084,7 @@ class TestCertificate:
         # N eps ~ 4e-14 must lie below tol/10
         calls = []
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol, rotate: calls.append(tol) or [0])
+                            lambda blocks, tol: calls.append(tol) or [0])
         system = assemble_order_system(3, make_config("0.37"))
         for tol, tried in ((1e-9, 1), (3e-7, 1), (4e-7, 0), (1e-6, 0), (1e-3, 0), (1e-12, 1),
                            (9e-13, 0)):
@@ -1096,7 +1098,7 @@ class TestCertificate:
     def test_bare_matrices(self, monkeypatch, matrix, nullity):
         # a bare matrix, such as the collocation rows, is decided by the SVD
         # alone; the last has relative singular values 1 and 2.5e-5
-        def certify(blocks, tol, rotate):
+        def certify(blocks, tol):
             raise AssertionError("certificate tried")
         monkeypatch.setattr(vanish, "_certified_nullities", certify)
         assert nullspace_dim(matrix) == vanish._svd_nullity(matrix, 1e-9) == nullity

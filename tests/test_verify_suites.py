@@ -19,7 +19,7 @@ def test_suite_green(suite):
 def test_certificate_check_fails_on_a_wrong_certificate(monkeypatch):
     # a certificate that calls every order full rank certifies 1/3 at n = 3
     monkeypatch.setattr(vanish, "_certified_nullities",
-                        lambda blocks, tol, rotate: [0] * len(blocks))
+                        lambda blocks, tol: [0] * len(blocks))
     with pytest.raises(AssertionError, match="1/3 .* n=3: certified 0, SVD nullity 2"):
         check_certificate()
 
@@ -29,7 +29,7 @@ def test_certificate_check_fails_on_a_loose_deflation(monkeypatch):
     # the columns 7e-11 off 1/3, where the SVD is ambiguous
     certify = vanish._certified_nullities
     monkeypatch.setattr(vanish, "_certified_nullities",
-                        lambda blocks, tol, rotate: certify(blocks, tol * 1e3, rotate))
+                        lambda blocks, tol: certify(blocks, tol * 1e3))
     with pytest.raises(AssertionError,
                        match=r"0\.3333333334 .*: certified 2, SVD nullity ambiguous"):
         check_certificate()
