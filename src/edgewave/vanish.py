@@ -50,11 +50,13 @@ a grid hit's null directions lie (_certified_nullities).
 
 A layout, built in one pass vectorized over a run of orders and cached per
 (orders, pairing), maps every entry to its flat position in its order's
-parity blocks and pairs the entries of each (fam, +-m) column pair in a
-row; its builder raises ValueError naming any row with entries in both
-classes.  _systems fills a run of orders in one pass and yields each
-order's ConstraintSystem; vanishing_order and assemble_order_system both
-take theirs from it, so both decide on the same blocks.
+parity blocks, pairs the entries of each (fam, +-m) column pair in a row,
+and plans the rank certificate: the entry products that form each class's
+Gram band and the windows that factor it; its builder raises ValueError
+naming any row with entries in both classes.  _systems fills a run of
+orders in one pass and returns each order's ConstraintSystem;
+vanishing_order and assemble_order_system both take theirs from it, so both
+decide on the same blocks.
 """
 
 from __future__ import annotations
@@ -82,6 +84,16 @@ CERTIFY_TOLS = (1e-12, math.sqrt(CERTIFY_THETA) / 100)   # see _certified_nullit
 HEAD_SVD_BELOW = 1e-5   # measured bound of the certificate's head route, see
                         # _certified_nullities
 _ROOT_TWO = math.sqrt(2.0)
+_HALF_BAND = 5   # a row spans at most 6 class slots (_gram_pairs checks it)
+_PAIR_CHUNK = 1 << 14   # pair products per pass of _gram_band, about 256 kB
+# Slots per block of the windowed factorization (_factor_windows), at least
+# _HALF_BAND; 7 is the least with one window per lane up to order 6.  Against
+# the dense per-order certificate this replaced, on the sweep benchmark's
+# seed 10 (128 queries, in process, one BLAS thread, queries alternated), the
+# median change per query at n_max 6 / 12 / 24 read: 6: +3.9 / -15.1 /
+# -33.7%; 7: -3.9 / -16.8 / -34.5%; 8: -2.3 / -15.1 / -33.8%; 9: -1.2 /
+# -16.9 / -30.2%; 10: +0.9 / -13.0 / -30.3%.
+_WINDOW = 7
 
 
 class CaseKind(Enum):
@@ -168,9 +180,12 @@ def column_labels(n):
 @dataclass
 class ConstraintSystem:
     """Labeled linear system over the order-n unknowns k a and eta2 b (a, b
-    for pec-pmc), held as its rows scaled to unit 2-norm and split by parity
-    class (zero rows pad the shorter block), and each row's 2-norm in
-    provenance order; rows rebuilds the dense rows in a and b from the two.
+    for pec-pmc), held as the entries of its rows scaled to unit 2-norm and
+    each row's 2-norm, in provenance order, read from the pass of _systems
+    that filled it.  blocks scatters the entries into the rows split by
+    parity class (zero rows pad the shorter block) each time it is read, so
+    a report builds no order's blocks unless the SVD decides it; rows
+    rebuilds the dense rows in a and b from blocks and norms.
     The blocks are in the cascade's sum/difference basis: class slot 2m-1
     holds x_m + x_-m and slot 2m holds x_m - x_-m, slot 0 sqrt(2) x_0, for
     the class's unknowns x (_butterfly)."""
@@ -178,8 +193,22 @@ class ConstraintSystem:
     n: int
     case: CaseKind
     config: EdgeCornerConfig          # config the rows were assembled at
-    blocks: np.ndarray                # complex, shape (2, height, 2n+1)
-    norms: np.ndarray                 # float, shape (nrows,)
+    fill: _Fill = field(repr=False)   # the pass of _systems it comes from
+    part: int                         # its order's index in fill.layout.parts
+
+    @property
+    def norms(self):
+        """Float, shape (nrows,)."""
+        return self.fill.norms[self.fill.layout.parts[self.part][2]]
+
+    @property
+    def blocks(self):
+        """Complex, shape (2, height, 2n+1)."""
+        layout = self.fill.layout
+        _, entries, _, height, _ = layout.parts[self.part]
+        blocks = np.zeros((2, height, 2 * self.n + 1), dtype=complex)
+        blocks.reshape(-1)[layout.pos[entries]] = self.fill.values[entries]
+        return blocks
 
     @property
     def provenance(self):
@@ -499,8 +528,16 @@ class _Layout(NamedTuple):
     numbered across the orders.  Entry i sits at (row, col) of the rows and
     at flat index pos of its order's parity blocks.  plus[j] and minus[j]
     are the entries of one row in columns (fam, m) and (fam, -m), m >= 1;
-    zero holds the entries in the columns m = 0.  parts holds, per order,
-    (n, its entry slice, its row slice, its block shape (2, height, 2n+1)).
+    zero holds the entries in the columns m = 0.  The Gram bands of all
+    orders are one array of rows (order, class, slot), _HALF_BAND + 1 wide;
+    left[j] and right[j] are two entries of one row, the second in a slot at
+    most _HALF_BAND before the first, whose product adds to one band entry.
+    chunks cuts the pairs into (pair slice, start, stop) pieces of at most
+    about _PAIR_CHUNK pairs, each adding to the band's float parts from
+    start to stop alone; spot[2j] and spot[2j + 1] place the real and
+    imaginary part of pair j's product there.  parts holds, per order, (n,
+    its entry slice, its row slice, its block height, its band rows), and
+    windows the plan of the windowed factorization (_window_plan).
     """
     case: CaseKind
     n: np.ndarray
@@ -514,7 +551,12 @@ class _Layout(NamedTuple):
     plus: np.ndarray
     minus: np.ndarray
     zero: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    spot: np.ndarray
+    chunks: tuple
     parts: tuple
+    windows: tuple
 
 
 def _columns(col):
@@ -556,18 +598,65 @@ def _build_layout(orders, case):
     row_slot = np.where(row_class == 1, ones_before, in_order - ones_before)
     height = np.maximum(ones, rows - ones)
     grow = np.cumsum(new) - 1
-    pos = (row_class[grow] * height[k] + row_slot[grow]) * (2 * orders[k] + 1) \
-        + col_slot
+    width = 2 * orders + 1
+    pos = (row_class[grow] * height[k] + row_slot[grow]) * width[k] + col_slot
     by_col = np.lexsort((col, grow))
     plus = np.flatnonzero((col[by_col] >= 2) & (col[by_col] % 2 == 0))
+    band_cut = np.append(0, np.cumsum(2 * width))
+    left, right, spot, chunks = _gram_pairs(
+        starts, col_slot, band_cut[k] + row_class[grow] * width[k] + col_slot)
     entry_cut = np.searchsorted(k, np.arange(orders.size + 1)).tolist()
     row_cut = np.append(first_row, row_class.size).tolist()
+    band_cut = band_cut.tolist()
     parts = tuple((n, slice(*entry_cut[j:j + 2]), slice(*row_cut[j:j + 2]),
-                   (2, int(height[j]), 2 * n + 1))
+                   int(height[j]), slice(*band_cut[j:j + 2]))
                   for j, n in enumerate(orders.tolist()))
     return _Layout(case, *_read_only(orders, const, factor, turn, grow, col, pos,
                                      starts, by_col[plus], by_col[plus + 1],
-                                     np.flatnonzero(col < 2)), parts)
+                                     np.flatnonzero(col < 2), left, right, spot),
+                   chunks, parts, _window_plan(orders))
+
+
+def _gram_pairs(starts, slot, band_row):
+    """The pair plan of _Layout for entries grouped by row from starts, at
+    the given class slots and band rows: every pair of entries of a row, an
+    entry with itself included, once, oriented so that the first's slot is
+    not below the second's, and sorted by the band entry it adds to.  A row
+    spanning more than _HALF_BAND + 1 slots raises ValueError.  The plan is
+    int32 throughout, which halves its temporaries."""
+    starts, slot, band_row = (x.astype(np.int32) for x in (starts, slot, band_row))
+    count = np.diff(starts, append=np.int32(slot.size))
+    if count.max(initial=0) > _HALF_BAND + 1:
+        raise ValueError(f"a row spans more than {_HALF_BAND + 1} class slots")
+    first, second = [], []
+    for a, b in itertools.product(range(_HALF_BAND + 1), repeat=2):
+        rows = starts[count > max(a, b)]
+        if a != b:
+            rows = rows[slot[rows + a] > slot[rows + b]]
+        first.append(rows + a)
+        second.append(rows + b)
+    first, second = np.concatenate(first), np.concatenate(second)
+    offset = slot[first] - slot[second]
+    if offset.max(initial=0) > _HALF_BAND:
+        raise ValueError(f"a row spans more than {_HALF_BAND + 1} class slots")
+    target = band_row[first] * (_HALF_BAND + 1) + offset
+    by_target = np.argsort(target, kind="stable")
+    first, second, target = first[by_target], second[by_target], target[by_target]
+    # chunk j covers the band entries from edges[j] to edges[j + 1]; each
+    # edge starts a run of pairs, at most _PAIR_CHUNK pairs after the last
+    runs = np.flatnonzero(np.diff(target, prepend=-1))
+    cut = runs[np.searchsorted(runs, np.arange(0, target.size, _PAIR_CHUNK),
+                               side="right") - 1]
+    cut = cut[np.diff(cut, prepend=-1) > 0]
+    edges = np.append(target[cut], (band_row.max(initial=-1) + 1) * (_HALF_BAND + 1))
+    edges[0] = 0
+    pair_cut = np.append(cut, target.size).tolist()
+    spot = np.empty(2 * target.size, dtype=np.int32)
+    spot[0::2] = 2 * (target - np.repeat(edges[:-1], np.diff(pair_cut)))
+    spot[1::2] = spot[0::2] + 1
+    chunks = tuple((slice(*pair_cut[j:j + 2]), 2 * int(edges[j]), 2 * int(edges[j + 1]))
+                   for j in range(cut.size))
+    return first, second, spot, chunks
 
 
 @lru_cache(maxsize=None)
@@ -606,7 +695,7 @@ def assemble_order_system(n, config):
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
     source_case, eff = effective_config(config)
-    return next(_systems(_layout((n,), _assembled_case(source_case)), eff))
+    return _systems(_layout((n,), _assembled_case(source_case)), eff)[0]
 
 
 def _butterfly(values, layout):
@@ -620,20 +709,44 @@ def _butterfly(values, layout):
     values[layout.zero] *= _ROOT_TWO
 
 
+class _Fill(NamedTuple):
+    """One pass of _systems: the unit-row entry values of every order of
+    layout, in the sum/difference basis, and every row's 2-norm."""
+    layout: _Layout
+    values: np.ndarray
+    norms: np.ndarray
+
+
 def _systems(layout, eff):
-    """The ConstraintSystem of each order of layout, in turn, assembled at
+    """The ConstraintSystem of each order of layout, as a list, assembled at
     eff.  The entry values and row norms of all orders come from one pass,
-    which also takes the unit rows to the sum/difference basis (_butterfly);
-    each order's values are then scattered into blocks of its own."""
+    which also takes the unit rows to the sum/difference basis
+    (_butterfly)."""
     values = _entry_values(layout, eff)
     norms = np.sqrt(np.add.reduceat(values.real ** 2 + values.imag ** 2,
                                     layout.starts))
     values /= np.where(norms > 0.0, norms, 1.0)[layout.row]
     _butterfly(values, layout)
-    for n, entries, rows, shape in layout.parts:
-        blocks = np.zeros(shape, dtype=complex)
-        blocks.reshape(-1)[layout.pos[entries]] = values[entries]
-        yield ConstraintSystem(n, layout.case, eff, blocks, norms[rows])
+    fill = _Fill(layout, values, norms)
+    return [ConstraintSystem(n, layout.case, eff, fill, j)
+            for j, (n, *_) in enumerate(layout.parts)]
+
+
+def _gram_band(values, layout):
+    """The lower Gram bands of the parity blocks of every order of layout,
+    one row per (order, class, slot) and _HALF_BAND + 1 columns, then
+    _PAD_ROW, from the unit-row entry values: a row of at most 6 entries
+    adds at most 21 products, summed chunk by chunk of the pair plan."""
+    band = np.empty((layout.parts[-1][-1].stop + 1, _HALF_BAND + 1), dtype=complex)
+    band[-1] = _PAD_ROW
+    parts = band.reshape(-1).view(float)
+    for pairs, start, stop in layout.chunks:
+        products = values.take(layout.left[pairs])
+        np.conjugate(products, out=products)
+        products *= values.take(layout.right[pairs])
+        parts[start:stop] = np.bincount(layout.spot[2 * pairs.start:2 * pairs.stop],
+                                        products.view(float), stop - start)
+    return band
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +800,7 @@ def nullspace_dim(system, tol=1e-9):
     """Number of singular values below tol * s_max, with an ambiguity guard.
 
     system is a ConstraintSystem, a bare matrix, or a nonempty list of
-    ConstraintSystems, decided as one batch and answered by the list of
+    ConstraintSystems, decided in one call and answered by the list of
     their nullities.  The singular values are those of the rows scaled to
     unit length, for a ConstraintSystem taken on its two parity blocks.
     Relative singular values inside (tol/10, tol*10) are neither clearly
@@ -695,11 +808,11 @@ def nullspace_dim(system, tol=1e-9):
     guessing.
 
     For tol in CERTIFY_TOLS the nullities of ConstraintSystems are first
-    proven without the SVD (_certified_nullities), for a batch all at once,
-    but for an order-1 head the cascade leaves degenerate (_route).  Where
-    the certificate refuses the batch, the SVD decides each of its systems
-    (_svd_nullity), as it does at such a head, for another tol, and for a
-    bare matrix such as the collocation rows.
+    proven without the SVD, all in one banded pass (_certified_nullities),
+    but for an order-1 head the cascade leaves degenerate (_route).  The SVD
+    decides each system the certificate refuses (_svd_nullity), as it does
+    such a head, every system for another tol, and a bare matrix such as
+    the collocation rows.
     """
     batch = (isinstance(system, list) and len(system) > 0
              and all(isinstance(s, ConstraintSystem) for s in system))
@@ -708,9 +821,9 @@ def nullspace_dim(system, tol=1e-9):
     if (isinstance(systems[0], ConstraintSystem)
             and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]):
         todo = [i for i, s in enumerate(systems) if _route(s)]
-        proven = todo and _certified_nullities([systems[i].blocks for i in todo], tol)
-        for i, d in zip(todo, proven or ()):
-            dims[i] = d
+        if todo:
+            for i, d in zip(todo, _certified_nullities([systems[i] for i in todo], tol)):
+                dims[i] = d
     dims = [_svd_nullity(s, tol) if d is None else d for s, d in zip(systems, dims)]
     return dims if batch else dims[0]
 
@@ -731,10 +844,10 @@ def _svd_nullity(system, tol):
                                 blocks.shape[-1], tol))
 
 
-def _certified_nullities(blocks, tol):
-    """The nullity the SVD would give each parity-block stack A (classes,
-    rows, columns) of a ConstraintSystem in blocks at the threshold tol,
-    proven by one Cholesky factorization of all of them, or None.
+def _certified_nullities(systems, tol):
+    """Per ConstraintSystem of systems, the nullity the SVD would give its
+    parity blocks A at the threshold tol, proven from its Gram bands, or
+    None where the proof is refused.
 
     A's columns are in the cascade's sum/difference basis (ConstraintSystem):
     order n can lose rank only where a block determinant -2i sin(m alpha' pi),
@@ -747,8 +860,6 @@ def _certified_nullities(blocks, tol):
     (tol/100)^2 R/N^2 is deflated, R the squared Frobenius norm of A and N
     its column count.  Since R/N <= s_max^2, the d deflated columns, at most
     N of them, form a matrix E of spectral norm at most (tol/100) s_max.
-    The stacks are zero-padded to one shape; a padded column is deflated
-    and not counted.
 
     At n = 1 the head block B, det B ~ sin^2 cos^2(alpha' pi), also
     degenerates where cos(alpha' pi) = 0, and its null vector is no sum or
@@ -757,76 +868,175 @@ def _certified_nullities(blocks, tol):
     these blocks at alpha' within 1e-9 to 1e-2 of 1/2 and 3/2 and 22 values
     of eta1/eta2 (complex among them) with moduli 1e-7 to 1e7, no head with
     |cos| below 5.6e-5 factored (9.9e-5 at eta1 = eta2), and none at all at
-    a modulus up to 1e-5 or from 1e3 on.  The bound only routes; a head it
-    misroutes is refused, not misjudged, and the SVD decides it.
+    a modulus up to 1e-5 or from 1e3 on, by the dense factorization and by
+    the windowed one alike.  The bound only routes; a head it misroutes is
+    refused, not misjudged, and the SVD decides it.
 
-    The Gram matrices G_c of the classes enter the factorization as
-    G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
+    The Gram matrix G_c of each class enters the factorization as
+    G' = G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
     deflated column.  S bounds s_max^2 = max_c |G_c| from above: first
-    S = R, and if that does not factor, once more S = U, the least of R and
-    the largest absolute row sum of any G_c (Gershgorin).  On these blocks
-    U is within 1.0 to 1.4 times s_max^2 where R is about N times it, so
-    orders whose smallest relative singular value is down to about 3.5e-5,
-    as near a grid hit of an irrational angle, are certified rather than
-    sent to the SVD.  If the matrix factors, so does the principal
-    submatrix on the kept columns, with a backward error of norm
-    |F| <= c N eps R (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 2002, 10.1); forming
-    G_c adds one of the same order.  Since s_max^2 <= S and R <= 2 N S, the
-    kept columns then have every singular value at least sqrt(theta) s_max
-    (1 - O(N^2 eps / theta)), and A with the deflated columns set to zero
-    has d zero singular values and no other below that.  By Weyl's
-    inequality |s_k(A + E) - s_k(A)| <= |E| (Golub and Van Loan, Matrix
-    Computations, 4th ed., 8.6.1), A itself has d singular values at most
-    (tol/100) s_max and the others at least (sqrt(theta) - tol/100) s_max.
+    S = R, and for a system refused at that, once more S = U, the least of
+    R and the largest absolute row sum of its G_c (Gershgorin).  On these
+    blocks U is within 1.0 to 1.4 times s_max^2 where R is about N times
+    it, so orders whose smallest relative singular value is down to about
+    3.5e-5, as near a grid hit of an irrational angle, are certified rather
+    than sent to the SVD.
+
+    Every row spans at most _HALF_BAND + 1 = 6 consecutive slots, so G_c
+    has half-bandwidth _HALF_BAND, and its lower band is formed from the
+    entry values (_gram_band).  _factor_windows factors it by blocks of
+    b = _WINDOW slots, each step a dense Cholesky factorization of a window
+    of two blocks, for the orders of systems and both classes at once; an
+    order whose window does not factor is refused alone.  If every window
+    factors, L L^H = G' + F for the shifted matrix G', where F has nonzeros
+    only within a window, |i - j| < 2b, and |F_ij| <= c_b eps (1 + O(eps))
+    ||l_i|| ||l_j||, l_i row i of L, with c_b = 2(2b + 1) + b + 9 = 5b + 11:
+    an entry takes the backward error of at most two window factorizations
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    Thm 10.3, inner products of length <= 2b), the rounding of the Schur
+    complement L22 L22^H carried from one window to the next (length b),
+    and that of the band, sums of at most 9 products.  Since ||l_i||^2 is
+    G'_ii up to that error, and a kept column's G'_ii is at most s_max^2,
+    the principal submatrix F_K on the kept columns has norm at most
+    (4b - 1) c_b eps s_max^2, its greatest row sum: a constant of the
+    window, not of N.  The kept columns' Gram matrix is G'_K + theta S I,
+    and G'_K + F_K is positive definite, so with s_max^2 <= S they have
+    every singular value at least sqrt(theta) s_max (1 - (4b - 1) c_b
+    eps / theta), and A with the deflated columns set to zero has d zero
+    singular values and no other below that.  By Weyl's inequality
+    |s_k(A + E) - s_k(A)| <= |E| (Golub and Van Loan, Matrix Computations,
+    4th ed., 8.6.1), A itself has d singular values at most (tol/100) s_max
+    and the others at least (sqrt(theta) - tol/100) s_max.
 
     The SVD computes each within about N eps s_max, 4e-14 s_max at n = 85.
     For tol in CERTIFY_TOLS = [1e-12, sqrt(theta)/100 = 3.2e-7] both groups
-    clear the ambiguity band (tol/10, 10 tol) of nullspace_dim: at n = 85
-    theta = 1e-9 clears the rounding N eps R by a factor 2.7e4 when S = R,
-    and by at least 78 when S = U (R <= 2 N U); the kept values lie 10
-    times above the band at tol = 3.2e-7; and at tol = 1e-12 the deflated
-    ones, below 1e-14 + 4e-14, lie twice below it.  So the SVD would count
-    d.
+    clear the ambiguity band (tol/10, 10 tol) of nullspace_dim: at b = 7,
+    (4b - 1) c_b eps = 27 * 46 * 2.2e-16 = 2.8e-13, which theta = 1e-9
+    clears by a factor 3.6e3 at every order and either S; the kept values
+    lie 10 times above the band at tol = 3.2e-7; and at tol = 1e-12 the
+    deflated ones, below 1e-14 + 4e-14, lie twice below it.  So the SVD
+    would count d.
     """
-    if len(blocks) == 1:
-        stack = blocks[0][None]
-    else:
-        stack = np.zeros((len(blocks), len(blocks[0]), max(b.shape[1] for b in blocks),
-                          max(b.shape[2] for b in blocks)), dtype=complex)
-        for padded, b in zip(stack, blocks):
-            padded[:, :b.shape[1], :b.shape[2]] = b
-    orders, classes, height, width = stack.shape
-    widths = np.array([b.shape[-1] for b in blocks])
-    gram = _gram(stack)
-    diagonal = gram.reshape(orders, classes, width * width)[..., ::width + 1]
-    units = diagonal.real.sum(axis=(1, 2), keepdims=True)
-    small = diagonal.real <= units * ((tol / 100 / classes / widths) ** 2)[:, None, None]
-    original = diagonal.copy()
+    dims = []
+    for _, group in itertools.groupby(systems, key=lambda s: id(s.fill)):
+        group = list(group)
+        layout, values, parts = *group[0].fill[:2], [s.part for s in group]
+        if 2 * len(parts) < len(layout.parts):
+            # a few orders of a long pass are certified on a layout of their
+            # own, which holds each order's entries in the same order
+            values = np.concatenate([values[layout.parts[j][1]] for j in parts])
+            layout = _layout(tuple(s.n for s in group), layout.case)
+            parts = range(len(group))
+        dims += _certified_parts(layout, values, list(parts), tol)
+    return dims
 
-    def factors(bound):
-        np.subtract(original, CERTIFY_THETA * bound, out=diagonal)
-        np.copyto(diagonal, units, where=small)
+
+def _certified_parts(layout, values, parts, tol):
+    """_certified_nullities of the orders of layout at the parts given, from
+    the entry values of all its orders."""
+    owner, starts, scale, plan = layout.windows
+    band = _gram_band(values, layout)
+    diagonal = band[:-1, 0].real.copy()
+    units = np.add.reduceat(diagonal, starts)
+    unit = units.take(owner)
+    small = diagonal <= unit * ((tol / 100) ** 2 * scale)
+
+    def factors(bound, chosen):
+        band[:-1, 0] = np.where(small, unit, diagonal - CERTIFY_THETA * bound)
+        lanes = np.repeat(chosen, 2)
+        _factor_windows(band, plan, lanes)
+        return lanes[0::2] & lanes[1::2]
+
+    chosen = np.zeros(starts.size, dtype=bool)
+    chosen[parts] = True
+    proven = factors(unit, chosen)
+    if not proven[parts].all():
+        # the Gershgorin bound costs a pass over the bands, so only on refusal
+        band[:-1, 0] = diagonal
+        size = np.abs(band)
+        sums = size.sum(axis=1)
+        for d in range(1, _HALF_BAND + 1):
+            sums[:-d] += size[d:, d]
+        bound = np.minimum(units, np.maximum.reduceat(sums[:-1], starts))
+        retry = chosen & ~proven & (bound < units)
+        if retry.any():
+            proven |= factors(bound.take(owner), retry)
+    counts, proven = np.add.reduceat(small, starts).tolist(), proven.tolist()
+    return [counts[j] if proven[j] else None for j in parts]
+
+
+_PAD_ROW = _read_only(np.eye(1, _HALF_BAND + 1, dtype=complex))[0]
+_IDENTITY = _read_only(np.eye(2 * _WINDOW))[0]
+
+
+def _window_plan(orders):
+    """The plan of _certified_parts for the orders of a layout: the order
+    index of each band row, each order's first band row, 1/N^2 for each
+    band row, N = 2w its order's column count, and per step of
+    _factor_windows (lanes, index, carried).
+
+    Each order holds two lanes, its classes, of width w = 2n + 1, numbered
+    in order.  Window k of a lane covers its slots k b to (k + 2) b - 1,
+    b = _WINDOW, for k = 0 to max(1, ceil(w/b) - 1) - 1; a slot past w is
+    a pad slot, which reads the last band row, _PAD_ROW.  At step k, lanes
+    holds the lanes with a window k, index (lanes, 2b, 2b) the flat band
+    index of each entry of their windows on or below the diagonal within
+    the band, the last entry of _PAD_ROW, a zero, elsewhere, and carried
+    the place of each of them among the lanes of step k - 1."""
+    w = np.repeat(2 * orders + 1, 2)
+    base = np.cumsum(w) - w
+    count = np.maximum(1, -(-w // _WINDOW) - 1)
+    row, col = np.indices((2 * _WINDOW, 2 * _WINDOW))
+    inside = (row >= col) & (row - col <= _HALF_BAND)
+    pad = int(w.sum())
+    plan, before = [], np.arange(w.size)
+    for k in range(int(count.max())):
+        lanes = np.flatnonzero(count > k)
+        slot = k * _WINDOW + np.arange(2 * _WINDOW)
+        rows = np.where(slot < w[lanes, None], base[lanes, None] + slot, pad)
+        index = np.where(inside, rows[:, :, None] * (_HALF_BAND + 1) + row - col,
+                         pad * (_HALF_BAND + 1) + _HALF_BAND)
+        plan.append(_read_only(lanes, index.astype(np.int32),
+                               np.searchsorted(before, lanes)))
+        before = lanes
+    owner = np.repeat(np.arange(orders.size), 2 * w[0::2])
+    return (*_read_only(owner, base[0::2], 1.0 / (2.0 * w[owner * 2]) ** 2), tuple(plan))
+
+
+def _factor_windows(band, plan, lanes):
+    """Windowed block-tridiagonal Cholesky factorization of the band matrix
+    of each lane marked in lanes, all lanes at once; lanes is cleared where
+    a window does not factor.
+
+    A lane's first window is its first two blocks of b = _WINDOW slots, as
+    the band holds them; each later one stacks on top the Schur complement
+    of its first block, carried from the window before, and below the next
+    block.  A band of half-bandwidth at most b couples that block to the
+    carried one alone.  The windows of all lanes at a step factor in one
+    np.linalg.cholesky call, which reads the lower triangle only, and with
+    L22 a factor's lower diagonal block, L22 L22^H is the Schur complement
+    carried on.  A lane not marked, or refused at a step, factors I from
+    then on."""
+    b, flat, partial = _WINDOW, band.reshape(-1), not lanes.all()
+    for k, (active, index, carried) in enumerate(plan):
+        windows = flat.take(index)
+        if k:
+            windows[:, :b, :b] = schur[carried]
+        if partial:
+            windows[~lanes[active]] = _IDENTITY
         try:
-            np.linalg.cholesky(gram)
+            factor = np.linalg.cholesky(windows)
         except np.linalg.LinAlgError:
-            return False
-        return True
-
-    if not factors(units):
-        # the Gershgorin bound costs a pass over the Gram, so only on refusal
-        diagonal[...] = original
-        rows = np.abs(gram).sum(axis=-1).reshape(orders, classes * width)
-        bound = np.minimum(units, rows.max(axis=1, initial=0.0)[:, None, None])
-        if not ((bound < units).any() and factors(bound)):
-            return None
-    return (small.sum(axis=(1, 2)) - classes * (width - widths)).tolist()
-
-
-def _gram(stack):
-    """The Gram matrices of the stacks (orders, classes, rows, columns)."""
-    flat = stack.reshape(stack.shape[0] * stack.shape[1], *stack.shape[2:])
-    return flat.conj().transpose(0, 2, 1) @ flat
+            factor, partial = windows, True
+            for j in np.flatnonzero(lanes[active]):
+                try:
+                    factor[j] = np.linalg.cholesky(windows[j])
+                except np.linalg.LinAlgError:
+                    lanes[active[j]] = False
+                    factor[j] = _IDENTITY
+        if k + 1 < len(plan):
+            low = factor[:, b:, b:]
+            schur = low @ low.conj().transpose(0, 2, 1)
 
 
 def _dim_from_values(system, s, ncols, tol):
@@ -1008,16 +1218,6 @@ def theorem_bound(alpha, case, n_max):
     return grid_exclusion_order(alpha, grid, n_max)
 
 
-# The orders with 2n+1 <= BATCH_WIDTH are certified in one zero-padded batch.
-# On the sweep benchmark's queries (seeds 9 and 10, 256 each), in process
-# with one BLAS thread and the widths interleaved pass by pass, against 17:
-# at n_max 12, width 13 took +3% to +9%, 25 -5% to -9% and 33 -3% to +5%; at
-# n_max 24, 13 took +1% to +5%, 25 -1% to +1% and 33 +42% to +48%.  At n_max
-# 6, one batch at every width, the same code read -1% to +10%.  No width was
-# faster in every stratum.
-BATCH_WIDTH = 17
-
-
 def vanishing_order(config, n_max, tol=1e-9):
     """Per-order nullspace analysis for n = 1..n_max plus the grid bound.
 
@@ -1032,10 +1232,8 @@ def vanishing_order(config, n_max, tol=1e-9):
     refuses an |eta1/eta2| outside ETA_RATIO_WINDOW with ValueError.  The
     closed head-block determinants of every order are evaluated next, before
     any rank is decided, so one that overflows a float raises ValueError
-    even where a lower order's rank is ambiguous.  The orders of at most
-    BATCH_WIDTH columns per parity class are then decided by one
-    nullspace_dim call on all of them, each larger order by a call of its
-    own.
+    even where a lower order's rank is ambiguous.  One nullspace_dim call
+    then decides all orders.
     """
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
@@ -1043,15 +1241,11 @@ def vanishing_order(config, n_max, tol=1e-9):
     pecpmc = case == CaseKind.PEC_PMC
     dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
             for m in range(2, n_max + 1)]
-    per = []
     systems = _systems(_layout(tuple(range(1, n_max + 1)), _assembled_case(case)), eff)
-    low = list(itertools.islice(systems, (BATCH_WIDTH - 1) // 2))
     heads = [(None, None) if pecpmc else _closed_dets(n, eff)
              for n in range(1, n_max + 1)]
-    for batch in itertools.chain([low], ([system] for system in systems)):
-        # no loop variable keeps an order's blocks alive into the next
-        per += [OrderDiagnostics(system.n, dim, *heads[system.n - 1], dets[:system.n - 1])
-                for system, dim in zip(batch, nullspace_dim(batch, tol=tol))]
+    per = [OrderDiagnostics(system.n, dim, *heads[system.n - 1], dets[:system.n - 1])
+           for system, dim in zip(systems, nullspace_dim(systems, tol=tol))]
     bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
     grid = theorem_bound(config.alpha, case, n_max)
     guaranteed = min(grid, n_max)

@@ -103,8 +103,8 @@ def check_certificate(seed=57, tol=1e-9):
         for case, cfg in _case_configs(alpha, rng):
             for n in range(1, 13):
                 system = vanish.assemble_order_system(n, cfg)
-                certified = vanish._certified_nullities([system.blocks], tol)
-                if certified is None:
+                d = vanish._certified_nullities([system], tol)[0]
+                if d is None:
                     continue
                 try:
                     dim = vanish._svd_nullity(system, tol)
@@ -112,7 +112,7 @@ def check_certificate(seed=57, tol=1e-9):
                     dim = "ambiguous"
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * n + 1) - s.size))) / s.max()
-                where, d = f"{alpha} {case} n={n}", certified[0]
+                where = f"{alpha} {case} n={n}"
                 assert dim == d, f"{where}: certified {d}, SVD nullity {dim}"
                 kept = min(kept, rel[d])
                 deflated = max(deflated, rel[d - 1] if d else 0.0)

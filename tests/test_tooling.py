@@ -82,10 +82,9 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     # `--trace 1` counts vanish.assemble_calls and vanish.rank_calls through
     # these module globals, and times the rank layer as nullspace_dim's self
     # time; a report fills every order in one pass, without assembling it,
-    # and ranks the orders of at most BATCH_WIDTH columns per class in one
-    # nullspace_dim call and each larger order in one of its own; the
-    # certificate, and the SVD of a degenerate order-1 head, run only inside
-    # nullspace_dim
+    # and ranks all its orders in one nullspace_dim call, which makes one
+    # certificate call; the certificate, and the SVD of a degenerate
+    # order-1 head, run only inside nullspace_dim
     import numpy as np
     from edgewave import vanish
     from edgewave.angles import parse_angle
@@ -104,9 +103,10 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         monkeypatch.setattr(vanish, name, counted)
     certify, certified, decomposed = vanish._certified_nullities, [], []
 
-    def spy(blocks, tol):
-        dims = certify(blocks, tol)
-        certified.append((inside == ["nullspace_dim"], len(blocks), dims is not None))
+    def spy(systems, tol):
+        dims = certify(systems, tol)
+        certified.append((inside == ["nullspace_dim"], [s.n for s in systems],
+                          None not in dims))
         return dims
     monkeypatch.setattr(vanish, "_certified_nullities", spy)
     svd = np.linalg.svd
@@ -115,28 +115,26 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         decomposed.append(list(inside))
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    # BATCH_WIDTH 17: one call for orders 1..8, then one per order; at 1/2
-    # (imp-pec 1/4 assembles there) order 1 leaves the batch for the SVD,
-    # inside the same nullspace_dim call
+    # at 1/2 (imp-pec 1/4 assembles there) order 1 leaves the certificate
+    # call for the SVD, inside the same nullspace_dim call
     for alpha, case, head in (("1/3", "imp-imp", 0), ("0.6180339887", "imp-imp", 0),
                               ("1/2", "imp-imp", 1), ("1/4", "imp-pec", 1)):
         cfg = vanish.config_for_case(vanish.CaseKind(case), parse_angle(alpha),
                                      1.0, 1.0, 1.0)
-        for n_max, batch, rank_calls in ((7, 7, 1), (24, 8, 17)):
+        for n_max in (7, 24):
             vanish.vanishing_order(cfg, n_max)
-            assert calls == {"nullspace_dim": rank_calls, "assemble_order_system": 0}
-            singles = [(True, 1, True)] * (rank_calls - 1)
-            assert certified == [(True, batch - head, True)] + singles
+            assert calls == {"nullspace_dim": 1, "assemble_order_system": 0}
+            assert certified == [(True, list(range(1 + head, n_max + 1)), True)]
             assert decomposed == [["nullspace_dim"]] * head
             calls["nullspace_dim"], certified[:], decomposed[:] = 0, [], []
 
 
 def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
-    # a batch the certificate refuses goes to the SVD whole, so one
-    # misrouted order would cost its batch an SVD each: on the sweep's
-    # traffic no certificate refuses, none is tried twice in one
-    # nullspace_dim call, and the SVD decides only the order-1 heads that
-    # _route sends it, impedance systems with |cos alpha' pi| < HEAD_SVD_BELOW
+    # an order the certificate refuses goes to the SVD, so one misrouted
+    # order would cost an SVD: on the sweep's traffic no certificate
+    # refuses, none is tried twice in one nullspace_dim call, and the SVD
+    # decides only the order-1 heads that _route sends it, impedance
+    # systems with |cos alpha' pi| < HEAD_SVD_BELOW
     import numpy as np
     from edgewave import vanish
     rank, certify, decide = (vanish.nullspace_dim, vanish._certified_nullities,
@@ -147,9 +145,9 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
         certified.append([])
         return rank(*args, **kwargs)
 
-    def certificate(blocks, tol):
-        dims = certify(blocks, tol)
-        certified[-1].append(dims is not None)
+    def certificate(systems, tol):
+        dims = certify(systems, tol)
+        certified[-1].append(None not in dims)
         return dims
 
     def svd_nullity(system, tol):
@@ -173,9 +171,36 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
     assert certified and all(calls in ([], [True]) for calls in certified)
     assert decided, "no order-1 head drawn"
     for system in decided:
-        assert isinstance(system, vanish.ConstraintSystem) and system.n == 1
-        assert system.case != vanish.CaseKind.PEC_PMC
-        assert abs(math.cos(system.config.alpha.value * math.pi)) < vanish.HEAD_SVD_BELOW
+        _assert_routed_head(system)
+
+
+def test_sweep_round_builds_no_dense_blocks(monkeypatch):
+    # the certificate reads each order's Gram band, formed from the entry
+    # values, so on the sweep's traffic the dense parity blocks are built
+    # only for the order-1 heads that _route sends to the SVD
+    from edgewave import vanish
+    blocks, built = vanish.ConstraintSystem.blocks, []
+
+    def spy(system):
+        built.append(system)
+        return blocks.fget(system)
+    monkeypatch.setattr(vanish.ConstraintSystem, "blocks", property(spy))
+    sweep = _WORKLOADS.WORKLOADS["sweep"]
+    for query in sweep.round(1, 0):
+        ok, reason = sweep.check(query, sweep.prepare(query)())
+        assert ok, (query.argv, reason)
+    assert built, "no order-1 head drawn"
+    for system in built:
+        _assert_routed_head(system)
+
+
+def _assert_routed_head(system):
+    """system is an order-1 head that _route sends to the SVD."""
+    from edgewave import vanish
+    assert isinstance(system, vanish.ConstraintSystem) and system.n == 1
+    assert system.case != vanish.CaseKind.PEC_PMC
+    assert abs(math.cos(system.config.alpha.value * math.pi)) < vanish.HEAD_SVD_BELOW
+    assert not vanish._route(system)
 
 
 def test_json_output_encodes_no_report_dict(monkeypatch, capsys):

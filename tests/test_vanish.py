@@ -813,6 +813,23 @@ class TestParityBlocks:
             == list(range(layout.col.size))
         assert (layout.col[layout.zero] < 2).all()
 
+    @pytest.mark.parametrize("case", [CaseKind.IMP_IMP, CaseKind.PEC_PMC])
+    def test_a_layout_of_some_orders_keeps_their_entry_order(self, case):
+        # the certificate moves a few orders of a long pass to a layout of
+        # their own by their entry values alone: each order's entries sit in
+        # the same rows, columns and block positions, in the same order
+        full = vanish._layout(tuple(range(1, vanish.MAX_ORDER + 1)), case)
+        for orders in ((1,), (7,), (85,), (3, 12, 40), (9, 2), (5, 5)):
+            layout = vanish._layout(orders, case)
+            for (n, entries, rows, *_), (m, mine, own, *_) in zip(
+                    (full.parts[n - 1] for n in orders), layout.parts):
+                assert n == m
+                for at in ("pos", "col"):
+                    np.testing.assert_array_equal(getattr(full, at)[entries],
+                                                  getattr(layout, at)[mine])
+                np.testing.assert_array_equal(full.row[entries] - rows.start,
+                                              layout.row[mine] - own.start)
+
 
 class TestScaleFree:
     """The rows are in k a and eta2 b, so the dims do not depend on the size
@@ -867,8 +884,9 @@ class TestCertificate:
     parity blocks hold the (fam, +-m) column pairs as sums and differences,
     columns below the deflation bound are deflated, and the Gram matrices
     of the rest, shifted by CERTIFY_THETA times the squared norm, take one
-    Cholesky factorization; only where that fails, and at a degenerate
-    order-1 head, does the SVD decide.  The grid: every reduced q/p with
+    windowed banded Cholesky factorization over all orders; only at an
+    order that fails, and at a degenerate order-1 head, does the SVD
+    decide.  The grid: every reduced q/p with
     p <= 12, five quadratic irrationals and decimals 1e-11 to 1e-8 off 1/3,
     1/4 and 1/5, in every pairing, at n <= 24, under TestReportFill's
     impedances, k = eta = 1 and TestScaleFree's scalings."""
@@ -919,11 +937,10 @@ class TestCertificate:
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * system.n + 1) - s.size)))
                 rel /= rel[-1]
-                certified = vanish._certified_nullities([system.blocks], 1e-9)
-                if certified is None:
+                d = vanish._certified_nullities([system], 1e-9)[0]
+                if d is None:
                     refused += 1
                     continue
-                d = certified[0]
                 assert svd == d and rel[d] >= floor, (text, system.n)
                 assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n)
                 trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
@@ -942,7 +959,7 @@ class TestCertificate:
                 expect = _outcome(lambda: vanishing_order(cfg, 24).to_json_dict())
                 with monkeypatch.context() as patch:
                     patch.setattr(vanish, "_certified_nullities",
-                                  lambda blocks, tol: None)
+                                  lambda systems, tol: [None] * len(systems))
                     assert _outcome(lambda: vanishing_order(cfg, 24).to_json_dict()) \
                         == expect, (text, scale)
 
@@ -954,7 +971,7 @@ class TestCertificate:
         cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict()
         monkeypatch.setattr(vanish, "_certified_nullities",
-                            lambda blocks, tol: None)
+                            lambda systems, tol: [None] * len(systems))
         assert vanishing_order(cfg, vanish.MAX_ORDER).to_json_dict() == expect
 
     @pytest.mark.parametrize("alpha,case,svd_orders", [
@@ -1000,8 +1017,8 @@ class TestCertificate:
         ("1/2", "imp-imp"), ("3/2", "imp-imp"), ("1/4", "imp-pec")])
     def test_a_degenerate_head_goes_to_the_svd_alone(self, monkeypatch, alpha, case):
         # cos(alpha' pi) = 0: order 1 is decided by the SVD inside the
-        # batch's nullspace_dim call, and orders 2..8 are still certified
-        # together: no certificate refuses
+        # report's one nullspace_dim call, and orders 2..12 are still
+        # certified together: no certificate refuses
         calls, svd_orders = {"nullspace_dim": 0, "certify": 0}, []
         rank, svd = vanish.nullspace_dim, np.linalg.svd
         certify = vanish._certified_nullities
@@ -1010,10 +1027,10 @@ class TestCertificate:
             calls["nullspace_dim"] += 1
             return rank(*args, **kwargs)
 
-        def certified(blocks, tol):
+        def certified(systems, tol):
             calls["certify"] += 1
-            dims = certify(blocks, tol)
-            assert dims is not None, [b.shape[-1] // 2 for b in blocks]
+            dims = certify(systems, tol)
+            assert None not in dims and [s.n for s in systems] == list(range(2, 13))
             return dims
 
         def decomposed(blocks, *args, **kwargs):
@@ -1024,16 +1041,15 @@ class TestCertificate:
         monkeypatch.setattr(np.linalg, "svd", decomposed)
         report = vanishing_order(make_config(alpha, case=case), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim > 0
-        assert calls == {"nullspace_dim": 5, "certify": 5}
+        assert calls == {"nullspace_dim": 1, "certify": 1}
 
     @pytest.mark.parametrize("alpha,bound,svd_orders", [
-        ("1/2", "HEAD_SVD_BELOW", list(range(1, 9)))])
+        ("1/2", "HEAD_SVD_BELOW", [1])])
     def test_a_misrouted_order_is_refused_not_misjudged(
             self, monkeypatch, alpha, bound, svd_orders):
         # with a bound of 0 no head is sent to the SVD up front: the
-        # certificate refuses the batch holding it, and the SVD decides that
-        # batch whole.  Only the batch of orders 1..8 holds the head, and
-        # 9..12 are still certified
+        # certificate refuses the order holding it, and the SVD decides that
+        # order alone; orders 2..12 are still certified
         cfg = make_config(alpha, **TestReportFill.ETAS)
         expect = vanishing_order(cfg, 12)
         monkeypatch.setattr(vanish, bound, 0.0)
@@ -1046,6 +1062,70 @@ class TestCertificate:
         assert vanishing_order(cfg, 12) == expect
         assert orders == svd_orders
 
+    def test_a_refused_order_leaves_the_others_certified(self, monkeypatch):
+        # 0.2857143 is 2/7 + 1.4e-8 and untagged: orders 7..12 hold a
+        # relative singular value near 1e-8 that no shift certifies, while
+        # orders 1..6 factor; one certificate call decides the report, and
+        # only the refused orders reach the SVD, with the SVD's report
+        cfg = make_config("0.2857143")
+        with monkeypatch.context() as patch:
+            patch.setattr(vanish, "_certified_nullities",
+                          lambda systems, tol: [None] * len(systems))
+            expect = vanishing_order(cfg, 12)
+        calls, svd_orders = [], []
+        certify, decide = vanish._certified_nullities, vanish._svd_nullity
+
+        def certified(systems, tol):
+            dims = certify(systems, tol)
+            calls.append(dims)
+            return dims
+
+        def svd_nullity(system, tol):
+            svd_orders.append(system.n)
+            return decide(system, tol)
+        monkeypatch.setattr(vanish, "_certified_nullities", certified)
+        monkeypatch.setattr(vanish, "_svd_nullity", svd_nullity)
+        assert vanishing_order(cfg, 12) == expect
+        assert calls == [[0] * 6 + [None] * 6]
+        assert svd_orders == list(range(7, 13))
+        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) is decided by the
+        # SVD inside the same nullspace_dim call
+        calls.clear(), svd_orders.clear()
+        report = vanishing_order(make_config("1/4", case="imp-pec"), 12)
+        assert svd_orders == [1] and report.per_order[0].nullspace_dim == 1
+        assert len(calls) == 1 and None not in calls[0] and len(calls[0]) == 11
+
+    @pytest.mark.parametrize("alpha,case", [
+        ("1/13", "imp-imp"), ("1/3", "imp-imp"), ("0.6180339887", "imp-imp"),
+        ("2/9", "pec-pmc"), ("0.37", "imp-pec"), ("3/7", "imp-pmc")])
+    def test_highest_orders_are_certified_as_the_svd_decides(self, alpha, case):
+        # every order of an n_max-85 report, at complex eta and k != 1: the
+        # banded certificate proves each, and each nullity is the SVD's
+        cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
+        source, eff = vanish.effective_config(cfg)
+        layout = vanish._layout(tuple(range(1, vanish.MAX_ORDER + 1)),
+                                vanish._assembled_case(source))
+        systems = vanish._systems(layout, eff)
+        assert vanish._certified_nullities(systems, 1e-9) == [
+            vanish._svd_nullity(system, 1e-9) for system in systems]
+
+    @pytest.mark.parametrize("shift,factors", [(0.003, True), (0.005, False)])
+    def test_windows_carry_the_schur_complement(self, shift, factors):
+        # tridiag(-1, 2, -1) of width 49 (both lanes of order 24) has least
+        # eigenvalue 2 - 2 cos(pi/50) = 0.00395, its 14 x 14 windows
+        # 2 - 2 cos(pi/15) = 0.044: shifted by 0.005 it is indefinite while
+        # every window is definite, so only the carried Schur complements
+        # refuse it
+        orders = np.array([24])
+        *_, plan = vanish._window_plan(orders)
+        band = np.zeros((2 * 49 + 1, vanish._HALF_BAND + 1), dtype=complex)
+        band[:, 0], band[:, 1] = 2.0 - shift, -1.0
+        band[[0, 49], 1] = 0.0
+        band[-1] = vanish._PAD_ROW
+        lanes = np.ones(2, dtype=bool)
+        vanish._factor_windows(band, plan, lanes)
+        assert lanes.tolist() == [factors] * 2
+
     def test_a_batch_decides_as_its_orders_alone(self, monkeypatch):
         # with the certificate and with the SVD fallback alone
         for alpha, case in (("1/3", "imp-imp"), ("1/2", "imp-imp"), ("1/4", "pec-pmc"),
@@ -1055,7 +1135,7 @@ class TestCertificate:
             assert nullspace_dim(systems) == alone, alpha
             with monkeypatch.context() as patch:
                 patch.setattr(vanish, "_certified_nullities",
-                              lambda blocks, tol: None)
+                              lambda systems, tol: [None] * len(systems))
                 assert nullspace_dim(systems) == alone, alpha
 
     def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
@@ -1178,8 +1258,9 @@ class TestReportFill:
 
     @pytest.mark.parametrize("alpha,case", [("1/13", "imp-imp"), ("2/9", "pec-pmc")])
     def test_report_peak_memory_is_one_order(self, alpha, case):
-        # the blocks of one order at a time are alive, not those of a run
-        # of orders: at n_max 85 one order's blocks are about 1 MB
+        # no order's dense blocks are built: a report holds its entries and
+        # the certificate the lower Gram bands, 6 values per class slot,
+        # about 1.4 MB at n_max 85, and the windows of one step
         cfg = make_config(alpha, case=case)             # eta = 1, k = 1
         vanishing_order(cfg, vanish.MAX_ORDER)
         tracemalloc.start()
