@@ -63,11 +63,16 @@ def parse_angle(text):
     A decimal is tagged with the fraction detect_rational finds, so "0.37"
     is the angle 37/100; one that no fraction matches stays untagged.  By
     the same rule a value within DETECT_TOL of 0, 1 or 2 reads as that
-    integer, and is refused.
+    integer, and is refused.  q and p are ASCII digits and a decimal is
+    ASCII without underscores: int() and float() would also read signs,
+    digit-group underscores, other scripts' digits and spaces around "/".
     """
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
+    num, slash, den = text.partition("/")
+    digits = num.isdigit() and den.isdigit()
+    if not text.isascii() or "_" in text or (slash and not digits):
+        raise AngleError(f"cannot parse angle {text!r}")
+    if slash:
         try:
             fr = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError) as exc:

@@ -81,8 +81,6 @@ MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
 CERTIFY_THETA = 1e-9   # kept columns certified at relative singular values >= 3.2e-5
 CERTIFY_TOLS = (1e-12, math.sqrt(CERTIFY_THETA) / 100)   # see _certified_nullities
-HEAD_SVD_BELOW = 1e-5   # measured bound of the certificate's head route, see
-                        # _certified_nullities
 _ROOT_TWO = math.sqrt(2.0)
 _HALF_BAND = 5   # a row spans at most 6 class slots (_gram_pairs checks it)
 _PAIR_CHUNK = 1 << 14   # pair products per pass of _gram_band, about 256 kB
@@ -143,8 +141,8 @@ _PAIRINGS = {
 
 
 def case_of_config(config):
-    """Classify a config's boundary pairing; PEC-PEC/PMC-PMC are rejected,
-    and so is the flat angle, which has no edge."""
+    """Classify a config's boundary pairing; PEC-PEC/PMC-PMC are rejected
+    (the README says why), and so is the flat angle, which has no edge."""
     if config.alpha.value == 1.0:
         raise AngleError("the flat angle alpha = 1 has no edge-corner")
     kinds = (config.bc1.kind, config.bc2.kind)
@@ -152,7 +150,8 @@ def case_of_config(config):
         if faces == kinds:
             return case
     raise UnsupportedPairingError(
-        f"unsupported boundary pairing ({kinds[0].name}, {kinds[1].name})")
+        f"unsupported boundary pairing ({kinds[0].name}, {kinds[1].name}); "
+        f"edgewave analyzes {', '.join(case.value for case in _PAIRINGS)}")
 
 
 def config_for_case(case, alpha, eta1, eta2, k):
@@ -808,11 +807,10 @@ def nullspace_dim(system, tol=1e-9):
     guessing.
 
     For tol in CERTIFY_TOLS the nullities of ConstraintSystems are first
-    proven without the SVD, all in one banded pass (_certified_nullities),
-    but for an order-1 head the cascade leaves degenerate (_route).  The SVD
-    decides each system the certificate refuses (_svd_nullity), as it does
-    such a head, every system for another tol, and a bare matrix such as
-    the collocation rows.
+    proven without the SVD, each pass of _systems among them whole, in one
+    banded pass (_certified_nullities).  The SVD decides each system the
+    certificate leaves undecided (_svd_nullity), every system for another
+    tol, and a bare matrix such as the collocation rows.
     """
     batch = (isinstance(system, list) and len(system) > 0
              and all(isinstance(s, ConstraintSystem) for s in system))
@@ -820,20 +818,9 @@ def nullspace_dim(system, tol=1e-9):
     dims = [None] * len(systems)
     if (isinstance(systems[0], ConstraintSystem)
             and CERTIFY_TOLS[0] <= tol <= CERTIFY_TOLS[1]):
-        todo = [i for i, s in enumerate(systems) if _route(s)]
-        if todo:
-            for i, d in zip(todo, _certified_nullities([systems[i] for i in todo], tol)):
-                dims[i] = d
+        dims = _certified_nullities(systems, tol)
     dims = [_svd_nullity(s, tol) if d is None else d for s, d in zip(systems, dims)]
     return dims if batch else dims[0]
-
-
-def _route(system):
-    """Whether _certified_nullities takes a ConstraintSystem: not an order-1
-    impedance system whose head block B, det B ~ sin^2 cos^2(alpha' pi), the
-    certificate cannot prove and the SVD decides."""
-    return not (system.n == 1 and system.case != CaseKind.PEC_PMC and abs(
-        math.cos(system.config.alpha.value * math.pi)) < HEAD_SVD_BELOW)
 
 
 def _svd_nullity(system, tol):
@@ -847,7 +834,8 @@ def _svd_nullity(system, tol):
 def _certified_nullities(systems, tol):
     """Per ConstraintSystem of systems, the nullity the SVD would give its
     parity blocks A at the threshold tol, proven from its Gram bands, or
-    None where the proof is refused.
+    None where the proof is refused.  Each distinct pass of _systems among
+    them is certified once and whole, every order of it at once.
 
     A's columns are in the cascade's sum/difference basis (ConstraintSystem):
     order n can lose rank only where a block determinant -2i sin(m alpha' pi),
@@ -863,14 +851,13 @@ def _certified_nullities(systems, tol):
 
     At n = 1 the head block B, det B ~ sin^2 cos^2(alpha' pi), also
     degenerates where cos(alpha' pi) = 0, and its null vector is no sum or
-    difference.  So an order-1 impedance stack with |cos alpha' pi| below
-    HEAD_SVD_BELOW = 1e-5 goes to the SVD untried (_route).  Measured on
-    these blocks at alpha' within 1e-9 to 1e-2 of 1/2 and 3/2 and 22 values
-    of eta1/eta2 (complex among them) with moduli 1e-7 to 1e7, no head with
-    |cos| below 5.6e-5 factored (9.9e-5 at eta1 = eta2), and none at all at
-    a modulus up to 1e-5 or from 1e3 on, by the dense factorization and by
-    the windowed one alike.  The bound only routes; a head it misroutes is
-    refused, not misjudged, and the SVD decides it.
+    difference, so no shift proves it.  An order-1 impedance head whose
+    cos(alpha' pi) is exactly 0 by sincos_pi, as its edge values are
+    computed, is left out of the factorization and answered None: its
+    refused window would send its whole step through _factor_windows'
+    one-window-at-a-time fallback.  A head near that angle but not at it is
+    factored and refused.  The proof below holds for any set of orders, so
+    leaving one out changes no other answer.
 
     The Gram matrix G_c of each class enters the factorization as
     G' = G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
@@ -886,7 +873,7 @@ def _certified_nullities(systems, tol):
     has half-bandwidth _HALF_BAND, and its lower band is formed from the
     entry values (_gram_band).  _factor_windows factors it by blocks of
     b = _WINDOW slots, each step a dense Cholesky factorization of a window
-    of two blocks, for the orders of systems and both classes at once; an
+    of two blocks, for every order of a pass and both classes at once; an
     order whose window does not factor is refused alone.  If every window
     factors, L L^H = G' + F for the shifted matrix G', where F has nonzeros
     only within a window, |i - j| < 2b, and |F_ij| <= c_b eps (1 + O(eps))
@@ -917,29 +904,24 @@ def _certified_nullities(systems, tol):
     deflated ones, below 1e-14 + 4e-14, lie twice below it.  So the SVD
     would count d.
     """
-    dims = []
-    for _, group in itertools.groupby(systems, key=lambda s: id(s.fill)):
-        group = list(group)
-        layout, values, parts = *group[0].fill[:2], [s.part for s in group]
-        if 2 * len(parts) < len(layout.parts):
-            # a few orders of a long pass are certified on a layout of their
-            # own, which holds each order's entries in the same order
-            values = np.concatenate([values[layout.parts[j][1]] for j in parts])
-            layout = _layout(tuple(s.n for s in group), layout.case)
-            parts = range(len(group))
-        dims += _certified_parts(layout, values, list(parts), tol)
-    return dims
+    passes = {id(s.fill): s for s in systems}
+    dims = {key: _certified_pass(s.fill, s.config.alpha.value, tol)
+            for key, s in passes.items()}
+    return [dims[id(s.fill)][s.part] for s in systems]
 
 
-def _certified_parts(layout, values, parts, tol):
-    """_certified_nullities of the orders of layout at the parts given, from
-    the entry values of all its orders."""
+def _certified_pass(fill, alpha, tol):
+    """_certified_nullities of every order of fill, assembled at the angle
+    alpha (in units of pi)."""
+    layout, values, _ = fill
     owner, starts, scale, plan = layout.windows
     band = _gram_band(values, layout)
     diagonal = band[:-1, 0].real.copy()
     units = np.add.reduceat(diagonal, starts)
     unit = units.take(owner)
     small = diagonal <= unit * ((tol / 100) ** 2 * scale)
+    tried = ((layout.n > 1) | (layout.case == CaseKind.PEC_PMC)
+             | (sincos_pi(alpha)[1] != 0.0))
 
     def factors(bound, chosen):
         band[:-1, 0] = np.where(small, unit, diagonal - CERTIFY_THETA * bound)
@@ -947,10 +929,8 @@ def _certified_parts(layout, values, parts, tol):
         _factor_windows(band, plan, lanes)
         return lanes[0::2] & lanes[1::2]
 
-    chosen = np.zeros(starts.size, dtype=bool)
-    chosen[parts] = True
-    proven = factors(unit, chosen)
-    if not proven[parts].all():
+    proven = factors(unit, tried)
+    if not proven[tried].all():
         # the Gershgorin bound costs a pass over the bands, so only on refusal
         band[:-1, 0] = diagonal
         size = np.abs(band)
@@ -958,11 +938,11 @@ def _certified_parts(layout, values, parts, tol):
         for d in range(1, _HALF_BAND + 1):
             sums[:-d] += size[d:, d]
         bound = np.minimum(units, np.maximum.reduceat(sums[:-1], starts))
-        retry = chosen & ~proven & (bound < units)
+        retry = tried & ~proven & (bound < units)
         if retry.any():
             proven |= factors(bound.take(owner), retry)
-    counts, proven = np.add.reduceat(small, starts).tolist(), proven.tolist()
-    return [counts[j] if proven[j] else None for j in parts]
+    counts = np.add.reduceat(small, starts).tolist()
+    return [d if ok else None for d, ok in zip(counts, proven.tolist())]
 
 
 _PAD_ROW = _read_only(np.eye(1, _HALF_BAND + 1, dtype=complex))[0]
@@ -970,7 +950,7 @@ _IDENTITY = _read_only(np.eye(2 * _WINDOW))[0]
 
 
 def _window_plan(orders):
-    """The plan of _certified_parts for the orders of a layout: the order
+    """The plan of _certified_pass for the orders of a layout: the order
     index of each band row, each order's first band row, 1/N^2 for each
     band row, N = 2w its order's column count, and per step of
     _factor_windows (lanes, index, carried).

@@ -37,6 +37,13 @@ class TestParse:
             with pytest.raises(AngleError, match=r"outside \(0,2\)"):
                 angles.parse_angle(flat)
 
+    def test_only_ascii_digits_without_signs_or_inner_spaces(self):
+        # int() and float() alone would read each as 33/100, 1/3 or 37/100
+        for bad in ("0.3_3", "1_0/3_0", "\u0661/\u0663", "\uff11/\uff13", "0.\u0663\u0667",
+                    "1 / 3", "1/ 3", "1\t/3", "-1/-3", "+1/3", "1/+3"):
+            with pytest.raises(AngleError, match="cannot parse"):
+                angles.parse_angle(bad)
+
     def test_out_of_range(self):
         for bad in ("0", "2", "5/2", "-1/3", "garbage", "1e-13", "1.9999999999999"):
             with pytest.raises(AngleError):

@@ -83,8 +83,8 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     # these module globals, and times the rank layer as nullspace_dim's self
     # time; a report fills every order in one pass, without assembling it,
     # and ranks all its orders in one nullspace_dim call, which makes one
-    # certificate call; the certificate, and the SVD of a degenerate
-    # order-1 head, run only inside nullspace_dim
+    # certificate call on all of them; the certificate, and the SVD of a
+    # degenerate order-1 head, run only inside nullspace_dim
     import numpy as np
     from edgewave import vanish
     from edgewave.angles import parse_angle
@@ -106,17 +106,19 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     def spy(systems, tol):
         dims = certify(systems, tol)
         certified.append((inside == ["nullspace_dim"], [s.n for s in systems],
-                          None not in dims))
+                          [d is None for d in dims]))
         return dims
     monkeypatch.setattr(vanish, "_certified_nullities", spy)
+    refused = _spy_refusals(monkeypatch)
     svd = np.linalg.svd
 
     def svd_spy(*args, **kwargs):
         decomposed.append(list(inside))
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    # at 1/2 (imp-pec 1/4 assembles there) order 1 leaves the certificate
-    # call for the SVD, inside the same nullspace_dim call
+    # at 1/2 (imp-pec 1/4 assembles there) the certificate leaves order 1
+    # out and answers None, and the SVD decides it inside the same
+    # nullspace_dim call
     for alpha, case, head in (("1/3", "imp-imp", 0), ("0.6180339887", "imp-imp", 0),
                               ("1/2", "imp-imp", 1), ("1/4", "imp-pec", 1)):
         cfg = vanish.config_for_case(vanish.CaseKind(case), parse_angle(alpha),
@@ -124,17 +126,19 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         for n_max in (7, 24):
             vanish.vanishing_order(cfg, n_max)
             assert calls == {"nullspace_dim": 1, "assemble_order_system": 0}
-            assert certified == [(True, list(range(1 + head, n_max + 1)), True)]
+            assert certified == [(True, list(range(1, n_max + 1)),
+                                  [True] * head + [False] * (n_max - head))]
             assert decomposed == [["nullspace_dim"]] * head
             calls["nullspace_dim"], certified[:], decomposed[:] = 0, [], []
+    assert not refused
 
 
 def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
-    # an order the certificate refuses goes to the SVD, so one misrouted
-    # order would cost an SVD: on the sweep's traffic no certificate
-    # refuses, none is tried twice in one nullspace_dim call, and the SVD
-    # decides only the order-1 heads that _route sends it, impedance
-    # systems with |cos alpha' pi| < HEAD_SVD_BELOW
+    # an order the certificate refuses goes to the SVD, so one refused
+    # order would cost an SVD: on the sweep's traffic no factored lane is
+    # refused, the certificate runs at most once per nullspace_dim call,
+    # and it leaves undecided, and the SVD decides, only the order-1 heads
+    # it leaves out: impedance systems with cos(alpha' pi) exactly 0
     import numpy as np
     from edgewave import vanish
     rank, certify, decide = (vanish.nullspace_dim, vanish._certified_nullities,
@@ -147,7 +151,8 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
 
     def certificate(systems, tol):
         dims = certify(systems, tol)
-        certified[-1].append(None not in dims)
+        certified[-1].append([d is None for d in dims]
+                             == [_is_masked_head(s) for s in systems])
         return dims
 
     def svd_nullity(system, tol):
@@ -164,20 +169,22 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
     monkeypatch.setattr(vanish, "_certified_nullities", certificate)
     monkeypatch.setattr(vanish, "_svd_nullity", svd_nullity)
     monkeypatch.setattr(np.linalg, "svd", decomposed)
+    refused = _spy_refusals(monkeypatch)
     sweep = _WORKLOADS.WORKLOADS["sweep"]
     for query in sweep.round(1, 0):
         ok, reason = sweep.check(query, sweep.prepare(query)())
         assert ok, (query.argv, reason)
     assert certified and all(calls in ([], [True]) for calls in certified)
+    assert not refused
     assert decided, "no order-1 head drawn"
-    for system in decided:
-        _assert_routed_head(system)
+    assert all(_is_masked_head(system) for system in decided)
 
 
 def test_sweep_round_builds_no_dense_blocks(monkeypatch):
     # the certificate reads each order's Gram band, formed from the entry
     # values, so on the sweep's traffic the dense parity blocks are built
-    # only for the order-1 heads that _route sends to the SVD
+    # only for the order-1 heads it leaves out for the SVD, and for no
+    # order it refuses
     from edgewave import vanish
     blocks, built = vanish.ConstraintSystem.blocks, []
 
@@ -185,22 +192,39 @@ def test_sweep_round_builds_no_dense_blocks(monkeypatch):
         built.append(system)
         return blocks.fget(system)
     monkeypatch.setattr(vanish.ConstraintSystem, "blocks", property(spy))
+    refused = _spy_refusals(monkeypatch)
     sweep = _WORKLOADS.WORKLOADS["sweep"]
     for query in sweep.round(1, 0):
         ok, reason = sweep.check(query, sweep.prepare(query)())
         assert ok, (query.argv, reason)
+    assert not refused
     assert built, "no order-1 head drawn"
-    for system in built:
-        _assert_routed_head(system)
+    assert all(_is_masked_head(system) for system in built)
 
 
-def _assert_routed_head(system):
-    """system is an order-1 head that _route sends to the SVD."""
+def _is_masked_head(system):
+    """system is an order-1 impedance head whose cos(alpha' pi) is exactly 0
+    by sincos_pi: the certificate leaves it out for the SVD."""
     from edgewave import vanish
-    assert isinstance(system, vanish.ConstraintSystem) and system.n == 1
-    assert system.case != vanish.CaseKind.PEC_PMC
-    assert abs(math.cos(system.config.alpha.value * math.pi)) < vanish.HEAD_SVD_BELOW
-    assert not vanish._route(system)
+    from edgewave.angles import sincos_pi
+    return (isinstance(system, vanish.ConstraintSystem) and system.n == 1
+            and system.case != vanish.CaseKind.PEC_PMC
+            and sincos_pi(system.config.alpha.value)[1] == 0.0)
+
+
+def _spy_refusals(monkeypatch):
+    """The lanes, per call of vanish._factor_windows, that it was given and
+    refused; the list stays empty while every factored lane is proven."""
+    from edgewave import vanish
+    refused, factor = [], vanish._factor_windows
+
+    def spy(band, plan, lanes):
+        given = lanes.copy()
+        factor(band, plan, lanes)
+        if (given & ~lanes).any():
+            refused.append((given & ~lanes).nonzero()[0].tolist())
+    monkeypatch.setattr(vanish, "_factor_windows", spy)
+    return refused
 
 
 def test_json_output_encodes_no_report_dict(monkeypatch, capsys):

@@ -69,7 +69,9 @@ class TestAssembly:
         cfg = EdgeCornerConfig(angles.parse_angle("1/3"),
                                ImpedanceSpec.infinite(),
                                ImpedanceSpec.infinite(), 1.0)
-        with pytest.raises(UnsupportedPairingError):
+        with pytest.raises(UnsupportedPairingError,
+                           match=r"\(INFINITE, INFINITE\); edgewave analyzes "
+                                 r"imp-imp, pec-pmc, imp-pec, imp-pmc$"):
             assemble_order_system(1, cfg)
 
     def test_impmc_domain(self):
@@ -815,9 +817,9 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("case", [CaseKind.IMP_IMP, CaseKind.PEC_PMC])
     def test_a_layout_of_some_orders_keeps_their_entry_order(self, case):
-        # the certificate moves a few orders of a long pass to a layout of
-        # their own by their entry values alone: each order's entries sit in
-        # the same rows, columns and block positions, in the same order
+        # ConstraintSystem.rows reads an order of a long pass through the
+        # layout of that order alone: each order's entries sit in the same
+        # rows, columns and block positions, in the same order
         full = vanish._layout(tuple(range(1, vanish.MAX_ORDER + 1)), case)
         for orders in ((1,), (7,), (85,), (3, 12, 40), (9, 2), (5, 5)):
             layout = vanish._layout(orders, case)
@@ -879,6 +881,19 @@ def _outcome(decide):
         return type(exc).__name__, str(exc)
 
 
+def _spy_lanes(monkeypatch):
+    """The lanes of each _factor_windows call, as lists: (marked on entry,
+    marked on return), two lanes, its classes, per order of the pass."""
+    calls, factor = [], vanish._factor_windows
+
+    def spy(band, plan, lanes):
+        marked = lanes.tolist()
+        factor(band, plan, lanes)
+        calls.append((marked, lanes.tolist()))
+    monkeypatch.setattr(vanish, "_factor_windows", spy)
+    return calls
+
+
 class TestCertificate:
     """nullspace_dim first tries to prove each nullity without its SVD: the
     parity blocks hold the (fam, +-m) column pairs as sums and differences,
@@ -917,10 +932,12 @@ class TestCertificate:
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
     def test_certified_orders_agree_with_the_svd(self, case):
         # the scalings leave every block bit for bit as at k = eta = 1 (the
-        # entries carry eta1/eta2 = 1, and no k), so each distinct block set
-        # is decided once; where the certificate proves a nullity d, the
-        # SVD's nullity is d, its d smallest relative singular values are at
-        # most tol/10 and the others at least sqrt(theta)/2
+        # entries carry eta1/eta2 = 1, and no k), so each pass is certified
+        # once and each distinct block set is decided once; where the
+        # certificate proves a nullity d, the SVD's nullity is d, its d
+        # smallest relative singular values are at most tol/10 and the
+        # others at least sqrt(theta)/2; and nullspace_dim of the systems
+        # the SVD decides, both passes in one list, gives the SVD's nullities
         floor = math.sqrt(vanish.CERTIFY_THETA) / 2
         refused = trivial = nontrivial = 0
         for text in self.angles(case):
@@ -929,21 +946,27 @@ class TestCertificate:
             for scale in self.SCALINGS:
                 assert [system.blocks.tobytes()
                         for system in self.systems(text, case, scale)] == blocks
-            distinct = {system.blocks.tobytes(): system for system in
-                        unit + self.systems(text, case, TestReportFill.ETAS)}
-            for system in distinct.values():
+            passes = (unit, self.systems(text, case, TestReportFill.ETAS))
+            distinct = {system.blocks.tobytes(): (system, d) for systems in passes
+                        for system, d in zip(systems,
+                                             vanish._certified_nullities(systems, 1e-9))}
+            decided = []
+            for system, d in distinct.values():
                 svd = _outcome(lambda: vanish._svd_nullity(system, 1e-9))
-                assert _outcome(lambda: nullspace_dim(system)) == svd, (text, system.n)
+                if isinstance(svd, int):
+                    decided.append((system, svd))
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * system.n + 1) - s.size)))
                 rel /= rel[-1]
-                d = vanish._certified_nullities([system], 1e-9)[0]
                 if d is None:
                     refused += 1
                     continue
                 assert svd == d and rel[d] >= floor, (text, system.n)
                 assert d == 0 or rel[d - 1] <= 1e-10, (text, system.n)
                 trivial, nontrivial = trivial + (d == 0), nontrivial + (d > 0)
+            if decided:   # near 1/4 every order of imp-pec is ambiguous
+                systems, svds = zip(*decided)
+                assert nullspace_dim(list(systems)) == list(svds), text
         assert refused > 0 and trivial > 0 and nontrivial > 0
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
@@ -1016,9 +1039,10 @@ class TestCertificate:
     @pytest.mark.parametrize("alpha,case", [
         ("1/2", "imp-imp"), ("3/2", "imp-imp"), ("1/4", "imp-pec")])
     def test_a_degenerate_head_goes_to_the_svd_alone(self, monkeypatch, alpha, case):
-        # cos(alpha' pi) = 0: order 1 is decided by the SVD inside the
-        # report's one nullspace_dim call, and orders 2..12 are still
-        # certified together: no certificate refuses
+        # cos(alpha' pi) = 0 exactly: the report's one nullspace_dim call
+        # makes one certificate call on orders 1..12, which leaves order 1's
+        # lanes out of the factorization and answers None there alone; the
+        # SVD decides order 1, and no factored lane is refused
         calls, svd_orders = {"nullspace_dim": 0, "certify": 0}, []
         rank, svd = vanish.nullspace_dim, np.linalg.svd
         certify = vanish._certified_nullities
@@ -1030,7 +1054,8 @@ class TestCertificate:
         def certified(systems, tol):
             calls["certify"] += 1
             dims = certify(systems, tol)
-            assert None not in dims and [s.n for s in systems] == list(range(2, 13))
+            assert [s.n for s in systems] == list(range(1, 13))
+            assert [d is None for d in dims] == [True] + [False] * 11
             return dims
 
         def decomposed(blocks, *args, **kwargs):
@@ -1039,28 +1064,38 @@ class TestCertificate:
         monkeypatch.setattr(vanish, "nullspace_dim", ranked)
         monkeypatch.setattr(vanish, "_certified_nullities", certified)
         monkeypatch.setattr(np.linalg, "svd", decomposed)
+        lanes = _spy_lanes(monkeypatch)
         report = vanishing_order(make_config(alpha, case=case), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim > 0
         assert calls == {"nullspace_dim": 1, "certify": 1}
+        assert lanes == [([False] * 2 + [True] * 22,) * 2]
 
-    @pytest.mark.parametrize("alpha,bound,svd_orders", [
-        ("1/2", "HEAD_SVD_BELOW", [1])])
-    def test_a_misrouted_order_is_refused_not_misjudged(
-            self, monkeypatch, alpha, bound, svd_orders):
-        # with a bound of 0 no head is sent to the SVD up front: the
-        # certificate refuses the order holding it, and the SVD decides that
-        # order alone; orders 2..12 are still certified
-        cfg = make_config(alpha, **TestReportFill.ETAS)
-        expect = vanishing_order(cfg, 12)
-        monkeypatch.setattr(vanish, bound, 0.0)
-        orders, svd = [], np.linalg.svd
+    def test_a_misrouted_order_is_refused_not_misjudged(self, monkeypatch):
+        # 0.5000001 is untagged and its cos(alpha' pi) = -3.1e-7 is not 0:
+        # the certificate is given the order-1 head and refuses it at both
+        # shifts, as it refuses orders 2..12 so near the grid hit 1/2, and
+        # the SVD decides them all, with the report the SVD alone makes.
+        # At 1/2 itself the head's lanes are never factored, orders 2..12
+        # are certified, and the SVD decides order 1 alone
+        for alpha, given, svd_orders in (("0.5000001", True, list(range(1, 13))),
+                                         ("1/2", False, [1])):
+            cfg = make_config(alpha, **TestReportFill.ETAS)
+            with monkeypatch.context() as patch:
+                patch.setattr(vanish, "_certified_nullities",
+                              lambda systems, tol: [None] * len(systems))
+                expect = vanishing_order(cfg, 12)
+            orders, svd = [], np.linalg.svd
 
-        def spy(blocks, *args, **kwargs):
-            orders.append(blocks.shape[-1] // 2)
-            return svd(blocks, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        assert vanishing_order(cfg, 12) == expect
-        assert orders == svd_orders
+            def spy(blocks, *args, **kwargs):
+                orders.append(blocks.shape[-1] // 2)
+                return svd(blocks, *args, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", spy)
+                lanes = _spy_lanes(patch)
+                assert vanishing_order(cfg, 12) == expect, alpha
+            assert orders == svd_orders, alpha
+            assert lanes[0][0] == [given] * 2 + [True] * 22, alpha
+            assert not any(proven[0] and proven[1] for _, proven in lanes), alpha
 
     def test_a_refused_order_leaves_the_others_certified(self, monkeypatch):
         # 0.2857143 is 2/7 + 1.4e-8 and untagged: orders 7..12 hold a
@@ -1088,12 +1123,15 @@ class TestCertificate:
         assert vanishing_order(cfg, 12) == expect
         assert calls == [[0] * 6 + [None] * 6]
         assert svd_orders == list(range(7, 13))
-        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) is decided by the
-        # SVD inside the same nullspace_dim call
+        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) is left out of the
+        # factorization and decided by the SVD inside the same
+        # nullspace_dim call
         calls.clear(), svd_orders.clear()
+        lanes = _spy_lanes(monkeypatch)
         report = vanishing_order(make_config("1/4", case="imp-pec"), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim == 1
-        assert len(calls) == 1 and None not in calls[0] and len(calls[0]) == 11
+        assert len(calls) == 1 and [d is None for d in calls[0]] == [True] + [False] * 11
+        assert lanes == [([False] * 2 + [True] * 22,) * 2]
 
     @pytest.mark.parametrize("alpha,case", [
         ("1/13", "imp-imp"), ("1/3", "imp-imp"), ("0.6180339887", "imp-imp"),
@@ -1137,6 +1175,20 @@ class TestCertificate:
                 patch.setattr(vanish, "_certified_nullities",
                               lambda systems, tol: [None] * len(systems))
                 assert nullspace_dim(systems) == alone, alpha
+
+    def test_interleaved_passes_decide_as_each_system_alone(self, monkeypatch):
+        # separately assembled systems are nine passes of one order each,
+        # listed order by order across the angles: each is certified as its
+        # own pass, with the certificate and with the SVD fallback alone
+        systems = [assemble_order_system(n, make_config(alpha)) for n in (1, 3, 6)
+                   for alpha in ("1/3", "1/2", "0.37")]
+        alone = [nullspace_dim(system) for system in systems]
+        assert alone == [0, 1, 0, 2, 2, 0, 4, 6, 0]
+        assert nullspace_dim(systems) == alone
+        with monkeypatch.context() as patch:
+            patch.setattr(vanish, "_certified_nullities",
+                          lambda systems, tol: [None] * len(systems))
+            assert nullspace_dim(systems) == alone
 
     def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
         # imp-pmc at 4 sqrt(5)/7 - 1 assembles to 0.5555063, 5e-5 off 5/9:
