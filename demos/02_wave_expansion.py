@@ -1,8 +1,7 @@
 """Vector spherical wavefunctions and field evaluation from mode tables.
 
 Builds the mode pair (M, N), checks the curl identities by finite
-differences, evaluates a field from coefficients two independent ways, and
-round-trips the text serialization.
+differences, and evaluates a field from coefficients two independent ways.
 """
 
 import math
@@ -62,10 +61,3 @@ for rho in (1e-2, 1e-3, 1e-4):
         note = f"   slope {math.log(prev / peak) / math.log(10):.3f}"
     print(f"  rho = {rho:.0e}: max |E| = {peak:.3e}{note}")
     prev = peak
-
-print("\nText serialization round-trip:")
-table = ModeCoefficients(2, k, a={(1, 0): 0.25 - 1j, (2, 2): 0.125},
-                         b={(1, -1): 3.0})
-text = table.to_text()
-print("  " + text.splitlines()[0] + f"  ... ({len(text.splitlines())} lines)")
-print(f"  exact round-trip: {ModeCoefficients.from_text(text) == table}")

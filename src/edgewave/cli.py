@@ -30,8 +30,9 @@ from .verify import SUITES, run_suite
 def parse_complex(text):
     """Parse 'a+bi' / 'a-bi' with optional parts ('2', '1.5-0.5i', 'i', '-i')."""
     text = text.strip().replace(" ", "")
-    # complex() alone would also take 'j', 'nan', 'inf', '_' and parentheses
-    if re.fullmatch(r"[\d.eE+-]*i?", text):
+    # complex() alone would also take 'j', 'nan', 'inf', '_', parentheses and
+    # other scripts' digits
+    if re.fullmatch(r"[0-9.eE+-]*i?", text):
         try:
             return complex(text[:-1] + "j" if text.endswith("i") else text)
         except ValueError:
@@ -40,8 +41,13 @@ def parse_complex(text):
 
 
 def _seed(args):
-    return int(os.environ.get("EDGEWAVE_SEED", 42)) if args.seed is None \
-        else args.seed
+    """verify's seed: --seed, else EDGEWAVE_SEED, else 42.  A negative seed
+    raises ValueError naming where it was given."""
+    name, seed = ("--seed", args.seed) if args.seed is not None else (
+        "EDGEWAVE_SEED", int(os.environ.get("EDGEWAVE_SEED", 42)))
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _build_config(args, alpha_text):

@@ -242,49 +242,6 @@ class ModeCoefficients:
             raise ValueError("mismatched tables")
         return self._with_tables(self._a + other._a, self._b + other._b)
 
-    # -- serialization: header "k <value> lmax <value>", then one line per
-    #    mode "l m re(a) im(a) re(b) im(b)"; exact round-trip via repr floats.
-    def to_text(self):
-        if self._a.ndim > 2:
-            raise ValueError("only a single-field table can be serialized; "
-                             f"this one has field axes {self._a.shape[2:]}")
-        lines = [f"k {float(self.k)!r} lmax {self.lmax}"]
-        for l in range(1, self.lmax + 1):
-            for m in range(-l, l + 1):
-                av, bv = self._a[l, m], self._b[l, m]
-                lines.append(f"{l} {m} {float(av.real)!r} {float(av.imag)!r} {float(bv.real)!r} {float(bv.imag)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "k" or head[2] != "lmax":
-            raise ValueError("bad header")
-        k, lmax = float(head[1]), int(head[3])
-        a, b = {}, {}
-        for ln in lines[1:]:
-            f = ln.split()
-            l, m = int(f[0]), int(f[1])
-            a[(l, m)] = complex(float(f[2]), float(f[3]))
-            b[(l, m)] = complex(float(f[4]), float(f[5]))
-        return cls(lmax, k, a=a, b=b)
-
-    def save(self, path):
-        text = self.to_text()
-        with open(path, "w") as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
-    def __eq__(self, other):
-        return (isinstance(other, ModeCoefficients) and self.lmax == other.lmax
-                and self.k == other.k and np.array_equal(self._a, other._a)
-                and np.array_equal(self._b, other._b))
-
 
 _BLOCK = 2048   # points per mode table, so its size does not grow with them
 

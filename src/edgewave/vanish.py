@@ -853,17 +853,18 @@ def _certified_nullities(systems, tol):
     degenerates where cos(alpha' pi) = 0, and its null vector is no sum or
     difference, so no shift proves it.  An order-1 impedance head whose
     cos(alpha' pi) is exactly 0 by sincos_pi, as its edge values are
-    computed, is left out of the factorization and answered None: its
-    refused window would send its whole step through _factor_windows'
-    one-window-at-a-time fallback.  A head near that angle but not at it is
-    factored and refused.  The proof below holds for any set of orders, so
-    leaving one out changes no other answer.
+    computed, is factored as the identity (_PAD_ROW in its band rows) and
+    answered None: its own window would refuse every lane of its step.  A
+    head near that angle but not at it is factored and refused.  The proof
+    below holds for each order apart, so the identity changes no other
+    answer.
 
     The Gram matrix G_c of each class enters the factorization as
     G' = G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
     deflated column.  S bounds s_max^2 = max_c |G_c| from above: first
-    S = R, and for a system refused at that, once more S = U, the least of
-    R and the largest absolute row sum of its G_c (Gershgorin).  On these
+    S = R, and if that refuses any order, the whole pass once more at S =
+    U, the least of R and the largest absolute row sum of its G_c
+    (Gershgorin); an order proven at either shift is proven.  On these
     blocks U is within 1.0 to 1.4 times s_max^2 where R is about N times
     it, so orders whose smallest relative singular value is down to about
     3.5e-5, as near a grid hit of an irrational angle, are certified rather
@@ -873,8 +874,9 @@ def _certified_nullities(systems, tol):
     has half-bandwidth _HALF_BAND, and its lower band is formed from the
     entry values (_gram_band).  _factor_windows factors it by blocks of
     b = _WINDOW slots, each step a dense Cholesky factorization of a window
-    of two blocks, for every order of a pass and both classes at once; an
-    order whose window does not factor is refused alone.  If every window
+    of two blocks, for every order of a pass and both classes at once; a
+    step that does not factor refuses every order with a window at it, and
+    the orders whose windows all came before stay proven.  If every window
     factors, L L^H = G' + F for the shifted matrix G', where F has nonzeros
     only within a window, |i - j| < 2b, and |F_ij| <= c_b eps (1 + O(eps))
     ||l_i|| ||l_j||, l_i row i of L, with c_b = 2(2b + 1) + b + 9 = 5b + 11:
@@ -916,21 +918,21 @@ def _certified_pass(fill, alpha, tol):
     layout, values, _ = fill
     owner, starts, scale, plan = layout.windows
     band = _gram_band(values, layout)
+    head = ((layout.n == 1) & (layout.case != CaseKind.PEC_PMC)
+            & (sincos_pi(alpha)[1] == 0.0))
+    band[:-1][head[owner]] = _PAD_ROW
     diagonal = band[:-1, 0].real.copy()
     units = np.add.reduceat(diagonal, starts)
     unit = units.take(owner)
     small = diagonal <= unit * ((tol / 100) ** 2 * scale)
-    tried = ((layout.n > 1) | (layout.case == CaseKind.PEC_PMC)
-             | (sincos_pi(alpha)[1] != 0.0))
 
-    def factors(bound, chosen):
+    def factors(bound):
         band[:-1, 0] = np.where(small, unit, diagonal - CERTIFY_THETA * bound)
-        lanes = np.repeat(chosen, 2)
-        _factor_windows(band, plan, lanes)
+        lanes = _factor_windows(band, plan)
         return lanes[0::2] & lanes[1::2]
 
-    proven = factors(unit, tried)
-    if not proven[tried].all():
+    proven = factors(unit)
+    if not proven.all():
         # the Gershgorin bound costs a pass over the bands, so only on refusal
         band[:-1, 0] = diagonal
         size = np.abs(band)
@@ -938,15 +940,12 @@ def _certified_pass(fill, alpha, tol):
         for d in range(1, _HALF_BAND + 1):
             sums[:-d] += size[d:, d]
         bound = np.minimum(units, np.maximum.reduceat(sums[:-1], starts))
-        retry = tried & ~proven & (bound < units)
-        if retry.any():
-            proven |= factors(bound.take(owner), retry)
+        proven |= factors(bound.take(owner))
     counts = np.add.reduceat(small, starts).tolist()
-    return [d if ok else None for d, ok in zip(counts, proven.tolist())]
+    return [d if ok else None for d, ok in zip(counts, (proven & ~head).tolist())]
 
 
 _PAD_ROW = _read_only(np.eye(1, _HALF_BAND + 1, dtype=complex))[0]
-_IDENTITY = _read_only(np.eye(2 * _WINDOW))[0]
 
 
 def _window_plan(orders):
@@ -983,10 +982,10 @@ def _window_plan(orders):
     return (*_read_only(owner, base[0::2], 1.0 / (2.0 * w[owner * 2]) ** 2), tuple(plan))
 
 
-def _factor_windows(band, plan, lanes):
+def _factor_windows(band, plan):
     """Windowed block-tridiagonal Cholesky factorization of the band matrix
-    of each lane marked in lanes, all lanes at once; lanes is cleared where
-    a window does not factor.
+    of every lane, all lanes at once, and which lanes factored, a boolean
+    per lane.
 
     A lane's first window is its first two blocks of b = _WINDOW slots, as
     the band holds them; each later one stacks on top the Schur complement
@@ -995,28 +994,24 @@ def _factor_windows(band, plan, lanes):
     carried one alone.  The windows of all lanes at a step factor in one
     np.linalg.cholesky call, which reads the lower triangle only, and with
     L22 a factor's lower diagonal block, L22 L22^H is the Schur complement
-    carried on.  A lane not marked, or refused at a step, factors I from
-    then on."""
-    b, flat, partial = _WINDOW, band.reshape(-1), not lanes.all()
+    carried on.  A step that does not factor refuses every lane with a
+    window at it and ends the factorization; a lane whose windows all came
+    before stays factored."""
+    b, flat = _WINDOW, band.reshape(-1)
+    factored = np.ones(plan[0][0].size, dtype=bool)
     for k, (active, index, carried) in enumerate(plan):
         windows = flat.take(index)
         if k:
             windows[:, :b, :b] = schur[carried]
-        if partial:
-            windows[~lanes[active]] = _IDENTITY
         try:
             factor = np.linalg.cholesky(windows)
         except np.linalg.LinAlgError:
-            factor, partial = windows, True
-            for j in np.flatnonzero(lanes[active]):
-                try:
-                    factor[j] = np.linalg.cholesky(windows[j])
-                except np.linalg.LinAlgError:
-                    lanes[active[j]] = False
-                    factor[j] = _IDENTITY
+            factored[active] = False
+            break
         if k + 1 < len(plan):
             low = factor[:, b:, b:]
             schur = low @ low.conj().transpose(0, 2, 1)
+    return factored
 
 
 def _dim_from_values(system, s, ncols, tol):

@@ -30,10 +30,13 @@ class TestComplexGrammar:
         assert parse_complex(text) == expect
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_complex("1+2j+3")
+        # the grammar's digits are ASCII: complex() would read the fullwidth
+        # and Arabic-Indic ones as 1 and 2
+        for text in ("1+2j+3", "\uff11", "\u0661", "1+\u0662i"):
+            with pytest.raises(ValueError):
+                parse_complex(text)
 
-    @given(st.text(alphabet="0123456789.eE+-ij ", max_size=12))
+    @given(st.text(alphabet="0123456789.eE+-ij \uff11\u0661", max_size=12))
     @settings(max_examples=3000, deadline=None)
     def test_matches_the_reference_grammar(self, text):
         try:
@@ -53,7 +56,7 @@ def _reference_complex(text):
     m = re.fullmatch(
         r"(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
         r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i)?"
-        r"|(?P<only_im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i", text)
+        r"|(?P<only_im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i", text, re.ASCII)
     if m is None:
         raise ValueError(f"cannot parse complex literal {text!r}")
     if m.group("only_im") is not None:
@@ -505,6 +508,22 @@ class TestVerifyCommand:
         # module self-checks run under pytest only
         assert main(["verify", "--suite", "specfun"]) == 1
         assert "invalid choice: 'specfun'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--seed", "-5"], None, "--seed must be a non-negative integer, got -5"),
+        ([], "-1", "EDGEWAVE_SEED must be a non-negative integer, got -1")],
+        ids=["flag", "variable"])
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch, flags, env,
+                                          message):
+        # refused before any check runs: the seeded checks would each fail
+        # on it and report a healthy product as broken (exit 3)
+        if env is not None:
+            monkeypatch.setenv("EDGEWAVE_SEED", env)
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("ran"))
+        assert main(["verify", "--suite", "all", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_seed_reproducible_json(self, capsys, monkeypatch):
         monkeypatch.setenv("EDGEWAVE_SEED", "123")

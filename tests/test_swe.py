@@ -428,31 +428,7 @@ class TestModes:
         self._assert_same(coeffs)
 
 
-class TestSerialization:
-    def test_round_trip(self, rng):
-        c = random_coeffs(rng, lmax=4)
-        assert ModeCoefficients.from_text(c.to_text()) == c
-
-    def test_file_round_trip(self, rng, tmp_path):
-        c = random_coeffs(rng, lmax=2)
-        path = tmp_path / "modes.txt"
-        c.save(path)
-        assert ModeCoefficients.load(path) == c
-
-    def test_header_format(self):
-        c = ModeCoefficients(1, 2.0, a={(1, 1): 1 + 2j})
-        lines = c.to_text().splitlines()
-        assert lines[0] == "k 2.0 lmax 1"
-        assert lines[1].split()[:2] == ["1", "-1"]
-
-    def test_field_axis_refused(self, tmp_path):
-        c = ModeCoefficients(1, 1.0, a={(1, 0): np.array([1.0, 2.0])})
-        with pytest.raises(ValueError, match="single-field"):
-            c.to_text()
-        with pytest.raises(ValueError, match="single-field"):
-            c.save(tmp_path / "modes.txt")
-        assert not (tmp_path / "modes.txt").exists()
-
+class TestModeCoefficients:
     def test_immutability(self):
         c = ModeCoefficients(1, 1.0, a={(1, 0): 1.0})
         with pytest.raises(ValueError):

@@ -116,8 +116,8 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         decomposed.append(list(inside))
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    # at 1/2 (imp-pec 1/4 assembles there) the certificate leaves order 1
-    # out and answers None, and the SVD decides it inside the same
+    # at 1/2 (imp-pec 1/4 assembles there) the certificate factors order 1
+    # as the identity and answers None, and the SVD decides it inside the same
     # nullspace_dim call
     for alpha, case, head in (("1/3", "imp-imp", 0), ("0.6180339887", "imp-imp", 0),
                               ("1/2", "imp-imp", 1), ("1/4", "imp-pec", 1)):
@@ -135,7 +135,7 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
 
 def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
     # an order the certificate refuses goes to the SVD, so one refused
-    # order would cost an SVD: on the sweep's traffic no factored lane is
+    # order would cost an SVD: on the sweep's traffic no lane is
     # refused, the certificate runs at most once per nullspace_dim call,
     # and it leaves undecided, and the SVD decides, only the order-1 heads
     # it leaves out: impedance systems with cos(alpha' pi) exactly 0
@@ -213,16 +213,16 @@ def _is_masked_head(system):
 
 
 def _spy_refusals(monkeypatch):
-    """The lanes, per call of vanish._factor_windows, that it was given and
-    refused; the list stays empty while every factored lane is proven."""
+    """The lanes, per call of vanish._factor_windows, that it refused; the
+    list stays empty while every lane is proven."""
     from edgewave import vanish
     refused, factor = [], vanish._factor_windows
 
-    def spy(band, plan, lanes):
-        given = lanes.copy()
-        factor(band, plan, lanes)
-        if (given & ~lanes).any():
-            refused.append((given & ~lanes).nonzero()[0].tolist())
+    def spy(band, plan):
+        lanes = factor(band, plan)
+        if not lanes.all():
+            refused.append((~lanes).nonzero()[0].tolist())
+        return lanes
     monkeypatch.setattr(vanish, "_factor_windows", spy)
     return refused
 

@@ -882,14 +882,14 @@ def _outcome(decide):
 
 
 def _spy_lanes(monkeypatch):
-    """The lanes of each _factor_windows call, as lists: (marked on entry,
-    marked on return), two lanes, its classes, per order of the pass."""
+    """The lanes each _factor_windows call factors, as lists: two lanes,
+    its classes, per order of the pass."""
     calls, factor = [], vanish._factor_windows
 
-    def spy(band, plan, lanes):
-        marked = lanes.tolist()
-        factor(band, plan, lanes)
-        calls.append((marked, lanes.tolist()))
+    def spy(band, plan):
+        lanes = factor(band, plan)
+        calls.append(lanes.tolist())
+        return lanes
     monkeypatch.setattr(vanish, "_factor_windows", spy)
     return calls
 
@@ -900,8 +900,8 @@ class TestCertificate:
     columns below the deflation bound are deflated, and the Gram matrices
     of the rest, shifted by CERTIFY_THETA times the squared norm, take one
     windowed banded Cholesky factorization over all orders; only at an
-    order that fails, and at a degenerate order-1 head, does the SVD
-    decide.  The grid: every reduced q/p with
+    order refused at both shifts, and at a degenerate order-1 head, does
+    the SVD decide.  The grid: every reduced q/p with
     p <= 12, five quadratic irrationals and decimals 1e-11 to 1e-8 off 1/3,
     1/4 and 1/5, in every pairing, at n <= 24, under TestReportFill's
     impedances, k = eta = 1 and TestScaleFree's scalings."""
@@ -1040,9 +1040,9 @@ class TestCertificate:
         ("1/2", "imp-imp"), ("3/2", "imp-imp"), ("1/4", "imp-pec")])
     def test_a_degenerate_head_goes_to_the_svd_alone(self, monkeypatch, alpha, case):
         # cos(alpha' pi) = 0 exactly: the report's one nullspace_dim call
-        # makes one certificate call on orders 1..12, which leaves order 1's
-        # lanes out of the factorization and answers None there alone; the
-        # SVD decides order 1, and no factored lane is refused
+        # makes one certificate call on orders 1..12, which factors order
+        # 1's lanes as the identity and answers None there alone; the SVD
+        # decides order 1, and the one factorization refuses no lane
         calls, svd_orders = {"nullspace_dim": 0, "certify": 0}, []
         rank, svd = vanish.nullspace_dim, np.linalg.svd
         certify = vanish._certified_nullities
@@ -1068,17 +1068,19 @@ class TestCertificate:
         report = vanishing_order(make_config(alpha, case=case), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim > 0
         assert calls == {"nullspace_dim": 1, "certify": 1}
-        assert lanes == [([False] * 2 + [True] * 22,) * 2]
+        assert lanes == [[True] * 24]
 
     def test_a_misrouted_order_is_refused_not_misjudged(self, monkeypatch):
         # 0.5000001 is untagged and its cos(alpha' pi) = -3.1e-7 is not 0:
-        # the certificate is given the order-1 head and refuses it at both
-        # shifts, as it refuses orders 2..12 so near the grid hit 1/2, and
-        # the SVD decides them all, with the report the SVD alone makes.
-        # At 1/2 itself the head's lanes are never factored, orders 2..12
-        # are certified, and the SVD decides order 1 alone
-        for alpha, given, svd_orders in (("0.5000001", True, list(range(1, 13))),
-                                         ("1/2", False, [1])):
+        # the certificate factors the order-1 head's own band, and its
+        # window refuses the first step, with every lane of the pass, at
+        # both shifts; the SVD decides them all, with the report the SVD
+        # alone makes.  At 1/2 itself the head is factored as the identity,
+        # one factorization proves orders 2..12, and the SVD decides order
+        # 1 alone
+        for alpha, factored, svd_orders in (
+                ("0.5000001", [[False] * 24] * 2, list(range(1, 13))),
+                ("1/2", [[True] * 24], [1])):
             cfg = make_config(alpha, **TestReportFill.ETAS)
             with monkeypatch.context() as patch:
                 patch.setattr(vanish, "_certified_nullities",
@@ -1094,8 +1096,7 @@ class TestCertificate:
                 lanes = _spy_lanes(patch)
                 assert vanishing_order(cfg, 12) == expect, alpha
             assert orders == svd_orders, alpha
-            assert lanes[0][0] == [given] * 2 + [True] * 22, alpha
-            assert not any(proven[0] and proven[1] for _, proven in lanes), alpha
+            assert lanes == factored, alpha
 
     def test_a_refused_order_leaves_the_others_certified(self, monkeypatch):
         # 0.2857143 is 2/7 + 1.4e-8 and untagged: orders 7..12 hold a
@@ -1123,15 +1124,34 @@ class TestCertificate:
         assert vanishing_order(cfg, 12) == expect
         assert calls == [[0] * 6 + [None] * 6]
         assert svd_orders == list(range(7, 13))
-        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) is left out of the
-        # factorization and decided by the SVD inside the same
-        # nullspace_dim call
+        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) is factored as the
+        # identity and decided by the SVD inside the same nullspace_dim call
         calls.clear(), svd_orders.clear()
         lanes = _spy_lanes(monkeypatch)
         report = vanishing_order(make_config("1/4", case="imp-pec"), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim == 1
         assert len(calls) == 1 and [d is None for d in calls[0]] == [True] + [False] * 11
-        assert lanes == [([False] * 2 + [True] * 22,) * 2]
+        assert lanes == [[True] * 24]
+
+    def test_a_refused_step_refuses_its_lanes_and_stops(self, monkeypatch):
+        # at 0.2857143 orders 7..12 have a second window, and their step
+        # does not factor: it refuses their lanes alone, ends the
+        # factorization, and the Gershgorin shift refuses them again, while
+        # orders 1..6, whose one window factored at the first step, stay
+        # proven; each step makes one batched Cholesky call per shift
+        source, eff = vanish.effective_config(make_config("0.2857143"))
+        layout = vanish._layout(tuple(range(1, 13)), vanish._assembled_case(source))
+        systems = vanish._systems(layout, eff)
+        cholesky, batches = np.linalg.cholesky, []
+
+        def spy(windows):
+            batches.append(len(windows))
+            return cholesky(windows)
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        lanes = _spy_lanes(monkeypatch)
+        assert vanish._certified_nullities(systems, 1e-9) == [0] * 6 + [None] * 6
+        assert batches == [24, 12] * 2
+        assert lanes == [[True] * 12 + [False] * 12] * 2
 
     @pytest.mark.parametrize("alpha,case", [
         ("1/13", "imp-imp"), ("1/3", "imp-imp"), ("0.6180339887", "imp-imp"),
@@ -1160,9 +1180,7 @@ class TestCertificate:
         band[:, 0], band[:, 1] = 2.0 - shift, -1.0
         band[[0, 49], 1] = 0.0
         band[-1] = vanish._PAD_ROW
-        lanes = np.ones(2, dtype=bool)
-        vanish._factor_windows(band, plan, lanes)
-        assert lanes.tolist() == [factors] * 2
+        assert vanish._factor_windows(band, plan).tolist() == [factors] * 2
 
     def test_a_batch_decides_as_its_orders_alone(self, monkeypatch):
         # with the certificate and with the SVD fallback alone
