@@ -40,11 +40,25 @@ def parse_complex(text):
     raise ValueError(f"cannot parse complex literal {text!r}")
 
 
+def _number(kind):
+    """kind (int or float) of ASCII text without '_'; bears kind's name for argparse."""
+    def read(text):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+    read.__name__ = kind.__name__
+    return read
+
+
 def _seed(args):
-    """verify's seed: --seed, else EDGEWAVE_SEED, else 42.  A negative seed
-    raises ValueError naming where it was given."""
-    name, seed = ("--seed", args.seed) if args.seed is not None else (
-        "EDGEWAVE_SEED", int(os.environ.get("EDGEWAVE_SEED", 42)))
+    """verify's seed: --seed, else EDGEWAVE_SEED, else 42.  A negative or
+    non-integer seed raises ValueError naming where it was given."""
+    name, text = ("--seed", str(args.seed)) if args.seed is not None else (
+        "EDGEWAVE_SEED", os.environ.get("EDGEWAVE_SEED", "42"))
+    try:
+        seed = _number(int)(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
     if seed < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {seed}")
     return seed
@@ -100,8 +114,7 @@ def cmd_table(args):
         return code
     print(f"{'alpha':>12} {'rationality':>12} {'grid bound':>12} {'assembled':>12}")
     for text, alpha, report, failure in rows:
-        rat = f"{alpha.rational[0]}/{alpha.rational[1]}" if alpha.rational \
-            else "irrational"
+        rat = "%d/%d" % alpha.rational if alpha.rational else "irrational"
         grid = theorem_bound(alpha, case, args.nmax)
         tb = f">= {args.nmax}" if grid == INFINITE else str(int(grid))
         ob = failure[0] if failure else f">= {args.nmax}" if report.at_nmax \
@@ -137,9 +150,9 @@ def _shared_flags():
                        choices=[c.value for c in CaseKind])
     flags.add_argument("--eta1", help="face-1 impedance constant, 'a+bi'")
     flags.add_argument("--eta2", help="face-2 impedance constant, 'a+bi'")
-    flags.add_argument("--k", type=float, default=1.0, help="wavenumber")
-    flags.add_argument("--nmax", type=int, default=6, help=f"1..{MAX_ORDER}")
-    flags.add_argument("--tol", type=float, default=1e-9)
+    flags.add_argument("--k", type=_number(float), default=1.0, help="wavenumber")
+    flags.add_argument("--nmax", type=_number(int), default=6, help=f"1..{MAX_ORDER}")
+    flags.add_argument("--tol", type=_number(float), default=1e-9)
     flags.add_argument("--json", action="store_true")
     return flags
 
@@ -165,7 +178,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="run a product invariant suite")
     pv.add_argument("--suite", required=True, choices=[*SUITES, "all"])
-    pv.add_argument("--seed", type=int)
+    pv.add_argument("--seed", type=_number(int))
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
     return ap
@@ -184,10 +197,9 @@ def _attach_eta_values(argv):
 
 
 def main(argv=None):
-    ap = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(_attach_eta_values(argv))
+        args = build_parser().parse_args(_attach_eta_values(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -79,7 +79,7 @@ from .swe import MAX_LMAX, _norm_constants, norm_constant
 INFINITE = math.inf
 MAX_ORDER = MAX_LMAX   # an order-n system reads the degree-n modes
 ETA_RATIO_WINDOW = (1e-8, 1e8)   # the |eta1/eta2| the rank is decided at
-CERTIFY_THETA = 1e-9   # kept columns certified at relative singular values >= 3.2e-5
+CERTIFY_THETA = 1e-9   # shift theta S, S = 2c >= s_max^2 (Cauchy-Schwarz; slack 1e-14)
 CERTIFY_TOLS = (1e-12, math.sqrt(CERTIFY_THETA) / 100)   # see _certified_nullities
 _ROOT_TWO = math.sqrt(2.0)
 _HALF_BAND = 5   # a row spans at most 6 class slots (_gram_pairs checks it)
@@ -534,9 +534,10 @@ class _Layout(NamedTuple):
     chunks cuts the pairs into (pair slice, start, stop) pieces of at most
     about _PAIR_CHUNK pairs, each adding to the band's float parts from
     start to stop alone; spot[2j] and spot[2j + 1] place the real and
-    imaginary part of pair j's product there.  parts holds, per order, (n,
-    its entry slice, its row slice, its block height, its band rows), and
-    windows the plan of the windowed factorization (_window_plan).
+    imaginary part of pair j's product there.  shift holds S = 2c per
+    order, c the most entries in one band row (_certified_nullities);
+    parts holds, per order, (n, its entry slice, row slice, block height
+    and band rows), and windows the plan of _factor_windows (_window_plan).
     """
     case: CaseKind
     n: np.ndarray
@@ -553,6 +554,7 @@ class _Layout(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     spot: np.ndarray
+    shift: np.ndarray
     chunks: tuple
     parts: tuple
     windows: tuple
@@ -602,8 +604,9 @@ def _build_layout(orders, case):
     by_col = np.lexsort((col, grow))
     plus = np.flatnonzero((col[by_col] >= 2) & (col[by_col] % 2 == 0))
     band_cut = np.append(0, np.cumsum(2 * width))
-    left, right, spot, chunks = _gram_pairs(
-        starts, col_slot, band_cut[k] + row_class[grow] * width[k] + col_slot)
+    band_row = band_cut[k] + row_class[grow] * width[k] + col_slot
+    left, right, spot, chunks = _gram_pairs(starts, col_slot, band_row)
+    shift = 2.0 * np.maximum.reduceat(np.bincount(band_row), band_cut[:-1])
     entry_cut = np.searchsorted(k, np.arange(orders.size + 1)).tolist()
     row_cut = np.append(first_row, row_class.size).tolist()
     band_cut = band_cut.tolist()
@@ -612,7 +615,8 @@ def _build_layout(orders, case):
                   for j, n in enumerate(orders.tolist()))
     return _Layout(case, *_read_only(orders, const, factor, turn, grow, col, pos,
                                      starts, by_col[plus], by_col[plus + 1],
-                                     np.flatnonzero(col < 2), left, right, spot),
+                                     np.flatnonzero(col < 2), left, right, spot,
+                                     shift),
                    chunks, parts, _window_plan(orders))
 
 
@@ -859,16 +863,16 @@ def _certified_nullities(systems, tol):
     below holds for each order apart, so the identity changes no other
     answer.
 
-    The Gram matrix G_c of each class enters the factorization as
-    G' = G_c - theta S I, theta = CERTIFY_THETA, with R on the diagonal of a
-    deflated column.  S bounds s_max^2 = max_c |G_c| from above: first
-    S = R, and if that refuses any order, the whole pass once more at S =
-    U, the least of R and the largest absolute row sum of its G_c
-    (Gershgorin); an order proven at either shift is proven.  On these
-    blocks U is within 1.0 to 1.4 times s_max^2 where R is about N times
-    it, so orders whose smallest relative singular value is down to about
-    3.5e-5, as near a grid hit of an irrational angle, are certified rather
-    than sent to the SVD.
+    The Gram matrix G_c of each class is factored once, as G' = G_c -
+    theta S I, theta = CERTIFY_THETA, with R on the diagonal of a deflated
+    column.  The layout's S = 2c, c the most rows of the order that meet
+    one class slot, bounds s_max^2 = max_c |G_c|: each nonzero row of A has
+    2-norm sqrt 2 (_butterfly), so by Cauchy-Schwarz |Ax|^2 <= sum_r 2
+    sum_{j in r} |x_j|^2 <= 2c |x|^2.  Rounding leaves s_max^2 <= S (1 +
+    delta), delta < 1e-14 (pec-pmc attains S to 4.4e-16), which theta's
+    margin below absorbs.  On n <= 85 reports S is 1.0 to 2.6 times
+    s_max^2 and R 2 to 183 times it: an order is certified where its least
+    relative singular value exceeds sqrt(theta S)/s_max, 3.2e-5 to 5.1e-5.
 
     Every row spans at most _HALF_BAND + 1 = 6 consecutive slots, so G_c
     has half-bandwidth _HALF_BAND, and its lower band is formed from the
@@ -889,9 +893,9 @@ def _certified_nullities(systems, tol):
     the principal submatrix F_K on the kept columns has norm at most
     (4b - 1) c_b eps s_max^2, its greatest row sum: a constant of the
     window, not of N.  The kept columns' Gram matrix is G'_K + theta S I,
-    and G'_K + F_K is positive definite, so with s_max^2 <= S they have
-    every singular value at least sqrt(theta) s_max (1 - (4b - 1) c_b
-    eps / theta), and A with the deflated columns set to zero has d zero
+    and G'_K + F_K is positive definite, so they have every singular
+    value at least sqrt(theta) s_max (1 - (4b - 1) c_b eps / theta -
+    delta), and A with the deflated columns set to zero has d zero
     singular values and no other below that.  By Weyl's inequality
     |s_k(A + E) - s_k(A)| <= |E| (Golub and Van Loan, Matrix Computations,
     4th ed., 8.6.1), A itself has d singular values at most (tol/100) s_max
@@ -901,7 +905,7 @@ def _certified_nullities(systems, tol):
     For tol in CERTIFY_TOLS = [1e-12, sqrt(theta)/100 = 3.2e-7] both groups
     clear the ambiguity band (tol/10, 10 tol) of nullspace_dim: at b = 7,
     (4b - 1) c_b eps = 27 * 46 * 2.2e-16 = 2.8e-13, which theta = 1e-9
-    clears by a factor 3.6e3 at every order and either S; the kept values
+    clears by a factor 3.6e3 at every order; the kept values
     lie 10 times above the band at tol = 3.2e-7; and at tol = 1e-12 the
     deflated ones, below 1e-14 + 4e-14, lie twice below it.  So the SVD
     would count d.
@@ -921,28 +925,14 @@ def _certified_pass(fill, alpha, tol):
     head = ((layout.n == 1) & (layout.case != CaseKind.PEC_PMC)
             & (sincos_pi(alpha)[1] == 0.0))
     band[:-1][head[owner]] = _PAD_ROW
-    diagonal = band[:-1, 0].real.copy()
-    units = np.add.reduceat(diagonal, starts)
-    unit = units.take(owner)
+    diagonal = band[:-1, 0].real
+    unit = np.add.reduceat(diagonal, starts).take(owner)
     small = diagonal <= unit * ((tol / 100) ** 2 * scale)
-
-    def factors(bound):
-        band[:-1, 0] = np.where(small, unit, diagonal - CERTIFY_THETA * bound)
-        lanes = _factor_windows(band, plan)
-        return lanes[0::2] & lanes[1::2]
-
-    proven = factors(unit)
-    if not proven.all():
-        # the Gershgorin bound costs a pass over the bands, so only on refusal
-        band[:-1, 0] = diagonal
-        size = np.abs(band)
-        sums = size.sum(axis=1)
-        for d in range(1, _HALF_BAND + 1):
-            sums[:-d] += size[d:, d]
-        bound = np.minimum(units, np.maximum.reduceat(sums[:-1], starts))
-        proven |= factors(bound.take(owner))
+    band[:-1, 0] = np.where(small, unit, diagonal - CERTIFY_THETA * layout.shift[owner])
+    lanes = _factor_windows(band, plan)
     counts = np.add.reduceat(small, starts).tolist()
-    return [d if ok else None for d, ok in zip(counts, (proven & ~head).tolist())]
+    proven = lanes[0::2] & lanes[1::2] & ~head
+    return [d if ok else None for d, ok in zip(counts, proven.tolist())]
 
 
 _PAD_ROW = _read_only(np.eye(1, _HALF_BAND + 1, dtype=complex))[0]
@@ -1002,15 +992,13 @@ def _factor_windows(band, plan):
     for k, (active, index, carried) in enumerate(plan):
         windows = flat.take(index)
         if k:
-            windows[:, :b, :b] = schur[carried]
+            low = factor[:, b:, b:]
+            windows[:, :b, :b] = (low @ low.conj().transpose(0, 2, 1))[carried]
         try:
             factor = np.linalg.cholesky(windows)
         except np.linalg.LinAlgError:
             factored[active] = False
             break
-        if k + 1 < len(plan):
-            low = factor[:, b:, b:]
-            schur = low @ low.conj().transpose(0, 2, 1)
     return factored
 
 

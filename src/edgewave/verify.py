@@ -19,10 +19,6 @@ import numpy as np
 from . import angles, oracle, swe, vanish
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def _case_configs(alpha, rng):
     a = angles.parse_angle(alpha)
     e = complex(*rng.standard_normal(2))
@@ -38,7 +34,7 @@ def _case_configs(alpha, rng):
 # ---------------------------------------------------------------------------
 
 def check_closed_vs_numeric_dets(seed=55):
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
         alpha = float(rng.uniform(0.06, 0.94))
@@ -60,7 +56,7 @@ def check_bound_monotonicity(seed=56):
     """Reports over random rational angles in every pairing.  vanishing_order
     raises BoundInvariantError when the assembled bound falls below
     min(grid bound, n_max), so a report that returns keeps the bound."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     checked = 0
     for _ in range(20):
         p = int(rng.integers(2, 13))
@@ -92,10 +88,11 @@ def check_reflection_reduction():
 def check_certificate(seed=57, tol=1e-9):
     """Every order whose nullity nullspace_dim proves without its SVD, on
     all pairings at rational and irrational angles and one decimal 7e-11
-    off 1/3, n <= 12: the SVD's nullity is the certified one, the smallest
-    kept relative singular value at least sqrt(CERTIFY_THETA)/2 and the
-    largest deflated one at most tol/10."""
-    rng = _rng(seed)
+    off 1/3, n <= 12: its shift bound S is s_max^2 or more (to 1e-12), the
+    SVD's nullity is the certified one, the smallest kept relative singular
+    value at least sqrt(CERTIFY_THETA)/2 and the largest deflated at most
+    tol/10."""
+    rng = np.random.default_rng(seed)
     floor = np.sqrt(vanish.CERTIFY_THETA) / 2
     counts, kept, deflated = [0, 0], np.inf, 0.0
     for alpha in ("1/3", "2/7", "1/4", "3/5", "7/4", "0.6180339887", "0.37",
@@ -113,6 +110,9 @@ def check_certificate(seed=57, tol=1e-9):
                 s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * n + 1) - s.size))) / s.max()
                 where = f"{alpha} {case} n={n}"
+                shift = system.fill.layout.shift[system.part]
+                assert shift >= s.max() ** 2 * (1 - 1e-12), \
+                    f"{where}: shift bound {shift:g} < s_max^2 = {s.max() ** 2:.17g}"
                 assert dim == d, f"{where}: certified {d}, SVD nullity {dim}"
                 kept = min(kept, rel[d])
                 deflated = max(deflated, rel[d - 1] if d else 0.0)
@@ -132,7 +132,7 @@ def check_certificate(seed=57, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def check_cross_oracle(seed=59):
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     cases = [("0.7071067811865475", "imp-imp"), ("1/2", "imp-imp"),
              ("1/3", "imp-imp"), ("1/4", "pec-pmc"), ("1/5", "imp-pec"),
              ("0.6180339887", "pec-pmc"), ("2/3", "imp-pmc"),

@@ -454,6 +454,27 @@ class TestExitCodes:
         assert captured.err == "error: n_max must be in 1..85, got 86\n"
 
 
+    @pytest.mark.parametrize("flag,text,kind", [
+        ("--k", "1_0", "float"), ("--k", "\u0661", "float"), ("--k", "\uff11", "float"),
+        ("--tol", "1e-9_0", "float"), ("--tol", "\u0661e-9", "float"),
+        ("--nmax", "1_2", "int"), ("--nmax", "\u0661\u0662", "int"),
+        ("--nmax", "\uff11\uff12", "int"), ("--seed", "\u0667", "int"),
+        ("--seed", "1_0", "int"), ("--seed", "\uff17", "int")])
+    def test_numeric_flags_read_ascii_without_underscores(self, capsys, monkeypatch,
+                                                          flag, text, kind):
+        # float() and int() alone also read other scripts' digits and '_',
+        # which --alpha and --eta refuse: each of these was a number
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("ran"))
+        commands = [["verify", "--suite", "vanish"]] if flag == "--seed" else [
+            ["analyze", "--alpha", "1/3", "--case", "imp-imp", "--eta1", "1", "--eta2", "1"],
+            ["table", "--case", "imp-imp", "--alphas", "1/3"]]
+        for command in commands:
+            assert main(command + [flag, text]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(
+                f"error: argument {flag}: invalid {kind} value: {text!r}\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--k", "nan"], "wavenumber must be finite and positive, got nan"),
         (["--k", "inf"], "wavenumber must be finite and positive, got inf"),
@@ -511,12 +532,18 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flags,env,message", [
         (["--seed", "-5"], None, "--seed must be a non-negative integer, got -5"),
-        ([], "-1", "EDGEWAVE_SEED must be a non-negative integer, got -1")],
-        ids=["flag", "variable"])
+        ([], "-1", "EDGEWAVE_SEED must be a non-negative integer, got -1"),
+        ([], "abc", "EDGEWAVE_SEED must be a non-negative integer, got 'abc'"),
+        ([], "\u0667", "EDGEWAVE_SEED must be a non-negative integer, got '\u0667'"),
+        ([], "1_0", "EDGEWAVE_SEED must be a non-negative integer, got '1_0'"),
+        ([], "", "EDGEWAVE_SEED must be a non-negative integer, got ''")],
+        ids=["flag", "variable", "variable-text", "variable-digit",
+             "variable-underscore", "variable-empty"])
     def test_negative_seed_is_usage_error(self, capsys, monkeypatch, flags, env,
                                           message):
         # refused before any check runs: the seeded checks would each fail
-        # on it and report a healthy product as broken (exit 3)
+        # on it and report a healthy product as broken (exit 3); int() alone
+        # read '1_0' and Arabic-Indic 7, and named no variable for 'abc'
         if env is not None:
             monkeypatch.setenv("EDGEWAVE_SEED", env)
         monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("ran"))

@@ -898,10 +898,11 @@ class TestCertificate:
     """nullspace_dim first tries to prove each nullity without its SVD: the
     parity blocks hold the (fam, +-m) column pairs as sums and differences,
     columns below the deflation bound are deflated, and the Gram matrices
-    of the rest, shifted by CERTIFY_THETA times the squared norm, take one
+    of the rest, shifted by CERTIFY_THETA times the layout's bound on
+    s_max^2, take one
     windowed banded Cholesky factorization over all orders; only at an
-    order refused at both shifts, and at a degenerate order-1 head, does
-    the SVD decide.  The grid: every reduced q/p with
+    order it refuses, and at a degenerate order-1 head, does the SVD
+    decide.  The grid: every reduced q/p with
     p <= 12, five quadratic irrationals and decimals 1e-11 to 1e-8 off 1/3,
     1/4 and 1/5, in every pairing, at n <= 24, under TestReportFill's
     impedances, k = eta = 1 and TestScaleFree's scalings."""
@@ -1073,13 +1074,13 @@ class TestCertificate:
     def test_a_misrouted_order_is_refused_not_misjudged(self, monkeypatch):
         # 0.5000001 is untagged and its cos(alpha' pi) = -3.1e-7 is not 0:
         # the certificate factors the order-1 head's own band, and its
-        # window refuses the first step, with every lane of the pass, at
-        # both shifts; the SVD decides them all, with the report the SVD
-        # alone makes.  At 1/2 itself the head is factored as the identity,
-        # one factorization proves orders 2..12, and the SVD decides order
-        # 1 alone
+        # window refuses the first step, with every lane of the pass, in
+        # the pass's one factorization; the SVD decides them all, with the
+        # report the SVD alone makes.  At 1/2 itself the head is factored
+        # as the identity, one factorization proves orders 2..12, and the
+        # SVD decides order 1 alone
         for alpha, factored, svd_orders in (
-                ("0.5000001", [[False] * 24] * 2, list(range(1, 13))),
+                ("0.5000001", [[False] * 24], list(range(1, 13))),
                 ("1/2", [[True] * 24], [1])):
             cfg = make_config(alpha, **TestReportFill.ETAS)
             with monkeypatch.context() as patch:
@@ -1135,10 +1136,10 @@ class TestCertificate:
 
     def test_a_refused_step_refuses_its_lanes_and_stops(self, monkeypatch):
         # at 0.2857143 orders 7..12 have a second window, and their step
-        # does not factor: it refuses their lanes alone, ends the
-        # factorization, and the Gershgorin shift refuses them again, while
-        # orders 1..6, whose one window factored at the first step, stay
-        # proven; each step makes one batched Cholesky call per shift
+        # does not factor: it refuses their lanes alone and ends the pass's
+        # one factorization, while orders 1..6, whose one window factored
+        # at the first step, stay proven; each step makes one batched
+        # Cholesky call
         source, eff = vanish.effective_config(make_config("0.2857143"))
         layout = vanish._layout(tuple(range(1, 13)), vanish._assembled_case(source))
         systems = vanish._systems(layout, eff)
@@ -1150,22 +1151,59 @@ class TestCertificate:
         monkeypatch.setattr(np.linalg, "cholesky", spy)
         lanes = _spy_lanes(monkeypatch)
         assert vanish._certified_nullities(systems, 1e-9) == [0] * 6 + [None] * 6
-        assert batches == [24, 12] * 2
-        assert lanes == [[True] * 12 + [False] * 12] * 2
+        assert batches == [24, 12]
+        assert lanes == [[True] * 12 + [False] * 12]
+
+    @pytest.mark.parametrize("alpha,case,eta1,eta2,k,svd_orders", [
+        ("0.2291197912220782", "imp-pmc", None,
+         -0.38375054528542935 - 0.49159781434908395j, 1.4822736414862572, []),
+        ("0.123456789", "imp-imp", 1.3 + 0.2j, 0.7 - 0.4j, 1.2, [81, 82, 83, 84, 85])],
+        ids=["imp-pmc", "imp-imp"])
+    def test_a_deep_report_is_factored_once(self, monkeypatch, alpha, case, eta1,
+                                            eta2, k, svd_orders):
+        # each pass is factored once, at theta S: every order of the imp-pmc
+        # report is certified (the shift theta R would refuse 116 of its
+        # lanes), and imp-imp refuses only the last step's lanes, orders
+        # 81..85, which the SVD decides; a refusal is not factored again
+        cfg = make_config(alpha, case=case, eta1=eta1, eta2=eta2, k=k)
+        orders, decide = [], vanish._svd_nullity
+
+        def svd_nullity(system, tol):
+            orders.append(system.n)
+            return decide(system, tol)
+        monkeypatch.setattr(vanish, "_svd_nullity", svd_nullity)
+        lanes = _spy_lanes(monkeypatch)
+        assert vanishing_order(cfg, vanish.MAX_ORDER).at_nmax
+        assert orders == svd_orders
+        assert len(lanes) == 1
+        assert lanes[0] == [True] * 2 * (vanish.MAX_ORDER - len(svd_orders)) \
+            + [False] * 2 * len(svd_orders)
 
     @pytest.mark.parametrize("alpha,case", [
         ("1/13", "imp-imp"), ("1/3", "imp-imp"), ("0.6180339887", "imp-imp"),
-        ("2/9", "pec-pmc"), ("0.37", "imp-pec"), ("3/7", "imp-pmc")])
+        ("2/9", "pec-pmc"), ("0.6180339887", "pec-pmc"), ("0.37", "imp-pec"),
+        ("3/7", "imp-pmc")])
     def test_highest_orders_are_certified_as_the_svd_decides(self, alpha, case):
         # every order of an n_max-85 report, at complex eta and k != 1: the
         # banded certificate proves each, and each nullity is the SVD's
+        # (_svd_nullity's count from the same singular values).  The shift
+        # bound S = 2c of the layout is at least each order's s_max^2: every
+        # nonzero row of the blocks has 2-norm sqrt 2, so by Cauchy-Schwarz
+        # s_max^2 <= 2c, c the most rows meeting one class slot, up to the
+        # rounding of the unit rows, which pec-pmc reaches; on each report
+        # some order lies above c, so S = c would break the proof
         cfg = make_config(alpha, case=case, **TestReportFill.ETAS)
         source, eff = vanish.effective_config(cfg)
         layout = vanish._layout(tuple(range(1, vanish.MAX_ORDER + 1)),
                                 vanish._assembled_case(source))
         systems = vanish._systems(layout, eff)
+        values = [np.linalg.svd(system.blocks, compute_uv=False) for system in systems]
         assert vanish._certified_nullities(systems, 1e-9) == [
-            vanish._svd_nullity(system, 1e-9) for system in systems]
+            sum(vanish._dim_from_values(system, s, 2 * system.n + 1, 1e-9))
+            for system, s in zip(systems, values)]
+        top = np.array([s.max() ** 2 for s in values])
+        assert (top <= layout.shift * (1 + 1e-12)).all()
+        assert (top > layout.shift / 2).any()
 
     @pytest.mark.parametrize("shift,factors", [(0.003, True), (0.005, False)])
     def test_windows_carry_the_schur_complement(self, shift, factors):
@@ -1208,14 +1246,13 @@ class TestCertificate:
                           lambda systems, tol: [None] * len(systems))
             assert nullspace_dim(systems) == alone
 
-    def test_near_a_grid_hit_the_gershgorin_bound_spares_the_svd(self, monkeypatch):
+    def test_near_a_grid_hit_the_structural_shift_spares_the_svd(self, monkeypatch):
         # imp-pmc at 4 sqrt(5)/7 - 1 assembles to 0.5555063, 5e-5 off 5/9:
         # from order 9 the smallest relative singular value falls from 4.4e-4
         # to 7.8e-5 at order 24, while R/s_max^2 grows like N (their least
         # |sin(m alpha' pi)| is 1.4e-3, so no column is deflated).  The
-        # shift theta R, R = |blocks|_F^2, refuses orders 17..24; the shift
-        # theta U under the Gershgorin bound U (1.0 to 1.4 s_max^2)
-        # certifies them all
+        # shift theta R, R = |blocks|_F^2, would refuse orders 17..24; the
+        # shift theta S of the layout, S = 2c, certifies them all
         text = "0.2777531299998799"
         refused = []
         for system in self.systems(text, "imp-pmc", self.UNIT):

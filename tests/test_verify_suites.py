@@ -35,6 +35,18 @@ def test_certificate_check_fails_on_a_loose_deflation(monkeypatch):
         check_certificate()
 
 
+def test_certificate_check_fails_on_a_halved_shift_bound(monkeypatch):
+    # halved, the certificate's bound S on s_max^2 fails at the first
+    # order checked, imp-imp 1/3 at n = 1 (S/2 = 4, s_max^2 = 5.02), and
+    # the check names the premise the proof rests on
+    layout = vanish._layout
+    monkeypatch.setattr(vanish, "_layout", lambda orders, case: layout(
+        orders, case)._replace(shift=layout(orders, case).shift / 2))
+    with pytest.raises(AssertionError,
+                       match=r"1/3 imp-imp n=1: shift bound 4 < s_max\^2 = 5\.02"):
+        check_certificate()
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense")
