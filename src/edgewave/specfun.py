@@ -56,7 +56,7 @@ def legendre_table(lmax, x):
     takes one degree at a time, every order at once.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1 + 1e-14):
+    if not np.all(np.abs(x) <= 1 + 1e-14):
         raise ValueError("argument outside [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
     out = np.zeros((lmax + 1, lmax + 1) + x.shape)

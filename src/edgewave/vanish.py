@@ -992,8 +992,8 @@ def _factor_windows(band, plan):
     for k, (active, index, carried) in enumerate(plan):
         windows = flat.take(index)
         if k:
-            low = factor[:, b:, b:]
-            windows[:, :b, :b] = (low @ low.conj().transpose(0, 2, 1))[carried]
+            low = factor[carried, b:, b:]
+            windows[:, :b, :b] = low @ low.conj().transpose(0, 2, 1)
         try:
             factor = np.linalg.cholesky(windows)
         except np.linalg.LinAlgError:
@@ -1063,24 +1063,35 @@ def _json_pair(z):
 
 @dataclass
 class OrderDiagnostics:
+    """One order n of a VanishReport: its nullity and, for the impedance
+    pairings, its closed head-block determinants.  Its cascade block
+    determinants, m = 2..n, are the first n - 1 of the report's block_dets."""
     n: int
     nullspace_dim: int
     det_A_closed: Optional[complex] = None
     det_B_closed: Optional[complex] = None
-    block_dets: List[complex] = field(default_factory=list)  # m = 2..n
 
 
 @dataclass
 class VanishReport:
+    """Orders 1..n_max of one configuration, each fact held once: block_dets
+    is the one list of cascade block determinants, m = 2..n_max, order n's
+    its first n - 1, and order_lower_bound is derived from the nullities.
+    from_json_dict refuses what to_json would not write back."""
     alpha: Angle
     case: CaseKind
     per_order: List[OrderDiagnostics]
-    order_lower_bound: int
+    block_dets: List[complex]          # m = 2..n_max
     theorem_bound: Union[int, float]   # int or INFINITE
 
     @property
     def n_max(self):
         return self.per_order[-1].n if self.per_order else 0
+
+    @property
+    def order_lower_bound(self):
+        """The largest n0 with trivial nullspace at every order n <= n0."""
+        return next((d.n - 1 for d in self.per_order if d.nullspace_dim), self.n_max)
 
     @property
     def at_nmax(self):
@@ -1092,26 +1103,17 @@ class VanishReport:
         """The assembled bound strictly exceeds the theorem bound."""
         return self.order_lower_bound > self.theorem_bound
 
-    def _block_prefixes(self):
-        """The last order's block determinants, and per order the length of
-        its prefix of them (vanishing_order lists m = 2..n), None if none."""
-        last = self.per_order[-1].block_dets if self.per_order else []
-        return last, [len(d.block_dets) if d.block_dets == last[:len(d.block_dets)]
-                      else None for d in self.per_order]
-
     def to_json(self):
         """The report as the JSON text json.dumps writes of it, in one pass:
         each block determinant is formatted once and each order joins its
         prefix of them.  json would write a non-finite value as NaN or
         Infinity, which is not JSON: ValueError."""
-        last, prefixes = self._block_prefixes()
-        items = [_json_pair(z) for z in last]
+        items = [_json_pair(z) for z in self.block_dets]
         orders = ", ".join(
             f'{{"n": {d.n}, "nullspace_dim": {d.nullspace_dim}, "det_A": '
             f'{_json_pair(d.det_A_closed)}, "det_B": {_json_pair(d.det_B_closed)}, '
-            '"block_dets": [' + ", ".join(items[:k] if k is not None else
-                                           map(_json_pair, d.block_dets)) + "]}"
-            for d, k in zip(self.per_order, prefixes))
+            '"block_dets": [' + ", ".join(items[:d.n - 1]) + "]}"
+            for d in self.per_order)
         rational = "[%d, %d]" % self.alpha.rational if self.alpha.rational else "null"
         bound = '"gte_nmax"' if self.at_nmax else self.order_lower_bound
         theorem = ('"infinite"' if self.theorem_bound == INFINITE
@@ -1126,34 +1128,34 @@ class VanishReport:
 
     @classmethod
     def from_json_dict(cls, data):
-        alpha = Angle(value=data["alpha"]["value"],
-                      rational=tuple(data["alpha"]["rational"])
-                      if data["alpha"]["rational"] else None)
-        per = [OrderDiagnostics(
-            n=e["n"], nullspace_dim=e["nullspace_dim"],
-            det_A_closed=None if e["det_A"] is None else complex(*e["det_A"]),
-            det_B_closed=None if e["det_B"] is None else complex(*e["det_B"]),
-            block_dets=[complex(re, im) for re, im in e.get("block_dets", [])])
+        """The report of a to_json_dict, its block determinants read from
+        order n_max and its bounds derived: ValueError unless the orders are
+        1..n_max and to_json_dict of the report gives data back."""
+        rational = data["alpha"]["rational"]
+        alpha = Angle(data["alpha"]["value"], tuple(rational) if rational else None)
+        case = CaseKind(data["case"])
+        per = [OrderDiagnostics(e["n"], e["nullspace_dim"], *(
+            None if e[key] is None else complex(*e[key]) for key in ("det_A", "det_B")))
             for e in data["per_order"]]
-        bound = data["order_lower_bound"]
-        bound = (per[-1].n if per else 0) if bound == "gte_nmax" else int(bound)
-        theorem = INFINITE if data["theorem_bound"] == "infinite" \
-            else int(data["theorem_bound"])
-        return cls(alpha=alpha, case=CaseKind(data["case"]), per_order=per,
-                   order_lower_bound=bound, theorem_bound=theorem)
+        if not per or [d.n for d in per] != list(range(1, len(per) + 1)):
+            raise ValueError("a report's orders must be 1..n_max")
+        dets = [complex(*z) for z in data["per_order"][-1]["block_dets"]]
+        report = cls(alpha, case, per, dets, theorem_bound(alpha, case, len(per)))
+        if report.to_json_dict() != data:
+            raise ValueError("the report contradicts itself")
+        return report
 
     def render(self):
         lines = [f"alpha = {self.alpha}   case = {self.case.value}",
                  f"{'n':>3} {'null dim':>9} {'|det A|':>12} {'|det B|':>12} "
                  f"{'min |block det|':>16}"]
-        last, prefixes = self._block_prefixes()
-        lows = list(itertools.accumulate(map(abs, last), min))
-        for d, k in zip(self.per_order, prefixes):
+        lows = ["-"] + [f"{low:.3e}" for low in itertools.accumulate(
+            map(abs, self.block_dets), min)]
+        for d in self.per_order:
             da = "-" if d.det_A_closed is None else f"{abs(d.det_A_closed):.3e}"
             db = "-" if d.det_B_closed is None else f"{abs(d.det_B_closed):.3e}"
-            bd = "-" if not d.block_dets else \
-                f"{lows[k - 1] if k is not None else min(map(abs, d.block_dets)):.3e}"
-            lines.append(f"{d.n:>3} {d.nullspace_dim:>9} {da:>12} {db:>12} {bd:>16}")
+            lines.append(f"{d.n:>3} {d.nullspace_dim:>9} {da:>12} {db:>12} "
+                         f"{lows[d.n - 1]:>16}")
         olb = f">= {self.n_max}" if self.at_nmax else str(self.order_lower_bound)
         tb = (f">= {self.n_max} (irrational)" if self.theorem_bound == INFINITE
               else str(int(self.theorem_bound)))
@@ -1186,9 +1188,8 @@ def vanishing_order(config, n_max, tol=1e-9):
 
     Each order is analyzed independently, exactly as the induction does (the
     hypothesis that all lower orders vanish is structural, so no cross-order
-    rows appear).  order_lower_bound is the largest n0 with trivial nullspace
-    at every order n <= n0.  It must be at least min(grid bound, n_max);
-    a report that falls below it contradicts itself and raises
+    rows appear).  The report's order_lower_bound must be at least min(grid
+    bound, n_max); one that falls below it contradicts itself and raises
     BoundInvariantError instead.
 
     The systems of all orders are filled in one pass (_systems), which
@@ -1207,15 +1208,14 @@ def vanishing_order(config, n_max, tol=1e-9):
     systems = _systems(_layout(tuple(range(1, n_max + 1)), _assembled_case(case)), eff)
     heads = [(None, None) if pecpmc else _closed_dets(n, eff)
              for n in range(1, n_max + 1)]
-    per = [OrderDiagnostics(system.n, dim, *heads[system.n - 1], dets[:system.n - 1])
+    per = [OrderDiagnostics(system.n, dim, *heads[system.n - 1])
            for system, dim in zip(systems, nullspace_dim(systems, tol=tol))]
-    bound = next((d.n - 1 for d in per if d.nullspace_dim > 0), n_max)
-    grid = theorem_bound(config.alpha, case, n_max)
-    guaranteed = min(grid, n_max)
+    report = VanishReport(config.alpha, case, per, dets,
+                          theorem_bound(config.alpha, case, n_max))
+    bound, guaranteed = report.order_lower_bound, min(report.theorem_bound, n_max)
     if bound < guaranteed:
         raise BoundInvariantError(
             f"assembled bound {bound} is below min(grid bound, n_max) = "
             f"{guaranteed}: nullspace dimension {per[bound].nullspace_dim} at "
             f"order {bound + 1}", bound, guaranteed)
-    return VanishReport(alpha=config.alpha, case=case, per_order=per,
-                        order_lower_bound=bound, theorem_bound=grid)
+    return report

@@ -103,11 +103,11 @@ def check_certificate(seed=57, tol=1e-9):
                 d = vanish._certified_nullities([system], tol)[0]
                 if d is None:
                     continue
+                s = np.linalg.svd(system.blocks, compute_uv=False)
                 try:
-                    dim = vanish._svd_nullity(system, tol)
+                    dim = sum(vanish._dim_from_values(system, s, 2 * n + 1, tol))
                 except vanish.RankAmbiguityError:
                     dim = "ambiguous"
-                s = np.linalg.svd(system.blocks, compute_uv=False)
                 rel = np.sort(np.append(s, np.zeros(2 * (2 * n + 1) - s.size))) / s.max()
                 where = f"{alpha} {case} n={n}"
                 shift = system.fill.layout.shift[system.part]

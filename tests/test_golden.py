@@ -81,6 +81,21 @@ def test_golden_output(name, exit_codes):
     assert stderr.encode() == expected_err
 
 
+def test_golden_reports_round_trip():
+    # every report the goldens hold is read back by from_json_dict, which
+    # derives its bounds and each order's block determinants, and written
+    # again byte for byte
+    from edgewave.vanish import VanishReport
+    reports = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        data = json.loads(path.read_text())
+        reports += [d for d in (data if isinstance(data, list) else [data])
+                    if "per_order" in d]
+    assert reports
+    for data in reports:
+        assert VanishReport.from_json_dict(data).to_json() == json.dumps(data)
+
+
 def record():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}

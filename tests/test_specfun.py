@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_dtheta_matches_five_point
 from edgewave import specfun as sf
-from edgewave.swe import norm_constant
+from edgewave.swe import ModeCoefficients, eval_field, norm_constant
 from edgewave.vanish import MAX_ORDER
 
 
@@ -285,6 +285,19 @@ class TestBesselBranches:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError):
                 sf.bessel_table(3, [0.5, bad])
+
+    def test_legendre_rejects_nan_argument(self):
+        # NaN fails every comparison, so a range check must be written to
+        # fail on it
+        with pytest.raises(ValueError, match="outside"):
+            sf.legendre_table(2, np.nan)
+        with pytest.raises(ValueError, match="outside"):
+            sf.legendre_table(2, [0.5, np.nan])
+
+    def test_field_at_nan_theta_is_refused(self):
+        c = ModeCoefficients(2, 1.0, a={(2, 1): 1.0}, b={(1, 0): 0.5})
+        with pytest.raises(ValueError, match="outside"):
+            eval_field(c, (0.1, np.nan, 0.0))
 
 
 class TestRadialPQ:

@@ -202,6 +202,20 @@ def test_sweep_round_builds_no_dense_blocks(monkeypatch):
     assert all(_is_masked_head(system) for system in built)
 
 
+def test_sweep_reports_round_trip():
+    # every report a sweep round writes is one from_json_dict reads back
+    # and writes again byte for byte
+    import json
+    from edgewave.vanish import VanishReport
+    sweep = _WORKLOADS.WORKLOADS["sweep"]
+    for query in sweep.round(1, 0):
+        code, out, _ = sweep.prepare(query)()
+        assert code == 0, query.argv
+        text = out.rstrip("\n")
+        assert VanishReport.from_json_dict(json.loads(text)).to_json() == text, \
+            query.argv
+
+
 def _is_masked_head(system):
     """system is an order-1 impedance head whose cos(alpha' pi) is exactly 0
     by sincos_pi: the certificate leaves it out for the SVD."""

@@ -450,6 +450,33 @@ class TestVanishingOrder:
         back = vanish.VanishReport.from_json_dict(data)
         assert back.to_json_dict() == data
 
+    @pytest.mark.parametrize("edit", ["lower_bound", "theorem_bound", "block_dets",
+                                      "order_dropped"])
+    def test_json_that_contradicts_itself_is_refused(self, edit):
+        # at 1/3, n_max 4, orders 3 and 4 have nullity 2: the lower bound is
+        # 2, the grid bound 2, and order 2's block determinant is -2i sin(2pi/3)
+        data = vanishing_order(make_config("1/3"), 4).to_json_dict()
+        if edit == "lower_bound":
+            data["order_lower_bound"] = "gte_nmax"
+        elif edit == "theorem_bound":
+            data["theorem_bound"] = 7
+        elif edit == "block_dets":
+            data["per_order"][1]["block_dets"] = [[5.0, 0.0]]
+        else:
+            del data["per_order"][1]
+        with pytest.raises(ValueError):
+            vanish.VanishReport.from_json_dict(data)
+
+    def test_block_dets_are_held_once(self):
+        # one list, m = 2..n_max; order n renders the least modulus of its
+        # first n - 1
+        report = vanishing_order(make_config("2/7"), 6)
+        assert report.block_dets == [block_det(m, report.alpha, "sin")
+                                     for m in range(2, 7)]
+        lows = [line.split()[-1] for line in report.render().splitlines()[2:8]]
+        assert lows == ["-"] + [f"{min(map(abs, report.block_dets[:n - 1])):.3e}"
+                                for n in range(2, 7)]
+
     @pytest.mark.parametrize("alpha,case,n_max", [
         ("1/3", "imp-imp", 4), ("1/3", "pec-pmc", 6), ("0.6180339887", "imp-imp", 3),
         ("1/2", "imp-pec", 3)])
@@ -480,7 +507,7 @@ def _reference_json_dict(report):
         return None if z is None else [z.real, z.imag]
     per = [{"n": d.n, "nullspace_dim": d.nullspace_dim,
             "det_A": pair(d.det_A_closed), "det_B": pair(d.det_B_closed),
-            "block_dets": [pair(z) for z in d.block_dets]}
+            "block_dets": [pair(z) for z in report.block_dets[:d.n - 1]]}
            for d in report.per_order]
     return {"alpha": {"value": report.alpha.value,
                       "rational": list(report.alpha.rational)
@@ -517,17 +544,6 @@ class TestJsonWriter:
         assert report.to_json_dict() == _reference_json_dict(report)
         assert vanish.VanishReport.from_json_dict(json.loads(text)).to_json() == text
 
-    def test_orders_that_are_not_a_prefix_are_written_alone(self):
-        # vanishing_order gives order n the block determinants m = 2..n of
-        # one list; a report read from other JSON need not
-        report = vanishing_order(make_config("2/7"), 6)
-        report.per_order[2].block_dets = [3.0 - 1j, -0.0 + 2j]
-        report.per_order[4].block_dets = report.per_order[4].block_dets[1:]
-        assert report.to_json() == json.dumps(_reference_json_dict(report))
-        lows = [line.split()[-1] for line in report.render().splitlines()[2:8]]
-        assert lows == ["-"] + [f"{min(abs(z) for z in d.block_dets):.3e}"
-                                for d in report.per_order[1:]]
-
     @pytest.mark.parametrize("where", ["block_det", "det_A", "det_B"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_is_refused(self, where, bad):
@@ -535,7 +551,7 @@ class TestJsonWriter:
         report = vanishing_order(make_config("1/3"), 4)
         d = report.per_order[-1]
         if where == "block_det":
-            d.block_dets = d.block_dets[:-1] + [complex(1.0, bad)]
+            report.block_dets = report.block_dets[:-1] + [complex(1.0, bad)]
         elif where == "det_A":
             d.det_A_closed = complex(bad, 1.0)
         else:

@@ -2,6 +2,9 @@
 and the theta-derivative comparison that left verify still resolves the
 seeds where a two-point difference failed through rounding."""
 
+import re
+
+import numpy as np
 import pytest
 
 from conftest import assert_dtheta_matches_five_point
@@ -45,6 +48,21 @@ def test_certificate_check_fails_on_a_halved_shift_bound(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"1/3 imp-imp n=1: shift bound 4 < s_max\^2 = 5\.02"):
         check_certificate()
+
+
+def test_certificate_check_takes_one_svd_per_order(monkeypatch):
+    # the check decides each of its 375 certified orders' SVD nullity from
+    # the same singular values it reads the relative values from
+    svd, calls = np.linalg.svd, []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    detail = check_certificate()
+    trivial, nontrivial = map(int, re.match(r"(\d+) trivial and (\d+) nontrivial",
+                                            detail).groups())
+    assert len(calls) == trivial + nontrivial == 375
 
 
 def test_unknown_suite_rejected():
