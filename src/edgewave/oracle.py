@@ -73,40 +73,48 @@ def _field_magnitude(field, r, theta, phi):
     return np.sqrt(total)
 
 
-def _real_blocks(field, r, theta, phi):
-    """E_c = sum_k R_k A_{k,c} on the grid (r, theta, phi) as real blocks,
-    one per pair of swe._ball_parts (E_r on the p factors, E_theta and E_phi
-    on the j and q factors): the radial factors R as a (balls x radial
-    nodes, k) matrix against the angular table A as a (k, Re/Im x component
-    x angle) matrix.  The complex A is freed on return, which keeps a
-    query's peak memory down."""
-    return [(R.reshape(len(R), r.size).T, np.concatenate(
-        [A.real, A.imag], axis=1).reshape(len(A), 2 * math.prod(A.shape[1:])))
-        for R, A in _ball_parts(field, r, theta, phi)]
-
-
 def _ball_magnitudes(field, r, theta, phi):
-    """|E| on the grid (r[b], theta, phi) of each ball b in turn, r of shape
-    (balls, radial nodes) and theta, phi 1-d, as (radial, angular) arrays.
-    A table is tabulated once for all balls (_real_blocks); each ball is
-    then two real matrix products into one buffer, and |E| the square root
-    of the summed squares of its six real columns."""
+    """|E| on the grid (r[b], theta, phi) of each ball b, r of shape (balls,
+    radial nodes) and theta, phi 1-d, as one (radial, angular) array per ball.
+
+    A table squares |E| in Gram form from the separated parts of
+    swe._ball_parts: within a pair, E_c = sum_k R_k A_{k,c} gives
+    |E|^2 = sum_{k <= k'} (2 - [k = k']) R_k R_k' Re sum_c A_{k,c} conj A_{k',c},
+    so |E|^2 on every ball is one real (balls x nodes, products) @
+    (products, angles) matrix product.  Rounding can take a vanishing
+    |E|^2 below 0, so it is clamped there before the square root."""
     if not isinstance(field, ModeCoefficients):
-        for rb in r:
-            mag = _field_magnitude(field, rb[:, None, None], theta[:, None],
-                                   phi[None, :])
-            yield np.broadcast_to(mag, (rb.size, theta.size, phi.size)).reshape(
-                rb.size, -1)
-        return
-    blocks = _real_blocks(field, r, theta, phi)
-    nodes = r.shape[1]
-    E = np.empty((nodes, 6 * theta.size * phi.size))    # one for all balls
-    outs = np.split(E, [blocks[0][1].shape[1]], axis=1)
-    for b in range(len(r)):
-        for out, (Rb, Ab) in zip(outs, blocks):
-            np.matmul(Rb[b * nodes:(b + 1) * nodes], Ab, out=out)
-        parts = E.reshape(nodes, 6, -1)
-        yield np.sqrt(np.einsum("rcp,rcp->rp", parts, parts))
+        shape = (r.shape[1], theta.size, phi.size)
+        return (np.broadcast_to(_field_magnitude(
+            field, rb[:, None, None], theta[:, None], phi[None, :]),
+            shape).reshape(rb.size, -1) for rb in r)
+    E = np.matmul(*_gram_terms(field, r, theta, phi))
+    return np.sqrt(np.maximum(E, 0, out=E), out=E).reshape(r.shape + (-1,))
+
+
+def _gram_terms(coeffs, r, theta, phi):
+    """The radial products R_k R_k' as a (balls x nodes, products) matrix,
+    with the k < k' terms doubled, and the angular Grams as a (products,
+    angles) matrix, for each pair k <= k' within a pair of swe._ball_parts.
+    Both are filled in place, so no temporary wider than A is freed within
+    a query: freeing wider ones, such as a (k, k', angles) einsum, leaves
+    the heap's top free beyond glibc's trim threshold, and the next query
+    faults it back in (100 to 300 minor page faults on about one decay
+    query in four)."""
+    parts = _ball_parts(coeffs, r, theta, phi)
+    n = sum(len(R) * (len(R) + 1) // 2 for R, _ in parts)
+    rows, grams = np.empty((n, r.size)), np.empty((n, theta.size * phi.size))
+    s = 0
+    for R, A in parts:
+        V = np.concatenate([A.real, A.imag], axis=1).reshape(
+            len(A), 2 * A.shape[1], grams.shape[1])
+        for k in range(len(R)):
+            e = s + len(R) - k
+            rows[s:e] = (R[k] * R[k:]).reshape(e - s, r.size)
+            rows[s + 1:e] *= 2
+            np.einsum("cp,kcp->kp", V[k], V[k:], out=grams[s:e])
+            s = e
+    return rows.T, grams
 
 
 def _ball_quadrature(field, radii, quad):
@@ -114,7 +122,9 @@ def _ball_quadrature(field, radii, quad):
 
     Gauss-Legendre in r over [0, rho] and in x = cos(theta); periodic
     trapezoid in phi.  Jacobian r^2 sin(theta) with the sin absorbed by the
-    x substitution.  Each ball's weights are two matrix-vector products.
+    x substitution.  |E| comes on every ball at once (_ball_magnitudes, for
+    a table one Gram-form matrix product), and each ball's weights are then
+    two matrix-vector products.
     """
     nth, nphi = quad.angular_nodes, 2 * quad.angular_nodes
     xr, wr = gauss_legendre(quad.radial_nodes)
@@ -196,7 +206,8 @@ def vani_estimate(coeffs, radii=DEFAULT_RADII, quad=None):
     vanishes to order N, so the fitted slope estimates N + 3.  The field is
     tabulated once for all the radii (_ball_quadrature): one radial matrix
     on the radial nodes of every ball, one angular table on the shared
-    (theta, phi) nodes.
+    (theta, phi) nodes, and |E|^2 on every ball is one real product of
+    their Gram form.
     """
     radii = tuple(sorted(radii, reverse=True))
     _check_ball(coeffs, radii)

@@ -23,7 +23,9 @@ form of the same components on its tensor grid (_ball_parts),
 E_c(r, theta, phi) = sum_k R_k(r) A_{k,c}(theta, phi), k running over
 (radial kind p/j/q, populated degree l): the real radial factors R on the
 radial nodes, and the angular table A (coefficients x polar factors, summed
-over m by one contraction against e^{i m phi}) on the angular nodes.
+over m by one contraction against e^{i m phi}) on the angular nodes.  From
+these same parts the quadrature squares |E| in Gram form, the radial
+products R_k R_k' against the angular Grams Re sum_c A_{k,c} conj A_{k',c}.
 """
 
 from __future__ import annotations
@@ -276,6 +278,8 @@ def _spherical_components(coeffs, r, theta, phi):
     axes.
     """
     r, theta, phi = (np.asarray(v, dtype=float) for v in (r, theta, phi))
+    if not np.isfinite(phi).all():   # the tables refuse a non-finite r, theta
+        raise ValueError("argument must be finite")
     fields = coeffs._a.shape[2:]
     points = np.broadcast_shapes(r.shape, theta.shape, phi.shape)
     shape = np.broadcast_shapes(points, fields)
@@ -299,7 +303,9 @@ def _ball_parts(coeffs, r, theta, phi):
     (K, components, theta, phi).  The first pairs the p_l of the populated
     degrees with E_r; the second pairs j_l, then q_l, of each degree with
     (E_theta, E_phi).  Each part of A is coefficient x polar factors, summed
-    over the orders m by one contraction against e^{i m phi}."""
+    over the orders m by one contraction against e^{i m phi}.  The quadrature
+    squares |E| from these parts in Gram form (oracle._ball_magnitudes), so
+    no component is summed on the grid."""
     l, m = coeffs._populated()
     degrees, orders = np.unique(l), np.unique(m)
     jt = bessel_table(coeffs.lmax + 1, coeffs.k * r)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,11 +113,17 @@ class TestBallQuadrature:
 
     @pytest.mark.parametrize("quad", [QuadratureSpec(), QuadratureSpec(16, 16)],
                              ids=["default", "16-node"])
-    @pytest.mark.parametrize("table", ["degrees-5-7", "two-modes", "order-0",
-                                       "degree-4"])
+    @pytest.mark.parametrize("table", [
+        "degrees-5-7", "two-modes", "order-0", "degree-4", "k-12",
+        *(f"decay-l0-{l0}" for l0 in range(1, 6))])
     def test_matches_pointwise_path(self, rng, quad, table):
         if table == "degrees-5-7":
             c = _decay_like(rng, (5, 6, 7))
+        elif table == "k-12":        # kr reaches 1.2: bessel_table's recurrence
+            c = _decay_like(rng, (1, 2, 3), k=12.0)
+        elif table.startswith("decay"):   # as the decay benchmark draws them
+            l0 = int(table[-1])
+            c = _decay_like(rng, range(l0, l0 + 3), k=rng.uniform(0.5, 3.0))
         elif table == "two-modes":
             c = swe.ModeCoefficients(3, 0.9, a={(2, 1): 0.4 - 1j},
                                      b={(3, 2): 1.3 + 0.2j})
@@ -135,6 +142,28 @@ class TestBallQuadrature:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         np.testing.assert_allclose(oracle._ball_quadrature(c, self.RADII, quad),
                                    ref, rtol=1e-13, atol=0)
+
+    def test_gram_sum_below_zero_gives_zero(self, rng, monkeypatch):
+        # E = R a + (3R)(-a/3) vanishes, but its Gram sum is a difference of
+        # rounded terms and falls below zero at about half of the nodes:
+        # |E| must come out 0 there, not NaN
+        xr, _ = np.polynomial.legendre.leggauss(24)
+        r = 0.5 * np.asarray(self.RADII)[:, None] * (xr + 1.0)
+        theta = np.arccos(np.polynomial.legendre.leggauss(24)[0])
+        phi = 2 * math.pi * np.arange(48) / 48
+        a = (rng.standard_normal((2, theta.size, phi.size))
+             + 1j * rng.standard_normal((2, theta.size, phi.size)))
+        parts = ((np.stack([r * r, 3 * r * r]), np.stack([a, -a / 3])),)
+        monkeypatch.setattr(oracle, "_ball_parts", lambda *args: parts)
+        c = swe.ModeCoefficients(1, 1.0, b={(1, 0): 1.0})
+        square = np.matmul(*oracle._gram_terms(c, r, theta, phi))
+        assert (square < 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mag = oracle._ball_magnitudes(c, r, theta, phi).reshape(square.shape)
+        assert (mag[square < 0] == 0).all()
+        scale = (r * r).reshape(-1, 1) * np.linalg.norm(a, axis=0).reshape(1, -1)
+        assert (mag <= 1e-7 * scale).all()
 
 
 class TestVaniEstimate:
@@ -177,6 +206,20 @@ class TestVaniEstimate:
             np.testing.assert_allclose(est.integrals, ref, rtol=1e-14, atol=0)
             results.append(est.integrals)
         assert results[0] != results[1]   # the quadrature spec is honoured
+
+    def test_peak_memory(self, rng):
+        # a decay-like l0 = 5 table on the default nodes: |E| of every ball is
+        # one (balls x nodes, angles) buffer of 1.05 MiB, with no wider
+        # component buffer next to it
+        c = _decay_like(rng, (5, 6, 7), k=1.3)
+        vani_estimate(c)                # fills the caches of nodes and norms
+        tracemalloc.start()
+        try:
+            vani_estimate(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 2 ** 20
 
     @pytest.mark.parametrize("coeffs", [
         swe.ModeCoefficients(2, 1.0),

@@ -374,6 +374,24 @@ class TestPerOrderEvaluation:
             self.R[:, None, None], self.THETA[None, :, None],
             phi[None, None, :]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_is_refused(self, bad):
+        # a NaN or infinite r or theta is refused by the tables; phi only
+        # enters through e^{i m phi}, which would carry a NaN on silently
+        c = ModeCoefficients(2, 1.0, a={(2, 1): 1.0}, b={(1, 0): 0.5})
+        phi = self.PHI.copy()
+        phi[3] = bad
+        for point in ((0.1, 0.3, bad),
+                      (self.R[:, None, None], self.THETA[None, :, None],
+                       phi[None, None, :])):
+            with pytest.raises(ValueError, match="argument must be finite"):
+                swe.eval_field(c, point)
+            with pytest.raises(ValueError, match="argument must be finite"):
+                swe._spherical_components(c, *point)
+        phi[3] = 1e6     # finite, however far outside one period
+        self._assert_matches(c, (self.R[:, None, None],
+                                 self.THETA[None, :, None], phi[None, None, :]))
+
 
 class TestCurlCoefficients:
     def test_curl_matches_fd(self, rng):
