@@ -7,6 +7,10 @@ Richardson-extrapolating the leading radial coefficients, rather than by the
 closed-form row formulas of the structured assembler.  Leading-order
 extraction uses a polynomial fit over a geometric radius grid (ratio 2), so
 the oracle stays independent of the series coefficients used elsewhere.
+A query has one such grid, r_j = h 2^-j for j = 0..4 with h = min(2e-3,
+0.05/k), so kh <= 0.05 at every k: the face rows, the first-order head row
+and the radial weights of the edge rows are all sampled on it and fitted by
+one cubic, whose matrices are computed once (_GRID, _FIT, _FIT_PINV).
 A query tabulates its basis fields once, as one mode table over the
 points of both faces (swe._mode_table): each unit field's E is one column of
 it and its curl E is +-ik times another, so every field is a column gather,
@@ -273,27 +277,26 @@ def _unit_face_fields(n, config, faces, r, theta):
                                 theta)
 
 
-@lru_cache(maxsize=None)
-def _cubic_fit(scaled_radii):
-    """Vandermonde matrix of a cubic on the scaled radii and its
-    pseudo-inverse, which maps samples to the least-squares coefficients."""
-    V = np.vander(scaled_radii, 4, increasing=True)
-    pinv = np.linalg.pinv(V)
-    V.flags.writeable = pinv.flags.writeable = False
-    return V, pinv
+# The collocation radii are h * _GRID; a cubic in r / h is fitted to the
+# samples on them by the pseudo-inverse of its Vandermonde matrix.  Read-only.
+_GRID = 0.5 ** np.arange(5)
+_FIT = np.vander(_GRID, 4, increasing=True)
+_FIT_PINV = np.linalg.pinv(_FIT)
+_GRID.flags.writeable = _FIT.flags.writeable = _FIT_PINV.flags.writeable = False
 
 
-def _radial_coefficients(values, radii, n, orders=(0,)):
-    """Coefficients of r^{n-1+j}, j in orders, from sampled values.
+def _radial_coefficients(values, h, n, orders=(0,)):
+    """Coefficients of r^{n-1+j}, j in orders, from values sampled on the
+    radii r = h * _GRID, the one geometric grid (ratio 2) of every
+    collocation row, whose h = min(2e-3, 0.05/k) keeps kh <= 0.05.
 
-    values has shape (nr, ..., nfields); a cubic in r is fitted to
-    values / r^{n-1} over the (scaled) radius grid.  Scaled samples that
-    are not finite (r^{n-1} underflows at high n), and an overdetermined fit
-    residual of some field above 1e-5 of that field's scale, raise
+    values has shape (5, ..., nfields); a cubic in r / h is fitted to
+    values / r^{n-1} by least squares on the five radii.  Scaled samples
+    that are not finite (r^{n-1} underflows at high n), and a fit residual
+    of some field above 1e-5 of that field's scale, raise
     ExtrapolationError.
     """
-    radii = np.asarray(radii)
-    h = radii[0]
+    radii = h * _GRID
     with np.errstate(all="ignore"):
         power = radii.reshape(-1, *([1] * (values.ndim - 1))) ** (n - 1)
         # numpy divides complex by d + 0i as a product with 1/d: the same
@@ -304,63 +307,58 @@ def _radial_coefficients(values, radii, n, orders=(0,)):
     if not np.all(np.isfinite(scale)):     # a NaN or inf sample propagates
         raise ExtrapolationError(
             f"samples scaled by r^-{n - 1} are not finite at order {n}")
-    V, pinv = _cubic_fit(tuple((radii / h).tolist()))
-    coef = pinv @ flat
-    if len(radii) > 4:
-        d = V @ coef - flat
-        res = np.sum(np.square(d.real) + np.square(d.imag), axis=0)
-        worst = np.max(res.reshape(-1, scale.size), axis=0) ** 0.5
-        f = int(np.argmax(worst - 1e-5 * scale))
-        if worst[f] > 1e-5 * scale[f]:
-            raise ExtrapolationError(
-                f"radial fit residual {worst[f]:.2e} vs scale {scale[f]:.2e}")
-    out = []
-    for j in orders:
-        out.append((coef[j] / h ** j).reshape(values.shape[1:]))
-    return out
+    coef = _FIT_PINV @ flat
+    d = _FIT @ coef - flat
+    res = np.sum(np.square(d.real) + np.square(d.imag), axis=0)
+    worst = np.max(res.reshape(-1, scale.size), axis=0) ** 0.5
+    f = int(np.argmax(worst - 1e-5 * scale))
+    if worst[f] > 1e-5 * scale[f]:
+        raise ExtrapolationError(
+            f"radial fit residual {worst[f]:.2e} vs scale {scale[f]:.2e}")
+    return [(coef[j] / h ** j).reshape(values.shape[1:]) for j in orders]
 
 
-def _sample_rows_true(n, config, thetas, radii, orders):
+def _sample_rows_true(n, config, thetas, h, orders):
     """Rows from the geometric boundary residual of every basis field.
 
     Returns an array (nrows, 2(2n+1)): for each face, extracted order j and
     theta sample and Cartesian component, the r^{n-1+j} coefficient (j in
-    orders).  Both faces' residuals come from one mode table of their points
-    (_unit_face_fields) and one radial fit, in which each face is a field
-    block of its own, so the fit guards each face's rows against that face's
-    scale.
+    orders), fitted on the radii h * _GRID.  Both faces' residuals come from
+    one mode table of their points (_unit_face_fields) and one radial fit,
+    in which each face is a field block of its own, so the fit guards each
+    face's rows against that face's scale.
     """
-    r = np.asarray(radii)[:, None, None]
+    r = (h * _GRID)[:, None, None]
     theta = np.asarray(thetas)[None, :, None]
     res = _corner._face_residuals(
         _unit_face_fields(n, config, _corner.FACES, r, theta), config, r, theta)
     # (face, nr, ntheta, field, 3) -> (nr, ntheta, 3, face x field)
     faces, nr, ntheta, nfields, _ = res.shape
     values = res.transpose(1, 2, 4, 0, 3).reshape(nr, ntheta, 3, -1)
-    lead = np.stack(_radial_coefficients(values, radii, n, orders))
+    lead = np.stack(_radial_coefficients(values, h, n, orders))
     # (order, ntheta, 3, face, field) -> rows by face, then order
     return lead.reshape(len(orders), ntheta, 3, faces, nfields).transpose(
         3, 0, 1, 2, 4).reshape(-1, nfields)
 
 
-def _sampled_head_row(n, config, thetas, radii):
+def _sampled_head_row(n, config, thetas, h):
     """First-order head relation sampled from the face-1 series.
 
     Samples the combination -nu1 ^ (curl E) + eta1 (nu1 ^ E) ^ nu1 (the
     orientation under which the first-order head block closes), from one
-    mode table of the face-1 points (_unit_face_fields), extracts the
-    r^{n-1} coefficient of its e2 component and projects the theta
-    dependence on the P_n^0 direction.
+    mode table of the face-1 points (_unit_face_fields) on the radii
+    h * _GRID, extracts the r^{n-1} coefficient of its e2 component and
+    projects the theta dependence on the P_n^0 direction.
     """
     thetas = np.asarray(thetas)
-    r, theta = np.asarray(radii)[:, None, None], thetas[None, :, None]
+    r, theta = (h * _GRID)[:, None, None], thetas[None, :, None]
     e2 = _corner.e_vectors(thetas, 0.0)[1]           # (ntheta, 3)
     fields, = _unit_face_fields(n, config, (Face.ONE,), r, theta)
     # the negated series residual with eta = -eta1; negation is exact, so
     # this is -nu1 ^ (curl E) + eta1 (nu1 ^ E) ^ nu1 to the bit
     res = -_corner._residual(fields, config, Face.ONE,
                              ImpedanceSpec.series(-config.bc1.eta0), r, theta)
-    lead = _radial_coefficients(np.swapaxes(res, -1, -2), radii, n, (0,))[0]
+    lead = _radial_coefficients(np.swapaxes(res, -1, -2), h, n)[0]
     sampled = np.sum(lead * e2[:, :, None], axis=1)  # (ntheta, nbasis)
     # least-squares split over the degree-n Legendre components; keep mu = 0
     basis_mat = legendre_table(n, np.cos(thetas))[n].T
@@ -368,16 +366,16 @@ def _sampled_head_row(n, config, thetas, radii):
     return proj[0]
 
 
-def _numeric_edge_rows(n, config):
+def _numeric_edge_rows(n, config, h):
     """The six edge relations with every weight rebuilt numerically.
 
-    The radial weights are extracted from sampled p_n, q_n leading behavior
-    and the trig factors from the face-2 normal, instead of the closed-form
-    constants used by the assembler; vanish.edge_rows places them.
+    The radial weights are the leading coefficients of p_n, q_n sampled on
+    the radii h * _GRID, and the trig factors come from the face-2 normal,
+    instead of the closed-form constants used by the assembler;
+    vanish.edge_rows places them.
     """
-    rr = np.array([1e-3, 5e-4, 2.5e-4, 1.25e-4])
-    rad = radial_pq(n, config.k * rr)
-    plead, qlead = _radial_coefficients(np.stack([rad.p, rad.q], axis=-1), rr, n)[0]
+    rad = radial_pq(n, config.k * h * _GRID)
+    plead, qlead = _radial_coefficients(np.stack([rad.p, rad.q], axis=-1), h, n)[0]
     nu2 = face_normal(config, Face.TWO)
     s, co = -nu2[0], nu2[1]
     c0, c1 = norm_constant(n, 0), norm_constant(n, 1)
@@ -393,34 +391,34 @@ def collocation_nullspace(n, config, seed=42):
     """Nullspace dimension of the order-n boundary conditions by collocation.
 
     The residual of each unit-coefficient order-n basis field is sampled at
-    random polar angles on both faces over a geometric radius grid (four
-    samples per unknown, split over the radii and both faces) and the
-    leading radial coefficients are Richardson-extrapolated into constraint
-    rows.  For PEC/PMC faces both the r^{n-1} and the r^n coefficients are
-    kept (the second-lowest order carries the coupling relations; a pure
-    order-n basis field has no higher-degree contamination there).  For the
+    random polar angles on both faces over the geometric radius grid
+    r_j = h 2^-j, j = 0..4, with h = min(2e-3, 0.05/k) so that kh <= 0.05
+    (four samples per unknown, split over the radii and both faces), and
+    the leading radial coefficients are Richardson-extrapolated into
+    constraint rows.  For PEC/PMC faces both the r^{n-1} and the r^n
+    coefficients are kept (the second-lowest order carries the coupling
+    relations; a pure order-n basis field has no higher-degree
+    contamination there).  For the
     impedance-impedance pairing the sampled face rows are completed by the
-    six edge relations with numerically rebuilt entries; mixed pairings are
-    collocated on the reflected configuration.
+    six edge relations with numerically rebuilt entries, fitted on the same
+    grid; mixed pairings are collocated on the reflected configuration.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
     rng = np.random.default_rng(seed)
     case, config = effective_config(config)
-    k = config.k
-    h = min(2e-3, 0.2 / k)
-    radii = h * 0.5 ** np.arange(5)
-    ntheta = max(4, math.ceil(4 * (2 * n + 1) / len(radii)))
+    h = min(2e-3, 0.05 / config.k)
+    ntheta = max(4, math.ceil(4 * (2 * n + 1) / len(_GRID)))
     thetas = rng.uniform(0.15, math.pi - 0.15, ntheta)
     if case == CaseKind.PEC_PMC:
-        rows = _sample_rows_true(n, config, thetas, radii, orders=(0, 1))
+        rows = _sample_rows_true(n, config, thetas, h, orders=(0, 1))
         return nullspace_dim(rows)
     # impedance on both faces of config, the reflected one for mixed pairings
-    edge = _numeric_edge_rows(n, config)
+    edge = _numeric_edge_rows(n, config, h)
     if n == 1:
-        head = _sampled_head_row(n, config, thetas, radii)
+        head = _sampled_head_row(n, config, thetas, h)
         rows = np.vstack([edge, head[None, :]])
     else:
-        face_rows = _sample_rows_true(n, config, thetas, radii, orders=(0,))
+        face_rows = _sample_rows_true(n, config, thetas, h, orders=(0,))
         rows = np.vstack([edge, face_rows])
     return nullspace_dim(rows)

@@ -1130,18 +1130,24 @@ class VanishReport:
     def from_json_dict(cls, data):
         """The report of a to_json_dict, its block determinants read from
         order n_max and its bounds derived: ValueError unless the orders are
-        1..n_max and to_json_dict of the report gives data back."""
-        rational = data["alpha"]["rational"]
-        alpha = Angle(data["alpha"]["value"], tuple(rational) if rational else None)
-        case = CaseKind(data["case"])
-        per = [OrderDiagnostics(e["n"], e["nullspace_dim"], *(
-            None if e[key] is None else complex(*e[key]) for key in ("det_A", "det_B")))
-            for e in data["per_order"]]
-        if not per or [d.n for d in per] != list(range(1, len(per) + 1)):
-            raise ValueError("a report's orders must be 1..n_max")
-        dets = [complex(*z) for z in data["per_order"][-1]["block_dets"]]
-        report = cls(alpha, case, per, dets, theorem_bound(alpha, case, len(per)))
-        if report.to_json_dict() != data:
+        1..n_max and to_json_dict of the report gives data back.  data is
+        read from outside the program, so a missing key or a value of the
+        wrong type is a ValueError too."""
+        try:
+            rational = data["alpha"]["rational"]
+            alpha = Angle(data["alpha"]["value"], tuple(rational) if rational else None)
+            case = CaseKind(data["case"])
+            per = [OrderDiagnostics(e["n"], e["nullspace_dim"], *(
+                None if e[key] is None else complex(*e[key])
+                for key in ("det_A", "det_B"))) for e in data["per_order"]]
+            if not per or [d.n for d in per] != list(range(1, len(per) + 1)):
+                raise ValueError("a report's orders must be 1..n_max")
+            dets = [complex(*z) for z in data["per_order"][-1]["block_dets"]]
+            report = cls(alpha, case, per, dets, theorem_bound(alpha, case, len(per)))
+            contradicts = report.to_json_dict() != data
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"not a vanishing report: {exc!r}") from exc
+        if contradicts:
             raise ValueError("the report contradicts itself")
         return report
 

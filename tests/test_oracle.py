@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_table, make_config, random_coeffs
-from edgewave import corner, oracle, swe, vanish
+from edgewave import angles, corner, oracle, swe, vanish
 from edgewave.corner import Face, ImpedanceKind, ImpedanceSpec, e_vectors, \
     impedance_residual, tangential_projection, trace_tangential_curl
 from edgewave.oracle import FitQualityError, QuadratureSpec, ball_integral, \
@@ -293,38 +293,52 @@ class TestCollocation:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_radial_fit_is_least_squares(self, rng, n):
-        # the cached pseudo-inverse gives lstsq's cubic, and a sample off the
-        # cubic trips the residual guard
-        radii = 2e-3 * 0.5 ** np.arange(5)
-        h = radii[0]
+        # the module's pseudo-inverse gives lstsq's cubic, and a sample off
+        # the cubic trips the residual guard
+        h = 2e-3
+        radii = h * 0.5 ** np.arange(5)
         V = np.vander(radii / h, 4, increasing=True)
         coef = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         noise = 1e-9 * (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)))
         g = V @ coef + noise
         values = g * radii[:, None] ** (n - 1)
-        lead = oracle._radial_coefficients(values, radii, n, orders=(0, 1, 3))
+        lead = oracle._radial_coefficients(values, h, n, orders=(0, 1, 3))
         best = np.linalg.lstsq(V, g, rcond=None)[0]
         for j, got in zip((0, 1, 3), lead):
             np.testing.assert_allclose(got * h ** j, best[j], rtol=0, atol=1e-12)
         values[2, 4] += 1e-3 * np.abs(values[:, 4]).max()
         with pytest.raises(oracle.ExtrapolationError, match="radial fit residual"):
-            oracle._radial_coefficients(values, radii, n)
+            oracle._radial_coefficients(values, h, n)
 
     @pytest.mark.parametrize("dtype", [complex, float])
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_radial_fit_scales_to_the_bit(self, rng, n, dtype):
         # the coefficients of the quotient values / r^(n-1), exactly: complex
         # samples are scaled by the reciprocal, real ones divided
-        radii = 2e-3 * 0.5 ** np.arange(5)
-        V, pinv = oracle._cubic_fit(tuple((radii / radii[0]).tolist()))
+        radii = 2e-3 * oracle._GRID
+        V, pinv = oracle._FIT, oracle._FIT_PINV
         coef = rng.standard_normal((4, 21)).astype(dtype)
         if dtype is complex:
             coef += 1j * rng.standard_normal((4, 21))
         values = (V @ coef).reshape(5, 3, 7) * radii[:, None, None] ** (n - 1)
         g = values / radii[:, None, None] ** (n - 1)
         want = (pinv @ g.reshape(5, -1))[0].reshape(3, 7)
-        got = oracle._radial_coefficients(values, radii, n)[0]
+        got = oracle._radial_coefficients(values, 2e-3, n)[0]
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1.0, 1e2, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
+    def test_edge_weights_on_the_grid(self, n, k):
+        # p_n(kr) and q_n(kr) lead with k^(n-1) r^(n-1) / ((2n-1)!! (2n+1))
+        # times 1 and n + 1, so the weights are the assembler's scaled by
+        # k^(n-1) / (2n-1)!!; the grid has kh <= 0.05 at every k
+        cfg = make_config("0.37", eta1=1.1 - 0.3j, eta2=0.8 + 0.5j, k=k)
+        lead = k ** (n - 1) / math.prod(range(1, 2 * n, 2))
+        Kp, Ap = (w * lead for w in vanish._radial_weights(n))
+        exact = vanish.edge_rows(*angles.sincos_pi(0.37), Kp, Ap, cfg.bc1.eta0,
+                                 cfg.bc2.eta0, k, 2 * (2 * n + 1))
+        got = oracle._numeric_edge_rows(n, cfg, min(2e-3, 0.05 / k))
+        np.testing.assert_allclose(got, exact, rtol=1e-9, atol=0)
 
     def test_seed_reproducible(self):
         cfg = make_config("1/3")
@@ -346,6 +360,17 @@ class TestCollocation:
             structured = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
             assert collocation_nullspace(n, cfg) == structured
 
+    @pytest.mark.parametrize("k", [1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("alpha,case", [("1/3", "imp-imp"), ("1/5", "imp-pec")])
+    def test_cross_oracle_at_large_k(self, alpha, case, k):
+        # the null directions' relative singular values fall as (kh)^5: on
+        # a grid with kh = 0.2 they reach 7e-10, inside the ambiguity band
+        # (1e-10, 1e-8), at imp-imp n = 3..6 and imp-pec n = 5; at kh = 0.05
+        # they stay at 7e-13 or below
+        cfg = make_config(alpha, case=case, eta1=1.3 + 0.2j, eta2=0.7 - 0.4j, k=k)
+        for n in range(1, 7):
+            structured = vanish.nullspace_dim(vanish.assemble_order_system(n, cfg))
+            assert collocation_nullspace(n, cfg) == structured, n
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
     @pytest.mark.parametrize("n", [1, 3])
@@ -410,29 +435,29 @@ def _unit_fields(n, k):
             for fam, m in vanish.column_labels(n)]
 
 
-def _reference_rows(n, config, thetas, radii, orders):
+def _reference_rows(n, config, thetas, h, orders):
     # one impedance_residual call per unit field and face
-    r, th = radii[:, None], thetas[None, :]
+    r, th = h * 0.5 ** np.arange(5)[:, None], thetas[None, :]
     rows = []
     for face, spec in ((Face.ONE, config.bc1), (Face.TWO, config.bc2)):
         per_field = [oracle._radial_coefficients(
             impedance_residual(unit, config, face, spec, r, th)[..., None],
-            radii, n, orders) for unit in _unit_fields(n, config.k)]
+            h, n, orders) for unit in _unit_fields(n, config.k)]
         for j in range(len(orders)):
             rows.append(np.stack([pf[j][..., 0] for pf in per_field], axis=-1)
                         .reshape(-1, len(per_field)))
     return np.concatenate(rows, axis=0)
 
 
-def _reference_head_row(n, config, thetas, radii):
-    r, th = radii[:, None], thetas[None, :]
+def _reference_head_row(n, config, thetas, h):
+    r, th = h * 0.5 ** np.arange(5)[:, None], thetas[None, :]
     e2 = e_vectors(thetas, 0.0)[1]
     cols = []
     for unit in _unit_fields(n, config.k):
         res = (-trace_tangential_curl(unit, config, Face.ONE, r, th)
                + config.bc1.eta0 * tangential_projection(unit, config, Face.ONE,
                                                          r, th))
-        lead = oracle._radial_coefficients(res[..., None], radii, n)[0][..., 0]
+        lead = oracle._radial_coefficients(res[..., None], h, n)[0][..., 0]
         cols.append(np.sum(lead * e2, axis=-1))
     basis = np.stack([assoc_legendre(n, mu, np.cos(thetas))
                       for mu in range(n + 1)], axis=-1)
@@ -450,9 +475,8 @@ class TestBatchedCollocationRows:
         if case in ("imp-pec", "imp-pmc"):
             cfg = vanish.effective_config(cfg)[1]
         thetas = rng.uniform(0.15, math.pi - 0.15, 6)
-        radii = 2e-3 * 0.5 ** np.arange(5)
-        rows = oracle._sample_rows_true(n, cfg, thetas, radii, (0, 1))
-        ref = _reference_rows(n, cfg, thetas, radii, (0, 1))
+        rows = oracle._sample_rows_true(n, cfg, thetas, 2e-3, (0, 1))
+        ref = _reference_rows(n, cfg, thetas, 2e-3, (0, 1))
         assert rows.shape == ref.shape == (2 * 2 * 6 * 3, 2 * (2 * n + 1))
         for col in range(rows.shape[1]):
             scale = np.max(np.abs(ref[:, col]))
@@ -460,8 +484,8 @@ class TestBatchedCollocationRows:
             np.testing.assert_allclose(rows[:, col], ref[:, col], rtol=0,
                                        atol=1e-12 * scale)
         if case != "pec-pmc":
-            head = oracle._sampled_head_row(n, cfg, thetas, radii)
-            ref = _reference_head_row(n, cfg, thetas, radii)
+            head = oracle._sampled_head_row(n, cfg, thetas, 2e-3)
+            ref = _reference_head_row(n, cfg, thetas, 2e-3)
             np.testing.assert_allclose(head, ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
 

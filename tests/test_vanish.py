@@ -451,10 +451,14 @@ class TestVanishingOrder:
         assert back.to_json_dict() == data
 
     @pytest.mark.parametrize("edit", ["lower_bound", "theorem_bound", "block_dets",
-                                      "order_dropped"])
+                                      "order_dropped", "no_rational",
+                                      "no_nullspace_dim", "det_triple",
+                                      "per_order_text", "list"])
     def test_json_that_contradicts_itself_is_refused(self, edit):
         # at 1/3, n_max 4, orders 3 and 4 have nullity 2: the lower bound is
-        # 2, the grid bound 2, and order 2's block determinant is -2i sin(2pi/3)
+        # 2, the grid bound 2, and order 2's block determinant is -2i sin(2pi/3).
+        # The JSON comes from outside the program, so a missing key or a
+        # value of the wrong type is a ValueError too
         data = vanishing_order(make_config("1/3"), 4).to_json_dict()
         if edit == "lower_bound":
             data["order_lower_bound"] = "gte_nmax"
@@ -462,8 +466,18 @@ class TestVanishingOrder:
             data["theorem_bound"] = 7
         elif edit == "block_dets":
             data["per_order"][1]["block_dets"] = [[5.0, 0.0]]
-        else:
+        elif edit == "order_dropped":
             del data["per_order"][1]
+        elif edit == "no_rational":
+            del data["alpha"]["rational"]
+        elif edit == "no_nullspace_dim":
+            del data["per_order"][2]["nullspace_dim"]
+        elif edit == "det_triple":
+            data["per_order"][0]["det_A"] = [1, 2, 3]
+        elif edit == "per_order_text":
+            data["per_order"] = "1, 2, 3, 4"
+        else:
+            data = [data]
         with pytest.raises(ValueError):
             vanish.VanishReport.from_json_dict(data)
 
