@@ -71,6 +71,7 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from .angles import DETECT_TOL, Angle, AngleError, grid_exclusion_order, sincos_pi
 from .corner import EdgeCornerConfig, ImpedanceKind, ImpedanceSpec
@@ -855,13 +856,8 @@ def _certified_nullities(systems, tol):
 
     At n = 1 the head block B, det B ~ sin^2 cos^2(alpha' pi), also
     degenerates where cos(alpha' pi) = 0, and its null vector is no sum or
-    difference, so no shift proves it.  An order-1 impedance head whose
-    cos(alpha' pi) is exactly 0 by sincos_pi, as its edge values are
-    computed, is factored as the identity (_PAD_ROW in its band rows) and
-    answered None: its own window would refuse every lane of its step.  A
-    head near that angle but not at it is factored and refused.  The proof
-    below holds for each order apart, so the identity changes no other
-    answer.
+    difference, so no shift proves it: its lane is refused, and the SVD
+    decides order 1.
 
     The Gram matrix G_c of each class is factored once, as G' = G_c -
     theta S I, theta = CERTIFY_THETA, with R on the diagonal of a deflated
@@ -878,12 +874,14 @@ def _certified_nullities(systems, tol):
     has half-bandwidth _HALF_BAND, and its lower band is formed from the
     entry values (_gram_band).  _factor_windows factors it by blocks of
     b = _WINDOW slots, each step a dense Cholesky factorization of a window
-    of two blocks, for every order of a pass and both classes at once; a
-    step that does not factor refuses every order with a window at it, and
-    the orders whose windows all came before stay proven.  If every window
-    factors, L L^H = G' + F for the shifted matrix G', where F has nonzeros
-    only within a window, |i - j| < 2b, and |F_ij| <= c_b eps (1 + O(eps))
-    ||l_i|| ||l_j||, l_i row i of L, with c_b = 2(2b + 1) + b + 9 = 5b + 11:
+    of two blocks, for every order of a pass and both classes at once.  A
+    lane, one class of one order, is refused where one of its windows does
+    not factor, and an order is proven where both its lanes factor: no
+    window reads another lane's entries, so the argument below holds for
+    each lane on its own.  If every window of a lane factors, L L^H = G' +
+    F for its shifted matrix G', where F has nonzeros only within a
+    window, |i - j| < 2b, and |F_ij| <= c_b eps (1 + O(eps)) ||l_i||
+    ||l_j||, l_i row i of L, with c_b = 2(2b + 1) + b + 9 = 5b + 11:
     an entry takes the backward error of at most two window factorizations
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
     Thm 10.3, inner products of length <= 2b), the rounding of the Schur
@@ -910,29 +908,23 @@ def _certified_nullities(systems, tol):
     deflated ones, below 1e-14 + 4e-14, lie twice below it.  So the SVD
     would count d.
     """
-    passes = {id(s.fill): s for s in systems}
-    dims = {key: _certified_pass(s.fill, s.config.alpha.value, tol)
-            for key, s in passes.items()}
+    fills = {id(s.fill): s.fill for s in systems}
+    dims = {key: _certified_pass(fill, tol) for key, fill in fills.items()}
     return [dims[id(s.fill)][s.part] for s in systems]
 
 
-def _certified_pass(fill, alpha, tol):
-    """_certified_nullities of every order of fill, assembled at the angle
-    alpha (in units of pi)."""
+def _certified_pass(fill, tol):
+    """_certified_nullities of every order of fill."""
     layout, values, _ = fill
     owner, starts, scale, plan = layout.windows
     band = _gram_band(values, layout)
-    head = ((layout.n == 1) & (layout.case != CaseKind.PEC_PMC)
-            & (sincos_pi(alpha)[1] == 0.0))
-    band[:-1][head[owner]] = _PAD_ROW
     diagonal = band[:-1, 0].real
     unit = np.add.reduceat(diagonal, starts).take(owner)
     small = diagonal <= unit * ((tol / 100) ** 2 * scale)
     band[:-1, 0] = np.where(small, unit, diagonal - CERTIFY_THETA * layout.shift[owner])
-    lanes = _factor_windows(band, plan)
+    proven = _factor_windows(band, plan).reshape(-1, 2).all(axis=1).tolist()
     counts = np.add.reduceat(small, starts).tolist()
-    proven = lanes[0::2] & lanes[1::2] & ~head
-    return [d if ok else None for d, ok in zip(counts, proven.tolist())]
+    return [d if ok else None for d, ok in zip(counts, proven)]
 
 
 _PAD_ROW = _read_only(np.eye(1, _HALF_BAND + 1, dtype=complex))[0]
@@ -982,11 +974,13 @@ def _factor_windows(band, plan):
     of its first block, carried from the window before, and below the next
     block.  A band of half-bandwidth at most b couples that block to the
     carried one alone.  The windows of all lanes at a step factor in one
-    np.linalg.cholesky call, which reads the lower triangle only, and with
-    L22 a factor's lower diagonal block, L22 L22^H is the Schur complement
-    carried on.  A step that does not factor refuses every lane with a
-    window at it and ends the factorization; a lane whose windows all came
-    before stays factored."""
+    call of cholesky_lo, the gufunc np.linalg.cholesky wraps, which reads
+    the lower triangle only, and with L22 a factor's lower diagonal block,
+    L22 L22^H is the Schur complement carried on.  Where np.linalg.cholesky
+    raises for the whole batch, cholesky_lo returns NaN for each window
+    that is not positive definite and the same factor for every other:
+    each step refuses its lanes whose factor holds a NaN, and a refused
+    lane's NaN Schur complement makes its later windows NaN too."""
     b, flat = _WINDOW, band.reshape(-1)
     factored = np.ones(plan[0][0].size, dtype=bool)
     for k, (active, index, carried) in enumerate(plan):
@@ -994,11 +988,11 @@ def _factor_windows(band, plan):
         if k:
             low = factor[carried, b:, b:]
             windows[:, :b, :b] = low @ low.conj().transpose(0, 2, 1)
-        try:
-            factor = np.linalg.cholesky(windows)
-        except np.linalg.LinAlgError:
-            factored[active] = False
-            break
+        with np.errstate(invalid="ignore"):
+            factor = cholesky_lo(windows)
+        # a factor with a NaN has one at [0, 0]: a window that does not
+        # factor comes back all NaN, and a NaN carried block starts with one
+        factored[active] &= ~np.isnan(factor[:, 0, 0])
     return factored
 
 
@@ -1074,19 +1068,26 @@ class OrderDiagnostics:
 
 @dataclass
 class VanishReport:
-    """Orders 1..n_max of one configuration, each fact held once: block_dets
-    is the one list of cascade block determinants, m = 2..n_max, order n's
-    its first n - 1, and order_lower_bound is derived from the nullities.
-    from_json_dict refuses what to_json would not write back."""
+    """Orders 1..n_max of one configuration, each fact held once:
+    block_dets is derived from the angle and order_lower_bound from the
+    nullities.  from_json_dict refuses what to_json would not write back."""
     alpha: Angle
     case: CaseKind
     per_order: List[OrderDiagnostics]
-    block_dets: List[complex]          # m = 2..n_max
     theorem_bound: Union[int, float]   # int or INFINITE
 
     @property
     def n_max(self):
         return self.per_order[-1].n if self.per_order else 0
+
+    @property
+    def block_dets(self):
+        """The cascade block determinants, m = 2..n_max, at the angle alpha'
+        the rows are assembled at; order n's are the first n - 1."""
+        mixed = self.case != _assembled_case(self.case)
+        angle = reflected_angle(self.alpha, self.case) if mixed else self.alpha
+        kind = "cos" if self.case == CaseKind.PEC_PMC else "sin"
+        return [block_det(m, angle, kind) for m in range(2, self.n_max + 1)]
 
     @property
     def order_lower_bound(self):
@@ -1128,11 +1129,13 @@ class VanishReport:
 
     @classmethod
     def from_json_dict(cls, data):
-        """The report of a to_json_dict, its block determinants read from
-        order n_max and its bounds derived: ValueError unless the orders are
-        1..n_max and to_json_dict of the report gives data back.  data is
-        read from outside the program, so a missing key or a value of the
-        wrong type is a ValueError too."""
+        """The report of a to_json_dict, its block determinants and bounds
+        derived: ValueError unless the orders are 1..n_max, n_max <=
+        MAX_ORDER, each order's nullity is an int in 0..2(2n+1) and it has
+        head determinants exactly for the impedance pairings, and
+        to_json_dict of the report gives data back.  data is read from
+        outside the program, so a missing key or a value of the wrong type
+        is a ValueError too."""
         try:
             rational = data["alpha"]["rational"]
             alpha = Angle(data["alpha"]["value"], tuple(rational) if rational else None)
@@ -1140,10 +1143,14 @@ class VanishReport:
             per = [OrderDiagnostics(e["n"], e["nullspace_dim"], *(
                 None if e[key] is None else complex(*e[key])
                 for key in ("det_A", "det_B"))) for e in data["per_order"]]
-            if not per or [d.n for d in per] != list(range(1, len(per) + 1)):
-                raise ValueError("a report's orders must be 1..n_max")
-            dets = [complex(*z) for z in data["per_order"][-1]["block_dets"]]
-            report = cls(alpha, case, per, dets, theorem_bound(alpha, case, len(per)))
+            heads = {case != CaseKind.PEC_PMC}
+            if not 0 < len(per) <= MAX_ORDER or any(
+                    d.n != n or type(d.nullspace_dim) is not int
+                    or not 0 <= d.nullspace_dim <= 2 * (2 * n + 1)
+                    or {d.det_A_closed is not None, d.det_B_closed is not None} != heads
+                    for n, d in enumerate(per, 1)):
+                raise ValueError("the orders hold facts no report can hold")
+            report = cls(alpha, case, per, theorem_bound(alpha, case, len(per)))
             contradicts = report.to_json_dict() != data
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"not a vanishing report: {exc!r}") from exc
@@ -1208,16 +1215,12 @@ def vanishing_order(config, n_max, tol=1e-9):
     if not 1 <= n_max <= MAX_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_ORDER}, got {n_max}")
     case, eff = effective_config(config)
-    pecpmc = case == CaseKind.PEC_PMC
-    dets = [block_det(m, eff.alpha, "cos" if pecpmc else "sin")
-            for m in range(2, n_max + 1)]
     systems = _systems(_layout(tuple(range(1, n_max + 1)), _assembled_case(case)), eff)
-    heads = [(None, None) if pecpmc else _closed_dets(n, eff)
+    heads = [(None, None) if case == CaseKind.PEC_PMC else _closed_dets(n, eff)
              for n in range(1, n_max + 1)]
     per = [OrderDiagnostics(system.n, dim, *heads[system.n - 1])
            for system, dim in zip(systems, nullspace_dim(systems, tol=tol))]
-    report = VanishReport(config.alpha, case, per, dets,
-                          theorem_bound(config.alpha, case, n_max))
+    report = VanishReport(config.alpha, case, per, theorem_bound(config.alpha, case, n_max))
     bound, guaranteed = report.order_lower_bound, min(report.theorem_bound, n_max)
     if bound < guaranteed:
         raise BoundInvariantError(

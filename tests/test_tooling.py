@@ -83,8 +83,8 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
     # these module globals, and times the rank layer as nullspace_dim's self
     # time; a report fills every order in one pass, without assembling it,
     # and ranks all its orders in one nullspace_dim call, which makes one
-    # certificate call on all of them; the certificate, and the SVD of a
-    # degenerate order-1 head, run only inside nullspace_dim
+    # certificate call on all of them; the certificate, and the SVD of an
+    # order-1 head whose lane it refuses, run only inside nullspace_dim
     import numpy as np
     from edgewave import vanish
     from edgewave.angles import parse_angle
@@ -116,9 +116,9 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
         decomposed.append(list(inside))
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    # at 1/2 (imp-pec 1/4 assembles there) the certificate factors order 1
-    # as the identity and answers None, and the SVD decides it inside the same
-    # nullspace_dim call
+    # at 1/2 (imp-pec 1/4 assembles there) the certificate refuses lane 0
+    # alone, class 0 of order 1, and answers None there, and the SVD decides
+    # order 1 inside the same nullspace_dim call
     for alpha, case, head in (("1/3", "imp-imp", 0), ("0.6180339887", "imp-imp", 0),
                               ("1/2", "imp-imp", 1), ("1/4", "imp-pec", 1)):
         cfg = vanish.config_for_case(vanish.CaseKind(case), parse_angle(alpha),
@@ -130,15 +130,16 @@ def test_vanishing_order_calls_traced_names_once_per_order(monkeypatch):
                                   [True] * head + [False] * (n_max - head))]
             assert decomposed == [["nullspace_dim"]] * head
             calls["nullspace_dim"], certified[:], decomposed[:] = 0, [], []
-    assert not refused
+    assert refused == [[0]] * 4   # the two head configurations at n_max 7 and 24
 
 
 def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
-    # an order the certificate refuses goes to the SVD, so one refused
-    # order would cost an SVD: on the sweep's traffic no lane is
-    # refused, the certificate runs at most once per nullspace_dim call,
-    # and it leaves undecided, and the SVD decides, only the order-1 heads
-    # it leaves out: impedance systems with cos(alpha' pi) exactly 0
+    # an order the certificate refuses goes to the SVD, so each refused
+    # order costs an SVD: on the sweep's traffic the certificate runs at
+    # most once per nullspace_dim call, the one lane it refuses in a pass
+    # is lane 0 of a pass whose order 1 is a right-angle head
+    # (_is_right_angle_head), and it leaves undecided, and the SVD decides,
+    # only those heads
     import numpy as np
     from edgewave import vanish
     rank, certify, decide = (vanish.nullspace_dim, vanish._certified_nullities,
@@ -150,9 +151,11 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
         return rank(*args, **kwargs)
 
     def certificate(systems, tol):
+        before = len(refused)
         dims = certify(systems, tol)
-        certified[-1].append([d is None for d in dims]
-                             == [_is_masked_head(s) for s in systems])
+        heads = [_is_right_angle_head(s) for s in systems]
+        certified[-1].append([d is None for d in dims] == heads
+                             and refused[before:] == [[0]] * heads[0])
         return dims
 
     def svd_nullity(system, tol):
@@ -175,16 +178,16 @@ def test_sweep_round_certifies_once_per_rank_call(monkeypatch):
         ok, reason = sweep.check(query, sweep.prepare(query)())
         assert ok, (query.argv, reason)
     assert certified and all(calls in ([], [True]) for calls in certified)
-    assert not refused
     assert decided, "no order-1 head drawn"
-    assert all(_is_masked_head(system) for system in decided)
+    assert all(_is_right_angle_head(system) for system in decided)
+    assert refused == [[0]] * len(decided)
 
 
 def test_sweep_round_builds_no_dense_blocks(monkeypatch):
     # the certificate reads each order's Gram band, formed from the entry
     # values, so on the sweep's traffic the dense parity blocks are built
-    # only for the order-1 heads it leaves out for the SVD, and for no
-    # order it refuses
+    # only for the order-1 heads whose lane 0 it refuses, once each for the
+    # SVD
     from edgewave import vanish
     blocks, built = vanish.ConstraintSystem.blocks, []
 
@@ -197,9 +200,9 @@ def test_sweep_round_builds_no_dense_blocks(monkeypatch):
     for query in sweep.round(1, 0):
         ok, reason = sweep.check(query, sweep.prepare(query)())
         assert ok, (query.argv, reason)
-    assert not refused
     assert built, "no order-1 head drawn"
-    assert all(_is_masked_head(system) for system in built)
+    assert all(_is_right_angle_head(system) for system in built)
+    assert refused == [[0]] * len(built)
 
 
 def test_sweep_reports_round_trip():
@@ -216,9 +219,10 @@ def test_sweep_reports_round_trip():
             query.argv
 
 
-def _is_masked_head(system):
-    """system is an order-1 impedance head whose cos(alpha' pi) is exactly 0
-    by sincos_pi: the certificate leaves it out for the SVD."""
+def _is_right_angle_head(system):
+    """system is an order-1 impedance system whose cos(alpha' pi) is exactly
+    0 by sincos_pi: its head block B, on class 0, is singular, so the
+    certificate refuses lane 0 of its pass and the SVD decides it."""
     from edgewave import vanish
     from edgewave.angles import sincos_pi
     return (isinstance(system, vanish.ConstraintSystem) and system.n == 1
@@ -227,8 +231,8 @@ def _is_masked_head(system):
 
 
 def _spy_refusals(monkeypatch):
-    """The lanes, per call of vanish._factor_windows, that it refused; the
-    list stays empty while every lane is proven."""
+    """The lanes, per call of vanish._factor_windows that refused any, that
+    it refused; the list stays empty while every lane is proven."""
     from edgewave import vanish
     refused, factor = [], vanish._factor_windows
 

@@ -453,12 +453,19 @@ class TestVanishingOrder:
     @pytest.mark.parametrize("edit", ["lower_bound", "theorem_bound", "block_dets",
                                       "order_dropped", "no_rational",
                                       "no_nullspace_dim", "det_triple",
-                                      "per_order_text", "list"])
+                                      "per_order_text", "list", "float_nullity",
+                                      "negative_nullity", "nullity_above_unknowns",
+                                      "det_A_on_pec_pmc", "null_det_A", "null_det_B",
+                                      "order_above_cap", "every_block_det"])
     def test_json_that_contradicts_itself_is_refused(self, edit):
         # at 1/3, n_max 4, orders 3 and 4 have nullity 2: the lower bound is
         # 2, the grid bound 2, and order 2's block determinant is -2i sin(2pi/3).
         # The JSON comes from outside the program, so a missing key or a
-        # value of the wrong type is a ValueError too
+        # value of the wrong type is a ValueError too, and so is a fact no
+        # report can hold: a nullity written as a float, or outside 0..2(2n+1)
+        # at an order past the bound, head determinants on pec-pmc or none on
+        # an impedance pairing, an order past MAX_ORDER, or block determinants
+        # other than the angle's, even where every order agrees on them
         data = vanishing_order(make_config("1/3"), 4).to_json_dict()
         if edit == "lower_bound":
             data["order_lower_bound"] = "gte_nmax"
@@ -476,20 +483,47 @@ class TestVanishingOrder:
             data["per_order"][0]["det_A"] = [1, 2, 3]
         elif edit == "per_order_text":
             data["per_order"] = "1, 2, 3, 4"
+        elif edit == "float_nullity":
+            data["per_order"][0]["nullspace_dim"] = 0.0
+        elif edit == "negative_nullity":
+            data["per_order"][2]["nullspace_dim"] = -2
+        elif edit == "nullity_above_unknowns":
+            data["per_order"][2]["nullspace_dim"] = 2 * (2 * 3 + 1) + 1
+        elif edit == "det_A_on_pec_pmc":
+            data = vanishing_order(make_config("1/3", case="pec-pmc"), 4).to_json_dict()
+            data["per_order"][0]["det_A"] = [2.0, 1.0]
+        elif edit in ("null_det_A", "null_det_B"):
+            data["per_order"][1][edit[5:]] = None
+        elif edit == "order_above_cap":
+            data = vanishing_order(make_config("1/3"), vanish.MAX_ORDER).to_json_dict()
+            top = dict(data["per_order"][-1], n=vanish.MAX_ORDER + 1, nullspace_dim=56)
+            z = block_det(vanish.MAX_ORDER + 1, angles.parse_angle("1/3"), "sin")
+            top["block_dets"] = top["block_dets"] + [[z.real, z.imag]]
+            data["per_order"].append(top)
+        elif edit == "every_block_det":
+            for order in data["per_order"][1:]:
+                order["block_dets"][0] = [7.0, 0.0]
         else:
             data = [data]
         with pytest.raises(ValueError):
             vanish.VanishReport.from_json_dict(data)
 
     def test_block_dets_are_held_once(self):
-        # one list, m = 2..n_max; order n renders the least modulus of its
-        # first n - 1
+        # one list, m = 2..n_max, derived from the angle the rows are
+        # assembled at and read only; order n renders the least modulus of
+        # its first n - 1
         report = vanishing_order(make_config("2/7"), 6)
         assert report.block_dets == [block_det(m, report.alpha, "sin")
                                      for m in range(2, 7)]
         lows = [line.split()[-1] for line in report.render().splitlines()[2:8]]
         assert lows == ["-"] + [f"{min(map(abs, report.block_dets[:n - 1])):.3e}"
                                 for n in range(2, 7)]
+        with pytest.raises(AttributeError):
+            report.block_dets = []
+        for case, kind in (("imp-pmc", "sin"), ("pec-pmc", "cos")):
+            report = vanishing_order(make_config("2/7", case=case), 6)
+            angle = vanish.effective_config(make_config("2/7", case=case))[1].alpha
+            assert report.block_dets == [block_det(m, angle, kind) for m in range(2, 7)]
 
     @pytest.mark.parametrize("alpha,case,n_max", [
         ("1/3", "imp-imp", 4), ("1/3", "pec-pmc", 6), ("0.6180339887", "imp-imp", 3),
@@ -558,15 +592,13 @@ class TestJsonWriter:
         assert report.to_json_dict() == _reference_json_dict(report)
         assert vanish.VanishReport.from_json_dict(json.loads(text)).to_json() == text
 
-    @pytest.mark.parametrize("where", ["block_det", "det_A", "det_B"])
+    @pytest.mark.parametrize("where", ["det_A", "det_B"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_is_refused(self, where, bad):
         # json.dumps would write NaN or Infinity, which is not JSON
         report = vanishing_order(make_config("1/3"), 4)
         d = report.per_order[-1]
-        if where == "block_det":
-            report.block_dets = report.block_dets[:-1] + [complex(1.0, bad)]
-        elif where == "det_A":
+        if where == "det_A":
             d.det_A_closed = complex(bad, 1.0)
         else:
             d.det_B_closed = complex(bad, bad)
@@ -931,7 +963,7 @@ class TestCertificate:
     of the rest, shifted by CERTIFY_THETA times the layout's bound on
     s_max^2, take one
     windowed banded Cholesky factorization over all orders; only at an
-    order it refuses, and at a degenerate order-1 head, does the SVD
+    order with a refused lane, one of its two classes, does the SVD
     decide.  The grid: every reduced q/p with
     p <= 12, five quadratic irrationals and decimals 1e-11 to 1e-8 off 1/3,
     1/4 and 1/5, in every pairing, at n <= 24, under TestReportFill's
@@ -1036,7 +1068,8 @@ class TestCertificate:
     def test_svd_runs_only_where_the_certificate_refuses(
             self, monkeypatch, alpha, case, svd_orders):
         # at 1/2 the first-order null vector is a head-block combination, not
-        # a pair's sum or difference: order 1 goes to the SVD untried
+        # a pair's sum or difference: its lane is refused, and order 1 goes
+        # to the SVD
         orders, svd = [], np.linalg.svd
 
         def spy(blocks, *args, **kwargs):
@@ -1071,9 +1104,10 @@ class TestCertificate:
         ("1/2", "imp-imp"), ("3/2", "imp-imp"), ("1/4", "imp-pec")])
     def test_a_degenerate_head_goes_to_the_svd_alone(self, monkeypatch, alpha, case):
         # cos(alpha' pi) = 0 exactly: the report's one nullspace_dim call
-        # makes one certificate call on orders 1..12, which factors order
-        # 1's lanes as the identity and answers None there alone; the SVD
-        # decides order 1, and the one factorization refuses no lane
+        # makes one certificate call on orders 1..12, whose one
+        # factorization refuses lane 0 alone, class 0 of order 1, where the
+        # head block B lies; the certificate answers None there alone, and
+        # the SVD decides order 1
         calls, svd_orders = {"nullspace_dim": 0, "certify": 0}, []
         rank, svd = vanish.nullspace_dim, np.linalg.svd
         certify = vanish._certified_nullities
@@ -1099,19 +1133,19 @@ class TestCertificate:
         report = vanishing_order(make_config(alpha, case=case), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim > 0
         assert calls == {"nullspace_dim": 1, "certify": 1}
-        assert lanes == [[True] * 24]
+        assert lanes == [[False] + [True] * 23]
 
     def test_a_misrouted_order_is_refused_not_misjudged(self, monkeypatch):
         # 0.5000001 is untagged and its cos(alpha' pi) = -3.1e-7 is not 0:
-        # the certificate factors the order-1 head's own band, and its
-        # window refuses the first step, with every lane of the pass, in
-        # the pass's one factorization; the SVD decides them all, with the
-        # report the SVD alone makes.  At 1/2 itself the head is factored
-        # as the identity, one factorization proves orders 2..12, and the
-        # SVD decides order 1 alone
+        # the pass's one factorization refuses the order-1 head's lane 0,
+        # while its lane 1 factors, and both lanes of orders 2..12, where
+        # |sin(2 alpha' pi)| = 6.3e-7 is neither deflated nor certified;
+        # the SVD decides every order, with the report the SVD alone makes.
+        # At 1/2 itself the same factorization refuses lane 0 alone, and
+        # the SVD decides order 1 alone
         for alpha, factored, svd_orders in (
-                ("0.5000001", [[False] * 24], list(range(1, 13))),
-                ("1/2", [[True] * 24], [1])):
+                ("0.5000001", [[False, True] + [False] * 22], list(range(1, 13))),
+                ("1/2", [[False] + [True] * 23], [1])):
             cfg = make_config(alpha, **TestReportFill.ETAS)
             with monkeypatch.context() as patch:
                 patch.setattr(vanish, "_certified_nullities",
@@ -1155,34 +1189,83 @@ class TestCertificate:
         assert vanishing_order(cfg, 12) == expect
         assert calls == [[0] * 6 + [None] * 6]
         assert svd_orders == list(range(7, 13))
-        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) is factored as the
-        # identity and decided by the SVD inside the same nullspace_dim call
+        # the order-1 head of imp-pec 1/4 (alpha' = 1/2) refuses its lane 0
+        # alone and is decided by the SVD inside the same nullspace_dim call
         calls.clear(), svd_orders.clear()
         lanes = _spy_lanes(monkeypatch)
         report = vanishing_order(make_config("1/4", case="imp-pec"), 12)
         assert svd_orders == [1] and report.per_order[0].nullspace_dim == 1
         assert len(calls) == 1 and [d is None for d in calls[0]] == [True] + [False] * 11
-        assert lanes == [[True] * 24]
+        assert lanes == [[False] + [True] * 23]
 
-    def test_a_refused_step_refuses_its_lanes_and_stops(self, monkeypatch):
-        # at 0.2857143 orders 7..12 have a second window, and their step
-        # does not factor: it refuses their lanes alone and ends the pass's
-        # one factorization, while orders 1..6, whose one window factored
-        # at the first step, stay proven; each step makes one batched
-        # Cholesky call
+    def test_a_refused_step_refuses_its_lanes_and_goes_on(self, monkeypatch):
+        # at 0.2857143 orders 7..12 have a second window, and none of those
+        # factors: their lanes alone are refused, while orders 1..6, whose
+        # one window factored at the first step, stay proven.  The refused
+        # lanes of orders 11 and 12 still take their third window, so each
+        # of the three steps makes one batched cholesky_lo call
         source, eff = vanish.effective_config(make_config("0.2857143"))
         layout = vanish._layout(tuple(range(1, 13)), vanish._assembled_case(source))
         systems = vanish._systems(layout, eff)
-        cholesky, batches = np.linalg.cholesky, []
+        cholesky, batches = vanish.cholesky_lo, []
 
         def spy(windows):
             batches.append(len(windows))
             return cholesky(windows)
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(vanish, "cholesky_lo", spy)
         lanes = _spy_lanes(monkeypatch)
         assert vanish._certified_nullities(systems, 1e-9) == [0] * 6 + [None] * 6
-        assert batches == [24, 12]
+        assert batches == [24, 12, 4]
         assert lanes == [[True] * 12 + [False] * 12]
+
+    def test_the_gufunc_refuses_each_window_alone(self):
+        # the certificate's refusal per lane rests on numpy's cholesky_lo,
+        # the gufunc np.linalg.cholesky wraps: of three windows, the middle
+        # one indefinite, it returns NaN for the middle one alone and, for
+        # the others, the bits np.linalg.cholesky gives
+        from numpy.linalg import _umath_linalg
+        assert vanish.cholesky_lo is _umath_linalg.cholesky_lo
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 14, 14)) + 1j * rng.standard_normal((3, 14, 14))
+        windows = x @ x.conj().transpose(0, 2, 1) + np.eye(14)
+        windows[1] -= 5.0 * np.eye(14)
+        with np.errstate(invalid="ignore"):
+            factor = _umath_linalg.cholesky_lo(windows)
+        assert np.isnan(factor[1]).all()
+        for j in (0, 2):
+            assert factor[j].tobytes() == np.linalg.cholesky(windows[j]).tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(windows)
+
+    def test_an_indefinite_lane_refuses_its_order_alone(self):
+        # orders 1 and 24 factored together, both lanes of order 1
+        # indefinite and both of order 24 definite: order 24's lanes factor
+        # (np.linalg.cholesky raised for the whole first step, which
+        # refused all four)
+        *_, plan = vanish._window_plan(np.array([1, 24]))
+        band = np.zeros((2 * 3 + 2 * 49 + 1, vanish._HALF_BAND + 1), dtype=complex)
+        band[:6, 0], band[6:, 0] = -1.0, 2.0
+        band[6:, 1] = -1.0
+        band[[6, 55], 1] = 0.0
+        band[-1] = vanish._PAD_ROW
+        assert vanish._factor_windows(band, plan).tolist() == [False, False, True, True]
+
+    def test_a_deep_report_near_a_fraction_sends_few_orders_to_the_svd(
+            self, monkeypatch):
+        # imp-pmc at 0.7307993945552227 assembles 6e-5 off 7/13: orders
+        # 78..85 hold a lane the structural shift does not certify, and
+        # only they reach the SVD (65 orders when a refused step refused
+        # every lane with a window at it)
+        cfg = make_config("0.7307993945552227", case="imp-pmc", k=0.8654901787445897,
+                          eta2=0.4257974069405483 - 1.201937739778516j)
+        orders, decide = [], vanish._svd_nullity
+
+        def svd_nullity(system, tol):
+            orders.append(system.n)
+            return decide(system, tol)
+        monkeypatch.setattr(vanish, "_svd_nullity", svd_nullity)
+        assert vanishing_order(cfg, vanish.MAX_ORDER).at_nmax
+        assert len(orders) <= 8
 
     @pytest.mark.parametrize("alpha,case,eta1,eta2,k,svd_orders", [
         ("0.2291197912220782", "imp-pmc", None,
