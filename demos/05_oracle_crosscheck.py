@@ -55,8 +55,9 @@ print("does vanish to higher order (alpha = 1/3, order-3 failure):")
 cfg = config("1/3", "imp-imp")
 system = vanish.assemble_order_system(3, cfg)
 vec = vanish.nullspace_basis(system)[:, 0]
-a = {(3, m): vec[i] for i, (f, m) in enumerate(system.columns) if f == "a"}
-b = {(3, m): vec[i] for i, (f, m) in enumerate(system.columns) if f == "b"}
+labels = vanish.column_labels(3)
+a = {(3, m): vec[i] for i, (f, m) in enumerate(labels) if f == "a"}
+b = {(3, m): vec[i] for i, (f, m) in enumerate(labels) if f == "b"}
 est = oracle.vani_estimate(swe.ModeCoefficients(3, cfg.k, a=a, b=b))
 print(f"  estimated vanishing order of the nullspace field: "
       f"{est.estimated_order} (slope {est.slope:.3f})")

@@ -219,7 +219,8 @@ class ConstraintSystem:
         """k on an a-column, eta2 on a b-column; ones for pec-pmc."""
         k, eta2 = (1.0, 1.0) if self.case == CaseKind.PEC_PMC else (
             self.config.k, self.config.bc2.eta0)
-        return np.array([k if fam == "a" else eta2 for fam, _ in self.columns])
+        return np.array([k if fam == "a" else eta2
+                         for fam, _ in column_labels(self.n)])
 
     @property
     def rows(self):
@@ -233,36 +234,24 @@ class ConstraintSystem:
         return rows * self.column_scale
 
     @property
-    def columns(self):
-        return column_labels(self.n)
-
-    @property
-    def column_index(self):
-        return {c: i for i, c in enumerate(self.columns)}
-
-    @property
-    def block_A(self):   # det ~ sin^2
-        return self._head_block(("matching-x", "matching-y", "face1-chain-e2 mu=0"),
-                                "a", ("b", 0))
-
-    @property
-    def block_B(self):   # det ~ sin^2 cos^2
-        return self._head_block(("face2-edge-x", "face2-edge-y", "matching-z"),
-                                "b", ("a", 0))
-
-    def _head_block(self, names, fam, third):
-        """3x3 head block cut from the rows tagged `names`, on the combinations
-        (fam^1 + fam^-1, fam^1 - fam^-1, third) of the unknowns; None for
-        pec-pmc, which has no head blocks."""
+    def head_blocks(self):
+        """(A, B), det A ~ sin^2 and det B ~ sin^2 cos^2: the 3x3 head blocks
+        cut from the rows by tag, on the combinations (x^1 + x^-1,
+        x^1 - x^-1, third) of the unknowns, x = a and third = b^0 for A,
+        x = b and third = a^0 for B; None for pec-pmc, which has none."""
         if self.case == CaseKind.PEC_PMC:
             return None
-        ix, rows, tags = self.column_index, self.rows, self.provenance
-        block = []
-        for name in names:
-            row = rows[tags.index(name)]
-            plus, minus = row[ix[(fam, 1)]], row[ix[(fam, -1)]]
-            block.append([(plus + minus) / 2, (plus - minus) / 2, row[ix[third]]])
-        return np.array(block)
+        # the order-1 columns lead every order's column_labels
+        col, rows, tags = column_labels(1).index, self.rows, self.provenance
+        blocks = []
+        for names, fam, third in (
+                (("matching-x", "matching-y", "face1-chain-e2 mu=0"), "a", ("b", 0)),
+                (("face2-edge-x", "face2-edge-y", "matching-z"), "b", ("a", 0))):
+            head = rows[[tags.index(name) for name in names]]
+            plus, minus = head[:, col((fam, 1))], head[:, col((fam, -1))]
+            blocks.append(np.stack([(plus + minus) / 2, (plus - minus) / 2,
+                                    head[:, col(third)]], axis=1))
+        return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +432,12 @@ def _closed_dets(n, eff):
                      f"{eff.bc2.eta0!r} overflows the boundary system")
 
 
-def _head_block_config(config):
+def closed_dets(n, config):
+    """Closed (det A, det B) of assemble_order_system(n, config).head_blocks."""
     case, eff = effective_config(config)
     if case == CaseKind.PEC_PMC:
         raise UnsupportedPairingError("pec-pmc systems have no head blocks")
-    return eff
-
-
-def closed_det_A(n, config):
-    """Closed form of det(block A) of assemble_order_system(n, config)."""
-    return _closed_dets(n, _head_block_config(config))[0]
-
-
-def closed_det_B(n, config):
-    """Closed form of det(block B) of assemble_order_system(n, config)."""
-    return _closed_dets(n, _head_block_config(config))[1]
+    return _closed_dets(n, eff)
 
 
 def block_det(m, alpha, kind):

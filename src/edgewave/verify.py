@@ -12,6 +12,7 @@ Randomized checks draw from a seeded generator so runs are reproducible.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +45,8 @@ def check_closed_vs_numeric_dets(seed=55):
             float(rng.uniform(0.5, 2)))
         for n in range(1, 11):
             system = vanish.assemble_order_system(n, cfg)
-            ca, cb = vanish.closed_det_A(n, cfg), vanish.closed_det_B(n, cfg)
-            worst = max(worst,
-                        abs(np.linalg.det(system.block_A) - ca) / abs(ca),
-                        abs(np.linalg.det(system.block_B) - cb) / abs(cb))
+            for block, closed in zip(system.head_blocks, vanish.closed_dets(n, cfg)):
+                worst = max(worst, abs(np.linalg.det(block) - closed) / abs(closed))
     assert worst < 1e-10, f"worst rel error {worst:.2e}"
     return f"worst rel error {worst:.2e}"
 
@@ -181,10 +180,8 @@ def run_suite(name, seed=None):
             raise KeyError(f"unknown suite {suite!r}")
         for check_name, fn in SUITES[suite]:
             try:
-                if seed is not None and "seed" in fn.__code__.co_varnames:
-                    detail = fn(seed=seed)
-                else:
-                    detail = fn()
+                takes_seed = "seed" in inspect.signature(fn).parameters
+                detail = fn(seed=seed) if seed is not None and takes_seed else fn()
                 results.append((suite, check_name, True, detail))
             except Exception as exc:  # noqa: BLE001 - report, do not crash
                 results.append((suite, check_name, False, f"{type(exc).__name__}: {exc}"))

@@ -19,8 +19,8 @@ from conftest import make_config
 from edgewave import angles, oracle, swe
 from edgewave import specfun as sf
 from edgewave.vanish import (CaseKind, INFINITE, assemble_order_system,
-                             closed_det_A, closed_det_B, nullspace_dim,
-                             theorem_bound, vanishing_order)
+                             closed_dets, nullspace_dim, theorem_bound,
+                             vanishing_order)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 SQRT_HALF = 1 / math.sqrt(2)
@@ -46,10 +46,8 @@ def test_criterion_1_determinant_fidelity():
                           k=float(rng.uniform(0.5, 2.0)))
         for n in range(1, 11):
             system = assemble_order_system(n, cfg)
-            ca, cb = closed_det_A(n, cfg), closed_det_B(n, cfg)
-            worst = max(worst,
-                        abs(np.linalg.det(system.block_A) - ca) / abs(ca),
-                        abs(np.linalg.det(system.block_B) - cb) / abs(cb))
+            for block, closed in zip(system.head_blocks, closed_dets(n, cfg)):
+                worst = max(worst, abs(np.linalg.det(block) - closed) / abs(closed))
     elapsed = time.time() - t0
     assert worst < 1e-10
     assert elapsed < 5.0

@@ -44,6 +44,17 @@ class TestParse:
             with pytest.raises(AngleError, match="cannot parse"):
                 angles.parse_angle(bad)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Angle(2.5), r"outside \(0,2\)"),
+        (lambda: Angle(0.0), r"outside \(0,2\)"),
+        (lambda: Angle(0.5, (2, 4)), "not reduced/positive"),
+        (lambda: Angle(0.25, (1, 3)), "stored value disagrees with fraction"),
+        (lambda: angles.parse_angle("1/0"), "cannot parse fraction '1/0'"),
+    ], ids=["above-2", "zero", "unreduced", "disagreeing", "zero-denominator"])
+    def test_refusals(self, make, message):
+        with pytest.raises(AngleError, match=message):
+            make()
+
     def test_out_of_range(self):
         for bad in ("0", "2", "5/2", "-1/3", "garbage", "1e-13", "1.9999999999999"):
             with pytest.raises(AngleError):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
-from edgewave import angles, cli
+from edgewave import angles, cli, verify
 from edgewave.cli import main, parse_complex
-from edgewave.vanish import closed_det_A
+from edgewave.vanish import closed_dets
 
 
 class TestComplexGrammar:
@@ -392,7 +392,7 @@ class TestEtaSpelling:
         report = json.loads(outs[0])
         report = report[0] if isinstance(report, list) else report
         config = make_config("1/3", eta1=-1.2 + 0.3j, eta2=-0.4 - 1j)
-        assert complex(*report["per_order"][0]["det_A"]) == closed_det_A(1, config)
+        assert complex(*report["per_order"][0]["det_A"]) == closed_dets(1, config)[0]
 
     def test_missing_value_is_usage_error(self):
         assert main(["analyze", "--alpha", "1/3", "--case", "imp-imp",
@@ -524,6 +524,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[PASS]") == 4
+
+    def test_failing_check_exits_3(self, capsys, monkeypatch):
+        # a check that raises is reported and named, the checks after it
+        # still run, and the command exits 3
+        def broken():
+            raise RuntimeError("boom")
+        monkeypatch.setitem(verify.SUITES, "vanish",
+                            [("broken", broken)] + verify.SUITES["vanish"])
+        assert main(["verify", "--suite", "vanish"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "[FAIL] vanish:broken  RuntimeError: boom"
+        assert len(lines) == 5
+        assert all(line.startswith("[PASS] vanish:") for line in lines[1:])
+        assert captured.err == "1 failing check(s): broken\n"
 
     def test_module_suite_is_an_invalid_choice(self, capsys):
         # module self-checks run under pytest only

@@ -11,8 +11,8 @@ from conftest import identity_table, make_config, random_coeffs
 from edgewave import angles, corner, oracle, swe, vanish
 from edgewave.corner import Face, ImpedanceKind, ImpedanceSpec, e_vectors, \
     impedance_residual, tangential_projection, trace_tangential_curl
-from edgewave.oracle import FitQualityError, QuadratureSpec, ball_integral, \
-    collocation_nullspace, vani_estimate
+from edgewave.oracle import FitQualityError, QuadratureConvergenceError, \
+    QuadratureSpec, ball_integral, collocation_nullspace, vani_estimate
 from edgewave.specfun import assoc_legendre
 
 
@@ -35,6 +35,15 @@ class TestBallIntegral:
         rho = 0.5
         assert ball_integral(radial, rho) == pytest.approx(math.pi * rho ** 4,
                                                            rel=1e-12)
+
+    def test_unresolved_field_is_refused(self):
+        # |E| = 1 for theta < 0.3 and 0 elsewhere: no Gauss grid resolves the
+        # jump, and the refined grid reads 0.012746 against 0.010700
+        cap = lambda r, th, ph: np.stack([(th < 0.3) + 0 * r + 0 * ph] * 3,
+                                         axis=-1) / math.sqrt(3)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"rho=0\.5: 0\.0107.* vs refined 0\.01274"):
+            ball_integral(cap, 0.5)
 
     def test_low_degree_scaling(self):
         c = swe.ModeCoefficients(1, 1.0, b={(1, 0): 1.0}, a={(1, 1): 0.4})
@@ -251,10 +260,9 @@ class TestVaniEstimate:
         basis = vanish.nullspace_basis(system)
         assert basis.shape[1] == 2
         vec = basis[:, 0]
-        a = {(3, m): vec[i] for i, (fam, m) in enumerate(system.columns)
-             if fam == "a"}
-        b = {(3, m): vec[i] for i, (fam, m) in enumerate(system.columns)
-             if fam == "b"}
+        labels = vanish.column_labels(3)
+        a = {(3, m): vec[i] for i, (fam, m) in enumerate(labels) if fam == "a"}
+        b = {(3, m): vec[i] for i, (fam, m) in enumerate(labels) if fam == "b"}
         c = swe.ModeCoefficients(3, cfg.k, a=a, b=b)
         est = vani_estimate(c)
         assert est.estimated_order >= 2

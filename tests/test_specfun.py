@@ -128,6 +128,14 @@ class TestSphericalBessel:
                        - (l + 1) * sf.sph_bessel(l + 1, t)) / (2 * l + 1)
                 assert sf.sph_bessel_deriv(l, t) == pytest.approx(ref, rel=1e-12)
 
+    def test_derivative_degree_zero_matches_scipy(self):
+        # j_0' = -j_1, on the series near t = 0 and on the recurrence
+        from scipy.special import spherical_jn
+        t = np.concatenate([np.geomspace(1e-8, 1e-2, 25), np.linspace(0, 40, 801)])
+        np.testing.assert_allclose(sf.sph_bessel_deriv(0, t),
+                                   spherical_jn(0, t, derivative=True),
+                                   rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0])
     def test_closed_forms_and_sum_rule(self, t):
         # anchors the recurrences do not give by construction: the closed

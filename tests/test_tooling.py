@@ -27,6 +27,36 @@ _TRACING = _bench_module("tracing")
 _WORKLOADS = _bench_module("workloads")
 
 
+_SNIPPET = '''"""Module docstring
+on two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+class C:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function
+        docstring."""
+        text = """a string
+on two lines"""
+        return (x +
+                1)
+'''
+
+
+def test_code_lines_leaves_out_comments_blanks_and_docstrings():
+    # import, class, def, the two lines of the string and of the return
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.count(_SNIPPET) == (18, 7)
+
+
 @pytest.mark.parametrize("module,attr", _TRACING.SPANNED
                          + tuple(("corner", name) for name in _TRACING.EXPANSIONS))
 def test_traced_function_resolves(module, attr):

@@ -12,8 +12,12 @@ from edgewave import angles, vanish
 from edgewave.oracle import collocation_nullspace
 from edgewave.vanish import (CaseKind, INFINITE, RankAmbiguityError,
                              UnsupportedPairingError, assemble_order_system,
-                             block_det, closed_det_A, closed_det_B,
+                             block_det, closed_dets, column_labels,
                              nullspace_dim, theorem_bound, vanishing_order)
+
+
+def _label_index(n):
+    return {c: i for i, c in enumerate(column_labels(n))}
 
 
 class TestAssembly:
@@ -25,12 +29,12 @@ class TestAssembly:
         c1 = math.sqrt(3 / (8 * math.pi))
         expect = (-1j * (2 / 3) ** 3 * (math.sqrt(2) / 2) * c1 ** 2 * c0
                   * math.sin(math.pi / 3) ** 2)
-        assert np.linalg.det(system.block_A) == pytest.approx(expect, rel=1e-12)
+        assert np.linalg.det(system.head_blocks[0]) == pytest.approx(expect, rel=1e-12)
 
     def test_pecpmc_first_order_two_by_two_blocks(self):
         cfg = make_config("1/3", case="pec-pmc")
         system = assemble_order_system(1, cfg)
-        ix = system.column_index
+        ix = _label_index(1)
         phase = math.pi / 3
         # the a-sector rows reduce to [[1, -1], [e^{i a pi}, e^{-i a pi}]]
         diff = next(r for r, t in zip(system.rows, system.provenance)
@@ -59,10 +63,9 @@ class TestAssembly:
             assert len(set(system.provenance)) == len(system.provenance)
 
     def test_column_order(self):
-        system = assemble_order_system(2, make_config("0.41"))
-        assert system.columns == [("b", 0), ("a", 0), ("a", 1), ("a", -1),
-                                  ("b", 1), ("b", -1), ("a", 2), ("a", -2),
-                                  ("b", 2), ("b", -2)]
+        assert column_labels(2) == [("b", 0), ("a", 0), ("a", 1), ("a", -1),
+                                 ("b", 1), ("b", -1), ("a", 2), ("a", -2),
+                                 ("b", 2), ("b", -2)]
 
     def test_unsupported_pairings(self):
         from edgewave.corner import EdgeCornerConfig, ImpedanceSpec
@@ -168,7 +171,7 @@ class TestPatternAssembly:
     def test_chains_match_entry_loop(self, n, alpha):
         eta1, eta2, k = 1.1 - 0.3j, 0.8 + 0.5j, 1.2
         system = assemble_order_system(n, make_config(alpha, eta1=eta1, eta2=eta2, k=k))
-        ix = system.column_index
+        ix = _label_index(n)
         phase = system.config.alpha.value * math.pi
         ref = np.vstack([_loop_chain_rows(n, eta1, k, 0.0, ix),
                          _loop_chain_rows(n, eta2, k, phase, ix)])
@@ -176,14 +179,14 @@ class TestPatternAssembly:
 
     def test_first_order_keeps_one_chain_row(self):
         system = assemble_order_system(1, make_config("2/7", eta1=1.1 - 0.3j, k=1.2))
-        ref = _loop_chain_rows(1, 1.1 - 0.3j, 1.2, 0.0, system.column_index)
+        ref = _loop_chain_rows(1, 1.1 - 0.3j, 1.2, 0.0, _label_index(1))
         assert system.provenance[6:] == ["face1-chain-e2 mu=0"]
         self.assert_rows_close(system.rows[6:], ref[2:3])
 
     @pytest.mark.parametrize("n", [1, 2, 9, 85])
     def test_pecpmc_matches_entry_loop(self, n):
         system = assemble_order_system(n, make_config("2/9", case="pec-pmc"))
-        ref = _loop_pecpmc_rows(n, 2 / 9 * math.pi, system.column_index)
+        ref = _loop_pecpmc_rows(n, 2 / 9 * math.pi, _label_index(n))
         self.assert_rows_close(system.rows, ref)
 
 
@@ -285,9 +288,8 @@ class TestClosedDeterminants:
                           eta2=complex(*rng.standard_normal(2)),
                           k=float(rng.uniform(0.5, 2)))
         system = assemble_order_system(n, cfg)
-        ca, cb = closed_det_A(n, cfg), closed_det_B(n, cfg)
-        assert abs(np.linalg.det(system.block_A) - ca) / abs(ca) < 1e-10
-        assert abs(np.linalg.det(system.block_B) - cb) / abs(cb) < 1e-10
+        for block, closed in zip(system.head_blocks, closed_dets(n, cfg)):
+            assert abs(np.linalg.det(block) - closed) / abs(closed) < 1e-10
 
     @pytest.mark.parametrize("case,alpha", [("imp-pec", "0.37"), ("imp-pec", "1.3"),
                                             ("imp-pec", "1/5"), ("imp-pmc", "0.13"),
@@ -296,9 +298,7 @@ class TestClosedDeterminants:
         cfg = make_config(alpha, case=case, eta2=0.8 + 0.5j, k=1.2)
         for n in range(1, 11):
             system = assemble_order_system(n, cfg)
-            for closed, block in ((closed_det_A, system.block_A),
-                                  (closed_det_B, system.block_B)):
-                expect = closed(n, cfg)
+            for block, expect in zip(system.head_blocks, closed_dets(n, cfg)):
                 assert abs(np.linalg.det(block) - expect) / abs(expect) < 1e-10
 
     @pytest.mark.parametrize("case", ["imp-imp", "pec-pmc", "imp-pec", "imp-pmc"])
@@ -308,10 +308,9 @@ class TestClosedDeterminants:
         for d in vanishing_order(cfg, 6).per_order:
             if case == "pec-pmc":
                 assert d.det_A_closed is d.det_B_closed is None
-                assert assemble_order_system(d.n, cfg).block_A is None
+                assert assemble_order_system(d.n, cfg).head_blocks is None
             else:
-                assert d.det_A_closed == closed_det_A(d.n, cfg)
-                assert d.det_B_closed == closed_det_B(d.n, cfg)
+                assert (d.det_A_closed, d.det_B_closed) == closed_dets(d.n, cfg)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_head_blocks_are_the_assembled_rows(self, n):
@@ -319,11 +318,12 @@ class TestClosedDeterminants:
         # third), is the whole assembled row of that tag
         cfg = make_config("0.41", eta1=1.7 - 0.3j, eta2=0.9 + 0.2j, k=1.3)
         system = assemble_order_system(n, cfg)
-        ix = system.column_index
+        ix = _label_index(n)
+        block_a, block_b = system.head_blocks
         for block, tags, fam, third in (
-                (system.block_A, ("matching-x", "matching-y",
-                                  "face1-chain-e2 mu=0"), "a", ("b", 0)),
-                (system.block_B, ("face2-edge-x", "face2-edge-y", "matching-z"),
+                (block_a, ("matching-x", "matching-y",
+                           "face1-chain-e2 mu=0"), "a", ("b", 0)),
+                (block_b, ("face2-edge-x", "face2-edge-y", "matching-z"),
                  "b", ("a", 0))):
             for brow, tag in zip(block, tags):
                 full = np.zeros(system.rows.shape[1], dtype=complex)
@@ -337,16 +337,16 @@ class TestClosedDeterminants:
     def test_explicit_configuration(self):
         cfg = make_config("1/5", eta1=2.0 + 0j, eta2=1.0, k=1.5)
         system = assemble_order_system(3, cfg)
-        ca = closed_det_A(3, cfg)
-        assert abs(np.linalg.det(system.block_A) - ca) / abs(ca) < 1e-10
+        ca = closed_dets(3, cfg)[0]
+        assert abs(np.linalg.det(system.head_blocks[0]) - ca) / abs(ca) < 1e-10
 
     def test_b_vanishes_at_right_angles(self):
         for alpha in ("1/2", "3/2"):
-            assert closed_det_B(3, make_config(alpha)) == pytest.approx(0.0, abs=1e-30)
+            assert closed_dets(3, make_config(alpha))[1] == pytest.approx(0.0, abs=1e-30)
 
     def test_case_error(self):
         with pytest.raises(UnsupportedPairingError):
-            closed_det_A(1, make_config("1/3", case="pec-pmc"))
+            closed_dets(1, make_config("1/3", case="pec-pmc"))
 
     def test_first_order_reduction(self):
         # at n = 1 the prefactor reduces to (2/3)^3 (sqrt2/2) (c_1^1)^2 c_1^0
@@ -354,7 +354,7 @@ class TestClosedDeterminants:
         c0, c1 = math.sqrt(3 / (4 * math.pi)), math.sqrt(3 / (8 * math.pi))
         expect = (-1j * (2 / 3) ** 3 * math.sqrt(2) / 2 * c1 ** 2 * c0
                   * math.sin(0.37 * math.pi) ** 2)
-        assert closed_det_A(1, cfg) == pytest.approx(expect, rel=1e-14)
+        assert closed_dets(1, cfg)[0] == pytest.approx(expect, rel=1e-14)
 
 
 class TestBlockDet:
@@ -1093,7 +1093,7 @@ class TestCertificate:
         bound = squares.sum() * (1e-9 / 100 / (2 * 13)) ** 2
         names = []
         for mask, norms in zip(vanish._parity_classes(6), squares.sum(axis=1)):
-            labels = [c for c, keep in zip(system.columns, mask) if keep]
+            labels = [c for c, keep in zip(column_labels(6), mask) if keep]
             for slot in np.flatnonzero(norms <= bound):
                 fam, m = labels[slot - 1 + slot % 2]       # (fam, m), m >= 1
                 names.append(f"{fam}_{m} {'+' if slot % 2 else '-'} {fam}_-{m}")

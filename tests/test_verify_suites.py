@@ -19,6 +19,20 @@ def test_suite_green(suite):
     assert not failures, failures
 
 
+def test_seed_goes_only_to_a_check_with_a_seed_parameter(monkeypatch):
+    # a local variable named seed is not a parameter: passing it the seed
+    # made such a check fail with a TypeError
+    def local():
+        seed = 3
+        return f"local {seed}"
+
+    def param(seed=1):
+        return f"param {seed}"
+    monkeypatch.setitem(SUITES, "vanish", [("local", local), ("param", param)])
+    assert run_suite("vanish", seed=9) == [("vanish", "local", True, "local 3"),
+                                           ("vanish", "param", True, "param 9")]
+
+
 def test_certificate_check_fails_on_a_wrong_certificate(monkeypatch):
     # a certificate that calls every order full rank certifies 1/3 at n = 3
     monkeypatch.setattr(vanish, "_certified_nullities",
